@@ -18,6 +18,13 @@ same pins on every other byte-identical engine (``PINNED_BACKENDS``; the
 differential harness separately proves scalar produces byte-identical
 outcomes for every kind).
 
+A separate file, ``legacy_bitpacked.json``, pins the legacy
+``model=FaultModel(...)`` path that plain campaigns run by default.  Legacy
+fault streams are owned by each backend, so those pins hold for
+``LEGACY_BACKEND`` only: the dot2 cells under both schemes, plus one
+paper-scale mlp16 + ECiM cell whose captured outputs are also scored
+against the integer oracle (``application_counts``).
+
 Regenerate after an *intentional* semantic change with::
 
     PYTHONPATH=src python tests/golden/golden_store.py --write
@@ -41,6 +48,22 @@ BACKEND = "batched"
 #: Backends whose counters must reproduce the stored pins byte-for-byte
 #: (all four golden kinds run the byte-identical declarative / plan paths).
 PINNED_BACKENDS = ("batched", "bitpacked")
+
+
+#: The legacy-model pins: backend, and per cell (workload, scheme, trials,
+#: FaultModel rates, whether to score application counters).
+LEGACY_BACKEND = "bitpacked"
+LEGACY_CELLS = {
+    "dot2/ecim": ("dot2", "ecim", TRIALS, dict(
+        gate_error_rate=0.003, memory_error_rate=0.002, preset_error_rate=0.002
+    ), False),
+    "dot2/trim": ("dot2", "trim", TRIALS, dict(
+        gate_error_rate=0.003, memory_error_rate=0.002, preset_error_rate=0.002
+    ), False),
+    "mlp16/ecim": ("mlp16", "ecim", 64, dict(
+        gate_error_rate=1e-3, memory_error_rate=1e-3, preset_error_rate=1e-3
+    ), True),
+}
 
 
 def golden_path(scheme: str) -> str:
@@ -136,17 +159,71 @@ def compute_payload(scheme: str) -> dict:
     }
 
 
+def legacy_golden_path() -> str:
+    return os.path.join(GOLDEN_DIR, "legacy_bitpacked.json")
+
+
+def load_legacy_golden() -> dict:
+    with open(legacy_golden_path(), "r", encoding="utf-8") as handle:
+        return json.load(handle)
+
+
+def compute_legacy_cell(name: str) -> dict:
+    """Current counters (and application counters, where scored) of one
+    legacy-model golden cell on :data:`LEGACY_BACKEND`."""
+    from repro.campaign.application import application_counts, get_application_workload
+    from repro.campaign.workloads import get_campaign_workload
+    from repro.core.backend import derive_seed, make_backend
+    from repro.core.batched import sample_input_matrix
+    from repro.pim.faults import FaultModel
+
+    workload, scheme, trials, rates, scored = LEGACY_CELLS[name]
+    engine = make_backend(LEGACY_BACKEND, get_campaign_workload(workload).netlist, scheme)
+    seeds = {
+        stream: [
+            derive_seed(SEED, "golden-legacy", workload, trial, stream)
+            for trial in range(trials)
+        ]
+        for stream in ("inputs", "faults")
+    }
+    inputs = sample_input_matrix(engine.netlist, seeds["inputs"])
+    outcomes = engine.run_trials(
+        inputs,
+        model=FaultModel(**rates),
+        fault_seeds=seeds["faults"],
+        capture_outputs=scored,
+    )
+    cell = {"trials": trials, "rates": rates, "counters": outcomes.counts()}
+    if scored:
+        cell["application"] = application_counts(
+            get_application_workload(workload), inputs, outcomes.outputs
+        )
+    return cell
+
+
+def compute_legacy_payload() -> dict:
+    return {
+        "backend": LEGACY_BACKEND,
+        "seed": SEED,
+        "cells": {name: compute_legacy_cell(name) for name in LEGACY_CELLS},
+    }
+
+
+def _write_json(path: str, payload: dict) -> None:
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump(payload, handle, indent=2, sort_keys=True)
+        handle.write("\n")
+    print(f"wrote {path}")
+
+
 def main(argv) -> int:
     if argv[1:] != ["--write"]:
         print(__doc__)
         print(f"usage: PYTHONPATH=src python {argv[0]} --write", file=sys.stderr)
         return 2
     for scheme in SCHEMES:
-        payload = compute_payload(scheme)
-        with open(golden_path(scheme), "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        print(f"wrote {golden_path(scheme)}")
+        _write_json(golden_path(scheme), compute_payload(scheme))
+    _write_json(legacy_golden_path(), compute_legacy_payload())
     return 0
 
 

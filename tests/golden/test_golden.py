@@ -46,3 +46,26 @@ class TestGoldenCounters:
             assert counters["trials"] == golden_store.TRIALS
             # A golden with no injected faults would pin nothing worth having.
             assert counters["faults_injected"] > 0, kind
+
+
+@pytest.mark.parametrize("cell", sorted(golden_store.LEGACY_CELLS))
+class TestLegacyGoldenCounters:
+    """The default campaign fault source, ``model=FaultModel(...)``, pinned on
+    the one backend whose skip-sampled streams the pins record."""
+
+    def test_counters_match_golden(self, cell):
+        stored = golden_store.load_legacy_golden()
+        assert stored["backend"] == golden_store.LEGACY_BACKEND
+        assert stored["seed"] == golden_store.SEED
+        computed = golden_store.compute_legacy_cell(cell)
+        assert computed == stored["cells"][cell], (
+            f"legacy golden drift in {cell}: if this change is intentional, "
+            "regenerate with PYTHONPATH=src python tests/golden/golden_store.py --write"
+        )
+
+    def test_goldens_inject_and_carry_the_schema(self, cell):
+        pinned = golden_store.load_legacy_golden()["cells"][cell]
+        assert set(pinned["counters"]) == set(COUNT_KEYS)
+        assert pinned["counters"]["faulty_trials"] > 0
+        if golden_store.LEGACY_CELLS[cell][4]:
+            assert pinned["application"]["app_trials"] == pinned["trials"]
