@@ -1,15 +1,16 @@
-"""Bit-packed engine bench: trials/sec vs the uint8 batched and scalar
+"""Bit-sliced engine bench: trials/sec vs the uint8 batched and scalar
 engines on the same cells.
 
-Two shapes, matching how campaigns actually spend time:
+Three shapes, matching how campaigns actually spend time:
 
 * the dot2 + ECiM Monte-Carlo shard (legacy stochastic model at 1e-3),
   benched at the engine level — one ``run_trials`` call over precomputed
-  per-trial seeds and inputs, so the numbers isolate the interpreters the
-  way the ISSUE's floor is stated.  This is the bit-packed engine's home
-  turf: geometric skip-sampling replaces ~1700 Philox uniforms per trial
-  and every gate is a word op over 64 trials, so the asserted floor is a
-  conservative 4x over the uint8 engine (typical observed: ~15-25x);
+  per-trial seeds and inputs, so the numbers isolate the interpreters.
+  Geometric skip-sampling replaces ~1700 Philox uniforms per trial and
+  every gate is a few big-int ops over the whole batch, so the asserted
+  floor is a conservative 4x over the uint8 engine;
+* one 250-trial mlp16 + ECiM shard under the same model: the 39,534-step
+  tape where per-step interpretation cost, not fault sampling, dominates;
 * a dot2 k=2 multi-fault shard through the full campaign path — here
   per-trial Python plan construction dominates both tape engines, so the
   bench only guards against regressing below the uint8 engine rather than
@@ -29,6 +30,7 @@ SCALAR_TRIALS = 120
 BATCHED_TRIALS = 1000
 BITPACKED_TRIALS = 20_000
 KFLIP_TRIALS = 2000
+MLP16_TRIALS = 250
 
 #: The asserted floor of the bit-packed engine over the uint8 batched one on
 #: the Monte-Carlo shard (ISSUE 7 acceptance criterion).
@@ -54,9 +56,9 @@ _OBSERVED = {}
 _KFLIP_OBSERVED = {}
 
 
-def _bench_engine(benchmark, name, trials):
-    """Time one warmed run_trials call on the dot2+ECiM Monte-Carlo shard."""
-    netlist = get_campaign_workload("dot2").netlist
+def _bench_engine(benchmark, name, trials, workload="dot2", rounds=1):
+    """Time one warmed run_trials call on an ECiM Monte-Carlo shard."""
+    netlist = get_campaign_workload(workload).netlist
     backend = make_backend(name, netlist, "ecim")
     seeds = [derive_seed(_SEED, "bench", trial, "faults") for trial in range(trials)]
     inputs = sample_input_matrix(
@@ -67,7 +69,7 @@ def _bench_engine(benchmark, name, trials):
         backend.run_trials,
         args=(inputs,),
         kwargs={"model": _MODEL, "fault_seeds": seeds},
-        rounds=1,
+        rounds=rounds,
         iterations=1,
     )
     assert outcomes.n_trials == trials
@@ -102,6 +104,11 @@ def test_bitpacked_monte_carlo_throughput(benchmark):
             f"batched engine on the Monte-Carlo shard, got {speedup:.1f}x"
         )
     emit({"rendered": "\n".join(lines)})
+
+
+def test_bitpacked_mlp16_shard_throughput(benchmark):
+    rate = _bench_engine(benchmark, "bitpacked", MLP16_TRIALS, workload="mlp16", rounds=5)
+    emit({"rendered": f"bitpacked engine: {rate:.0f} trials/sec (mlp16, ecim, one shard)"})
 
 
 def _run(benchmark, backend, trials, cell):

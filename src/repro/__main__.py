@@ -36,7 +36,8 @@ Execution-bound commands take ``--backend {scalar,batched,bitpacked}``:
 ``scalar`` (default) walks the behavioural array per trial — the bit-exact
 legacy path — ``batched`` interprets a compiled instruction tape for all
 trials (or all fault sites) at once, and ``bitpacked`` interprets the same
-tape 64 trials per uint64 word (see :mod:`repro.core.backend`).
+tape bit-sliced, one Python int per column holding every trial (see
+:mod:`repro.core.backend`).
 ``campaign`` keeps ``--engine`` as a deprecated alias of ``--backend``.
 """
 
@@ -371,7 +372,8 @@ def build_parser() -> argparse.ArgumentParser:
             "execution backend for the exhaustive sweep: 'scalar' (default) "
             "re-runs the object model once per fault site, 'batched' runs "
             "every site as one row of a single tape interpretation, "
-            "'bitpacked' packs 64 sites per uint64 word of one tape pass"
+            "'bitpacked' holds every site as one bit of a per-column int "
+            "in one tape pass"
         ),
     )
     sep_parser.add_argument(
@@ -531,8 +533,9 @@ def build_parser() -> argparse.ArgumentParser:
             "compiles the cell to an instruction tape and runs each shard "
             "as one numpy bit-matrix (~2 orders of magnitude faster; "
             "Philox-seeded, reproducible for a fixed seed), 'bitpacked' "
-            "interprets that tape as uint64 bitplanes, 64 trials per word "
-            "(fastest; skip-sampled fault streams, reproducible per seed)"
+            "interprets that tape bit-sliced, one int per column holding "
+            "every trial (fastest; skip-sampled fault streams, reproducible "
+            "per seed)"
         ),
     )
     campaign_parser.add_argument(

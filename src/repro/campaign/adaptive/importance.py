@@ -4,7 +4,7 @@ Under the legacy stochastic fault model with ``memory_error_rate == 0``,
 every enumerated fault site performs exactly one independent Bernoulli draw
 per trial, so the injected-fault pattern of a trial has probability
 ``rate**f * (1 - rate)**(n_sites - f)`` where ``f = faults_injected`` — on
-every backend (the scalar injector, the uint8 tape and the uint64 bitplane
+every backend (the scalar injector, the uint8 tape and the bit-sliced
 engine all draw one Bernoulli per gate-output write; metadata sites inherit
 the gate rate).  Running trials at an inflated *proposal* rate ``q`` and
 reweighting each by the exact likelihood ratio

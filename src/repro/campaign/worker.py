@@ -46,7 +46,7 @@ from repro.campaign.aggregate import ShardResult
 from repro.campaign.application import application_counts, get_application_workload
 from repro.campaign.spec import CampaignCell, ShardTask, trial_seed
 from repro.campaign.workloads import get_campaign_workload
-from repro.core.backend import BoundedCache, ExecutionBackend, FaultSite, make_backend
+from repro.core.backend import BoundedCache, ExecutionBackend, make_backend
 from repro.core.batched import sample_input_matrix
 from repro.core.faultplan import FaultPlanArrays
 from repro.errors import EvaluationError
@@ -69,9 +69,9 @@ CACHE_LIMIT = 8
 #: configuration, least-recently-used entries evicted beyond CACHE_LIMIT.
 _EXECUTOR_CACHE: "BoundedCache" = BoundedCache(CACHE_LIMIT)
 
-#: Per-process tape backends (batched uint8 and bitpacked uint64 engines,
-#: keyed by engine name).  Plans are technology-independent (timing/energy
-#: never enter trial outcomes), hence the shorter key.
+#: Per-process tape backends (batched uint8 and bit-sliced bitpacked
+#: engines, keyed by engine name).  Plans are technology-independent
+#: (timing/energy never enter trial outcomes), hence the shorter key.
 _PLAN_CACHE: "BoundedCache" = BoundedCache(CACHE_LIMIT)
 
 
@@ -155,7 +155,8 @@ def site_count(cell: CampaignCell, backend_name: str) -> int:
 
 def _site_arrays(backend: ExecutionBackend):
     """``(operation_index, output_position, count)`` of the backend's sites,
-    computed once per cached backend instance."""
+    computed once per cached backend instance (mlp16 + ECiM enumerates
+    72,448 sites, more work than a whole shard's interpretation)."""
     cached = getattr(backend, "_campaign_site_arrays", None)
     if cached is None:
         sites = backend.enumerate_sites()
@@ -233,31 +234,24 @@ def _fault_model_spec(cell: CampaignCell) -> FaultModelSpec:
 
 
 def _multi_fault_plan(
-    sites: Sequence[FaultSite], fault_seeds: Sequence[int], k: int
+    backend: ExecutionBackend, fault_seeds: Sequence[int], k: int
 ) -> FaultPlanArrays:
     """One deterministic k-flip plan per trial, drawn from its fault seed.
 
     Sites are sampled uniformly without replacement from the backend's
-    enumeration; because both backends enumerate sites identically (a PR-3
-    invariant) and k-flip plans execute bit-exactly on both, a
-    ``faults_per_trial`` campaign produces byte-identical counters on the
-    scalar and batched backends.
+    enumeration; because every backend enumerates sites identically and
+    k-flip plans execute bit-exactly on all of them, a ``faults_per_trial``
+    campaign produces byte-identical counters on every backend.
 
     The ``random.Random(seed).sample`` draws are a pinned invariant (the
     golden campaign counters depend on them byte-for-byte); only the plan
     *assembly* is array-native — the chosen site indices go straight into a
-    CSR :class:`~repro.core.faultplan.FaultPlanArrays` batch instead of one
-    dict per trial.
+    CSR :class:`~repro.core.faultplan.FaultPlanArrays` batch over the
+    backend's cached site arrays, with no per-shard site enumeration.
     """
-    if k > len(sites):
-        raise EvaluationError(
-            f"faults_per_trial={k} exceeds the {len(sites)} injectable sites"
-        )
-    count = len(sites)
-    site_ops = np.fromiter((site.operation_index for site in sites), np.int64, count)
-    site_positions = np.fromiter(
-        (site.output_position for site in sites), np.int64, count
-    )
+    site_ops, site_positions, count = _site_arrays(backend)
+    if k > count:
+        raise EvaluationError(f"faults_per_trial={k} exceeds the {count} injectable sites")
     chosen = np.empty((len(fault_seeds), k), dtype=np.int64)
     for trial, seed in enumerate(fault_seeds):
         chosen[trial] = random.Random(seed).sample(range(count), k)
@@ -297,9 +291,7 @@ def run_shard(task: ShardTask) -> ShardResult:
     if cell.faults_per_trial is not None:
         outcomes = backend.run_trials(
             inputs,
-            fault_plan=_multi_fault_plan(
-                backend.enumerate_sites(), fault_seeds, cell.faults_per_trial
-            ),
+            fault_plan=_multi_fault_plan(backend, fault_seeds, cell.faults_per_trial),
             capture_outputs=app is not None,
         )
     elif cell.fault_model is not None:

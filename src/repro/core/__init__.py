@@ -129,7 +129,7 @@ __all__ = [
     "run_batch",
     "sample_input_matrix",
     "batched_golden_outputs",
-    # bit-packed trial engine
+    # bit-sliced trial engine
     "SoaPlan",
     "lower_plan",
     "pack_trials",

@@ -26,9 +26,10 @@ Three implementations:
   single ``{operation index: output position}`` flip, which is what lets the
   exhaustive single-fault sweep run with *fault site as the batch dimension*.
 * :class:`BitpackedBackend` — the same tape lowered to structure-of-arrays
-  form (:func:`~repro.core.soa.lower_plan`) and interpreted 64 trials per
-  ``uint64`` word (:func:`~repro.core.bitpacked.run_packed`); each gate
-  firing is a handful of branch-free bitwise word ops over the whole batch.
+  form (:func:`~repro.core.soa.lower_plan`) and interpreted bit-sliced
+  (:func:`~repro.core.bitpacked.run_packed`): each column's state is one
+  Python ``int`` holding every trial of the batch, so each gate firing is a
+  few big-int boolean ops over the whole batch.
 
 Equivalence contract (enforced by ``tests/core/test_sep.py``,
 ``tests/core/test_backend.py`` and ``tests/differential/``): fault-free,
@@ -682,10 +683,10 @@ class BatchedBackend(ExecutionBackend):
 
 
 class BitpackedBackend(BatchedBackend):
-    """The structure-of-arrays tape interpreted 64 trials per uint64 word
-    (:mod:`repro.core.bitpacked`): branch-free word-op gates over bitplane
-    state, Philox-exact declarative fault masks, geometric skip-sampled
-    legacy streams.
+    """The structure-of-arrays tape interpreted bit-sliced
+    (:mod:`repro.core.bitpacked`): one Python ``int`` per column holds every
+    trial, gates are closed-form boolean ops on those ints, declarative
+    fault masks are Philox-exact and legacy streams geometric skip-sampled.
 
     Shares the batched backend's construction surface and compiled
     :class:`ExecutionPlan` (the SoA form is lowered lazily from it), so site

@@ -534,6 +534,11 @@ def _step_draws(step: PlanStep, model: FaultModel) -> int:
     return 0
 
 
+def _uniform_row(seed: int, n_draws: int) -> np.ndarray:
+    """One trial's Philox-generated uniform stream."""
+    return np.random.Generator(np.random.Philox(key=int(seed))).random(n_draws)
+
+
 def _uniform_streams(seeds: Sequence[int], n_draws: int) -> np.ndarray:
     """One Philox-generated uniform stream per trial.
 
@@ -542,8 +547,7 @@ def _uniform_streams(seeds: Sequence[int], n_draws: int) -> np.ndarray:
     (shard size, trial order, neighbours)."""
     streams = np.empty((len(seeds), n_draws), dtype=np.float64)
     for row, seed in enumerate(seeds):
-        generator = np.random.Generator(np.random.Philox(key=int(seed)))
-        streams[row] = generator.random(n_draws)
+        streams[row] = _uniform_row(seed, n_draws)
     return streams
 
 

@@ -1,44 +1,53 @@
-"""Bit-packed trial engine: 64 trials per uint64 word over the SoA tape.
+"""Bit-sliced trial engine: one Python ``int`` per column holds every trial.
 
 The uint8 batched interpreter (:mod:`repro.core.batched`) spends one byte
-per logical bit, so large Monte-Carlo cells and multi-fault sweeps are
-memory-bandwidth-bound long before they are compute-bound.  This engine
-packs the ``(B, n_cols)`` trial state into uint64 **bitplanes** of shape
-``(ceil(B/64), n_cols)`` — trial ``t`` lives at bit ``t & 63`` of word
-``t >> 6`` in every column — and evaluates each gate firing as a handful of
-branch-free AND/OR/XOR/NOT word ops over all 64 trials of a word at once.
-The interpreter dispatches on the dense :class:`~repro.core.soa.SoaPlan`
-buffers, not on Python step objects.
+per logical bit and one numpy dispatch per step.  This engine keeps the
+``(B, n_cols)`` trial state *bit-sliced* instead: column ``c`` is a single
+arbitrary-precision Python ``int`` whose bit ``t`` is trial ``t``'s cell
+value, so a gate firing over the whole batch is its closed-form boolean on
+those ints — NOR2 is ``full ^ (a | b)``, the paper's THR4 (threshold 3) is
+``full ^ (a&b | c&d | (a|b)&(c|d))``, where ``full = (1 << B) - 1`` — and
+costs a few big-int ops regardless of B, with no per-step numpy dispatch.
 
-Equivalence contract (mirrors the batched engine's, enforced by
-``tests/differential/`` and ``tests/golden/``):
+The interpreter walks a compact int tape lowered once per
+:class:`~repro.core.soa.SoaPlan` and cached: one interned record per step
+(opcode plus column ints), so the ~40k-step mlp16 + ECiM tape holds only
+its few thousand distinct records.  Every fault source is lowered once per
+call to one XOR int per (tape step, column) with whole-array numpy passes;
+the interpreter XORs them in right after their step executes.  numpy is
+touched again only for per-trial vectors: an ECiM level's syndrome decode
+(or a TRiM level's correction count) when its syndrome (or disagreement)
+int is non-zero, and the final unpack.
+
+Equivalence contract (enforced by ``tests/differential/`` and
+``tests/golden/``):
 
 * fault-free, deterministic ``fault_plan`` and declarative ``fault_model``
   executions (stochastic / burst / stuck-at) are **byte-identical** to the
   scalar and batched backends from shared per-trial seeds — stochastic
   masks are drawn from the very same per-trial Philox streams in tape
-  order and packed with :func:`pack_trials`; burst flip decisions are
-  data-independent, so they are replayed through the batched
-  :class:`~repro.core.batched._BurstInjection` state machine verbatim;
+  order; burst flip decisions are data-independent, so they are replayed
+  through the batched :class:`~repro.core.batched._BurstInjection` state
+  machine verbatim;
 * legacy ``model=FaultModel(...)`` executions are *statistically*
   equivalent and reproducible per trial seed (the same contract batched
   already has vs scalar: each backend owns its legacy stream discipline).
   Here the discipline is **geometric skip-sampling**: per trial, per fault
   class, a ``random.Random(seed)`` walk emits the gaps between Bernoulli
   hits directly (``gap = floor(log1p(-u) / log1p(-p))``), so a campaign
-  cell at rate 1e-3 samples ~2 flips instead of ~1700 uniforms per trial —
-  which is what keeps the engine compute-bound instead of RNG-bound.
+  cell at rate 1e-3 samples ~2 flips instead of ~1700 uniforms per trial.
 
-Tail lanes (trial indices >= B in the last word) hold whatever the word
-ops produce; every per-trial reduction unpacks through
-:func:`unpack_trials`, which slices them away, and packed fault masks are
-zero there, so they can never leak into outcomes.
+Bits at or above B are never set: inputs and fault masks are packed from
+B-row matrices, and every gate complements against ``full``, so the state
+ints stay within ``full`` and :func:`unpack_trials` round-trips them.
 """
 
 from __future__ import annotations
 
 import math
 import random
+import weakref
+from functools import lru_cache
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -48,6 +57,7 @@ from repro.core.batched import (
     BatchResult,
     _BurstInjection,
     _StuckCells,
+    _uniform_row,
     _uniform_streams,
 )
 from repro.core.faultplan import FaultPlanArrays
@@ -56,8 +66,8 @@ from repro.core.soa import (
     KIND_GATE,
     KIND_PRESET,
     KIND_READ,
-    KIND_TRIM,
     SoaPlan,
+    _table_key,
 )
 from repro.errors import ProtectionError
 from repro.pim.faults import FaultModel, FaultModelSpec
@@ -65,222 +75,487 @@ from repro.pim.gates import GateType
 from repro.pim.vector import TABLE_MAX_INPUTS, truth_table, vector_gate_output
 
 __all__ = [
-    "WORD_BITS",
-    "n_words",
-    "lane_mask",
     "pack_trials",
     "unpack_trials",
     "bitpacked_golden_outputs",
     "run_packed",
 ]
 
-#: Trials per state word.
-WORD_BITS = 64
-
-_FULL = np.uint64(0xFFFFFFFFFFFFFFFF)
-_ONE = np.uint64(1)
-
 
 # ---------------------------------------------------------------------- #
 # Pack / unpack transposition helpers
 # ---------------------------------------------------------------------- #
-def n_words(batch: int) -> int:
-    """Words needed to hold one bit per trial of a B-trial batch."""
-    return (int(batch) + WORD_BITS - 1) // WORD_BITS
-
-
-def lane_mask(batch: int) -> np.ndarray:
-    """Per-word valid-lane mask of a B-trial batch: bit ``t & 63`` of word
-    ``t >> 6`` is set iff trial ``t < B`` — all-ones except (for ragged B)
-    the tail of the last word."""
-    if batch < 1:
-        raise ProtectionError("a batch needs at least one trial")
-    mask = np.full(n_words(batch), _FULL, dtype=np.uint64)
-    tail = batch % WORD_BITS
-    if tail:
-        mask[-1] = (_ONE << np.uint64(tail)) - _ONE
-    return mask
-
-def pack_trials(bits: np.ndarray) -> np.ndarray:
-    """Transpose a ``(B, k)`` 0/1 uint8 matrix into ``(ceil(B/64), k)``
-    uint64 bitplanes (trial ``t`` → bit ``t & 63`` of word ``t >> 6``).
-
-    Tail lanes of a ragged batch (B % 64 != 0) are zero-filled, so packed
-    fault masks never corrupt them.  Exact inverse of :func:`unpack_trials`
-    for any B.
-    """
+def pack_trials(bits: np.ndarray) -> List[int]:
+    """Transpose a ``(B, k)`` 0/1 matrix into ``k`` column ints (trial ``t``
+    → bit ``t``).  Exact inverse of :func:`unpack_trials` for any B."""
     bits = np.asarray(bits, dtype=np.uint8)
     if bits.ndim != 2:
         raise ProtectionError(f"expected a (B, k) bit matrix, got shape {bits.shape}")
-    batch = bits.shape[0]
-    words = n_words(batch)
-    # packbits(axis=0, little): byte b of a column holds trials 8b..8b+7 at
-    # bits 0..7 — already the low-to-high lane order within each word.
-    packed_bytes = np.packbits(bits, axis=0, bitorder="little")
-    padded = np.zeros((words * 8, bits.shape[1]), dtype=np.uint8)
-    padded[: packed_bytes.shape[0]] = packed_bytes
-    # Assemble 8 consecutive bytes little-endian into each word without
-    # assuming host endianness.
-    planes = np.zeros((words, bits.shape[1]), dtype=np.uint64)
-    for byte in range(8):
-        planes |= padded[byte::8].astype(np.uint64) << np.uint64(8 * byte)
-    return planes
+    if bits.shape[0] == 0:
+        return [0] * bits.shape[1]
+    return _row_ints(np.packbits(bits.T, axis=1, bitorder="little"))
 
 
-def unpack_trials(planes: np.ndarray, batch: int) -> np.ndarray:
-    """Transpose ``(W, k)`` uint64 bitplanes back to a ``(batch, k)`` 0/1
-    uint8 matrix, dropping the tail lanes beyond ``batch``."""
-    planes = np.asarray(planes, dtype=np.uint64)
-    if planes.ndim != 2:
-        raise ProtectionError(f"expected (W, k) bitplanes, got shape {planes.shape}")
-    if batch > planes.shape[0] * WORD_BITS:
-        raise ProtectionError(
-            f"{planes.shape[0]} words hold {planes.shape[0] * WORD_BITS} trials, "
-            f"not {batch}"
-        )
-    as_bytes = np.empty((planes.shape[0] * 8, planes.shape[1]), dtype=np.uint8)
-    for byte in range(8):
-        as_bytes[byte::8] = (planes >> np.uint64(8 * byte)).astype(np.uint8)
-    return np.unpackbits(as_bytes, axis=0, bitorder="little")[:batch]
+def _row_ints(rows: np.ndarray) -> List[int]:
+    """Each row of a ``(k, width)`` byte matrix as a little-endian int."""
+    width = rows.shape[1]
+    raw = rows.tobytes()
+    return [
+        int.from_bytes(raw[start:start + width], "little")
+        for start in range(0, len(raw), width)
+    ]
 
 
-def _unpack_flags(word_column: np.ndarray, batch: int) -> np.ndarray:
-    """One (W,) word column → (batch,) bool vector."""
-    return unpack_trials(word_column[:, None], batch)[:, 0].astype(bool)
+def unpack_trials(columns: Sequence[int], batch: int) -> np.ndarray:
+    """Transpose column ints back to a ``(batch, k)`` 0/1 uint8 matrix,
+    dropping bits at or above ``batch`` within the last byte (an int too
+    wide for ``ceil(batch / 8)`` bytes is rejected)."""
+    width = (int(batch) + 7) >> 3
+    try:
+        raw = b"".join(column.to_bytes(width, "little") for column in columns)
+    except OverflowError:
+        raise ProtectionError(f"a column int holds more than {batch} trials") from None
+    rows = np.frombuffer(raw, dtype=np.uint8).reshape(len(columns), width)
+    return np.ascontiguousarray(
+        np.unpackbits(rows, axis=1, count=batch, bitorder="little").T
+    )
+
+
+def _xor_ints(keys: np.ndarray, trials: np.ndarray, batch: int) -> Tuple[np.ndarray, List[int]]:
+    """Fold (key, trial) flip events into one XOR int per distinct key:
+    ``(sorted keys, ints)``.  One ``bitwise_xor.at`` into a packed
+    ``(keys, ceil(B/8))`` byte matrix, so a key flipped twice in one trial
+    cancels, exactly like applying the flips one by one."""
+    unique, inverse = np.unique(keys, return_inverse=True)
+    width = (batch + 7) >> 3
+    packed = np.zeros((unique.shape[0], width), dtype=np.uint8)
+    trials = np.asarray(trials, dtype=np.intp)
+    np.bitwise_xor.at(
+        packed,
+        (inverse.reshape(-1), trials >> 3),
+        np.left_shift(1, trials & 7).astype(np.uint8),
+    )
+    return unique, _row_ints(packed)
 
 
 # ---------------------------------------------------------------------- #
-# Gate firings as word-op programs
+# The int tape
 # ---------------------------------------------------------------------- #
-_PROGRAMS: Dict[Tuple[str, int, Optional[int]], Callable] = {}
+#: Record opcodes, most frequent first (the interpreter tests them in this
+#: order).  Gate records end with the tuple of output columns.
+(
+    _NOR2,    # (op, a, b, outs)
+    _THR43,   # (op, a, b, c, d, outs): 1 iff >= 3 of 4 inputs are 0
+    _NOT,     # (op, a, outs): NOT and one-input NOR
+    _THR32,   # (op, a, b, c, outs): 1 iff >= 2 of 3 inputs are 0
+    _COPY,    # (op, a, outs)
+    _TABLE,   # (op, program, ins, outs): any other gate, program(values, full) -> int
+    _PRESET,  # (op, value bit, cols)
+    _READ,    # (op,): a no-op unless a fault lands on it
+    _ECIM,    # (op, ((parity col, covered data cols), ...), data cols, lut rows, weights)
+    _TRIM3,   # (op, ((data col, copy col, copy col), ...))
+    _TRIM,    # (op, data cols, copy col groups, n_copies)
+) = range(11)
 
 
-def _minterm_program(gate: str, n_inputs: int, threshold: Optional[int]) -> Callable:
-    """Generic branch-free form of one truth table: OR of AND-minterms over
-    the (complemented) operand planes, inverting via the complement table
-    when that halves the term count.  Exact for every native gate because
-    the table itself comes from the scalar gate model."""
+@lru_cache(maxsize=None)
+def _table_program(gate: str, n_inputs: int, threshold: Optional[int]) -> Callable:
+    """Any gate as an int program: OR of AND-minterms of its truth table
+    (inverted through the complement table when that has fewer terms), or
+    — past TABLE_MAX_INPUTS — a bounce through the uint8 vector model."""
+    if n_inputs > TABLE_MAX_INPUTS:
+        def wide(values: Sequence[int], full: int) -> int:
+            batch = full.bit_length()
+            bits = unpack_trials(values, batch)
+            return pack_trials(vector_gate_output(gate, bits, threshold)[:, None])[0]
+
+        return wide
     table = truth_table(gate, n_inputs, threshold)
     invert = int(table.sum()) > table.size // 2
-    minterms = np.nonzero(table == 0 if invert else table != 0)[0]
+    minterms = [
+        tuple((int(index) >> j) & 1 for j in range(n_inputs))
+        for index in np.nonzero(table == 0 if invert else table != 0)[0]
+    ]
 
-    def program(operands: np.ndarray) -> np.ndarray:
-        acc: Optional[np.ndarray] = None
-        for index in minterms:
-            term: Optional[np.ndarray] = None
-            for j in range(n_inputs):
-                plane = operands[:, j] if (index >> j) & 1 else ~operands[:, j]
-                term = plane if term is None else term & plane
-            acc = term if acc is None else acc | term
-        if acc is None:
-            acc = np.zeros(operands.shape[0], dtype=np.uint64)
-        return ~acc if invert else acc
-
-    return program
-
-
-def _wide_gate_program(gate: str, threshold: Optional[int]) -> Callable:
-    """Fallback for firings wider than TABLE_MAX_INPUTS: bounce through the
-    uint8 vector semantics (identical by construction, never hit by the
-    shipped netlists)."""
-
-    def program(operands: np.ndarray) -> np.ndarray:
-        lanes = operands.shape[0] * WORD_BITS
-        bits = unpack_trials(operands, lanes)
-        return pack_trials(vector_gate_output(gate, bits, threshold)[:, None])[:, 0]
+    def program(values: Sequence[int], full: int) -> int:
+        acc = 0
+        for term in minterms:
+            product = full
+            for value, bit in zip(values, term):
+                product &= value if bit else full ^ value
+            acc |= product
+        return full ^ acc if invert else acc
 
     return program
 
 
-def _word_program(gate: str, n_inputs: int, threshold: Optional[int]) -> Callable:
-    """Compile (and cache) one gate firing as a word-op program mapping
-    ``(W, n_inputs)`` operand planes to the ``(W,)`` output plane."""
-    key = (gate, n_inputs, threshold)
-    program = _PROGRAMS.get(key)
-    if program is not None:
-        return program
-    if n_inputs > TABLE_MAX_INPUTS:
-        program = _wide_gate_program(gate, threshold)
-    elif gate == GateType.COPY:
-        program = lambda operands: operands[:, 0]  # noqa: E731
-    elif gate == GateType.NOT:
-        program = lambda operands: ~operands[:, 0]  # noqa: E731
-    elif gate == GateType.NOR:
-        program = lambda operands: ~np.bitwise_or.reduce(operands, axis=1)  # noqa: E731
-    elif gate == GateType.NAND:
-        program = lambda operands: ~np.bitwise_and.reduce(operands, axis=1)  # noqa: E731
-    elif gate == GateType.MAJ and n_inputs == 3:
-        program = lambda o: (  # noqa: E731
-            (o[:, 0] & o[:, 1]) | (o[:, 0] & o[:, 2]) | (o[:, 1] & o[:, 2])
+def _gate_record(
+    key: Tuple[str, int, Optional[int]], ins: Tuple[int, ...], outs: Tuple[int, ...]
+) -> tuple:
+    """One firing of canonical table ``key`` (see
+    :func:`~repro.core.soa._table_key`) as an int-tape record."""
+    gate, n_inputs, threshold = key
+    if gate == GateType.NOR and n_inputs == 2:
+        return (_NOR2, ins[0], ins[1], outs)
+    if gate == GateType.THR and n_inputs == 4 and threshold == 3:
+        return (_THR43, ins[0], ins[1], ins[2], ins[3], outs)
+    if gate == GateType.NOT or (gate == GateType.NOR and n_inputs == 1):
+        return (_NOT, ins[0], outs)
+    if gate == GateType.THR and n_inputs == 3 and threshold == 2:
+        return (_THR32, ins[0], ins[1], ins[2], outs)
+    if gate == GateType.COPY:
+        return (_COPY, ins[0], outs)
+    return (_TABLE, _table_program(gate, n_inputs, threshold), ins, outs)
+
+
+class _Interner:
+    """Shares column ints and identical records across a tape: the mlp16 +
+    ECiM tape's ~40k steps are ~5k distinct records, because the parity
+    updates reuse a few column tuples."""
+
+    def __init__(self, n_cols: int) -> None:
+        self.ints = list(range(n_cols))
+        self._records: Dict[tuple, tuple] = {}
+
+    def cols(self, columns) -> Tuple[int, ...]:
+        ints = self.ints
+        return tuple(ints[column] for column in columns)
+
+    def record(self, record: tuple) -> tuple:
+        return self._records.setdefault(record, record)
+
+
+def _signal_slot(netlist: Netlist, signal: int) -> int:
+    """Value-list index of a signal: its id, with CONST_ZERO and CONST_ONE
+    after the last one."""
+    if signal >= 0:
+        return signal
+    return netlist.n_signals + (signal == Netlist.CONST_ONE)
+
+
+def _golden_records(netlist: Netlist) -> List[tuple]:
+    """The netlist's gates as int-tape records over signal slots."""
+    interner = _Interner(netlist.n_signals + 2)
+    return [
+        interner.record(_gate_record(
+            _table_key(node.gate, len(node.inputs), node.threshold),
+            interner.cols(_signal_slot(netlist, signal) for signal in node.inputs),
+            interner.cols((node.output,)),
+        ))
+        for node in netlist.gates
+    ]
+
+
+class _IntTape:
+    """A :class:`SoaPlan` as interned int-tape records, plus the golden
+    netlist's records — built once per plan (see :func:`_int_tape`)."""
+
+    def __init__(self, soa: SoaPlan) -> None:
+        interner = _Interner(soa.n_cols)
+        cols = interner.cols
+        gate_in = soa.gate_in_cols.tolist()
+        gate_in_ptr = soa.gate_in_ptr.tolist()
+        gate_out = soa.gate_out_cols.tolist()
+        gate_out_ptr = soa.gate_out_ptr.tolist()
+        tables = soa.tables
+        table_ids = soa.gate_table_id.tolist()
+        read = interner.record((_READ,))
+        records = []
+        for kind, slot in zip(soa.step_kind.tolist(), soa.step_slot.tolist()):
+            if kind == KIND_GATE:
+                records.append(interner.record(_gate_record(
+                    tables[table_ids[slot]],
+                    cols(gate_in[gate_in_ptr[slot]:gate_in_ptr[slot + 1]]),
+                    cols(gate_out[gate_out_ptr[slot]:gate_out_ptr[slot + 1]]),
+                )))
+            elif kind == KIND_PRESET:
+                columns = soa.preset_cols[soa.preset_ptr[slot]:soa.preset_ptr[slot + 1]]
+                records.append(interner.record(
+                    (_PRESET, int(soa.preset_values[slot]), cols(columns.tolist()))
+                ))
+            elif kind == KIND_READ:
+                records.append(read)
+            elif kind == KIND_ECIM:
+                records.append(self._ecim_record(soa, slot, interner))
+            else:
+                records.append(self._trim_record(soa, slot, interner))
+        self.records = records
+        self.const1_col = soa.plan.const1_col
+        self.input_cols = cols(soa.plan.input_cols.tolist())
+        self.output_cols = cols(soa.plan.output_cols.tolist())
+        self.golden = _golden_records(soa.plan.netlist)
+
+    @staticmethod
+    def _ecim_record(soa: SoaPlan, slot: int, interner: _Interner) -> tuple:
+        data_cols = soa.ecim_data_cols[soa.ecim_data_ptr[slot]:soa.ecim_data_ptr[slot + 1]]
+        parity_cols = soa.ecim_parity_cols[
+            soa.ecim_parity_ptr[slot]:soa.ecim_parity_ptr[slot + 1]
+        ]
+        a_t = soa.ecim_a_t[slot]
+        terms = tuple(
+            (
+                interner.ints[parity],
+                interner.cols(data_cols[np.flatnonzero(a_t[:, bit])].tolist()),
+            )
+            for bit, parity in enumerate(parity_cols.tolist())
         )
-    else:
-        program = _minterm_program(gate, n_inputs, threshold)
-    _PROGRAMS[key] = program
-    return program
+        offset = int(soa.ecim_lut_offset[slot])
+        lut = soa.ecim_lut[offset:offset + (1 << len(terms))]
+        return (
+            _ECIM, terms, interner.cols(data_cols.tolist()), lut, soa.ecim_weights[slot]
+        )
+
+    @staticmethod
+    def _trim_record(soa: SoaPlan, slot: int, interner: _Interner) -> tuple:
+        data_cols = interner.cols(
+            soa.trim_data_cols[soa.trim_data_ptr[slot]:soa.trim_data_ptr[slot + 1]].tolist()
+        )
+        groups = tuple(interner.cols(group.tolist()) for group in soa.trim_copy_groups[slot])
+        n_copies = int(soa.trim_n_copies[slot])
+        if n_copies == 3 and len(groups) == 2:
+            return (_TRIM3, tuple(zip(data_cols, *groups)))
+        return (_TRIM, data_cols, groups, n_copies)
 
 
-def _gate_words(gate: str, operands: np.ndarray, threshold: Optional[int]) -> np.ndarray:
-    """Evaluate one firing on packed operand planes (THR normalising its
-    default threshold exactly like :func:`~repro.pim.vector.truth_table`)."""
-    if gate == GateType.THR:
-        threshold = 3 if threshold is None else int(threshold)
-    else:
-        threshold = None
-    return _word_program(gate, operands.shape[1], threshold)(operands)
+#: One int tape per live SoaPlan (the tape holds no reference back to it).
+_TAPES: "weakref.WeakKeyDictionary[SoaPlan, _IntTape]" = weakref.WeakKeyDictionary()
+
+
+def _int_tape(soa: SoaPlan) -> _IntTape:
+    tape = _TAPES.get(soa)
+    if tape is None:
+        tape = _TAPES[soa] = _IntTape(soa)
+    return tape
+
+
+# ---------------------------------------------------------------------- #
+# Interpretation
+# ---------------------------------------------------------------------- #
+#: The end of an event stream: a step past the end of any tape.
+_NO_EVENT = (1 << 62, 0, 0)
+
+
+class _Machine:
+    """One batch's bit-sliced state plus its per-trial outcome accumulators."""
+
+    def __init__(self, state: List[int], batch: int) -> None:
+        self.state = state
+        self.batch = batch
+        self.full = (1 << batch) - 1
+        self.detected = 0
+        self.corrections = np.zeros(batch, dtype=np.int64)
+        self.uncorrectable = np.zeros(batch, dtype=np.int64)
+        #: Per-trial counts still to add to ``faults_injected``, as ints
+        #: (stuck-at bits that actually changed).
+        self.fault_ints: List[int] = []
+
+    def execute(
+        self,
+        records: Sequence[tuple],
+        flips: Sequence[Tuple[int, int, int]] = (),
+        stuck: Sequence[Tuple[int, int]] = (),
+        stuck_value: int = 0,
+    ) -> None:
+        """Run ``records`` in order.  Right after step ``i`` executes, XOR
+        ``mask`` into ``column`` for every ``(i, column, mask)`` of
+        ``flips``, and force every ``column`` of a ``(i, column)`` of
+        ``stuck`` to ``stuck_value``.  Both are sorted by step."""
+        s = self.state
+        full = self.full
+        flips = iter(flips)
+        flip_step, flip_col, flip_mask = next(flips, _NO_EVENT)
+        stuck = iter(stuck)
+        stuck_step, stuck_col = next(stuck, _NO_EVENT[:2])
+        next_hot = min(flip_step, stuck_step)
+        for index, rec in enumerate(records):
+            op = rec[0]
+            if op == _NOR2:
+                value = full ^ (s[rec[1]] | s[rec[2]])
+                for col in rec[3]:
+                    s[col] = value
+            elif op == _THR43:
+                a = s[rec[1]]
+                b = s[rec[2]]
+                c = s[rec[3]]
+                d = s[rec[4]]
+                value = full ^ (a & b | c & d | (a | b) & (c | d))
+                for col in rec[5]:
+                    s[col] = value
+            elif op == _NOT:
+                value = full ^ s[rec[1]]
+                for col in rec[2]:
+                    s[col] = value
+            elif op == _THR32:
+                a = s[rec[1]]
+                b = s[rec[2]]
+                c = s[rec[3]]
+                value = full ^ (a & b | c & (a | b))
+                for col in rec[4]:
+                    s[col] = value
+            elif op == _COPY:
+                value = s[rec[1]]
+                for col in rec[2]:
+                    s[col] = value
+            elif op == _READ:
+                pass
+            elif op == _PRESET:
+                value = full if rec[1] else 0
+                for col in rec[2]:
+                    s[col] = value
+            elif op == _ECIM:
+                self._ecim(rec)
+            elif op == _TRIM3:
+                self._trim3(rec[1])
+            elif op == _TABLE:
+                value = rec[1]([s[col] for col in rec[2]], full)
+                for col in rec[3]:
+                    s[col] = value
+            elif op == _TRIM:
+                self._trim(rec)
+            else:  # pragma: no cover - defensive
+                raise ProtectionError(f"unknown int-tape opcode {op}")
+            if index == next_hot:
+                while flip_step == index:
+                    s[flip_col] ^= flip_mask
+                    flip_step, flip_col, flip_mask = next(flips, _NO_EVENT)
+                while stuck_step == index:
+                    changed = s[stuck_col] ^ stuck_value
+                    if changed:
+                        self.fault_ints.append(changed)
+                        s[stuck_col] = stuck_value
+                    stuck_step, stuck_col = next(stuck, _NO_EVENT[:2])
+                next_hot = min(flip_step, stuck_step)
+
+    def _ecim(self, rec: tuple) -> None:
+        """Fold each parity bit's syndrome int; decode per trial only when
+        some trial's syndrome is non-zero."""
+        _, terms, data_cols, lut, weights = rec
+        s = self.state
+        syndromes = []
+        fired = 0
+        for parity_col, covered in terms:
+            syndrome = s[parity_col]
+            for col in covered:
+                syndrome ^= s[col]
+            syndromes.append(syndrome)
+            fired |= syndrome
+        if not fired:
+            return
+        self.detected |= fired
+        packed = unpack_trials(syndromes, self.batch).astype(np.int64) @ weights
+        rows = np.flatnonzero(packed)
+        patterns = lut[packed[rows]]
+        valid = patterns >= 0
+        self.uncorrectable[rows[~valid.any(axis=1)]] += 1
+        hit_rows, hit_slots = np.nonzero(valid & (patterns < len(data_cols)))
+        if hit_rows.size:
+            trials = rows[hit_rows]
+            self.corrections += np.bincount(trials, minlength=self.batch)
+            positions, masks = _xor_ints(patterns[hit_rows, hit_slots], trials, self.batch)
+            for position, mask in zip(positions.tolist(), masks):
+                s[data_cols[position]] ^= mask
+
+    def _trim3(self, triples: Tuple[Tuple[int, int, int], ...]) -> None:
+        """Three-copy majority vote per data bit, all trials at once."""
+        s = self.state
+        fixes = []
+        for data_col, copy1_col, copy2_col in triples:
+            a = s[data_col]
+            b = s[copy1_col]
+            c = s[copy2_col]
+            if a == b == c:
+                continue
+            self.detected |= (a ^ b) | (a ^ c)
+            voted = a & b | c & (a | b)
+            if voted != a:
+                fixes.append(a ^ voted)
+                s[data_col] = voted
+        if fixes:
+            self.corrections += unpack_trials(fixes, self.batch).sum(axis=1, dtype=np.int64)
+
+    def _trim(self, rec: tuple) -> None:
+        """Majority vote over any number of copies, through per-trial bits."""
+        _, data_cols, groups, n_copies = rec
+        s = self.state
+        data = unpack_trials([s[col] for col in data_cols], self.batch)
+        total = data.astype(np.int64)
+        for group in groups:
+            total += unpack_trials([s[col] for col in group], self.batch)
+        voted = (total * 2 > n_copies).astype(np.uint8)
+        disagree = ((total != 0) & (total != n_copies)).any(axis=1)
+        self.detected |= pack_trials(disagree[:, None])[0]
+        self.corrections += (data != voted).sum(axis=1, dtype=np.int64)
+        for col, value in zip(data_cols, pack_trials(voted)):
+            s[col] = value
 
 
 # ---------------------------------------------------------------------- #
 # Packed golden model
 # ---------------------------------------------------------------------- #
-def bitpacked_golden_outputs(
-    netlist: Netlist, input_planes: np.ndarray, batch: int
+def _golden(
+    records: Sequence[tuple], netlist: Netlist, inputs: Sequence[int], batch: int
 ) -> np.ndarray:
-    """Fault-free netlist outputs for all B trials, evaluated entirely in
-    the packed domain — byte-identical to
+    values = [0] * (netlist.n_signals + 2)
+    values[_signal_slot(netlist, Netlist.CONST_ONE)] = (1 << batch) - 1
+    for signal, value in zip(netlist.inputs, inputs):
+        values[signal] = value
+    _Machine(values, batch).execute(records)
+    return unpack_trials(
+        [values[_signal_slot(netlist, signal)] for signal in netlist.outputs], batch
+    )
+
+
+def bitpacked_golden_outputs(
+    netlist: Netlist, input_columns: Sequence[int], batch: int
+) -> np.ndarray:
+    """Fault-free netlist outputs for all B trials from the inputs' column
+    ints, evaluated bit-sliced — byte-identical to
     :func:`~repro.core.batched.batched_golden_outputs` because both reduce
     to the same truth tables."""
-    words = input_planes.shape[0]
-    values: Dict[int, np.ndarray] = {
-        Netlist.CONST_ZERO: np.zeros(words, dtype=np.uint64),
-        Netlist.CONST_ONE: np.full(words, _FULL, dtype=np.uint64),
-    }
-    for position, signal in enumerate(netlist.inputs):
-        values[signal] = input_planes[:, position]
-    for node in netlist.gates:
-        operands = np.stack([values[s] for s in node.inputs], axis=1)
-        values[node.output] = _gate_words(node.gate, operands, node.threshold)
-    golden_planes = np.stack([values[s] for s in netlist.outputs], axis=1)
-    return unpack_trials(golden_planes, batch)
+    return _golden(_golden_records(netlist), netlist, input_columns, batch)
 
 
 # ---------------------------------------------------------------------- #
-# Fault-injection schedules
+# Fault-source lowering: (key, trial) flip events, key = step * n_cols + col
 # ---------------------------------------------------------------------- #
-class _StepEvents:
-    """Sparse per-step flip events in packed coordinates."""
-
-    __slots__ = ("words", "lanes", "bits")
-
-    def __init__(self, trials: np.ndarray, lanes: np.ndarray) -> None:
-        self.words = (trials >> 6).astype(np.intp)
-        self.lanes = lanes.astype(np.intp)
-        self.bits = _ONE << (trials.astype(np.uint64) & np.uint64(63))
-
-    def apply(self, planes: np.ndarray) -> None:
-        np.bitwise_xor.at(planes, (self.words, self.lanes), self.bits)
+def _site_keys(soa: SoaPlan, steps: np.ndarray, lanes: np.ndarray, kind: int) -> np.ndarray:
+    """Event keys of (tape step, lane) sites of one step kind."""
+    slots = soa.step_slot[steps]
+    if kind == KIND_GATE:
+        columns = soa.gate_out_cols[soa.gate_out_ptr[slots] + lanes]
+    elif kind == KIND_PRESET:
+        columns = soa.preset_cols[soa.preset_ptr[slots] + lanes]
+    else:
+        columns = soa.read_cols[soa.read_ptr[slots] + lanes]
+    return steps.astype(np.int64) * soa.n_cols + columns
 
 
-def _deterministic_schedule(
+def _concat_events(
+    keys: List[np.ndarray], trials: List[np.ndarray]
+) -> Tuple[np.ndarray, np.ndarray]:
+    if not keys:
+        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.intp)
+    return np.concatenate(keys), np.concatenate(trials)
+
+
+def _flip_table(
+    keys: np.ndarray, trials: np.ndarray, n_cols: int, batch: int
+) -> List[Tuple[int, int, int]]:
+    """``(step, column, XOR int)`` of a whole batch's events, by step."""
+    if not keys.size:
+        return []
+    unique, masks = _xor_ints(keys, trials, batch)
+    steps, cols = np.divmod(unique, n_cols)
+    return list(zip(steps.tolist(), cols.tolist(), masks))
+
+
+def _deterministic_events(
     soa: SoaPlan, plan_arrays: FaultPlanArrays, batch: int
-) -> Tuple[Dict[int, _StepEvents], np.ndarray]:
-    """Per-step packed XOR events of a whole batch of deterministic plans.
-
-    A handful of numpy passes replaces the dict path's per-step, per-entry
-    targeting: map plan operations to gate slots, drop unknown operations
-    and out-of-range positions (both inject nothing, exactly as on the
-    uint8 engine), count the surviving flips per trial with one bincount,
-    and group the events by tape step with one stable argsort.
-    """
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Flip events of a whole batch of deterministic plans, in a handful of
+    numpy passes: map plan operations to gate slots, drop unknown
+    operations and out-of-range positions (both inject nothing, exactly as
+    on the uint8 engine) and count the surviving flips per trial."""
     trials = plan_arrays.trial_of_entry().astype(np.int64, copy=False)
     ops = plan_arrays.op_index
     positions = plan_arrays.position
@@ -292,19 +567,8 @@ def _deterministic_schedule(
     valid &= positions < widths[np.where(valid, slots, 0)]
     trials, slots, positions = trials[valid], slots[valid], positions[valid]
     faults = np.bincount(trials, minlength=batch).astype(np.int64, copy=False)
-    events: Dict[int, _StepEvents] = {}
-    steps = soa.gate_step_index[slots]
-    order = np.argsort(steps, kind="stable")
-    steps = steps[order]
-    boundaries = np.flatnonzero(np.diff(steps)) + 1
-    for step_group, trial_group, lane_group in zip(
-        np.split(steps, boundaries),
-        np.split(trials[order], boundaries),
-        np.split(positions[order], boundaries),
-    ):
-        if step_group.size:
-            events[int(step_group[0])] = _StepEvents(trial_group, lane_group)
-    return events, faults
+    keys = _site_keys(soa, soa.gate_step_index[slots], positions, KIND_GATE)
+    return keys, trials, faults
 
 
 def _require_seeds(kind: str, fault_seeds, batch: int) -> None:
@@ -316,63 +580,62 @@ def _require_seeds(kind: str, fault_seeds, batch: int) -> None:
         )
 
 
-def _exact_stochastic_schedule(
-    soa: SoaPlan, model: FaultModel, streams: np.ndarray
-) -> Tuple[Dict[int, np.ndarray], np.ndarray]:
-    """Per-step packed XOR masks from the shared per-trial Philox streams,
-    consumed in exactly the batched interpreter's draw order — the
-    byte-identity path of the declarative stochastic model."""
-    batch = streams.shape[0]
-    faults = np.zeros(batch, dtype=np.int64)
-    masks: Dict[int, np.ndarray] = {}
-    cursor = 0
+def _stochastic_events(
+    soa: SoaPlan, model: FaultModel, fault_seeds: Sequence[int], n_draws: int
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Flip events from the shared per-trial Philox streams, consumed in
+    exactly the batched interpreter's draw order — the byte-identity path of
+    the declarative stochastic model.
 
-    def draw(n_sites: int, rate: float) -> Optional[np.ndarray]:
-        nonlocal cursor
-        if rate <= 0.0:
-            return None
-        mask = streams[:, cursor:cursor + n_sites] < rate
-        cursor += n_sites
-        return mask
+    Per step in tape order a trial draws: on a gate, one count-only preset
+    draw per output (gate presets are overwritten by the firing) and then
+    one flip draw per output; on a preset or read step, one draw per cell —
+    each group only when its rate is non-zero.  The draw layout is built as
+    arrays and sorted by (step, group, lane) instead of walking the tape,
+    and each trial's stream is compared against it as it is generated, so
+    the (B, n_draws) stream matrix is never held.
+    """
+    parts = []
 
-    for index in range(soa.n_steps):
-        kind = soa.step_kind[index]
-        slot = soa.step_slot[index]
-        if kind == KIND_GATE:
-            n_out = int(soa.gate_out_ptr[slot + 1] - soa.gate_out_ptr[slot])
-            preset_mask = draw(n_out, model.preset_error_rate)
-            if preset_mask is not None:
-                # Gate presets are overwritten by the firing; count-only.
-                faults += preset_mask.sum(axis=1)
-            rate = (
-                model.effective_metadata_error_rate
-                if soa.gate_is_metadata[slot]
-                else model.gate_error_rate
-            )
-            flip_mask = draw(n_out, rate)
-        elif kind == KIND_PRESET:
-            n_cells = int(soa.preset_ptr[slot + 1] - soa.preset_ptr[slot])
-            flip_mask = draw(n_cells, model.preset_error_rate)
-        elif kind == KIND_READ:
-            n_cells = int(soa.read_ptr[slot + 1] - soa.read_ptr[slot])
-            flip_mask = draw(n_cells, model.memory_error_rate)
-        else:
-            continue
-        if flip_mask is not None:
-            faults += flip_mask.sum(axis=1)
-            if flip_mask.any():
-                masks[index] = pack_trials(flip_mask.astype(np.uint8))
-    return masks, faults
+    def draws(steps, lanes, group, rate, kind=None):
+        """One draw per site at ``rate``; ``kind`` None marks count-only."""
+        n = steps.shape[0]
+        keys = np.full(n, -1, dtype=np.int64) if kind is None else _site_keys(
+            soa, steps, lanes, kind
+        )
+        parts.append((steps, lanes, np.full(n, group), np.full(n, rate), keys))
+
+    gate_sites = (soa.gate_site_step, soa.gate_site_lane)
+    meta_sites = (soa.meta_site_step, soa.meta_site_lane)
+    if model.preset_error_rate > 0.0:
+        draws(*gate_sites, 0, model.preset_error_rate)
+        draws(*meta_sites, 0, model.preset_error_rate)
+        draws(soa.preset_site_step, soa.preset_site_lane, 1, model.preset_error_rate,
+              KIND_PRESET)
+    if model.gate_error_rate > 0.0:
+        draws(*gate_sites, 1, model.gate_error_rate, KIND_GATE)
+    if model.effective_metadata_error_rate > 0.0:
+        draws(*meta_sites, 1, model.effective_metadata_error_rate, KIND_GATE)
+    if model.memory_error_rate > 0.0:
+        draws(soa.read_site_step, soa.read_site_lane, 1, model.memory_error_rate, KIND_READ)
+    steps, lanes, order_group, rates, keys = (np.concatenate(column) for column in zip(*parts))
+    order = np.lexsort((lanes, order_group, steps))
+    rates, keys = rates[order], keys[order]
+    hits = [np.flatnonzero(_uniform_row(seed, n_draws) < rates) for seed in fault_seeds]
+    faults = np.fromiter((row.shape[0] for row in hits), np.int64, len(hits))
+    hit_keys = keys[np.concatenate(hits)]
+    trials = np.repeat(np.arange(len(hits), dtype=np.intp), faults)
+    applied = hit_keys >= 0
+    return hit_keys[applied], trials[applied], faults
 
 
-def _burst_schedule(
+def _burst_events(
     soa: SoaPlan, spec: FaultModelSpec, fault_seeds: Sequence[int], batch: int
-) -> Tuple[Dict[int, np.ndarray], np.ndarray]:
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Pre-play the burst state machine against zero blocks: burst flip
     decisions are data-independent (they depend only on the per-trial
     streams and the operation schedule), so replaying the batched
-    :class:`_BurstInjection` verbatim yields byte-identical flip masks,
-    which the packed interpreter then applies as XOR planes."""
+    :class:`_BurstInjection` verbatim yields byte-identical flip events."""
     gate_rate = (spec.gate_error_rate or 0.0) > 0.0
     memory_rate = (spec.memory_error_rate or 0.0) > 0.0
     draws = 0
@@ -383,25 +646,46 @@ def _burst_schedule(
     _require_seeds("burst", fault_seeds, batch)
     burst = _BurstInjection(spec, _uniform_streams(fault_seeds, draws))
     faults = np.zeros(batch, dtype=np.int64)
-    masks: Dict[int, np.ndarray] = {}
+    event_keys, event_trials = [], []
     scratch = np.zeros((batch, soa.n_cols), dtype=np.uint8)
     for index in range(soa.n_steps):
         kind = soa.step_kind[index]
         slot = soa.step_slot[index]
         if kind == KIND_GATE:
-            n_out = int(soa.gate_out_ptr[slot + 1] - soa.gate_out_ptr[slot])
-            block = np.zeros((batch, n_out), dtype=np.uint8)
+            out_cols = soa.gate_out_cols[soa.gate_out_ptr[slot]:soa.gate_out_ptr[slot + 1]]
+            block = np.zeros((batch, out_cols.shape[0]), dtype=np.uint8)
             faults += burst.corrupt_gate_outputs(int(soa.gate_op_index[slot]), block)
-            if block.any():
-                masks[index] = pack_trials(block)
+            trials, lanes = np.nonzero(block)
+            columns = out_cols[lanes]
         elif kind == KIND_READ:
-            columns = soa.read_cols[soa.read_ptr[slot]:soa.read_ptr[slot + 1]]
-            faults += burst.corrupt_stored_bits(scratch, columns)
-            flips = scratch[:, columns]
-            if flips.any():
-                masks[index] = pack_trials(flips)
-                scratch[:, columns] = 0
-    return masks, faults
+            read_cols = soa.read_cols[soa.read_ptr[slot]:soa.read_ptr[slot + 1]]
+            faults += burst.corrupt_stored_bits(scratch, read_cols)
+            trials, lanes = np.nonzero(scratch[:, read_cols])
+            columns = read_cols[lanes]
+            scratch[:, read_cols] = 0
+        else:
+            continue
+        event_keys.append(index * soa.n_cols + columns.astype(np.int64))
+        event_trials.append(trials)
+    return (*_concat_events(event_keys, event_trials), faults)
+
+
+def _stuck_steps(soa: SoaPlan, stuck: _StuckCells) -> List[Tuple[int, int]]:
+    """``(step, column)`` of every gate commit and checker read that touches
+    an afflicted cell, by step — the scalar injector's touch points
+    (presets and checker write-backs bypass it)."""
+    steps, columns = [], []
+    read_steps = np.flatnonzero(soa.step_kind == KIND_READ)
+    for step_of_slot, ptr, cols in (
+        (soa.gate_step_index, soa.gate_out_ptr, soa.gate_out_cols),
+        (read_steps, soa.read_ptr, soa.read_cols),
+    ):
+        hit = stuck.is_stuck[cols]
+        steps.append(np.repeat(step_of_slot, np.diff(ptr))[hit])
+        columns.append(cols[hit])
+    steps, columns = np.concatenate(steps), np.concatenate(columns)
+    order = np.argsort(steps, kind="stable")
+    return list(zip(steps[order].tolist(), columns[order].tolist()))
 
 
 #: Per-trial legacy fault classes, in the fixed sampling order one trial's
@@ -433,10 +717,10 @@ def _skip_sample(rng: random.Random, n_sites: int, rate: float) -> List[int]:
         position += 1
 
 
-def _legacy_schedule(
+def _legacy_events(
     soa: SoaPlan, model: FaultModel, fault_seeds: Sequence[int], batch: int
-) -> Tuple[Dict[int, _StepEvents], np.ndarray]:
-    """Sparse per-step flip events of the legacy stochastic model.
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Flip events of the legacy stochastic model.
 
     Statistically identical to the batched engine's dense Philox masks
     (each site is an independent Bernoulli at its class rate) and equally
@@ -446,16 +730,11 @@ def _legacy_schedule(
     stream discipline; declarative models are the byte-identical layer).
     """
     site_tables = {
-        "gate": (soa.gate_site_step, soa.gate_site_lane),
-        "meta": (soa.meta_site_step, soa.meta_site_lane),
-        "preset": (soa.preset_site_step, soa.preset_site_lane),
-        "read": (soa.read_site_step, soa.read_site_lane),
+        "gate": (soa.gate_site_step, soa.gate_site_lane, KIND_GATE),
+        "meta": (soa.meta_site_step, soa.meta_site_lane, KIND_GATE),
+        "preset": (soa.preset_site_step, soa.preset_site_lane, KIND_PRESET),
+        "read": (soa.read_site_step, soa.read_site_lane, KIND_READ),
     }
-    faults = np.zeros(batch, dtype=np.int64)
-    hits: Dict[str, Tuple[List[int], List[int]]] = {
-        name: ([], []) for name in site_tables
-    }
-    class_rates = [(name, rate_of(model)) for name, rate_of in _LEGACY_CLASSES]
     class_sizes = {
         "gate": int(soa.gate_site_step.shape[0]),
         "meta": int(soa.meta_site_step.shape[0]),
@@ -463,12 +742,16 @@ def _legacy_schedule(
         "preset": int(soa.preset_site_step.shape[0]),
         "read": int(soa.read_site_step.shape[0]),
     }
+    classes = [
+        (name, class_sizes[name], rate_of(model))
+        for name, rate_of in _LEGACY_CLASSES
+        if class_sizes[name] and rate_of(model) > 0.0
+    ]
+    faults = [0] * batch
+    hits: Dict[str, Tuple[List[int], List[int]]] = {name: ([], []) for name in site_tables}
     for trial, seed in enumerate(fault_seeds):
         rng = random.Random(seed)
-        for name, rate in class_rates:
-            n_sites = class_sizes[name]
-            if n_sites == 0 or rate <= 0.0:
-                continue
+        for name, n_sites, rate in classes:
             positions = _skip_sample(rng, n_sites, rate)
             if not positions:
                 continue
@@ -477,50 +760,19 @@ def _legacy_schedule(
                 trials, sites = hits[name]
                 trials.extend([trial] * len(positions))
                 sites.extend(positions)
-    events: Dict[int, _StepEvents] = {}
+    event_keys, event_trials = [], []
     for name, (trials, sites) in hits.items():
-        if not trials:
-            continue
-        step_of, lane_of = site_tables[name]
-        trials_arr = np.asarray(trials, dtype=np.int64)
-        sites_arr = np.asarray(sites, dtype=np.intp)
-        steps = step_of[sites_arr]
-        lanes = lane_of[sites_arr]
-        order = np.argsort(steps, kind="stable")
-        steps, trials_arr, lanes = steps[order], trials_arr[order], lanes[order]
-        boundaries = np.flatnonzero(np.diff(steps)) + 1
-        for chunk_trials, chunk_lanes, chunk_steps in zip(
-            np.split(trials_arr, boundaries),
-            np.split(lanes, boundaries),
-            np.split(steps, boundaries),
-        ):
-            events[int(chunk_steps[0])] = _StepEvents(chunk_trials, chunk_lanes)
-    return events, faults
+        if trials:
+            steps, lanes, kind = site_tables[name]
+            sites_arr = np.asarray(sites, dtype=np.intp)
+            event_keys.append(_site_keys(soa, steps[sites_arr], lanes[sites_arr], kind))
+            event_trials.append(np.asarray(trials, dtype=np.intp))
+    return (*_concat_events(event_keys, event_trials), np.asarray(faults, dtype=np.int64))
 
 
 # ---------------------------------------------------------------------- #
-# Packed interpretation
+# Entry point
 # ---------------------------------------------------------------------- #
-def _stuck_word_apply(
-    state: np.ndarray,
-    columns: np.ndarray,
-    is_stuck: np.ndarray,
-    value_word: np.uint64,
-    batch: int,
-) -> np.ndarray:
-    """Packed :class:`_StuckCells` semantics: force afflicted cells among
-    ``columns`` to the stuck value, returning per-trial counts of bits that
-    actually changed (only real trial lanes count)."""
-    hit = is_stuck[columns]
-    if not hit.any():
-        return np.zeros(batch, dtype=np.int64)
-    stuck_cols = columns[hit]
-    diff = state[:, stuck_cols] ^ value_word
-    counts = unpack_trials(diff, batch).sum(axis=1, dtype=np.int64)
-    state[:, stuck_cols] = value_word
-    return counts
-
-
 def run_packed(
     soa: SoaPlan,
     input_matrix: np.ndarray,
@@ -529,7 +781,7 @@ def run_packed(
     fault_plan: "Union[Sequence[Mapping[int, int]], FaultPlanArrays, None]" = None,
     fault_model: Optional[FaultModelSpec] = None,
 ) -> BatchResult:
-    """Interpret the SoA tape for all B trials, 64 per word.
+    """Interpret the SoA tape for all B trials, bit-sliced.
 
     The argument surface and semantics mirror
     :func:`~repro.core.batched.run_batch` exactly; see the module docstring
@@ -547,8 +799,8 @@ def run_packed(
         raise ProtectionError("a batch needs at least one trial")
 
     stuck: Optional[_StuckCells] = None
-    masks: Dict[int, np.ndarray] = {}
-    events: Dict[int, _StepEvents] = {}
+    event_keys: List[np.ndarray] = []
+    event_trials: List[np.ndarray] = []
     faults = np.zeros(batch, dtype=np.int64)
 
     if fault_model is not None:
@@ -564,177 +816,55 @@ def run_packed(
                 # Same gate as run_batch: seeds are required exactly when the
                 # model draws on this plan.
                 _require_seeds("stochastic", fault_seeds, batch)
-                masks, faults = _exact_stochastic_schedule(
-                    soa, rates, _uniform_streams(fault_seeds, n_draws)
-                )
+                keys, trials, faults = _stochastic_events(soa, rates, fault_seeds, n_draws)
+                event_keys.append(keys)
+                event_trials.append(trials)
         elif fault_model.kind == "stuck-at":
             stuck = _StuckCells(fault_model, plan.n_cols)
         elif not fault_model.is_error_free:  # burst
-            masks, faults = _burst_schedule(soa, fault_model, fault_seeds, batch)
+            keys, trials, faults = _burst_events(soa, fault_model, fault_seeds, batch)
+            event_keys.append(keys)
+            event_trials.append(trials)
     elif model is not None and not model.is_error_free:
         if _exact_draw_count(soa, model):
             _require_seeds("stochastic", fault_seeds, batch)
-            events, faults = _legacy_schedule(soa, model, fault_seeds, batch)
+            keys, trials, faults = _legacy_events(soa, model, fault_seeds, batch)
+            event_keys.append(keys)
+            event_trials.append(trials)
 
-    det_events: Dict[int, _StepEvents] = {}
     if fault_plan is not None:
         if len(fault_plan) != batch:
             raise ProtectionError("fault_plan must supply one entry per trial")
-        det_events, det_faults = _deterministic_schedule(
+        keys, trials, plan_faults = _deterministic_events(
             soa, FaultPlanArrays.coerce(fault_plan), batch
         )
-        faults += det_faults
+        event_keys.append(keys)
+        event_trials.append(trials)
+        faults += plan_faults
 
-    words = n_words(batch)
-    state = np.zeros((words, plan.n_cols), dtype=np.uint64)
-    state[:, plan.const1_col] = _FULL
-    input_planes = pack_trials(matrix)
-    state[:, plan.input_cols] = input_planes
-
-    detected = np.zeros(batch, dtype=bool)
-    corrections = np.zeros(batch, dtype=np.int64)
-    uncorrectable = np.zeros(batch, dtype=np.int64)
-    programs = [_word_program(*key) for key in soa.tables]
-    stuck_value = np.uint64(0)
+    tape = _int_tape(soa)
+    flips = _flip_table(*_concat_events(event_keys, event_trials), soa.n_cols, batch)
+    inputs = pack_trials(matrix)
+    state = [0] * soa.n_cols
+    machine = _Machine(state, batch)
+    state[tape.const1_col] = machine.full
+    for col, value in zip(tape.input_cols, inputs):
+        state[col] = value
+    stuck_value = 0
+    stuck_at: List[Tuple[int, int]] = []
     if stuck is not None:
-        stuck_value = _FULL if stuck.value else np.uint64(0)
-
-    step_kind, step_slot = soa.step_kind, soa.step_slot
-    gate_in_ptr, gate_in_cols = soa.gate_in_ptr, soa.gate_in_cols
-    gate_out_ptr, gate_out_cols = soa.gate_out_ptr, soa.gate_out_cols
-
-    for index in range(soa.n_steps):
-        kind = step_kind[index]
-        slot = step_slot[index]
-        if kind == KIND_GATE:
-            in_cols = gate_in_cols[gate_in_ptr[slot]:gate_in_ptr[slot + 1]]
-            out_lo, out_hi = gate_out_ptr[slot], gate_out_ptr[slot + 1]
-            out_cols = gate_out_cols[out_lo:out_hi]
-            ideal = programs[soa.gate_table_id[slot]](state[:, in_cols])
-            if stuck is not None:
-                state[:, out_cols] = ideal[:, None]
-                faults += _stuck_word_apply(
-                    state, out_cols, stuck.is_stuck, stuck_value, batch
-                )
-                continue
-            mask = masks.get(index)
-            step_events = events.get(index)
-            det = det_events.get(index)
-            if mask is None and step_events is None and det is None:
-                state[:, out_cols] = ideal[:, None]
-                continue
-            block = np.repeat(ideal[:, None], out_hi - out_lo, axis=1)
-            if det is not None:
-                det.apply(block)
-            if mask is not None:
-                block ^= mask
-            if step_events is not None:
-                step_events.apply(block)
-            state[:, out_cols] = block
-        elif kind == KIND_PRESET:
-            columns = soa.preset_cols[soa.preset_ptr[slot]:soa.preset_ptr[slot + 1]]
-            value_word = _FULL if soa.preset_values[slot] else np.uint64(0)
-            state[:, columns] = value_word
-            mask = masks.get(index)
-            if mask is not None:
-                state[:, columns] ^= mask
-            step_events = events.get(index)
-            if step_events is not None:
-                np.bitwise_xor.at(
-                    state,
-                    (step_events.words, columns[step_events.lanes]),
-                    step_events.bits,
-                )
-        elif kind == KIND_READ:
-            columns = soa.read_cols[soa.read_ptr[slot]:soa.read_ptr[slot + 1]]
-            if stuck is not None:
-                faults += _stuck_word_apply(
-                    state, columns, stuck.is_stuck, stuck_value, batch
-                )
-                continue
-            mask = masks.get(index)
-            if mask is not None:
-                state[:, columns] ^= mask
-            step_events = events.get(index)
-            if step_events is not None:
-                np.bitwise_xor.at(
-                    state,
-                    (step_events.words, columns[step_events.lanes]),
-                    step_events.bits,
-                )
-        elif kind == KIND_ECIM:
-            data_cols = soa.ecim_data_cols[
-                soa.ecim_data_ptr[slot]:soa.ecim_data_ptr[slot + 1]
-            ]
-            parity_cols = soa.ecim_parity_cols[
-                soa.ecim_parity_ptr[slot]:soa.ecim_parity_ptr[slot + 1]
-            ]
-            a_t = soa.ecim_a_t[slot]
-            data_planes = state[:, data_cols]
-            syndrome_planes = state[:, parity_cols].copy()
-            for bit in range(syndrome_planes.shape[1]):
-                covering = np.flatnonzero(a_t[:, bit])
-                if covering.size:
-                    syndrome_planes[:, bit] ^= np.bitwise_xor.reduce(
-                        data_planes[:, covering], axis=1
-                    )
-            syndrome = unpack_trials(syndrome_planes, batch).astype(np.int64)
-            packed = syndrome @ soa.ecim_weights[slot]
-            fired = packed != 0
-            detected |= fired
-            patterns = soa.ecim_lut[soa.ecim_lut_offset[slot] + packed]
-            valid = patterns >= 0
-            uncorrectable += fired & ~valid.any(axis=1)
-            d = data_cols.shape[0]
-            is_data = valid & (patterns < d)
-            corrections += is_data.sum(axis=1, dtype=np.int64)
-            rows, pattern_slots = np.nonzero(is_data)
-            if rows.size:
-                np.bitwise_xor.at(
-                    state,
-                    ((rows >> 6).astype(np.intp), data_cols[patterns[rows, pattern_slots]]),
-                    _ONE << (rows.astype(np.uint64) & np.uint64(63)),
-                )
-        elif kind == KIND_TRIM:
-            data_cols = soa.trim_data_cols[
-                soa.trim_data_ptr[slot]:soa.trim_data_ptr[slot + 1]
-            ]
-            groups = soa.trim_copy_groups[slot]
-            n_copies = int(soa.trim_n_copies[slot])
-            data_planes = state[:, data_cols]
-            if n_copies == 3 and len(groups) == 2:
-                copy1 = state[:, groups[0]]
-                copy2 = state[:, groups[1]]
-                voted = (
-                    (data_planes & copy1) | (data_planes & copy2) | (copy1 & copy2)
-                )
-                disagree = (data_planes ^ copy1) | (data_planes ^ copy2)
-                detected |= _unpack_flags(
-                    np.bitwise_or.reduce(disagree, axis=1), batch
-                )
-                corrections += unpack_trials(data_planes ^ voted, batch).sum(
-                    axis=1, dtype=np.int64
-                )
-                state[:, data_cols] = voted
-            else:
-                copies = [unpack_trials(data_planes, batch)] + [
-                    unpack_trials(state[:, cols], batch) for cols in groups
-                ]
-                total = np.sum(copies, axis=0, dtype=np.int64)
-                voted_bits = (total * 2 > n_copies).astype(np.uint8)
-                disagree = (total != 0) & (total != n_copies)
-                detected |= disagree.any(axis=1)
-                corrections += (copies[0] != voted_bits).sum(axis=1, dtype=np.int64)
-                state[:, data_cols] = pack_trials(voted_bits)
-        else:  # pragma: no cover - defensive
-            raise ProtectionError(f"unknown SoA step kind {int(kind)}")
+        stuck_value = machine.full if stuck.value else 0
+        stuck_at = _stuck_steps(soa, stuck)
+    machine.execute(tape.records, flips, stuck_at, stuck_value)
+    if machine.fault_ints:
+        faults += unpack_trials(machine.fault_ints, batch).sum(axis=1, dtype=np.int64)
 
     return BatchResult(
-        outputs=unpack_trials(state[:, plan.output_cols], batch),
-        golden=bitpacked_golden_outputs(plan.netlist, input_planes, batch),
-        detected=detected,
-        corrections=corrections,
-        uncorrectable_levels=uncorrectable,
+        outputs=unpack_trials([state[col] for col in tape.output_cols], batch),
+        golden=_golden(tape.golden, plan.netlist, inputs, batch),
+        detected=unpack_trials([machine.detected], batch)[:, 0].astype(bool),
+        corrections=machine.corrections,
+        uncorrectable_levels=machine.uncorrectable,
         faults_injected=faults,
     )
 

@@ -14,8 +14,8 @@ This module is the array-native replacement:
   (``trial_ptr`` / ``op_index`` / ``position``), accepted directly by
   ``run_trials`` on every backend.  The batched engine lowers it to per-
   operation scatter indices with one ``argsort`` + ``np.split``; the
-  bit-packed engine lowers it to per-step packed XOR events in a handful
-  of numpy passes; the scalar engine views one trial at a time through
+  bit-sliced engine lowers it to one XOR int per (tape step, column) in a
+  handful of numpy passes; the scalar engine views one trial at a time through
   ``plan[trial]`` (a plain dict), so its bit-exact legacy path is
   untouched.  ``from_dicts`` / ``to_dicts`` bridge the historical form.
 * :func:`unrank_combinations` — vectorized k-combination unranking via the

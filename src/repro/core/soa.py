@@ -4,12 +4,13 @@ The batched interpreter walks a tuple of per-step dataclasses and re-derives
 everything it needs (column lists, truth-table identity, output arity) from
 Python attribute access on every step of every batch.  That is fine for a
 uint8 interpreter whose per-step numpy work dwarfs the dispatch, but the
-bit-packed engine (:mod:`repro.core.bitpacked`) runs each step as a handful
-of word ops — at that scale the object walk *is* the interpreter loop, and a
-GPU tape interpreter cannot consume Python objects at all.
+bit-sliced engine (:mod:`repro.core.bitpacked`) runs each step as a few
+big-int operations — at that scale the object walk *is* the interpreter
+loop.
 
 :func:`lower_plan` therefore flattens the tape once, at compile time, into
-dense index/metadata buffers per step kind:
+dense index/metadata buffers per step kind (which the bit-sliced engine
+lowers once more, per plan, into its interned int-tape records):
 
 * a ``step_kind`` / ``step_slot`` dispatch pair over the whole tape
   (``step_slot[i]`` indexes the per-kind arrays below);
@@ -31,7 +32,8 @@ dense index/metadata buffers per step kind:
   flat enumeration of every injectable site in tape order, mapping a class
   position to its (tape step, lane).  These are what lets a sparse sampler
   (e.g. geometric skip sampling over ~10^3 Bernoulli sites) land its hits on
-  the right step without replaying the tape.
+  the right step without replaying the tape, and what lets the dense
+  samplers lay out their draws with array passes instead of a tape walk.
 
 Lowering is pure bookkeeping: the SoA plan references the original
 :class:`ExecutionPlan` (``soa.plan``) for netlist/layout metadata, and every
@@ -89,14 +91,15 @@ def _csr(chunks) -> Tuple[np.ndarray, np.ndarray]:
     return _frozen(ptr), _frozen(flat.astype(np.intp, copy=False))
 
 
-def _table_key(step: GateStep) -> Tuple[str, int, Optional[int]]:
+def _table_key(
+    gate: str, n_inputs: int, threshold: Optional[int]
+) -> Tuple[str, int, Optional[int]]:
     """Canonical truth-table identity of one firing: THR normalises its
     default threshold (the paper's 3) so e.g. ``thr/None`` and ``thr/3``
     share a table id, every other gate carries no threshold at all."""
-    n_inputs = int(step.input_cols.shape[0])
-    if step.gate == GateType.THR:
-        return (step.gate, n_inputs, 3 if step.threshold is None else int(step.threshold))
-    return (step.gate, n_inputs, None)
+    if gate == GateType.THR:
+        return (gate, n_inputs, 3 if threshold is None else int(threshold))
+    return (gate, n_inputs, None)
 
 
 @dataclass(eq=False, frozen=True)
@@ -212,7 +215,7 @@ def lower_plan(plan: ExecutionPlan) -> SoaPlan:
         if isinstance(step, GateStep):
             kinds.append(KIND_GATE)
             slots.append(len(gate_table_id))
-            key = _table_key(step)
+            key = _table_key(step.gate, int(step.input_cols.shape[0]), step.threshold)
             gate_table_id.append(tables.setdefault(key, len(tables)))
             gate_op.append(step.op_index)
             gate_meta.append(step.is_metadata)

@@ -1,12 +1,13 @@
-"""Bit-packed engine tests: transposition properties, SoA lowering, word-op
-gate semantics, and cross-backend byte-identity on ragged batches.
+"""Bit-sliced engine tests: int transposition properties, SoA lowering,
+int-tape gate semantics, and cross-backend byte-identity on ragged batches.
 
 The systematic cross-backend grid lives in ``tests/differential/``; this
 module owns the engine-local properties that grid cannot see — the
-pack/unpack transposition contract (tail lanes of ragged batches, packed
-XOR vs uint8 XOR), the SoA lowering invariants, and the legacy
-skip-sampling stream discipline (reproducible, batch-composition-invariant,
-statistically faithful).
+pack/unpack transposition contract (ragged batches, tail bits never set,
+int XOR vs uint8 XOR), the gate records against the truth tables, the SoA
+lowering and int-tape invariants, and the legacy skip-sampling stream
+discipline (reproducible, batch-composition-invariant, statistically
+faithful).
 """
 
 import numpy as np
@@ -16,12 +17,16 @@ from hypothesis import strategies as st
 
 from repro.campaign.workloads import get_campaign_workload
 from repro.core.backend import BitpackedBackend, derive_seed, make_backend
-from repro.core.batched import compile_plan, sample_input_matrix
+from repro.core.batched import batched_golden_outputs, compile_plan, sample_input_matrix
 from repro.core.bitpacked import (
-    WORD_BITS,
-    _gate_words,
-    lane_mask,
-    n_words,
+    _ECIM,
+    _flip_table,
+    _gate_record,
+    _int_tape,
+    _legacy_events,
+    _Machine,
+    _table_program,
+    bitpacked_golden_outputs,
     pack_trials,
     run_packed,
     unpack_trials,
@@ -32,11 +37,12 @@ from repro.core.soa import (
     KIND_PRESET,
     KIND_READ,
     KIND_TRIM,
+    _table_key,
     lower_plan,
 )
 from repro.errors import ProtectionError
 from repro.pim.faults import FaultModel, FaultModelSpec
-from repro.pim.vector import truth_table
+from repro.pim.vector import truth_table, vector_gate_output
 
 OUTCOME_FIELDS = (
     "outputs_correct",
@@ -44,6 +50,7 @@ OUTCOME_FIELDS = (
     "corrections",
     "uncorrectable_levels",
     "faults_injected",
+    "outputs",
 )
 
 
@@ -69,42 +76,34 @@ class TestPackUnpack:
         bits = np.random.default_rng(seed).integers(
             0, 2, size=(batch, cols), dtype=np.uint8
         )
-        planes = pack_trials(bits)
-        assert planes.shape == (n_words(batch), cols)
-        assert planes.dtype == np.uint64
-        assert np.array_equal(unpack_trials(planes, batch), bits)
+        columns = pack_trials(bits)
+        assert len(columns) == cols
+        assert all(isinstance(column, int) for column in columns)
+        unpacked = unpack_trials(columns, batch)
+        assert unpacked.dtype == np.uint8
+        assert np.array_equal(unpacked, bits)
 
     @given(
         batch=st.integers(min_value=1, max_value=300),
         seed=st.integers(min_value=0, max_value=2**32 - 1),
     )
     @settings(max_examples=60, deadline=None)
-    def test_tail_lanes_pack_to_zero(self, batch, seed):
-        # Trials >= B must never contribute set bits: packed fault masks rely
-        # on this to keep garbage tail lanes from leaking into outcomes.
-        bits = np.random.default_rng(seed).integers(
-            0, 2, size=(batch, 5), dtype=np.uint8
-        )
-        planes = pack_trials(bits)
-        assert np.all(planes & ~lane_mask(batch)[:, None] == 0)
+    def test_tail_bits_never_set(self, batch, seed):
+        # Bits >= B must never be set: fault masks and inputs rely on this
+        # to keep every state int within full = 2**B - 1.
+        bits = np.ones((batch, 5), dtype=np.uint8)
+        bits[np.random.default_rng(seed).integers(0, batch), 2] = 0
+        for column in pack_trials(bits):
+            assert column >> batch == 0
+        assert pack_trials(np.ones((batch, 1), dtype=np.uint8)) == [(1 << batch) - 1]
 
-    def test_lane_mask_shape_and_tail(self):
-        assert lane_mask(64).tolist() == [2**64 - 1]
-        assert lane_mask(1).tolist() == [1]
-        ragged = lane_mask(70)
-        assert ragged.shape == (2,)
-        assert ragged[0] == np.uint64(2**64 - 1)
-        assert ragged[1] == np.uint64(0b111111)
-
-    def test_trial_to_lane_mapping(self):
-        # Trial t lives at bit (t & 63) of word (t >> 6), per column.
+    def test_trial_to_bit_mapping(self):
+        # Trial t lives at bit t of every column int.
         batch = 130
-        for trial in (0, 1, 63, 64, 127, 128, 129):
+        for trial in (0, 1, 7, 8, 63, 64, 127, 128, 129):
             bits = np.zeros((batch, 2), dtype=np.uint8)
             bits[trial, 1] = 1
-            planes = pack_trials(bits)
-            assert planes[trial >> 6, 1] == np.uint64(1) << np.uint64(trial & 63)
-            assert planes[:, 0].sum() == 0
+            assert pack_trials(bits) == [0, 1 << trial]
 
     @given(
         batch=st.integers(min_value=1, max_value=200),
@@ -112,54 +111,83 @@ class TestPackUnpack:
         seed=st.integers(min_value=0, max_value=2**32 - 1),
     )
     @settings(max_examples=60, deadline=None)
-    def test_packed_xor_equals_uint8_xor(self, batch, cols, seed):
-        # Applying a fault mask in the packed domain must be the same
-        # operation as the uint8 engine's `state ^= mask`.
+    def test_int_xor_equals_uint8_xor(self, batch, cols, seed):
+        # Applying a fault mask to a column int must be the same operation
+        # as the uint8 engine's `state ^= mask`.
         rng = np.random.default_rng(seed)
         state = rng.integers(0, 2, size=(batch, cols), dtype=np.uint8)
         mask = rng.integers(0, 2, size=(batch, cols), dtype=np.uint8)
-        packed = pack_trials(state)
-        packed ^= pack_trials(mask)
-        assert np.array_equal(unpack_trials(packed, batch), state ^ mask)
+        xored = [a ^ b for a, b in zip(pack_trials(state), pack_trials(mask))]
+        assert np.array_equal(unpack_trials(xored, batch), state ^ mask)
 
     def test_pack_rejects_non_matrix(self):
         with pytest.raises(ProtectionError):
             pack_trials(np.zeros(4, dtype=np.uint8))
 
-    def test_unpack_rejects_oversized_batch(self):
+    def test_unpack_rejects_ints_wider_than_the_batch(self):
         with pytest.raises(ProtectionError):
-            unpack_trials(np.zeros((1, 3), dtype=np.uint64), 65)
+            unpack_trials([1 << 72], 65)
+        # Bits between B and the byte boundary are dropped, not rejected.
+        assert unpack_trials([1 << 66], 65).sum() == 0
 
 
 # ---------------------------------------------------------------------- #
-# Word-op gate programs
+# Int-tape gate records
 # ---------------------------------------------------------------------- #
-class TestGateWordPrograms:
-    @pytest.mark.parametrize("gate", ["nor", "nand", "maj", "thr"])
-    @pytest.mark.parametrize("n_inputs", [2, 3, 4])
-    def test_word_programs_match_truth_tables(self, gate, n_inputs):
-        if gate == "maj" and n_inputs % 2 == 0:
-            pytest.skip("majority needs an odd fan-in")
-        if gate == "thr" and n_inputs < 3:
-            pytest.skip("the default THR threshold of 3 needs fan-in >= 3")
-        table = truth_table(gate, n_inputs, 3 if gate == "thr" else None)
-        # All input combinations at once, one trial per combination.
-        combos = np.array(
-            [[(i >> j) & 1 for j in range(n_inputs)] for i in range(1 << n_inputs)],
-            dtype=np.uint8,
-        )
-        operands = pack_trials(combos)
-        out = _gate_words(gate, operands, None)
-        got = unpack_trials(out[:, None], combos.shape[0])[:, 0]
-        assert np.array_equal(got, table)
+def _all_combinations(n_inputs):
+    return np.array(
+        [[(i >> j) & 1 for j in range(n_inputs)] for i in range(1 << n_inputs)],
+        dtype=np.uint8,
+    )
 
-    @pytest.mark.parametrize("gate", ["not", "copy"])
-    def test_unary_programs(self, gate):
-        bits = np.array([[0], [1], [1], [0]], dtype=np.uint8)
-        out = _gate_words(gate, pack_trials(bits), None)
-        got = unpack_trials(out[:, None], 4)[:, 0]
-        expected = bits[:, 0] if gate == "copy" else 1 - bits[:, 0]
+
+def _fire(key, combos):
+    """One gate record over every input combination (one trial each)."""
+    batch, n_inputs = combos.shape
+    machine = _Machine(pack_trials(combos) + [0, 0], batch)
+    machine.execute([_gate_record(key, tuple(range(n_inputs)), (n_inputs, n_inputs + 1))])
+    out = unpack_trials(machine.state[n_inputs:], batch)
+    assert np.array_equal(out[:, 0], out[:, 1])  # every output cell commits
+    return out[:, 0]
+
+
+#: Every (gate, fan-in, threshold) the records must evaluate: the shipped
+#: tables (NOR2, THR4/3, THR3/2, NOT, one-input NOR, COPY) and the generic
+#: NOR/NAND loops and truth-table programs around them.
+GATE_SHAPES = (
+    [("not", 1, None), ("copy", 1, None)]
+    + [(gate, n, None) for gate in ("nor", "nand") for n in range(1, 6)]
+    + [("maj", n, None) for n in (1, 3, 5)]
+    + [("thr", n, t) for n in range(1, 6) for t in (None, 1, 2, 3) if (t or 3) <= n]
+)
+
+
+class TestGateRecords:
+    @pytest.mark.parametrize("gate,n_inputs,threshold", GATE_SHAPES)
+    def test_records_match_truth_tables(self, gate, n_inputs, threshold):
+        key = _table_key(gate, n_inputs, threshold)
+        table = truth_table(*key)
+        assert np.array_equal(_fire(key, _all_combinations(n_inputs)), table)
+
+    def test_thr4_repeated_operands(self):
+        # THR4 over (a, a, b, b): ECiM's parity updates feed one NOR output
+        # twice, and generated circuits repeat operands too.
+        combos = _all_combinations(2)
+        machine = _Machine(pack_trials(combos) + [0], 4)
+        machine.execute([_gate_record(("thr", 4, 3), (0, 0, 1, 1), (2,))])
+        got = unpack_trials([machine.state[2]], 4)[:, 0]
+        expected = truth_table("thr", 4, 3)[[0b0000, 0b0011, 0b1100, 0b1111]]
         assert np.array_equal(got, expected)
+
+    def test_wide_gate_falls_back_to_the_vector_model(self):
+        n_inputs = 13
+        rng = np.random.default_rng(5)
+        bits = rng.integers(0, 2, size=(70, n_inputs), dtype=np.uint8)
+        bits[:, :6] = 0  # make the majority outcome non-trivial
+        program = _table_program("maj", n_inputs, None)
+        full = (1 << 70) - 1
+        got = unpack_trials([program(pack_trials(bits), full)], 70)[:, 0]
+        assert np.array_equal(got, vector_gate_output("maj", bits, None))
 
 
 # ---------------------------------------------------------------------- #
@@ -244,8 +272,8 @@ class TestRaggedBatchParity:
             gate_error_rate=0.03, memory_error_rate=0.01, preset_error_rate=0.01
         )
         _assert_outcomes_equal(
-            batched.run_trials(matrix, fault_model=spec, fault_seeds=seeds),
-            bitpacked.run_trials(matrix, fault_model=spec, fault_seeds=seeds),
+            batched.run_trials(matrix, fault_model=spec, fault_seeds=seeds, capture_outputs=True),
+            bitpacked.run_trials(matrix, fault_model=spec, fault_seeds=seeds, capture_outputs=True),
             batch,
         )
 
@@ -259,8 +287,8 @@ class TestRaggedBatchParity:
             memory_error_rate=0.01,
         )
         _assert_outcomes_equal(
-            batched.run_trials(matrix, fault_model=spec, fault_seeds=seeds),
-            bitpacked.run_trials(matrix, fault_model=spec, fault_seeds=seeds),
+            batched.run_trials(matrix, fault_model=spec, fault_seeds=seeds, capture_outputs=True),
+            bitpacked.run_trials(matrix, fault_model=spec, fault_seeds=seeds, capture_outputs=True),
             batch,
         )
 
@@ -279,8 +307,8 @@ class TestRaggedBatchParity:
                 entry.setdefault(op, []).append(pos)
             plans.append(entry)
         _assert_outcomes_equal(
-            batched.run_trials(matrix, fault_plan=plans),
-            bitpacked.run_trials(matrix, fault_plan=plans),
+            batched.run_trials(matrix, fault_plan=plans, capture_outputs=True),
+            bitpacked.run_trials(matrix, fault_plan=plans, capture_outputs=True),
             "plan",
         )
 
@@ -298,8 +326,8 @@ class TestLegacyStreams:
         seeds = [derive_seed("legacy", t, "faults") for t in range(100)]
         matrix = sample_input_matrix(backend.netlist, seeds)
         model = FaultModel(gate_error_rate=2e-3, memory_error_rate=1e-3)
-        first = backend.run_trials(matrix, model=model, fault_seeds=seeds)
-        again = backend.run_trials(matrix, model=model, fault_seeds=seeds)
+        first = backend.run_trials(matrix, model=model, fault_seeds=seeds, capture_outputs=True)
+        again = backend.run_trials(matrix, model=model, fault_seeds=seeds, capture_outputs=True)
         _assert_outcomes_equal(first, again, "repro")
 
     def test_batch_composition_invariance(self, backend):
@@ -309,10 +337,12 @@ class TestLegacyStreams:
         seeds = [derive_seed("legacy-invar", t, "faults") for t in range(130)]
         matrix = sample_input_matrix(backend.netlist, seeds)
         model = FaultModel(gate_error_rate=5e-3, memory_error_rate=1e-3)
-        whole = backend.run_trials(matrix, model=model, fault_seeds=seeds)
+        whole = backend.run_trials(
+            matrix, model=model, fault_seeds=seeds, capture_outputs=True
+        )
         for lo, hi in ((0, 1), (17, 18), (60, 70), (100, 130)):
             part = backend.run_trials(
-                matrix[lo:hi], model=model, fault_seeds=seeds[lo:hi]
+                matrix[lo:hi], model=model, fault_seeds=seeds[lo:hi], capture_outputs=True
             )
             for field in OUTCOME_FIELDS:
                 assert np.array_equal(
@@ -374,8 +404,67 @@ class TestBitpackedBackendSurface:
         with pytest.raises(ProtectionError):
             run_packed(soa, np.zeros((0, soa.n_inputs), dtype=np.uint8))
 
-    def test_word_bits_is_sixty_four(self):
-        assert WORD_BITS == 64
-        assert n_words(1) == 1
-        assert n_words(64) == 1
-        assert n_words(65) == 2
+    def test_golden_outputs_match_the_batched_model(self):
+        netlist = get_campaign_workload("fft4").netlist
+        seeds = [derive_seed("golden-int", trial) for trial in range(77)]
+        matrix = sample_input_matrix(netlist, seeds)
+        assert np.array_equal(
+            bitpacked_golden_outputs(netlist, pack_trials(matrix), 77),
+            batched_golden_outputs(netlist, matrix),
+        )
+
+    def test_golden_outputs_handle_constant_signals(self):
+        from repro.compiler.netlist import Netlist
+
+        netlist = Netlist(name="constants")
+        a, b = netlist.add_input("a"), netlist.add_input("b")
+        netlist.mark_output(netlist.add_gate("nor", [a, Netlist.CONST_ZERO]))
+        netlist.mark_output(netlist.add_gate("nor", [b, Netlist.CONST_ONE]))
+        netlist.mark_output(Netlist.CONST_ONE)
+        netlist.mark_output(Netlist.CONST_ZERO)
+        matrix = _all_combinations(2)
+        assert np.array_equal(
+            bitpacked_golden_outputs(netlist, pack_trials(matrix), 4),
+            batched_golden_outputs(netlist, matrix),
+        )
+
+
+# ---------------------------------------------------------------------- #
+# The int tape
+# ---------------------------------------------------------------------- #
+class TestIntTape:
+    @pytest.fixture(scope="class")
+    def soa(self):
+        netlist = get_campaign_workload("dot2").netlist
+        return lower_plan(compile_plan(netlist, "ecim"))
+
+    def test_one_record_per_step_cached_per_plan(self, soa):
+        tape = _int_tape(soa)
+        assert len(tape.records) == soa.n_steps
+        assert _int_tape(soa) is tape
+
+    def test_records_are_interned(self, soa):
+        # ECiM parity updates reuse a few column tuples: identical records
+        # are one shared object, and column ints are shared across records.
+        records = _int_tape(soa).records
+        assert len({id(record) for record in records}) < len(records)
+        canonical = {}
+        for record in records:
+            if record[0] != _ECIM:  # ECiM records carry their decode tables
+                assert canonical.setdefault(record, record) is record
+
+    @pytest.mark.parametrize("batch", [1, 63, 65, 130])
+    def test_state_ints_never_set_tail_bits(self, soa, batch):
+        seeds = [derive_seed("tail", trial) for trial in range(batch)]
+        matrix = sample_input_matrix(soa.plan.netlist, seeds)
+        keys, trials, _ = _legacy_events(
+            soa, FaultModel(gate_error_rate=0.05, memory_error_rate=0.05), seeds, batch
+        )
+        tape = _int_tape(soa)
+        machine = _Machine([0] * soa.n_cols, batch)
+        machine.state[tape.const1_col] = machine.full
+        for col, value in zip(tape.input_cols, pack_trials(matrix)):
+            machine.state[col] = value
+        machine.execute(tape.records, _flip_table(keys, trials, soa.n_cols, batch))
+        assert machine.detected  # the faults reached the checks
+        assert all(0 <= value <= machine.full for value in machine.state)

@@ -4,8 +4,9 @@ This package is the single systematic scalar-vs-batched equivalence surface
 (ISSUE 5): every *(workload x scheme x gate-style x fault-model)* cell is
 compiled once per session and every registered candidate backend must
 produce **byte-identical** :class:`~repro.core.backend.TrialOutcomes`
-against the scalar reference from shared per-trial seeds — counters and all
-five per-trial vectors.
+against the scalar reference from shared per-trial seeds — counters, all
+five per-trial vectors and the captured output bit matrix that application
+scoring consumes.
 
 Registering a new execution backend (e.g. a GPU tape interpreter) in the
 harness takes one line: add a ``name -> factory(netlist, scheme,
@@ -124,7 +125,7 @@ class DifferentialCell:
         the big application netlists it dominates the grid's runtime."""
         if kind not in self._reference_outcomes:
             self._reference_outcomes[kind] = self.reference.run_trials(
-                self.inputs, **self.run_kwargs(kind)
+                self.inputs, capture_outputs=True, **self.run_kwargs(kind)
             )
         return self._reference_outcomes[kind]
 
@@ -185,9 +186,18 @@ def get_cell(workload, scheme, multi_output) -> DifferentialCell:
 
 
 def assert_outcomes_identical(reference, candidate, context=""):
-    """Byte-identical :class:`TrialOutcomes`: summed counters AND every
-    per-trial vector."""
+    """Byte-identical :class:`TrialOutcomes`: summed counters, every
+    per-trial vector and, when either side captured them, the raw output
+    bit matrices."""
     assert reference.counts() == candidate.counts(), context
+    if reference.outputs is not None or candidate.outputs is not None:
+        assert reference.outputs is not None and candidate.outputs is not None, (
+            f"{context}: only one side captured its outputs"
+        )
+        assert reference.outputs.dtype == candidate.outputs.dtype, context
+        assert np.array_equal(reference.outputs, candidate.outputs), (
+            f"{context}: captured output bits differ"
+        )
     for field in (
         "outputs_correct",
         "detected",

@@ -44,10 +44,13 @@ class TestByteIdenticalOutcomes:
 
     def test_outcomes_byte_identical(self, cell, kind, candidate):
         reference = cell.reference_outcomes(kind)
-        outcome = cell.candidates[candidate].run_trials(cell.inputs, **cell.run_kwargs(kind))
+        outcome = cell.candidates[candidate].run_trials(
+            cell.inputs, capture_outputs=True, **cell.run_kwargs(kind)
+        )
         context = f"{cell.workload}/{cell.scheme}/mo={cell.multi_output}/{kind}/{candidate}"
         assert_outcomes_identical(reference, outcome, context)
         assert reference.n_trials == cell.trials
+        assert reference.outputs.shape == (cell.trials, len(cell.reference.netlist.outputs))
 
     def test_models_actually_inject(self, cell, kind, candidate):
         """A differential pass over an all-clean batch proves nothing: every
@@ -129,6 +132,6 @@ class TestSepEquivalence:
 class TestReproducibility:
     def test_fault_model_runs_reproduce_on_every_backend(self, cell, kind, candidate):
         backend = cell.candidates[candidate]
-        first = backend.run_trials(cell.inputs, **cell.run_kwargs(kind))
-        again = backend.run_trials(cell.inputs, **cell.run_kwargs(kind))
+        first = backend.run_trials(cell.inputs, capture_outputs=True, **cell.run_kwargs(kind))
+        again = backend.run_trials(cell.inputs, capture_outputs=True, **cell.run_kwargs(kind))
         assert_outcomes_identical(first, again, f"reproducibility/{candidate}/{kind}")

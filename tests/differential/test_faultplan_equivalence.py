@@ -43,8 +43,8 @@ class TestArrayPlanEqualsDictPlan:
             {op: tuple(sorted(positions)) for op, positions in plan.items()}
             for plan in dict_plans
         ]
-        from_dicts = backend.run_trials(cell.inputs, fault_plan=dict_plans)
-        from_arrays = backend.run_trials(cell.inputs, fault_plan=arrays)
+        from_dicts = backend.run_trials(cell.inputs, fault_plan=dict_plans, capture_outputs=True)
+        from_arrays = backend.run_trials(cell.inputs, fault_plan=arrays, capture_outputs=True)
         context = f"{cell.workload}/{cell.scheme}/mo={cell.multi_output}/{backend_name}"
         assert_outcomes_identical(from_dicts, from_arrays, context)
         assert from_arrays.counts()["faulty_trials"] > 0
@@ -64,7 +64,7 @@ class TestWorkerPlanAssembly:
         )
         sites = backend.enumerate_sites()
         fault_seeds = [1000 + trial for trial in range(24)]
-        arrays = _multi_fault_plan(sites, fault_seeds, k)
+        arrays = _multi_fault_plan(backend, fault_seeds, k)
         legacy = []
         for seed in fault_seeds:
             chosen = random.Random(seed).sample(range(len(sites)), k)
