@@ -3,12 +3,12 @@ engines on the same cells.
 
 Three shapes, matching how campaigns actually spend time:
 
-* the dot2 + ECiM Monte-Carlo shard (legacy stochastic model at 1e-3),
-  benched at the engine level — one ``run_trials`` call over precomputed
-  per-trial seeds and inputs, so the numbers isolate the interpreters.
-  Geometric skip-sampling replaces ~1700 Philox uniforms per trial and
-  every gate is a few big-int ops over the whole batch, so the asserted
-  floor is a conservative 4x over the uint8 engine;
+* the dot2 + ECiM Monte-Carlo shard (the default stochastic model at
+  1e-3), benched at the engine level — one ``run_trials`` call over a
+  precomputed trial stream and inputs, so the numbers isolate the
+  interpreters plus the shared fault schedule.  Every gate is a few big-int
+  ops over the whole batch, so the asserted floor is a conservative 4x over
+  the uint8 engine;
 * one 250-trial mlp16 + ECiM shard under the same model: the 39,534-step
   tape where per-step interpretation cost, not fault sampling, dominates;
 * a dot2 k=2 multi-fault shard through the full campaign path — here
@@ -22,9 +22,10 @@ from conftest import emit
 from repro.campaign import CampaignSpec, run_campaign
 from repro.campaign.workloads import get_campaign_workload
 from repro.campaign.worker import clear_executor_cache
-from repro.core.backend import derive_seed, make_backend
+from repro.core.backend import make_backend
 from repro.core.batched import sample_input_matrix
-from repro.pim.faults import FaultModel
+from repro.core.rng import TrialStream
+from repro.pim.faults import FaultModelSpec
 
 SCALAR_TRIALS = 120
 BATCHED_TRIALS = 1000
@@ -36,8 +37,8 @@ MLP16_TRIALS = 250
 #: the Monte-Carlo shard (ISSUE 7 acceptance criterion).
 BITPACKED_FLOOR = 4.0
 
-#: The Monte-Carlo cell: dot2 + ECiM under the legacy stochastic model.
-_MODEL = FaultModel(gate_error_rate=1e-3)
+#: The Monte-Carlo cell: dot2 + ECiM under the default stochastic model.
+_MODEL = FaultModelSpec.stochastic(gate_error_rate=1e-3, memory_error_rate=0.0)
 _SEED = 23
 
 _KFLIP_CELL = dict(
@@ -60,15 +61,13 @@ def _bench_engine(benchmark, name, trials, workload="dot2", rounds=1):
     """Time one warmed run_trials call on an ECiM Monte-Carlo shard."""
     netlist = get_campaign_workload(workload).netlist
     backend = make_backend(name, netlist, "ecim")
-    seeds = [derive_seed(_SEED, "bench", trial, "faults") for trial in range(trials)]
-    inputs = sample_input_matrix(
-        netlist, [derive_seed(_SEED, "bench", trial, "inputs") for trial in range(trials)]
-    )
-    backend.run_trials(inputs[:2], model=_MODEL, fault_seeds=seeds[:2])  # warm caches
+    stream = TrialStream.keyed((_SEED, "bench"), range(trials))
+    inputs = sample_input_matrix(netlist, stream)
+    backend.run_trials(inputs[:2], fault_model=_MODEL, stream=stream[:2])  # warm caches
     outcomes = benchmark.pedantic(
         backend.run_trials,
         args=(inputs,),
-        kwargs={"model": _MODEL, "fault_seeds": seeds},
+        kwargs={"fault_model": _MODEL, "stream": stream},
         rounds=rounds,
         iterations=1,
     )

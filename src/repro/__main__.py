@@ -33,11 +33,11 @@ Commands
     and render rates with Wilson intervals as table, CSV or JSON.
 
 Execution-bound commands take ``--backend {scalar,batched,bitpacked}``:
-``scalar`` (default) walks the behavioural array per trial — the bit-exact
-legacy path — ``batched`` interprets a compiled instruction tape for all
+``scalar`` (default) walks the behavioural array per trial, ``batched``
+interprets a compiled instruction tape for all
 trials (or all fault sites) at once, and ``bitpacked`` interprets the same
 tape bit-sliced, one Python int per column holding every trial (see
-:mod:`repro.core.backend`).
+:mod:`repro.core.backend`).  All three give byte-identical results.
 ``campaign`` keeps ``--engine`` as a deprecated alias of ``--backend``.
 """
 
@@ -457,8 +457,8 @@ def build_parser() -> argparse.ArgumentParser:
             "faults on the listed row columns), or 'stochastic[:preset=1e-4,"
             "metadata=1e-3]' (independent flips with extra knobs). Unset "
             "rates inherit each grid cell's swept gate/memory rates; trials "
-            "are byte-identical across backends. Default: the legacy "
-            "independent-flip model"
+            "are byte-identical across backends. Default: independent "
+            "flips at each cell's rates"
         ),
     )
     campaign_parser.add_argument(
@@ -529,13 +529,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--backend", choices=BACKEND_CHOICES, default=None,
         help=(
             "execution backend: 'scalar' walks the behavioural array per "
-            "trial (bit-exact legacy results, the default), 'batched' "
-            "compiles the cell to an instruction tape and runs each shard "
-            "as one numpy bit-matrix (~2 orders of magnitude faster; "
-            "Philox-seeded, reproducible for a fixed seed), 'bitpacked' "
-            "interprets that tape bit-sliced, one int per column holding "
-            "every trial (fastest; skip-sampled fault streams, reproducible "
-            "per seed)"
+            "trial (the default), 'batched' compiles the cell to an "
+            "instruction tape and runs each shard as one numpy bit-matrix "
+            "(~2 orders of magnitude faster), 'bitpacked' interprets that "
+            "tape bit-sliced, one int per column holding every trial "
+            "(fastest); all three give byte-identical results"
         ),
     )
     campaign_parser.add_argument(
@@ -625,7 +623,7 @@ def build_parser() -> argparse.ArgumentParser:
         help=(
             "only cells under this fault model: a full model string "
             "(canonicalised before matching), a bare kind such as 'burst', "
-            "or 'none' for the legacy independent-flip model (repeatable)"
+            "or 'none' for cells without one (repeatable)"
         ),
     )
     query_parser.add_argument(

@@ -5,9 +5,10 @@ complement of the exhaustive single-fault SEP analysis (Fig. 6): sweep
 (workload netlist x protection scheme x technology x gate error rate), run
 thousands of independent stochastic trials per grid cell, and report
 detected / corrected / silent-corruption rates with Wilson confidence
-intervals.  Campaigns shard across a process pool with deterministic
-per-trial seeding (bit-identical results for any worker count) and
-checkpoint completed shards to JSONL so interrupted runs resume.
+intervals.  Campaigns shard across a process pool with counter-based
+per-trial randomness (bit-identical results for any worker count and any
+backend) and checkpoint completed shards to JSONL so interrupted runs
+resume.
 
 Entry points: build a :class:`CampaignSpec`, hand it to
 :func:`run_campaign`, or drive the same path from the command line via

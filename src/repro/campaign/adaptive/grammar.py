@@ -3,7 +3,7 @@
 A campaign's ``estimator`` field selects how trials are *drawn* and how the
 per-cell rates are *estimated*:
 
-* ``uniform`` — the legacy estimator: trials at the cell's own rates,
+* ``uniform`` — the plain estimator: trials at the cell's own rates,
   plain proportions with Wilson intervals.  Only useful explicitly when
   combined with sequential stopping.
 * ``importance:rate=Q`` — importance sampling with error-rate tilting:

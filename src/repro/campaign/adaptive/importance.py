@@ -1,12 +1,11 @@
 """Importance sampling with error-rate tilting: exact likelihood reweighting.
 
-Under the legacy stochastic fault model with ``memory_error_rate == 0``,
-every enumerated fault site performs exactly one independent Bernoulli draw
-per trial, so the injected-fault pattern of a trial has probability
+Under the default stochastic fault model with ``memory_error_rate == 0``,
+every enumerated fault site is one independent Bernoulli trial, so the
+injected-fault pattern of a trial has probability
 ``rate**f * (1 - rate)**(n_sites - f)`` where ``f = faults_injected`` — on
-every backend (the scalar injector, the uint8 tape and the bit-sliced
-engine all draw one Bernoulli per gate-output write; metadata sites inherit
-the gate rate).  Running trials at an inflated *proposal* rate ``q`` and
+every backend, which all consume one shared fault schedule (metadata sites
+inherit the gate rate).  Running trials at an inflated *proposal* rate ``q`` and
 reweighting each by the exact likelihood ratio
 
     w = (p/q)**f * ((1-p)/(1-q))**(n-f)
@@ -15,7 +14,7 @@ therefore yields unbiased Horvitz-Thompson estimates of every outcome rate
 at the *target* rate ``p`` — while actually exercising the fault paths often
 enough to observe rare events.  The weight depends only on ``f``, which the
 engines already report per trial, so no injector changes are needed and the
-SHA-256 per-trial seeding (placement- and worker-count-invariance) is
+counter-based trial stream (placement- and worker-count-invariance) is
 untouched.
 
 Weights and weighted sums are computed in trial order with vectorised numpy

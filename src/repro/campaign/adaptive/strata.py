@@ -10,12 +10,10 @@ variable:
 * strata are ``f = 0, 1, .., k_max`` exactly, plus one ``f > k_max`` tail;
 * each stratum's population probability ``pi_k`` is the exact binomial pmf
   (log-gamma arithmetic, no scipy);
-* sampling *within* a fixed-``k`` stratum draws a uniform lexicographic rank
-  and materialises the combination through
-  :func:`repro.core.faultplan.unrank_combinations` — the same combinatorial
-  number system the sweep shards use — falling back to a without-replacement
-  ``random.Random.sample`` only where ``C(n, k)`` exceeds the int64 unranking
-  range; tail trials first draw ``f`` from the conditional binomial;
+* sampling *within* a fixed-``k`` stratum draws a uniform k-subset of the
+  sites from the trial's plan stream
+  (:meth:`repro.core.rng.TrialStream.subsets`); tail trials first draw
+  ``f`` from the conditional binomial with their fault-count draw;
 * per-stratum outcome counters combine into the unbiased stratified mean
   ``sum(pi_k * p_k)`` with variance ``sum(pi_k^2 p_k (1 - p_k) / n_k)``
   (:func:`repro.stats.stratified_mean_interval`).
@@ -35,13 +33,12 @@ the allocation stays deterministic for any worker count).
 from __future__ import annotations
 
 import math
-import random
-from bisect import bisect_left
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.faultplan import FaultPlanArrays, combination_count, unrank_combinations
+from repro.core.faultplan import FaultPlanArrays
+from repro.core.rng import TrialStream
 from repro.errors import EvaluationError
 
 __all__ = [
@@ -53,11 +50,6 @@ __all__ = [
     "stratified_plan",
     "per_stratum_counts",
 ]
-
-#: Largest combination count routed through rank unranking; mirrors
-#: ``repro.core.faultplan._MAX_RANK`` (beyond it the unranking arithmetic
-#: would overflow int64, so those strata sample sites directly instead).
-_UNRANK_LIMIT = 2**62
 
 #: Conditional tail mass beyond this is truncated from the inverse-CDF table.
 _TAIL_CUTOFF = 1e-15
@@ -221,7 +213,7 @@ def stratified_plan(
     k_max: int,
     allocation: Sequence[int],
     offsets: Sequence[int],
-    fault_seeds: Sequence[int],
+    stream: TrialStream,
     site_ops: np.ndarray,
     site_positions: np.ndarray,
 ) -> Tuple[FaultPlanArrays, np.ndarray, np.ndarray]:
@@ -230,11 +222,10 @@ def stratified_plan(
     ``allocation`` splits the enclosing block's trials across strata;
     ``offsets`` are this shard's trial positions *within* the block, mapped
     onto strata by cumulative allocation (so any shard boundary sees the same
-    stratum per trial).  Each trial's randomness comes solely from its fault
-    seed: tail trials first draw ``f`` by inverse CDF, then every trial with
-    ``k >= 1`` draws a uniform combination — by lexicographic rank +
-    :func:`unrank_combinations` where ``C(n_sites, k)`` fits the int64
-    unranking range, by ``random.Random.sample`` beyond it.
+    stratum per trial).  Each trial's randomness comes solely from its row
+    of ``stream``: tail trials draw ``f`` by inverse CDF from their
+    fault-count draw, then every trial with ``k >= 1`` draws a uniform
+    k-subset of the sites.
 
     Returns ``(plans, stratum_of, fault_counts)``.
     """
@@ -245,8 +236,8 @@ def stratified_plan(
             f"allocation must have {len(labels)} strata entries, got {allocation.shape}"
         )
     offsets = np.asarray(offsets, dtype=np.int64)
-    if len(offsets) != len(fault_seeds):
-        raise EvaluationError("offsets and fault_seeds must pair one-to-one")
+    if len(offsets) != len(stream):
+        raise EvaluationError("offsets and the trial stream must pair one-to-one")
     cumulative = np.cumsum(allocation)
     block_trials = int(cumulative[-1])
     if offsets.size and (int(offsets.min()) < 0 or int(offsets.max()) >= block_trials):
@@ -255,48 +246,24 @@ def stratified_plan(
         )
     stratum_of = np.searchsorted(cumulative, offsets, side="right").astype(np.int64)
     tail_stratum = len(labels) - 1
-    tail_counts: Optional[np.ndarray] = None
-    tail_cdf: Optional[np.ndarray] = None
-    if np.any(stratum_of == tail_stratum):
+    fault_counts = stratum_of.copy()
+    in_tail = stratum_of == tail_stratum
+    if in_tail.any():
         tail_counts, tail_cdf = conditional_tail_distribution(n_sites, rate, k_max)
         if tail_counts.size == 0:
             raise EvaluationError(
                 "trials allocated to the tail stratum, but it has no probability mass"
             )
-
-    fault_counts = np.zeros(len(offsets), dtype=np.int64)
-    chosen_sites: List[Optional[np.ndarray]] = [None] * len(offsets)
-    ranked: Dict[int, List[Tuple[int, int]]] = {}
-    for trial, seed in enumerate(fault_seeds):
-        rng = random.Random(seed)
-        stratum = int(stratum_of[trial])
-        if stratum < tail_stratum:
-            k = stratum
-        else:
-            draw = rng.random()
-            k = int(tail_counts[bisect_left(tail_cdf, draw)])
-        fault_counts[trial] = k
-        if k == 0:
-            continue
-        if k > n_sites:
-            raise EvaluationError(f"stratum needs {k} faults but only {n_sites} sites exist")
-        if math.comb(n_sites, k) <= _UNRANK_LIMIT:
-            rank = rng.randrange(combination_count(n_sites, k))
-            ranked.setdefault(k, []).append((trial, rank))
-        else:
-            chosen_sites[trial] = np.asarray(sorted(rng.sample(range(n_sites), k)), dtype=np.int64)
-    for k, pairs in ranked.items():
-        ranks = np.asarray([rank for _, rank in pairs], dtype=np.int64)
-        matrix = unrank_combinations(n_sites, k, ranks)
-        for row, (trial, _) in enumerate(pairs):
-            chosen_sites[trial] = matrix[row]
-
+        draws = stream.count_draws()[in_tail]
+        fault_counts[in_tail] = tail_counts[np.searchsorted(tail_cdf, draws, side="left")]
+    if fault_counts.size and int(fault_counts.max()) > n_sites:
+        raise EvaluationError(
+            f"stratum needs {int(fault_counts.max())} faults but only {n_sites} sites exist"
+        )
+    chosen = stream.subsets(n_sites, fault_counts)
     trial_ptr = np.zeros(len(offsets) + 1, dtype=np.intp)
     np.cumsum(fault_counts, out=trial_ptr[1:])
-    flat_rows = [sites for sites in chosen_sites if sites is not None]
-    flat = (
-        np.concatenate(flat_rows) if flat_rows else np.empty(0, dtype=np.int64)
-    )
+    flat = chosen[chosen < n_sites]
     plans = FaultPlanArrays(
         trial_ptr=trial_ptr,
         op_index=np.asarray(site_ops, dtype=np.int64)[flat],

@@ -48,6 +48,7 @@ from repro.campaign.aggregate import (
 from repro.campaign.checkpoint import CheckpointStore
 from repro.campaign.spec import CampaignSpec, ShardTask
 from repro.campaign.worker import run_shard
+from repro.errors import EvaluationError
 
 __all__ = ["CampaignResult", "ShardRecorder", "drain_tasks", "run_campaign"]
 
@@ -146,6 +147,13 @@ class ShardRecorder:
         self.spec_hash = spec.spec_hash()
         self.progress = progress
         self.store = CheckpointStore(checkpoint) if checkpoint is not None else None
+        if self.store and self.store.load(spec.spec_hash_v1()):
+            raise EvaluationError(
+                f"checkpoint {self.store.path} holds results of this campaign "
+                "under RNG contract 1, which this version cannot resume; keep "
+                "them queryable with `repro store ingest` and start a fresh "
+                "checkpoint"
+            )
         self.results_db = None
         if db is not None:
             from repro.store.database import ResultsStore

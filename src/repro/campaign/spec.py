@@ -12,11 +12,13 @@ fixed-size :class:`ShardTask` chunks — the unit of work the runner hands to
 worker processes and the unit of resume the checkpoint store records.
 
 Reproducibility is anchored in :func:`trial_seed`: every trial's randomness
-(input sampling and fault injection, as separate streams) derives from
-``(campaign seed, cell key, trial index, stream)`` through SHA-256, never from
-worker identity, shard boundaries or Python's per-process hash randomisation.
-The same spec + seed therefore produces bit-identical aggregate results
-whether it runs serially, across N processes, or resumed across restarts.
+(input sampling and fault injection, as separate counter-based streams)
+derives from ``(campaign seed, cell key)`` through one SHA-256 and the
+trial's own index (the RNG contract of :mod:`repro.core.rng`), never from
+worker identity, shard boundaries or Python's per-process hash
+randomisation.  The same spec + seed therefore produces bit-identical
+aggregate results whether it runs serially, across N processes, or resumed
+across restarts, on any backend.
 """
 
 from __future__ import annotations
@@ -27,7 +29,8 @@ import warnings
 from dataclasses import asdict, dataclass
 from typing import Dict, Iterable, List, Optional, Tuple, Union
 
-from repro.core.backend import BACKEND_NAMES, derive_seed
+from repro.core.backend import BACKEND_NAMES
+from repro.core.rng import RNG_CONTRACT, stream_key
 from repro.errors import EvaluationError, PimError
 from repro.pim.faults import parse_fault_model
 
@@ -44,9 +47,9 @@ __all__ = [
 #: Protection schemes a campaign can exercise (executor per scheme).
 CAMPAIGN_SCHEMES = ("unprotected", "ecim", "trim")
 
-#: Trial execution backends: ``scalar`` walks the behavioural array per trial
-#: (the bit-exact legacy path), ``batched`` interprets a compiled instruction
-#: tape for a whole shard at once — the campaign view of
+#: Trial execution backends: ``scalar`` walks the behavioural array per trial,
+#: ``batched`` and ``bitpacked`` interpret a compiled instruction tape for a
+#: whole shard at once — the campaign view of
 #: :data:`repro.core.backend.BACKEND_NAMES`.
 CAMPAIGN_BACKENDS = BACKEND_NAMES
 
@@ -86,16 +89,14 @@ def _resolve_backend(backend: Optional[str], engine: Optional[str], owner: str) 
     return backend
 
 
-def trial_seed(campaign_seed: int, cell_key: str, trial_index: int, stream: str) -> int:
-    """Deterministic 64-bit seed for one trial's named randomness stream.
+def trial_seed(campaign_seed: int, cell_key: str) -> int:
+    """The Philox key every trial of one campaign cell draws from.
 
-    SHA-256 keyed on the full trial identity (via the shared
-    :func:`repro.core.backend.derive_seed` primitive, which preserves this
-    function's historical byte layout): stable across processes, platforms
-    and ``PYTHONHASHSEED``, and statistically independent between
-    neighbouring trials, cells and streams.
+    One SHA-256 per (campaign seed, cell key) — stable across processes,
+    platforms and ``PYTHONHASHSEED``; trial ``t``'s streams are then
+    addressed by its index through the counter (see :mod:`repro.core.rng`).
     """
-    return derive_seed(campaign_seed, cell_key, trial_index, stream)
+    return stream_key(campaign_seed, cell_key)
 
 
 def _canonical_estimator(value: Optional[str], owner: str) -> Optional[str]:
@@ -212,7 +213,7 @@ class ShardTask:
     backend: Optional[str] = None  # resolves to "scalar" when unset
     engine: Optional[str] = None  # deprecated alias for ``backend``
     #: Estimator grammar string (canonical form) governing how this shard's
-    #: trials are drawn and weighted; unset means the legacy uniform path.
+    #: trials are drawn and weighted; unset means the uniform path.
     estimator: Optional[str] = None
     #: Stratified runs only: trials-per-stratum split of the enclosing block.
     allocation: Optional[Tuple[int, ...]] = None
@@ -270,32 +271,31 @@ class CampaignSpec:
     name: str = "campaign"
     engine: Optional[str] = None  # deprecated alias for ``backend``
     #: When set, every trial injects exactly this many simultaneous flips at
-    #: uniformly drawn fault sites (deterministic k-flip plans derived from
-    #: the trial's fault seed) instead of the stochastic rate model; the
+    #: uniformly drawn fault sites (deterministic k-flip plans drawn from
+    #: the trial's plan stream) instead of the stochastic rate model; the
     #: gate/memory error rates then only label the grid cell.
     faults_per_trial: Optional[int] = None
     #: Declarative fault model (``kind[:key=value,...]`` grammar, see
     #: :func:`repro.pim.faults.parse_fault_model`): ``burst:length=3`` /
     #: ``stuck-at:cells=4+17,value=1`` / ``stochastic:preset=1e-4`` ...
     #: Rates the string leaves unset inherit each grid cell's swept
-    #: gate/memory rates.  Unset means the legacy independent-flip model —
-    #: and, like ``faults_per_trial``, the field is omitted from the
-    #: canonical dict when unset, so old checkpoints and spec files resume
-    #: unchanged.  Fault-model trials are byte-identical across backends.
+    #: gate/memory rates.  Unset means the stochastic model at the cell's
+    #: rates — and, like ``faults_per_trial``, the field is omitted from the
+    #: canonical dict when unset.  Every fault source is byte-identical
+    #: across backends.
     fault_model: Optional[str] = None
     #: Rare-event estimator (``kind[:key=value,...]`` grammar, see
     #: :func:`repro.campaign.adaptive.parse_estimator`): ``uniform`` /
     #: ``importance:rate=1e-3`` / ``stratified:k_max=3,allocation=neyman``.
-    #: Unset means the legacy uniform Monte-Carlo estimator — and the field
-    #: is omitted from the canonical dict when unset, so every pre-existing
-    #: spec hash (and hence checkpoint namespace) is byte-identical.
+    #: Unset means the uniform Monte-Carlo estimator — and the field is
+    #: omitted from the canonical dict when unset.
     estimator: Optional[str] = None
     #: Application-level scoring (:mod:`repro.campaign.application`): when
     #: truthy, every workload must carry an integer-oracle adapter (mlp16 /
     #: fft4) and each shard additionally reports argmax-flip and output
     #: bit-error counters.  Normalised to ``True``/``None`` and — like
     #: ``fault_model`` / ``estimator`` — omitted from the canonical dict
-    #: when unset, so every pre-existing spec hash stays byte-identical.
+    #: when unset.
     application: Optional[bool] = None
 
     def __post_init__(self) -> None:
@@ -347,8 +347,8 @@ class CampaignSpec:
                 "importance weights"
             )
         if self.estimator is not None and not self.estimator.startswith("uniform"):
-            # Tilting and stratification reweight the *legacy stochastic*
-            # gate-rate model: exactly one Bernoulli draw per enumerated site
+            # Tilting and stratification reweight the stochastic gate-rate
+            # model: exactly one Bernoulli draw per enumerated site
             # per trial.  Alternative fault sources and memory-cell draws
             # would break the likelihood-ratio / strata arithmetic.
             if self.fault_model is not None or self.faults_per_trial is not None:
@@ -441,15 +441,21 @@ class CampaignSpec:
     # Serialisation
     # ------------------------------------------------------------------ #
     def to_dict(self) -> Dict[str, object]:
+        data = self._fields_dict()
+        # The RNG contract version is part of every spec's identity (and
+        # hence its hash): results under another contract never resume.
+        data["rng_contract"] = RNG_CONTRACT
+        return data
+
+    def _fields_dict(self) -> Dict[str, object]:
         data = asdict(self)
         for key in ("workloads", "schemes", "technologies", "gate_error_rates"):
             data[key] = list(data[key])
         # The deprecated alias always mirrors ``backend``; serialising it
         # would make every round trip re-trigger the deprecation path.
         data.pop("engine", None)
-        # faults_per_trial / fault_model serialise only when set: the
-        # canonical dict (and hence spec_hash) of every pre-existing spec is
-        # unchanged, so old checkpoints and spec files stay resumable.
+        # Optional fields serialise only when set, which also keeps the
+        # contract-1 hash (spec_hash_v1) reproducible.
         if data.get("faults_per_trial") is None:
             data.pop("faults_per_trial", None)
         if data.get("fault_model") is None:
@@ -462,6 +468,15 @@ class CampaignSpec:
 
     @classmethod
     def from_dict(cls, data: Dict[str, object]) -> "CampaignSpec":
+        data = dict(data)
+        contract = data.pop("rng_contract", RNG_CONTRACT)
+        if contract != RNG_CONTRACT:
+            raise EvaluationError(
+                f"campaign spec uses RNG contract {contract!r}; this version only "
+                f"runs contract {RNG_CONTRACT}. Results recorded under an older "
+                "contract stay queryable: load their checkpoint with "
+                "`repro store ingest` and read them with `repro query`"
+            )
         known = {f for f in cls.__dataclass_fields__}  # noqa: C401 - tiny
         unknown = set(data) - known
         if unknown:
@@ -482,16 +497,24 @@ class CampaignSpec:
 
         Checkpoint records tagged with a different hash are ignored on load:
         changing any field that affects trial outcomes or shard boundaries
-        (including the seed) makes old shard results unusable, and the hash is
-        how the store knows.  The cosmetic ``name`` is excluded, and so is
-        the backend while it holds its default (``scalar``) — keeping every
-        pre-backend checkpoint resumable — whereas ``batched`` runs hash
-        differently because their fault streams are Philox- rather than
-        ``random.Random``-derived.  The canonical form keeps the field's
+        (including the seed and the RNG contract version) makes old shard
+        results unusable, and the hash is how the store knows.  The
+        cosmetic ``name`` is excluded, and so is the backend while it holds
+        its default (``scalar``).  The canonical form keeps the field's
         historical ``engine`` key so checkpoints written before the rename
         resume under either spelling.
         """
-        data = self.to_dict()
+        return self._hash(self.to_dict())
+
+    def spec_hash_v1(self) -> str:
+        """The hash this spec had under RNG contract 1 (no contract field):
+        what a checkpoint written before the v2 break files its records
+        under, so a resume can recognise and refuse them."""
+        return self._hash(self._fields_dict())
+
+    @staticmethod
+    def _hash(data: Dict[str, object]) -> str:
+        data = dict(data)
         data.pop("name", None)
         data["engine"] = data.pop("backend")
         if data["engine"] == "scalar":

@@ -5,14 +5,15 @@ trials and returns summed counters.  It is the single code path for both the
 serial runner and the process-pool runner, which is what makes "same result
 for 1 or N workers" a structural property rather than a testing aspiration:
 
-* per-trial randomness comes from :func:`~repro.campaign.spec.trial_seed`
-  (input sampling and fault injection as independent named streams), never
-  from process-local state;
+* every trial's randomness comes from one counter-based
+  :class:`~repro.core.rng.TrialStream` per shard, keyed once through
+  :func:`~repro.campaign.spec.trial_seed` and addressed by trial index —
+  inputs and faults as independent streams, never process-local state;
 * the fault source follows the cell: ``faults_per_trial`` builds
   deterministic k-flip plans, ``fault_model`` runs the declarative
-  :class:`~repro.pim.faults.FaultModelSpec` layer (byte-identical across
-  backends; rates the grammar leaves unset inherit the cell's swept rates),
-  and otherwise the legacy per-cell stochastic :class:`FaultModel` applies;
+  :class:`~repro.pim.faults.FaultModelSpec` layer (rates the grammar leaves
+  unset inherit the cell's swept rates), and otherwise the stochastic model
+  at the cell's rates applies — every one byte-identical across backends;
 * trial execution goes through the
   :class:`~repro.core.backend.ExecutionBackend` protocol — the **scalar**
   backend reuses one executor per cell configuration through the ``reset``
@@ -30,9 +31,6 @@ accumulating one per distinct cell configuration for the life of the worker.
 
 from __future__ import annotations
 
-import random
-from typing import Sequence
-
 import numpy as np
 
 from repro.campaign.adaptive.grammar import EstimatorSpec, parse_estimator
@@ -49,8 +47,9 @@ from repro.campaign.workloads import get_campaign_workload
 from repro.core.backend import BoundedCache, ExecutionBackend, make_backend
 from repro.core.batched import sample_input_matrix
 from repro.core.faultplan import FaultPlanArrays
+from repro.core.rng import TrialStream
 from repro.errors import EvaluationError
-from repro.pim.faults import FaultModel, FaultModelSpec, parse_fault_model
+from repro.pim.faults import FaultModelSpec, parse_fault_model
 from repro.pim.technology import get_technology
 
 __all__ = [
@@ -170,15 +169,15 @@ def _site_arrays(backend: ExecutionBackend):
     return cached
 
 
-def _estimator_outcomes(task: ShardTask, est: EstimatorSpec, backend, inputs, fault_seeds):
+def _estimator_outcomes(task: ShardTask, est: EstimatorSpec, backend, inputs, stream):
     """Run one estimator-mode shard; returns ``(outcomes, weights, strata)``."""
     cell = task.cell
     site_ops, site_positions, n_sites = _site_arrays(backend)
     if est.kind == "importance":
         outcomes = backend.run_trials(
             inputs,
-            model=FaultModel(gate_error_rate=est.rate, memory_error_rate=0.0),
-            fault_seeds=fault_seeds,
+            fault_model=FaultModelSpec.stochastic(gate_error_rate=est.rate, memory_error_rate=0.0),
+            stream=stream,
         )
         weights = likelihood_ratios(
             outcomes.faults_injected, n_sites, cell.gate_error_rate, est.rate
@@ -198,7 +197,7 @@ def _estimator_outcomes(task: ShardTask, est: EstimatorSpec, backend, inputs, fa
             est.k_max,
             task.allocation,
             offsets,
-            fault_seeds,
+            stream,
             site_ops,
             site_positions,
         )
@@ -217,60 +216,40 @@ def _estimator_outcomes(task: ShardTask, est: EstimatorSpec, backend, inputs, fa
     raise EvaluationError(f"unknown estimator kind {est.kind!r}")
 
 
-def _fault_model(cell: CampaignCell) -> FaultModel:
-    return FaultModel(
-        gate_error_rate=cell.gate_error_rate,
-        memory_error_rate=cell.memory_error_rate,
-    )
-
-
 def _fault_model_spec(cell: CampaignCell) -> FaultModelSpec:
-    """The cell's declarative fault model, with rates the grammar string left
-    unset inherited from the cell's swept gate/memory rates."""
-    return parse_fault_model(cell.fault_model).resolved(
+    """The cell's declarative fault model — the stochastic model when the
+    cell names none — with rates the grammar string left unset inherited
+    from the cell's swept gate/memory rates."""
+    spec = parse_fault_model(cell.fault_model) if cell.fault_model else FaultModelSpec()
+    return spec.resolved(
         gate_error_rate=cell.gate_error_rate,
         memory_error_rate=cell.memory_error_rate,
     )
 
 
-def _multi_fault_plan(
-    backend: ExecutionBackend, fault_seeds: Sequence[int], k: int
-) -> FaultPlanArrays:
-    """One deterministic k-flip plan per trial, drawn from its fault seed.
+def _multi_fault_plan(backend: ExecutionBackend, stream: TrialStream, k: int) -> FaultPlanArrays:
+    """One deterministic k-flip plan per trial, drawn from its plan stream.
 
     Sites are sampled uniformly without replacement from the backend's
-    enumeration; because every backend enumerates sites identically and
-    k-flip plans execute bit-exactly on all of them, a ``faults_per_trial``
-    campaign produces byte-identical counters on every backend.
-
-    The ``random.Random(seed).sample`` draws are a pinned invariant (the
-    golden campaign counters depend on them byte-for-byte); only the plan
-    *assembly* is array-native — the chosen site indices go straight into a
-    CSR :class:`~repro.core.faultplan.FaultPlanArrays` batch over the
-    backend's cached site arrays, with no per-shard site enumeration.
+    enumeration (:meth:`~repro.core.rng.TrialStream.subsets`); because every
+    backend enumerates sites identically and k-flip plans execute
+    bit-exactly on all of them, a ``faults_per_trial`` campaign produces
+    byte-identical counters on every backend.  The chosen site indices go
+    straight into a CSR :class:`~repro.core.faultplan.FaultPlanArrays` batch
+    over the backend's cached site arrays.
     """
     site_ops, site_positions, count = _site_arrays(backend)
     if k > count:
         raise EvaluationError(f"faults_per_trial={k} exceeds the {count} injectable sites")
-    chosen = np.empty((len(fault_seeds), k), dtype=np.int64)
-    for trial, seed in enumerate(fault_seeds):
-        chosen[trial] = random.Random(seed).sample(range(count), k)
-    return FaultPlanArrays.from_site_matrix(chosen, site_ops, site_positions)
+    return FaultPlanArrays.from_site_matrix(stream.subsets(count, k), site_ops, site_positions)
 
 
 def run_shard(task: ShardTask) -> ShardResult:
     """Execute every trial of one shard and return its summed counters."""
     cell = task.cell
     backend = _backend_for(cell, task.backend)
-    input_seeds = [
-        trial_seed(task.campaign_seed, cell.key, trial, "inputs")
-        for trial in task.trial_indices
-    ]
-    fault_seeds = [
-        trial_seed(task.campaign_seed, cell.key, trial, "faults")
-        for trial in task.trial_indices
-    ]
-    inputs = sample_input_matrix(backend.netlist, input_seeds)
+    stream = TrialStream(trial_seed(task.campaign_seed, cell.key), task.trial_indices)
+    inputs = sample_input_matrix(backend.netlist, stream)
     app = get_application_workload(cell.workload) if cell.application else None
     est = parse_estimator(task.estimator) if task.estimator is not None else None
     if est is not None and est.kind != "uniform":
@@ -280,7 +259,7 @@ def run_shard(task: ShardTask) -> ShardResult:
                 "application counters are plain per-trial sums and carry no "
                 "importance weights"
             )
-        outcomes, weights, strata = _estimator_outcomes(task, est, backend, inputs, fault_seeds)
+        outcomes, weights, strata = _estimator_outcomes(task, est, backend, inputs, stream)
         return ShardResult(
             cell_key=cell.key,
             shard_index=task.shard_index,
@@ -291,22 +270,15 @@ def run_shard(task: ShardTask) -> ShardResult:
     if cell.faults_per_trial is not None:
         outcomes = backend.run_trials(
             inputs,
-            fault_plan=_multi_fault_plan(backend, fault_seeds, cell.faults_per_trial),
+            fault_plan=_multi_fault_plan(backend, stream, cell.faults_per_trial),
             capture_outputs=app is not None,
         )
-    elif cell.fault_model is not None:
+    else:
         spec = _fault_model_spec(cell)
         outcomes = backend.run_trials(
             inputs,
             fault_model=spec,
-            fault_seeds=fault_seeds if spec.needs_seeds else None,
-            capture_outputs=app is not None,
-        )
-    else:
-        outcomes = backend.run_trials(
-            inputs,
-            model=_fault_model(cell),
-            fault_seeds=fault_seeds,
+            stream=stream if spec.needs_stream else None,
             capture_outputs=app is not None,
         )
     application = (

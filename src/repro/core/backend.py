@@ -17,9 +17,7 @@ Three implementations:
 * :class:`ScalarBackend` — wraps the executor object model
   (:class:`~repro.core.executor.EcimExecutor` and friends).  One executor is
   built per backend and reused across trials through the ``reset()`` fast
-  path; fault streams are the bit-exact legacy ``random.Random`` ones, so
-  every artefact produced through this backend is byte-identical to the
-  pre-protocol code.
+  path.
 * :class:`BatchedBackend` — wraps the compiled instruction tape of
   :func:`~repro.core.batched.compile_plan` / ``run_batch``.  A whole trial
   batch is one numpy pass; deterministic fault plans map each batch row to a
@@ -33,17 +31,18 @@ Three implementations:
 
 Equivalence contract (enforced by ``tests/core/test_sep.py``,
 ``tests/core/test_backend.py`` and ``tests/differential/``): fault-free,
-deterministic fault-plan and declarative ``fault_model`` executions are
-exactly equal between all backends, per trial and per site; legacy
-``model=`` stochastic executions are statistically equivalent (same
-per-site Bernoulli model, backend-owned RNG streams) and reproducible for a
-fixed seed on each.
+deterministic fault-plan and declarative ``fault_model`` executions —
+stochastic and burst included — are exactly equal between all backends,
+per trial and per site.  Stochastic faults come from one
+:class:`~repro.core.rng.FaultSchedule` per batch, drawn from the batch's
+:class:`~repro.core.rng.TrialStream` over the backend's
+:class:`~repro.core.rng.FaultSites`, which every backend enumerates
+identically.
 """
 
 from __future__ import annotations
 
 import abc
-import hashlib
 from collections import OrderedDict
 from collections.abc import Mapping as AbstractMapping
 from dataclasses import dataclass
@@ -56,14 +55,15 @@ from repro.core.batched import ExecutionPlan, GateStep, compile_plan, run_batch
 from repro.core.bitpacked import run_packed
 from repro.core.faultplan import FaultPlanArrays
 from repro.core.executor import EXECUTORS_BY_SCHEME, ExecutionReport
+from repro.core.rng import FaultSites, TrialStream, derive_seed, fault_schedule
 from repro.core.soa import SoaPlan, lower_plan
 from repro.errors import PimError, ProtectionError
 from repro.pim.faults import (
     DeterministicFaultInjector,
-    FaultModel,
     FaultModelSpec,
     NoFaultInjector,
-    StochasticFaultInjector,
+    ScheduledFaultInjector,
+    StuckAtFaultInjector,
 )
 from repro.pim.operations import NullTrace, OperationKind, OperationTrace
 from repro.pim.technology import TechnologyParameters, get_technology
@@ -116,41 +116,6 @@ def classify_outcome(outputs_correct: bool, detected: bool) -> str:
     if outputs_correct:
         return "corrected"
     return "detected" if detected else "silent"
-
-
-def derive_seed(*components: object) -> int:
-    """Deterministic 64-bit seed from named components, via SHA-256.
-
-    The single seed-derivation primitive shared by the campaign
-    (``trial_seed(campaign_seed, cell_key, trial, stream)``) and the coverage
-    loop: stable across processes, platforms and ``PYTHONHASHSEED``, and
-    statistically independent between any two distinct component tuples.
-
-    RNG contract — which randomness each named stream keys
-    -------------------------------------------------------
-    Every per-trial stream derives from ``(seed, context, trial, stream)``
-    with the ``stream`` name as the last component; the two shipped names
-    are:
-
-    * ``"inputs"`` — input sampling only
-      (:func:`repro.campaign.workloads.sample_inputs` /
-      :func:`repro.core.batched.sample_input_matrix`).  Never consumed by
-      any injector, so a trial's inputs are invariant to the fault model.
-    * ``"faults"`` — *everything* fault-related for that trial: stochastic
-      Bernoulli draws (positions of independent flips), burst trigger draws
-      (hence burst start offsets; burst continuation flips consume no
-      draws, mirroring the scalar injector), and the uniform fault-site
-      choice of ``faults_per_trial`` k-flip plans.  Stuck-at models are
-      purely deterministic — their afflicted cells come from the
-      :class:`~repro.pim.faults.FaultModelSpec`, never from a stream.
-
-    Because the two names hash to independent seeds, changing the fault
-    model (or injecting no faults at all) never perturbs input sampling and
-    vice versa — ``tests/differential/test_rng_contract.py`` asserts this
-    stream independence on both backends.
-    """
-    payload = "|".join(str(component) for component in components).encode()
-    return int.from_bytes(hashlib.sha256(payload).digest()[:8], "big")
 
 
 @dataclass(frozen=True)
@@ -233,22 +198,17 @@ class ExecutionBackend(abc.ABC):
 
     A backend is bound to one (netlist, scheme, gate-style) configuration at
     construction; :meth:`run_trials` then executes whole batches of trials
-    against it.  Exactly one fault source may be active per batch:
+    against it.  At most one fault source is active per batch:
 
     * a deterministic ``fault_plan`` (one ``{op index: output position(s)}``
       mapping per trial — single-int values for the classic single-fault
       sweep, position lists for k simultaneous flips);
-    * a stochastic ``model`` with one ``fault_seeds`` entry per trial (the
-      legacy Monte-Carlo form: bit-exact ``random.Random`` streams on the
-      scalar backend, Philox on the batched one — statistically, not
-      byte-wise, equivalent);
     * a declarative ``fault_model``
       (:class:`~repro.pim.faults.FaultModelSpec`: stochastic, burst or
-      stuck-at), with ``fault_seeds`` whenever the model draws
-      (``spec.needs_seeds``) — the unified fault-model layer, byte-identical
-      across backends from shared trial seeds.
+      stuck-at), with a :class:`~repro.core.rng.TrialStream` over the
+      batch's trials whenever the model draws (``spec.needs_stream``).
 
-    None of the three means fault-free execution.
+    Neither means fault-free execution.
     """
 
     name: ClassVar[str]
@@ -264,9 +224,8 @@ class ExecutionBackend(abc.ABC):
         *,
         n_trials: Optional[int] = None,
         fault_plan: Optional[FaultPlans] = None,
-        model: Optional[FaultModel] = None,
-        fault_seeds: Optional[Sequence[int]] = None,
         fault_model: Optional[FaultModelSpec] = None,
+        stream: Optional[TrialStream] = None,
         capture_outputs: bool = False,
     ) -> TrialOutcomes:
         """Execute one trial per input row and return per-trial outcomes.
@@ -292,57 +251,37 @@ class ExecutionBackend(abc.ABC):
     def _validate_fault_args(
         self,
         n_trials: int,
-        fault_plan: Optional[Sequence[FaultPlanEntry]],
-        model: Optional[FaultModel],
-        fault_seeds: Optional[Sequence[int]],
-        fault_model: Optional[FaultModelSpec] = None,
+        fault_plan: Optional[FaultPlans],
+        fault_model: Optional[FaultModelSpec],
+        stream: Optional[TrialStream],
     ) -> None:
-        if fault_model is not None and (
-            fault_plan is not None or (model is not None and not model.is_error_free)
-        ):
+        if fault_model is not None and fault_plan is not None:
             raise ProtectionError(
-                "a batch takes one fault source: a declarative fault_model is "
-                "exclusive with both fault_plan and a stochastic model"
-            )
-        if fault_plan is not None and model is not None and not model.is_error_free:
-            raise ProtectionError(
-                "a batch takes one fault source: a deterministic fault_plan "
-                "or a stochastic model, not both"
+                "a batch takes one fault source: a declarative fault_model or "
+                "a deterministic fault_plan, not both"
             )
         if fault_plan is not None and len(fault_plan) != n_trials:
             raise ProtectionError(
                 "fault_plan must supply one entry per trial "
                 f"(got {len(fault_plan)} for {n_trials} trials)"
             )
-        if fault_seeds is not None and model is None and fault_model is None:
-            # Seeds only drive a stochastic model; accepting them alone would
-            # silently run fault-free (a forgotten model= kwarg must not
-            # masquerade as 100% coverage).
+        if stream is not None and (fault_model is None or not fault_model.needs_stream):
+            # A stream only drives a model that draws; accepting it alone
+            # would silently run fault-free (a forgotten or unresolved
+            # fault_model must not masquerade as 100% coverage).
+            model = "no fault_model" if fault_model is None else repr(fault_model.to_string())
             raise ProtectionError(
-                "fault_seeds have no effect without a stochastic fault model; "
-                "pass model=FaultModel(...) alongside them"
+                f"a trial stream has no effect without a fault model that draws ({model}); "
+                "resolve its inherited rates or drop the stream"
             )
-        if fault_seeds is not None and fault_model is not None and not fault_model.needs_seeds:
-            # Same masquerade guard for the declarative layer: seeds next to
-            # a model that draws nothing usually means the spec's rates were
-            # left as None-"inherit" and nobody called .resolved() — that
-            # batch would silently run fault-free (or, for stuck-at, ignore
-            # the seeds), not what the caller asked for.
+        if fault_model is not None and fault_model.needs_stream and (
+            stream is None or len(stream) != n_trials
+        ):
             raise ProtectionError(
-                "fault_seeds have no effect on this fault model "
-                f"({fault_model.to_string()!r} draws nothing); resolve its "
-                "inherited rates or drop the seeds"
+                f"{fault_model.kind} fault injection needs a TrialStream over the "
+                f"batch's trials (got {None if stream is None else len(stream)} "
+                f"for {n_trials} trials)"
             )
-        needs_seeds = (model is not None and not model.is_error_free) or (
-            fault_model is not None and fault_model.needs_seeds
-        )
-        if needs_seeds:
-            if fault_seeds is None or len(fault_seeds) != n_trials:
-                raise ProtectionError(
-                    "stochastic fault injection needs one fault seed per trial "
-                    f"(got {None if fault_seeds is None else len(fault_seeds)} "
-                    f"for {n_trials} trials)"
-                )
 
     def _check_broadcast(
         self, inputs: TrialInputs, n_trials: Optional[int]
@@ -412,10 +351,35 @@ class ExecutionBackend(abc.ABC):
         return matrix
 
 
+class _SiteCounter(NoFaultInjector):
+    """Counts every call a stochastic injector would draw for, per class."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.output_ops: List[int] = []
+        self.metadata = 0
+        self.preset = 0
+        self.memory = 0
+
+    def corrupt_gate_output(self, value, site, operation_index, is_metadata=False):
+        self.output_ops.append(operation_index)
+        self.metadata += bool(is_metadata)
+        return value
+
+    def corrupt_stored_bit(self, value, site):
+        self.memory += 1
+        return value
+
+    def corrupt_preset(self, value, site, operation_index):
+        self.preset += 1
+        return value
+
+
 class ScalarBackend(ExecutionBackend):
-    """The executor object model behind the backend protocol (bit-exact
-    legacy path: ``random.Random`` fault streams, one behavioural-array run
-    per trial, executor reuse through ``reset()``)."""
+    """The executor object model behind the backend protocol (one
+    behavioural-array run per trial, executor reuse through ``reset()``;
+    stochastic faults flip at the batch schedule's ordinals through
+    :class:`~repro.pim.faults.ScheduledFaultInjector`)."""
 
     name = "scalar"
 
@@ -452,6 +416,7 @@ class ScalarBackend(ExecutionBackend):
         self._null_trace = null_trace
         self._code_factory = code_factory
         self._executor: Optional[object] = None
+        self._fault_sites: Optional[FaultSites] = None
 
     # -------------------------------------------------------------- #
     # Executor lifecycle
@@ -489,9 +454,8 @@ class ScalarBackend(ExecutionBackend):
         *,
         n_trials: Optional[int] = None,
         fault_plan: Optional[FaultPlans] = None,
-        model: Optional[FaultModel] = None,
-        fault_seeds: Optional[Sequence[int]] = None,
         fault_model: Optional[FaultModelSpec] = None,
+        stream: Optional[TrialStream] = None,
         capture_outputs: bool = False,
     ) -> TrialOutcomes:
         executor = self.executor  # before input handling: resolves the
@@ -499,7 +463,7 @@ class ScalarBackend(ExecutionBackend):
         rows = self._input_rows(inputs, n_trials)
         if not rows:
             raise ProtectionError("a batch needs at least one trial")
-        self._validate_fault_args(len(rows), fault_plan, model, fault_seeds, fault_model)
+        self._validate_fault_args(len(rows), fault_plan, fault_model, stream)
         if fault_model is not None and fault_model.is_error_free:
             fault_model = None
         if fault_model is not None:
@@ -510,7 +474,8 @@ class ScalarBackend(ExecutionBackend):
                 fault_model.validate_columns(executor.array.cols, layout="executor row")
             except PimError as error:
                 raise ProtectionError(str(error)) from None
-        stochastic = model is not None and not model.is_error_free
+        schedule = fault_schedule(fault_model, stream, self.fault_sites, len(rows))
+        trial_hits = schedule.by_trial() if schedule is not None else None
         outputs_correct = np.zeros(len(rows), dtype=bool)
         detected = np.zeros(len(rows), dtype=bool)
         corrections = np.zeros(len(rows), dtype=np.int64)
@@ -526,12 +491,10 @@ class ScalarBackend(ExecutionBackend):
                 injector = DeterministicFaultInjector(
                     target_output_positions=dict(fault_plan[trial] or {})
                 )
+            elif trial_hits is not None:
+                injector = ScheduledFaultInjector(trial_hits[trial])
             elif fault_model is not None:
-                injector = fault_model.make_injector(
-                    seed=fault_seeds[trial] if fault_model.needs_seeds else None
-                )
-            elif stochastic:
-                injector = StochasticFaultInjector(model, seed=fault_seeds[trial])
+                injector = StuckAtFaultInjector(fault_model.stuck_cells())
             else:
                 injector = NoFaultInjector()
             executor.reset(fault_injector=injector)
@@ -552,6 +515,25 @@ class ScalarBackend(ExecutionBackend):
             faults_injected=faults,
             outputs=output_bits,
         )
+
+    @property
+    def fault_sites(self) -> FaultSites:
+        """The stochastic fault sites of one execution, counted by a
+        fault-free dry run (control flow is input-independent) and cached."""
+        if self._fault_sites is None:
+            counter = _SiteCounter()
+            executor = self.executor
+            executor.reset(fault_injector=counter)
+            executor.run({signal: 0 for signal in self.netlist.inputs})
+            ops = np.asarray(counter.output_ops, dtype=np.int64)
+            self._fault_sites = FaultSites(
+                gate=ops.shape[0] - counter.metadata,
+                metadata=counter.metadata,
+                preset=counter.preset,
+                memory=counter.memory,
+                output_ops=ops,
+            )
+        return self._fault_sites
 
     def enumerate_sites(
         self, input_values: Optional[Mapping[int, int]] = None
@@ -589,7 +571,7 @@ class ScalarBackend(ExecutionBackend):
 
 class BatchedBackend(ExecutionBackend):
     """The compiled instruction tape behind the backend protocol (numpy
-    bit-matrix interpretation, Philox fault streams)."""
+    bit-matrix interpretation)."""
 
     name = "batched"
 
@@ -632,22 +614,14 @@ class BatchedBackend(ExecutionBackend):
         *,
         n_trials: Optional[int] = None,
         fault_plan: Optional[FaultPlans] = None,
-        model: Optional[FaultModel] = None,
-        fault_seeds: Optional[Sequence[int]] = None,
         fault_model: Optional[FaultModelSpec] = None,
+        stream: Optional[TrialStream] = None,
         capture_outputs: bool = False,
     ) -> TrialOutcomes:
         matrix = self._input_matrix(inputs, n_trials)
-        self._validate_fault_args(matrix.shape[0], fault_plan, model, fault_seeds, fault_model)
-        if fault_model is not None and fault_model.is_error_free:
-            fault_model = None
+        self._validate_fault_args(matrix.shape[0], fault_plan, fault_model, stream)
         result = run_batch(
-            self.plan,
-            matrix,
-            model=model,
-            fault_seeds=fault_seeds,
-            fault_plan=fault_plan,
-            fault_model=fault_model,
+            self.plan, matrix, fault_plan=fault_plan, fault_model=fault_model, stream=stream
         )
         return TrialOutcomes(
             outputs_correct=result.outputs_correct,
@@ -685,8 +659,8 @@ class BatchedBackend(ExecutionBackend):
 class BitpackedBackend(BatchedBackend):
     """The structure-of-arrays tape interpreted bit-sliced
     (:mod:`repro.core.bitpacked`): one Python ``int`` per column holds every
-    trial, gates are closed-form boolean ops on those ints, declarative
-    fault masks are Philox-exact and legacy streams geometric skip-sampled.
+    trial, gates are closed-form boolean ops on those ints, and every fault
+    source is lowered to one XOR int per (tape step, column).
 
     Shares the batched backend's construction surface and compiled
     :class:`ExecutionPlan` (the SoA form is lowered lazily from it), so site
@@ -722,22 +696,14 @@ class BitpackedBackend(BatchedBackend):
         *,
         n_trials: Optional[int] = None,
         fault_plan: Optional[FaultPlans] = None,
-        model: Optional[FaultModel] = None,
-        fault_seeds: Optional[Sequence[int]] = None,
         fault_model: Optional[FaultModelSpec] = None,
+        stream: Optional[TrialStream] = None,
         capture_outputs: bool = False,
     ) -> TrialOutcomes:
         matrix = self._input_matrix(inputs, n_trials)
-        self._validate_fault_args(matrix.shape[0], fault_plan, model, fault_seeds, fault_model)
-        if fault_model is not None and fault_model.is_error_free:
-            fault_model = None
+        self._validate_fault_args(matrix.shape[0], fault_plan, fault_model, stream)
         result = run_packed(
-            self.soa,
-            matrix,
-            model=model,
-            fault_seeds=fault_seeds,
-            fault_plan=fault_plan,
-            fault_model=fault_model,
+            self.soa, matrix, fault_plan=fault_plan, fault_model=fault_model, stream=stream
         )
         return TrialOutcomes(
             outputs_correct=result.outputs_correct,
@@ -750,7 +716,7 @@ class BitpackedBackend(BatchedBackend):
 
 
 #: Registered execution backends, in default-first order.  ``scalar`` is the
-#: bit-exact legacy path and stays the default everywhere; adding a backend
+#: object-model reference and stays the default everywhere; adding a backend
 #: here is the one-line registration that wires it into ``make_backend``,
 #: every ``--backend`` CLI choice and the differential/golden harnesses.
 _BACKENDS = {

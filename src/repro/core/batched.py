@@ -30,30 +30,25 @@ values and injected faults differ.  This module exploits that in two stages:
      copies with per-trial correction write-back.
 
 2. **Interpreter** — :func:`run_batch` executes the tape once for B trials on
-   a ``(B, n_cols)`` uint8 state matrix.  Stochastic fault injection draws a
-   per-trial uniform stream from ``numpy.random.Philox`` keyed by the trial's
-   campaign seed, consumed in tape order — so each trial's outcome depends
-   only on its own seed, never on batch composition (the same trial lands in
-   the same place whether the shard holds 10 or 10,000 trials).
+   a ``(B, n_cols)`` uint8 state matrix.  Stochastic and burst faults come
+   from the batch's precomputed :class:`~repro.core.rng.FaultSchedule` —
+   per fault class, the hit sites of every trial, mapped onto tape steps
+   through :attr:`ExecutionPlan.site_map` — so each trial's outcome
+   depends only on its own counter-based stream, never on batch
+   composition.
 
-Determinism contract: the **scalar** engine remains the bit-exact legacy
-path (``random.Random`` fault streams); the **batched** engine is exactly
-equivalent on fault-free and deterministic fault-plan executions and
-statistically equivalent (same per-site Bernoulli model, Philox-seeded,
-reproducible for a fixed seed) on legacy ``model=FaultModel(...)`` stochastic
-ones.  Executions under the unified fault-model layer
-(``fault_model=FaultModelSpec(...)``: stochastic, burst, stuck-at) are
-**byte-identical** to the scalar injectors on shared per-trial seeds, because
-both sides consume one Philox stream per trial in tape order (see
-:class:`~repro.pim.faults.FaultModelSpec` and ``tests/differential``).
-Input sampling is shared bit-for-bit with the scalar path via
-:func:`sample_input_matrix`.
+Determinism contract: fault-free, deterministic fault-plan and every
+declarative ``fault_model`` execution (stochastic, burst, stuck-at) is
+**byte-identical** to the scalar and bitpacked backends, because all three
+consume the same schedule (see :mod:`repro.core.rng` and
+``tests/differential``).  Input sampling is one
+:func:`sample_input_matrix` call per batch.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -61,8 +56,9 @@ import numpy as np
 from repro.compiler.netlist import Netlist
 from repro.core.executor import EcimExecutor, TrimExecutor, UnprotectedExecutor
 from repro.core.faultplan import FaultPlanArrays
+from repro.core.rng import FaultSchedule, FaultSites, TrialStream, fault_schedule
 from repro.errors import PimError, ProtectionError
-from repro.pim.faults import FaultModel, FaultModelSpec, normalize_flip_positions
+from repro.pim.faults import FaultModelSpec, normalize_flip_positions
 from repro.pim.gates import GateType
 from repro.pim.vector import apply_deterministic_flips, vector_gate_output
 
@@ -73,6 +69,7 @@ __all__ = [
     "EcimCheckStep",
     "TrimCheckStep",
     "ExecutionPlan",
+    "FaultSiteMap",
     "BatchResult",
     "compile_plan",
     "run_batch",
@@ -148,6 +145,41 @@ PlanStep = object  # GateStep | PresetStep | ReadStep | EcimCheckStep | TrimChec
 
 
 @dataclass(eq=False, frozen=True)
+class FaultSiteMap:
+    """Where the stochastic fault classes (:mod:`repro.core.rng`) sit on
+    the tape.
+
+    Every cell a fault can strike — gate outputs in firing order, then
+    preset-step cells, then checker-read cells — is one *entry*: its tape
+    step in ``steps`` and its state column in ``columns``.  ``classes``
+    maps a class to the entry of each of its ordinals: ``gate`` /
+    ``metadata`` gate outputs, ``preset`` (gate-output presets and
+    preset-step cells in (step, lane) order; -1 for a gate output's preset,
+    which the firing overwrites, so a fault there only counts) and
+    ``memory``.  The burst model's ``output`` class (every gate output) is
+    entries ``0 ..`` themselves.  int32 throughout: mlp16 + ECiM alone has
+    ~73k gate outputs.
+    """
+
+    steps: np.ndarray
+    columns: np.ndarray
+    classes: Dict[str, np.ndarray]
+
+    def held_hits(self, schedule: FaultSchedule) -> Tuple[np.ndarray, np.ndarray]:
+        """``(rows, entries)`` of a schedule's hits on cells that hold
+        state; count-only preset hits are already in ``schedule.faults``."""
+        rows, entries = [], []
+        for name, (hit_rows, ordinals) in schedule.hits.items():
+            entry = ordinals if name == "output" else self.classes[name][ordinals]
+            held = entry >= 0
+            rows.append(hit_rows[held])
+            entries.append(entry[held])
+        if not rows:
+            return np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.int32)
+        return np.concatenate(rows), np.concatenate(entries)
+
+
+@dataclass(eq=False, frozen=True)
 class ExecutionPlan:
     """A compiled, scheme-specific instruction tape for one netlist."""
 
@@ -168,6 +200,57 @@ class ExecutionPlan:
     @property
     def n_outputs(self) -> int:
         return int(self.output_cols.shape[0])
+
+    @cached_property
+    def site_map(self) -> FaultSiteMap:
+        """The tape positions of every stochastic fault class's sites."""
+        indices = {GateStep: [], PresetStep: [], ReadStep: []}
+        for index, step in enumerate(self.steps):
+            if type(step) in indices:
+                indices[type(step)].append(index)
+        gates, presets, reads = indices.values()
+        chunks = [self.steps[i].output_cols for i in gates]
+        chunks += [self.steps[i].columns for i in presets + reads]
+        widths = np.fromiter((chunk.shape[0] for chunk in chunks), np.int32, len(chunks))
+        n_outputs = int(widths[:len(gates)].sum())
+        n_preset_cells = int(widths[len(gates):len(gates) + len(presets)].sum())
+        steps = np.repeat(np.asarray(gates + presets + reads, dtype=np.int32), widths)
+        metadata = np.repeat(
+            np.fromiter((self.steps[i].is_metadata for i in gates), bool, len(gates)),
+            widths[:len(gates)],
+        )
+        # Gate outputs and preset-step cells are each in (step, lane) order
+        # and never share a step, so a stable sort by step merges them.
+        preset = np.argsort(steps[:n_outputs + n_preset_cells], kind="stable")
+        preset[preset < n_outputs] = -1
+        return FaultSiteMap(
+            steps=steps,
+            columns=(np.concatenate(chunks) if chunks else np.zeros(0)).astype(np.int32),
+            classes={
+                "gate": np.flatnonzero(~metadata).astype(np.int32),
+                "metadata": np.flatnonzero(metadata).astype(np.int32),
+                "preset": preset.astype(np.int32),
+                "memory": np.arange(n_outputs + n_preset_cells, steps.shape[0], dtype=np.int32),
+            },
+        )
+
+    @cached_property
+    def fault_sites(self) -> FaultSites:
+        """The class sizes and gate-output operation indices a
+        :class:`~repro.core.rng.FaultSchedule` is drawn over."""
+        classes = self.site_map.classes
+        op_of_step = np.full(len(self.steps), -1, dtype=np.int32)
+        for index, step in enumerate(self.steps):
+            if isinstance(step, GateStep):
+                op_of_step[index] = step.op_index
+        n_outputs = classes["gate"].shape[0] + classes["metadata"].shape[0]
+        return FaultSites(
+            gate=int(classes["gate"].shape[0]),
+            metadata=int(classes["metadata"].shape[0]),
+            preset=int(classes["preset"].shape[0]),
+            memory=int(classes["memory"].shape[0]),
+            output_ops=op_of_step[self.site_map.steps[:n_outputs]],
+        )
 
     def gate_fault_sites(self) -> List[Tuple[int, int]]:
         """Every (operation index, output position) a single logic fault can
@@ -463,16 +546,10 @@ def batched_golden_outputs(netlist: Netlist, input_matrix: np.ndarray) -> np.nda
 # ---------------------------------------------------------------------- #
 # Input sampling
 # ---------------------------------------------------------------------- #
-def sample_input_matrix(netlist: Netlist, seeds: Sequence[int]) -> np.ndarray:
-    """Per-trial uniform input assignments, bit-identical to the scalar
-    path's :func:`repro.campaign.workloads.sample_inputs` for the same
-    per-trial seeds."""
-    matrix = np.empty((len(seeds), len(netlist.inputs)), dtype=np.uint8)
-    for row, seed in enumerate(seeds):
-        rng = random.Random(seed)
-        for position in range(matrix.shape[1]):
-            matrix[row, position] = rng.getrandbits(1)
-    return matrix
+def sample_input_matrix(netlist: Netlist, stream: TrialStream) -> np.ndarray:
+    """Every trial's uniform input assignment, in one call: bit ``j`` of a
+    trial's inputs stream drives ``netlist.inputs[j]``."""
+    return stream.input_bits(len(netlist.inputs))
 
 
 # ---------------------------------------------------------------------- #
@@ -516,116 +593,6 @@ class BatchResult:
             "faults_injected": int(self.faults_injected.sum()),
             "faulty_trials": int((self.faults_injected > 0).sum()),
         }
-
-
-def _step_draws(step: PlanStep, model: FaultModel) -> int:
-    """Uniform draws one trial consumes on this step (fixed per plan+model)."""
-    if isinstance(step, GateStep):
-        n_outputs = step.output_cols.shape[0]
-        draws = n_outputs if model.preset_error_rate > 0.0 else 0
-        rate = model.effective_metadata_error_rate if step.is_metadata else model.gate_error_rate
-        if rate > 0.0:
-            draws += n_outputs
-        return draws
-    if isinstance(step, PresetStep):
-        return step.columns.shape[0] if model.preset_error_rate > 0.0 else 0
-    if isinstance(step, ReadStep):
-        return step.columns.shape[0] if model.memory_error_rate > 0.0 else 0
-    return 0
-
-
-def _uniform_row(seed: int, n_draws: int) -> np.ndarray:
-    """One trial's Philox-generated uniform stream."""
-    return np.random.Generator(np.random.Philox(key=int(seed))).random(n_draws)
-
-
-def _uniform_streams(seeds: Sequence[int], n_draws: int) -> np.ndarray:
-    """One Philox-generated uniform stream per trial.
-
-    Each row is generated from its own counter-based generator keyed by the
-    trial seed, so a trial's fault stream is invariant to batch composition
-    (shard size, trial order, neighbours)."""
-    streams = np.empty((len(seeds), n_draws), dtype=np.float64)
-    for row, seed in enumerate(seeds):
-        streams[row] = _uniform_row(seed, n_draws)
-    return streams
-
-
-def _burst_step_draws(step: PlanStep, spec: FaultModelSpec) -> int:
-    """Worst-case uniform draws one trial consumes on this step under the
-    burst model (a trial inside a burst skips its gate-output draws, so this
-    is the stream *capacity*, consumed through per-trial cursors)."""
-    if isinstance(step, GateStep):
-        # The scalar burst injector draws from one stream for every gate
-        # output, metadata included (it folds metadata into the gate rate),
-        # and never corrupts presets.
-        return step.output_cols.shape[0] if (spec.gate_error_rate or 0.0) > 0.0 else 0
-    if isinstance(step, ReadStep):
-        return step.columns.shape[0] if (spec.memory_error_rate or 0.0) > 0.0 else 0
-    return 0
-
-
-class _BurstInjection:
-    """Vectorised :class:`~repro.pim.faults.BurstFaultInjector` semantics.
-
-    Per-trial state mirrors the scalar injector exactly: ``remaining`` burst
-    flips, the operation index the burst ``expires`` at, and a per-trial
-    ``cursor`` into that trial's Philox stream — cursors diverge across
-    trials because a trial inside a burst flips *without drawing*, exactly
-    like the scalar injector's lazy draws.  Bursts wrap across gate firings
-    (and hence across the row's output cells) the same way the scalar
-    injector carries ``_burst_remaining`` into subsequent operations until
-    the correlation window expires.
-    """
-
-    def __init__(self, spec: FaultModelSpec, streams: np.ndarray) -> None:
-        batch = streams.shape[0]
-        self.rate = spec.gate_error_rate or 0.0
-        self.memory_rate = spec.memory_error_rate or 0.0
-        self.burst_length = spec.burst_length
-        self.window = spec.correlation_window
-        self.streams = streams
-        self.cursor = np.zeros(batch, dtype=np.intp)
-        self.remaining = np.zeros(batch, dtype=np.int64)
-        self.expires = np.full(batch, -1, dtype=np.int64)
-
-    def corrupt_gate_outputs(self, op_index: int, out: np.ndarray) -> np.ndarray:
-        """Flip burst victims in the ``(B, n_outputs)`` output block in
-        place; returns the per-trial flip counts.  Output cells of one firing
-        are visited in order, so a burst started on one output continues into
-        the remaining outputs of the same operation."""
-        flips = np.zeros(out.shape[0], dtype=np.int64)
-        for position in range(out.shape[1]):
-            in_burst = (self.remaining > 0) & (op_index <= self.expires)
-            flip = in_burst.copy()
-            self.remaining[in_burst] -= 1
-            if self.rate > 0.0:
-                idle = np.nonzero(~in_burst)[0]
-                if idle.size:
-                    draws = self.streams[idle, self.cursor[idle]]
-                    self.cursor[idle] += 1
-                    started = idle[draws < self.rate]
-                    if started.size:
-                        self.remaining[started] = self.burst_length - 1
-                        self.expires[started] = op_index + self.window
-                        flip[started] = True
-            out[flip, position] ^= 1
-            flips += flip
-        return flips
-
-    def corrupt_stored_bits(self, state: np.ndarray, columns: np.ndarray) -> np.ndarray:
-        """Independent memory errors on a checker-transfer read (bursts only
-        correlate *gate* outputs, as in the scalar injector)."""
-        batch = state.shape[0]
-        if self.memory_rate <= 0.0 or columns.shape[0] == 0:
-            return np.zeros(batch, dtype=np.int64)
-        n = columns.shape[0]
-        rows = np.arange(batch)[:, None]
-        draws = self.streams[rows, self.cursor[:, None] + np.arange(n)[None, :]]
-        self.cursor += n
-        mask = draws < self.memory_rate
-        state[:, columns] ^= mask.astype(np.uint8)
-        return mask.sum(axis=1, dtype=np.int64)
 
 
 class _StuckCells:
@@ -688,36 +655,50 @@ def _deterministic_targets(
     }
 
 
+def _scheduled_flips(
+    plan: ExecutionPlan, schedule: FaultSchedule
+) -> Dict[int, Tuple[np.ndarray, np.ndarray]]:
+    """Each tape step's scheduled flips as ``step -> (rows, columns)``.
+
+    No (trial, cell) repeats within a step: the classes touching one step
+    are disjoint."""
+    site_map = plan.site_map
+    rows, entries = site_map.held_hits(schedule)
+    steps = site_map.steps[entries]
+    order = np.argsort(steps, kind="stable")
+    steps, rows, columns = steps[order], rows[order], site_map.columns[entries[order]]
+    unique, starts = np.unique(steps, return_index=True)
+    bounds = np.append(starts, steps.shape[0])
+    return {
+        int(step): (rows[a:b], columns[a:b])
+        for step, a, b in zip(unique.tolist(), bounds[:-1].tolist(), bounds[1:].tolist())
+    }
+
+
 def run_batch(
     plan: ExecutionPlan,
     input_matrix: np.ndarray,
-    model: Optional[FaultModel] = None,
-    fault_seeds: Optional[Sequence[int]] = None,
     fault_plan: Union[Sequence[Mapping[int, int]], FaultPlanArrays, None] = None,
     fault_model: Optional[FaultModelSpec] = None,
+    stream: Optional[TrialStream] = None,
 ) -> BatchResult:
     """Interpret the tape for all B trials at once.
 
     ``input_matrix`` is a ``(B, n_inputs)`` bit matrix in ``netlist.inputs``
-    order.  ``model`` configures per-site Bernoulli fault injection; when any
-    rate is non-zero, ``fault_seeds`` must supply one Philox key per trial.
-    ``fault_plan`` optionally injects deterministic faults — per trial a
-    mapping of global gate-operation index to the zero-based output
+    order.  ``fault_plan`` optionally injects deterministic faults — per
+    trial a mapping of global gate-operation index to the zero-based output
     position(s) to flip (a single int or an iterable of positions, the
     k-flip form), matching
     :class:`~repro.pim.faults.DeterministicFaultInjector` semantics.
 
     ``fault_model`` instead names a declarative
     :class:`~repro.pim.faults.FaultModelSpec` (stochastic / burst /
-    stuck-at) and is exclusive with both ``model`` and ``fault_plan``.  The
-    stochastic kind reduces to ``model``; burst runs correlated-mask
-    injection through per-trial Philox cursors; stuck-at re-applies the
-    stuck value after every gate write to an afflicted cell and at every
-    checker-transfer read.  All three are byte-identical to the scalar
-    injectors built by :meth:`FaultModelSpec.make_injector` from the same
-    per-trial seeds.
+    stuck-at) and is exclusive with ``fault_plan``.  Stochastic and burst
+    models draw from ``stream`` (one :class:`~repro.core.rng.TrialStream`
+    row per trial) through the shared :func:`~repro.core.rng.fault_schedule`;
+    stuck-at re-applies the stuck value after every gate write to an
+    afflicted cell and at every checker-transfer read.
     """
-    burst: Optional[_BurstInjection] = None
     stuck: Optional[_StuckCells] = None
     matrix = np.asarray(input_matrix, dtype=np.uint8)
     if matrix.ndim != 2 or matrix.shape[1] != plan.n_inputs:
@@ -727,37 +708,14 @@ def run_batch(
     batch = matrix.shape[0]
     if batch == 0:
         raise ProtectionError("a batch needs at least one trial")
-    if fault_model is not None:
-        if (model is not None and not model.is_error_free) or fault_plan is not None:
-            raise ProtectionError(
-                "a batch takes one fault source: fault_model is exclusive "
-                "with model and fault_plan"
-            )
-        if fault_model.kind == "stochastic":
-            model = fault_model.rate_model()
-        elif fault_model.kind == "stuck-at":
-            stuck = _StuckCells(fault_model, plan.n_cols)
-        elif not fault_model.is_error_free:  # burst
-            burst_draws = sum(_burst_step_draws(step, fault_model) for step in plan.steps)
-            if fault_seeds is None or len(fault_seeds) != batch:
-                raise ProtectionError(
-                    "burst fault injection needs one fault seed per trial "
-                    f"(got {None if fault_seeds is None else len(fault_seeds)} "
-                    f"for {batch} trials)"
-                )
-            burst = _BurstInjection(fault_model, _uniform_streams(fault_seeds, burst_draws))
-    model = model if model is not None else FaultModel()
-
-    n_draws = sum(_step_draws(step, model) for step in plan.steps)
-    if n_draws:
-        if fault_seeds is None or len(fault_seeds) != batch:
-            raise ProtectionError(
-                "stochastic fault injection needs one fault seed per trial "
-                f"(got {None if fault_seeds is None else len(fault_seeds)} for {batch} trials)"
-            )
-        streams = _uniform_streams(fault_seeds, n_draws)
-    else:
-        streams = None
+    if fault_model is not None and fault_plan is not None:
+        raise ProtectionError(
+            "a batch takes one fault source: fault_model is exclusive with fault_plan"
+        )
+    if fault_model is not None and fault_model.kind == "stuck-at":
+        stuck = _StuckCells(fault_model, plan.n_cols)
+    schedule = fault_schedule(fault_model, stream, plan.fault_sites, batch)
+    scheduled = _scheduled_flips(plan, schedule) if schedule is not None else {}
     targets = _deterministic_targets(fault_plan) if fault_plan is not None else {}
     if fault_plan is not None and len(fault_plan) != batch:
         raise ProtectionError("fault_plan must supply one entry per trial")
@@ -769,76 +727,39 @@ def run_batch(
     detected = np.zeros(batch, dtype=bool)
     corrections = np.zeros(batch, dtype=np.int64)
     uncorrectable = np.zeros(batch, dtype=np.int64)
-    faults = np.zeros(batch, dtype=np.int64)
-    cursor = 0
+    faults = schedule.faults.copy() if schedule is not None else np.zeros(batch, dtype=np.int64)
 
-    def draw_mask(n_sites: int, rate: float) -> Optional[np.ndarray]:
-        nonlocal cursor
-        if rate <= 0.0:
-            return None
-        mask = streams[:, cursor:cursor + n_sites] < rate
-        cursor += n_sites
-        return mask
-
-    for step in plan.steps:
+    for index, step in enumerate(plan.steps):
+        flips = scheduled.get(index)
         if isinstance(step, GateStep):
-            n_outputs = step.output_cols.shape[0]
-            if burst is not None:
-                ideal = vector_gate_output(step.gate, state[:, step.input_cols], step.threshold)
-                out = np.repeat(ideal[:, None], n_outputs, axis=1)
-                faults += burst.corrupt_gate_outputs(step.op_index, out)
-                state[:, step.output_cols] = out
-                continue
+            ideal = vector_gate_output(step.gate, state[:, step.input_cols], step.threshold)
             if stuck is not None:
-                ideal = vector_gate_output(step.gate, state[:, step.input_cols], step.threshold)
                 state[:, step.output_cols] = ideal[:, None]
                 faults += stuck.apply(state, step.output_cols)
                 continue
-            preset_mask = draw_mask(n_outputs, model.preset_error_rate)
-            if preset_mask is not None:
-                # Gate presets are overwritten by the firing itself; they
-                # only contribute fault events, never state.
-                faults += preset_mask.sum(axis=1)
-            ideal = vector_gate_output(step.gate, state[:, step.input_cols], step.threshold)
-            rate = (
-                model.effective_metadata_error_rate
-                if step.is_metadata
-                else model.gate_error_rate
-            )
-            flip_mask = draw_mask(n_outputs, rate)
             det = targets.get(step.op_index)
-            if flip_mask is None and det is None:
+            if det is None:
                 state[:, step.output_cols] = ideal[:, None]
-                continue
-            out = np.repeat(ideal[:, None], n_outputs, axis=1)
-            if det is not None:
+            else:
+                out = np.repeat(ideal[:, None], step.output_cols.shape[0], axis=1)
                 rows, positions = det
                 flipped = apply_deterministic_flips(out, rows, positions)
                 # A k-flip plan can strike one trial several times within the
                 # same operation; buffered fancy indexing would count those
                 # once, so accumulate unbuffered.
                 np.add.at(faults, flipped, 1)
-            if flip_mask is not None:
-                out ^= flip_mask
-                faults += flip_mask.sum(axis=1)
-            state[:, step.output_cols] = out
+                state[:, step.output_cols] = out
+            if flips is not None:
+                state[flips] ^= 1
         elif isinstance(step, PresetStep):
-            mask = draw_mask(step.columns.shape[0], model.preset_error_rate)
-            if mask is None:
-                state[:, step.columns] = step.value
-            else:
-                state[:, step.columns] = step.value ^ mask.astype(np.uint8)
-                faults += mask.sum(axis=1)
+            state[:, step.columns] = step.value
+            if flips is not None:
+                state[flips] ^= 1
         elif isinstance(step, ReadStep):
-            if burst is not None:
-                faults += burst.corrupt_stored_bits(state, step.columns)
-            elif stuck is not None:
+            if stuck is not None:
                 faults += stuck.apply(state, step.columns)
-            else:
-                mask = draw_mask(step.columns.shape[0], model.memory_error_rate)
-                if mask is not None:
-                    state[:, step.columns] ^= mask.astype(np.uint8)
-                    faults += mask.sum(axis=1)
+            elif flips is not None:
+                state[flips] ^= 1
         elif isinstance(step, EcimCheckStep):
             data = state[:, step.data_cols].astype(np.int64)
             parity = state[:, step.parity_cols].astype(np.int64)

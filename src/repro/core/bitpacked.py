@@ -20,22 +20,12 @@ touched again only for per-trial vectors: an ECiM level's syndrome decode
 int is non-zero, and the final unpack.
 
 Equivalence contract (enforced by ``tests/differential/`` and
-``tests/golden/``):
-
-* fault-free, deterministic ``fault_plan`` and declarative ``fault_model``
-  executions (stochastic / burst / stuck-at) are **byte-identical** to the
-  scalar and batched backends from shared per-trial seeds — stochastic
-  masks are drawn from the very same per-trial Philox streams in tape
-  order; burst flip decisions are data-independent, so they are replayed
-  through the batched :class:`~repro.core.batched._BurstInjection` state
-  machine verbatim;
-* legacy ``model=FaultModel(...)`` executions are *statistically*
-  equivalent and reproducible per trial seed (the same contract batched
-  already has vs scalar: each backend owns its legacy stream discipline).
-  Here the discipline is **geometric skip-sampling**: per trial, per fault
-  class, a ``random.Random(seed)`` walk emits the gaps between Bernoulli
-  hits directly (``gap = floor(log1p(-u) / log1p(-p))``), so a campaign
-  cell at rate 1e-3 samples ~2 flips instead of ~1700 uniforms per trial.
+``tests/golden/``): fault-free, deterministic ``fault_plan`` and every
+declarative ``fault_model`` execution (stochastic / burst / stuck-at) is
+**byte-identical** to the scalar and batched backends — stochastic and
+burst hits come from the batch's shared
+:class:`~repro.core.rng.FaultSchedule`, which the scalar injectors consume
+as ordinals and this engine as XOR ints.
 
 Bits at or above B are never set: inputs and fault masks are packed from
 B-row matrices, and every gate complements against ``full``, so the state
@@ -44,8 +34,6 @@ ints stay within ``full`` and :func:`unpack_trials` round-trips them.
 
 from __future__ import annotations
 
-import math
-import random
 import weakref
 from functools import lru_cache
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
@@ -53,14 +41,9 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Uni
 import numpy as np
 
 from repro.compiler.netlist import Netlist
-from repro.core.batched import (
-    BatchResult,
-    _BurstInjection,
-    _StuckCells,
-    _uniform_row,
-    _uniform_streams,
-)
+from repro.core.batched import BatchResult, ExecutionPlan, _StuckCells
 from repro.core.faultplan import FaultPlanArrays
+from repro.core.rng import FaultSchedule, TrialStream, fault_schedule
 from repro.core.soa import (
     KIND_ECIM,
     KIND_GATE,
@@ -70,7 +53,7 @@ from repro.core.soa import (
     _table_key,
 )
 from repro.errors import ProtectionError
-from repro.pim.faults import FaultModel, FaultModelSpec
+from repro.pim.faults import FaultModelSpec
 from repro.pim.gates import GateType
 from repro.pim.vector import TABLE_MAX_INPUTS, truth_table, vector_gate_output
 
@@ -518,18 +501,6 @@ def bitpacked_golden_outputs(
 # ---------------------------------------------------------------------- #
 # Fault-source lowering: (key, trial) flip events, key = step * n_cols + col
 # ---------------------------------------------------------------------- #
-def _site_keys(soa: SoaPlan, steps: np.ndarray, lanes: np.ndarray, kind: int) -> np.ndarray:
-    """Event keys of (tape step, lane) sites of one step kind."""
-    slots = soa.step_slot[steps]
-    if kind == KIND_GATE:
-        columns = soa.gate_out_cols[soa.gate_out_ptr[slots] + lanes]
-    elif kind == KIND_PRESET:
-        columns = soa.preset_cols[soa.preset_ptr[slots] + lanes]
-    else:
-        columns = soa.read_cols[soa.read_ptr[slots] + lanes]
-    return steps.astype(np.int64) * soa.n_cols + columns
-
-
 def _concat_events(
     keys: List[np.ndarray], trials: List[np.ndarray]
 ) -> Tuple[np.ndarray, np.ndarray]:
@@ -567,107 +538,20 @@ def _deterministic_events(
     valid &= positions < widths[np.where(valid, slots, 0)]
     trials, slots, positions = trials[valid], slots[valid], positions[valid]
     faults = np.bincount(trials, minlength=batch).astype(np.int64, copy=False)
-    keys = _site_keys(soa, soa.gate_step_index[slots], positions, KIND_GATE)
+    columns = soa.gate_out_cols[soa.gate_out_ptr[slots] + positions]
+    keys = soa.gate_step_index[slots].astype(np.int64) * soa.n_cols + columns
     return keys, trials, faults
 
 
-def _require_seeds(kind: str, fault_seeds, batch: int) -> None:
-    if fault_seeds is None or len(fault_seeds) != batch:
-        raise ProtectionError(
-            f"{kind} fault injection needs one fault seed per trial "
-            f"(got {None if fault_seeds is None else len(fault_seeds)} "
-            f"for {batch} trials)"
-        )
-
-
-def _stochastic_events(
-    soa: SoaPlan, model: FaultModel, fault_seeds: Sequence[int], n_draws: int
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Flip events from the shared per-trial Philox streams, consumed in
-    exactly the batched interpreter's draw order — the byte-identity path of
-    the declarative stochastic model.
-
-    Per step in tape order a trial draws: on a gate, one count-only preset
-    draw per output (gate presets are overwritten by the firing) and then
-    one flip draw per output; on a preset or read step, one draw per cell —
-    each group only when its rate is non-zero.  The draw layout is built as
-    arrays and sorted by (step, group, lane) instead of walking the tape,
-    and each trial's stream is compared against it as it is generated, so
-    the (B, n_draws) stream matrix is never held.
-    """
-    parts = []
-
-    def draws(steps, lanes, group, rate, kind=None):
-        """One draw per site at ``rate``; ``kind`` None marks count-only."""
-        n = steps.shape[0]
-        keys = np.full(n, -1, dtype=np.int64) if kind is None else _site_keys(
-            soa, steps, lanes, kind
-        )
-        parts.append((steps, lanes, np.full(n, group), np.full(n, rate), keys))
-
-    gate_sites = (soa.gate_site_step, soa.gate_site_lane)
-    meta_sites = (soa.meta_site_step, soa.meta_site_lane)
-    if model.preset_error_rate > 0.0:
-        draws(*gate_sites, 0, model.preset_error_rate)
-        draws(*meta_sites, 0, model.preset_error_rate)
-        draws(soa.preset_site_step, soa.preset_site_lane, 1, model.preset_error_rate,
-              KIND_PRESET)
-    if model.gate_error_rate > 0.0:
-        draws(*gate_sites, 1, model.gate_error_rate, KIND_GATE)
-    if model.effective_metadata_error_rate > 0.0:
-        draws(*meta_sites, 1, model.effective_metadata_error_rate, KIND_GATE)
-    if model.memory_error_rate > 0.0:
-        draws(soa.read_site_step, soa.read_site_lane, 1, model.memory_error_rate, KIND_READ)
-    steps, lanes, order_group, rates, keys = (np.concatenate(column) for column in zip(*parts))
-    order = np.lexsort((lanes, order_group, steps))
-    rates, keys = rates[order], keys[order]
-    hits = [np.flatnonzero(_uniform_row(seed, n_draws) < rates) for seed in fault_seeds]
-    faults = np.fromiter((row.shape[0] for row in hits), np.int64, len(hits))
-    hit_keys = keys[np.concatenate(hits)]
-    trials = np.repeat(np.arange(len(hits), dtype=np.intp), faults)
-    applied = hit_keys >= 0
-    return hit_keys[applied], trials[applied], faults
-
-
-def _burst_events(
-    soa: SoaPlan, spec: FaultModelSpec, fault_seeds: Sequence[int], batch: int
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Pre-play the burst state machine against zero blocks: burst flip
-    decisions are data-independent (they depend only on the per-trial
-    streams and the operation schedule), so replaying the batched
-    :class:`_BurstInjection` verbatim yields byte-identical flip events."""
-    gate_rate = (spec.gate_error_rate or 0.0) > 0.0
-    memory_rate = (spec.memory_error_rate or 0.0) > 0.0
-    draws = 0
-    if gate_rate:
-        draws += soa.n_gate_output_sites
-    if memory_rate:
-        draws += int(soa.read_cols.shape[0])
-    _require_seeds("burst", fault_seeds, batch)
-    burst = _BurstInjection(spec, _uniform_streams(fault_seeds, draws))
-    faults = np.zeros(batch, dtype=np.int64)
-    event_keys, event_trials = [], []
-    scratch = np.zeros((batch, soa.n_cols), dtype=np.uint8)
-    for index in range(soa.n_steps):
-        kind = soa.step_kind[index]
-        slot = soa.step_slot[index]
-        if kind == KIND_GATE:
-            out_cols = soa.gate_out_cols[soa.gate_out_ptr[slot]:soa.gate_out_ptr[slot + 1]]
-            block = np.zeros((batch, out_cols.shape[0]), dtype=np.uint8)
-            faults += burst.corrupt_gate_outputs(int(soa.gate_op_index[slot]), block)
-            trials, lanes = np.nonzero(block)
-            columns = out_cols[lanes]
-        elif kind == KIND_READ:
-            read_cols = soa.read_cols[soa.read_ptr[slot]:soa.read_ptr[slot + 1]]
-            faults += burst.corrupt_stored_bits(scratch, read_cols)
-            trials, lanes = np.nonzero(scratch[:, read_cols])
-            columns = read_cols[lanes]
-            scratch[:, read_cols] = 0
-        else:
-            continue
-        event_keys.append(index * soa.n_cols + columns.astype(np.int64))
-        event_trials.append(trials)
-    return (*_concat_events(event_keys, event_trials), faults)
+def _scheduled_events(
+    plan: ExecutionPlan, schedule: FaultSchedule
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Flip events of a batch's fault schedule; count-only presets (gate
+    outputs the firing overwrites) hold no state and add no event."""
+    site_map = plan.site_map
+    rows, entries = site_map.held_hits(schedule)
+    keys = site_map.steps[entries].astype(np.int64) * plan.n_cols + site_map.columns[entries]
+    return keys, rows
 
 
 def _stuck_steps(soa: SoaPlan, stuck: _StuckCells) -> List[Tuple[int, int]]:
@@ -688,105 +572,20 @@ def _stuck_steps(soa: SoaPlan, stuck: _StuckCells) -> List[Tuple[int, int]]:
     return list(zip(steps[order].tolist(), columns[order].tolist()))
 
 
-#: Per-trial legacy fault classes, in the fixed sampling order one trial's
-#: ``random.Random(seed)`` walk consumes them.  Each entry names the site
-#: table (None = count-only) and the model rate it fires at.
-_LEGACY_CLASSES = (
-    ("gate", lambda m: m.gate_error_rate),
-    ("meta", lambda m: m.effective_metadata_error_rate),
-    (None, lambda m: m.preset_error_rate),       # presets on gate outputs
-    ("preset", lambda m: m.preset_error_rate),   # preset-step cells
-    ("read", lambda m: m.memory_error_rate),
-)
-
-
-def _skip_sample(rng: random.Random, n_sites: int, rate: float) -> List[int]:
-    """Positions of the Bernoulli(rate) hits among ``n_sites`` iid sites,
-    via geometric gaps — exact in distribution, O(hits) draws."""
-    if rate >= 1.0:
-        return list(range(n_sites))
-    hits: List[int] = []
-    log_miss = math.log1p(-rate)
-    position = 0
-    while True:
-        gap = int(math.log1p(-rng.random()) / log_miss)
-        position += gap
-        if position >= n_sites:
-            return hits
-        hits.append(position)
-        position += 1
-
-
-def _legacy_events(
-    soa: SoaPlan, model: FaultModel, fault_seeds: Sequence[int], batch: int
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Flip events of the legacy stochastic model.
-
-    Statistically identical to the batched engine's dense Philox masks
-    (each site is an independent Bernoulli at its class rate) and equally
-    batch-composition-invariant — every trial's walk depends only on its
-    own seed — but different raw streams, matching the established
-    legacy-model contract (scalar, batched and bitpacked each own their
-    stream discipline; declarative models are the byte-identical layer).
-    """
-    site_tables = {
-        "gate": (soa.gate_site_step, soa.gate_site_lane, KIND_GATE),
-        "meta": (soa.meta_site_step, soa.meta_site_lane, KIND_GATE),
-        "preset": (soa.preset_site_step, soa.preset_site_lane, KIND_PRESET),
-        "read": (soa.read_site_step, soa.read_site_lane, KIND_READ),
-    }
-    class_sizes = {
-        "gate": int(soa.gate_site_step.shape[0]),
-        "meta": int(soa.meta_site_step.shape[0]),
-        None: soa.n_gate_output_sites,
-        "preset": int(soa.preset_site_step.shape[0]),
-        "read": int(soa.read_site_step.shape[0]),
-    }
-    classes = [
-        (name, class_sizes[name], rate_of(model))
-        for name, rate_of in _LEGACY_CLASSES
-        if class_sizes[name] and rate_of(model) > 0.0
-    ]
-    faults = [0] * batch
-    hits: Dict[str, Tuple[List[int], List[int]]] = {name: ([], []) for name in site_tables}
-    for trial, seed in enumerate(fault_seeds):
-        rng = random.Random(seed)
-        for name, n_sites, rate in classes:
-            positions = _skip_sample(rng, n_sites, rate)
-            if not positions:
-                continue
-            faults[trial] += len(positions)
-            if name is not None:
-                trials, sites = hits[name]
-                trials.extend([trial] * len(positions))
-                sites.extend(positions)
-    event_keys, event_trials = [], []
-    for name, (trials, sites) in hits.items():
-        if trials:
-            steps, lanes, kind = site_tables[name]
-            sites_arr = np.asarray(sites, dtype=np.intp)
-            event_keys.append(_site_keys(soa, steps[sites_arr], lanes[sites_arr], kind))
-            event_trials.append(np.asarray(trials, dtype=np.intp))
-    return (*_concat_events(event_keys, event_trials), np.asarray(faults, dtype=np.int64))
-
-
 # ---------------------------------------------------------------------- #
 # Entry point
 # ---------------------------------------------------------------------- #
 def run_packed(
     soa: SoaPlan,
     input_matrix: np.ndarray,
-    model: Optional[FaultModel] = None,
-    fault_seeds: Optional[Sequence[int]] = None,
     fault_plan: "Union[Sequence[Mapping[int, int]], FaultPlanArrays, None]" = None,
     fault_model: Optional[FaultModelSpec] = None,
+    stream: Optional[TrialStream] = None,
 ) -> BatchResult:
     """Interpret the SoA tape for all B trials, bit-sliced.
 
     The argument surface and semantics mirror
-    :func:`~repro.core.batched.run_batch` exactly; see the module docstring
-    for which fault sources are byte-identical across backends and which
-    are statistically equivalent.
+    :func:`~repro.core.batched.run_batch` exactly.
     """
     plan = soa.plan
     matrix = np.asarray(input_matrix, dtype=np.uint8)
@@ -797,40 +596,23 @@ def run_packed(
     batch = matrix.shape[0]
     if batch == 0:
         raise ProtectionError("a batch needs at least one trial")
+    if fault_model is not None and fault_plan is not None:
+        raise ProtectionError(
+            "a batch takes one fault source: fault_model is exclusive with fault_plan"
+        )
 
     stuck: Optional[_StuckCells] = None
     event_keys: List[np.ndarray] = []
     event_trials: List[np.ndarray] = []
     faults = np.zeros(batch, dtype=np.int64)
-
-    if fault_model is not None:
-        if (model is not None and not model.is_error_free) or fault_plan is not None:
-            raise ProtectionError(
-                "a batch takes one fault source: fault_model is exclusive "
-                "with model and fault_plan"
-            )
-        if fault_model.kind == "stochastic":
-            rates = fault_model.rate_model()
-            n_draws = _exact_draw_count(soa, rates)
-            if n_draws:
-                # Same gate as run_batch: seeds are required exactly when the
-                # model draws on this plan.
-                _require_seeds("stochastic", fault_seeds, batch)
-                keys, trials, faults = _stochastic_events(soa, rates, fault_seeds, n_draws)
-                event_keys.append(keys)
-                event_trials.append(trials)
-        elif fault_model.kind == "stuck-at":
-            stuck = _StuckCells(fault_model, plan.n_cols)
-        elif not fault_model.is_error_free:  # burst
-            keys, trials, faults = _burst_events(soa, fault_model, fault_seeds, batch)
-            event_keys.append(keys)
-            event_trials.append(trials)
-    elif model is not None and not model.is_error_free:
-        if _exact_draw_count(soa, model):
-            _require_seeds("stochastic", fault_seeds, batch)
-            keys, trials, faults = _legacy_events(soa, model, fault_seeds, batch)
-            event_keys.append(keys)
-            event_trials.append(trials)
+    if fault_model is not None and fault_model.kind == "stuck-at":
+        stuck = _StuckCells(fault_model, plan.n_cols)
+    schedule = fault_schedule(fault_model, stream, plan.fault_sites, batch)
+    if schedule is not None:
+        keys, trials = _scheduled_events(plan, schedule)
+        event_keys.append(keys)
+        event_trials.append(trials)
+        faults += schedule.faults
 
     if fault_plan is not None:
         if len(fault_plan) != batch:
@@ -867,18 +649,3 @@ def run_packed(
         uncorrectable_levels=machine.uncorrectable,
         faults_injected=faults,
     )
-
-
-def _exact_draw_count(soa: SoaPlan, model: FaultModel) -> int:
-    """Stream capacity of the exact stochastic schedule — per trial, the
-    same draw count :func:`~repro.core.batched._step_draws` sums."""
-    draws = 0
-    if model.preset_error_rate > 0.0:
-        draws += soa.n_gate_output_sites + int(soa.preset_site_step.shape[0])
-    if model.gate_error_rate > 0.0:
-        draws += int(soa.gate_site_step.shape[0])
-    if model.effective_metadata_error_rate > 0.0:
-        draws += int(soa.meta_site_step.shape[0])
-    if model.memory_error_rate > 0.0:
-        draws += int(soa.read_site_step.shape[0])
-    return draws

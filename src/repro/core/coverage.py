@@ -32,7 +32,8 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence
 
-from repro.core.backend import as_backend, derive_seed
+from repro.core.backend import as_backend
+from repro.core.rng import TrialStream, derive_seed
 from repro.errors import EvaluationError
 from repro.pim.faults import FaultModel, FaultModelSpec
 
@@ -141,18 +142,17 @@ def monte_carlo_coverage(
 
     ``target`` is an :class:`~repro.core.backend.ExecutionBackend` (scalar or
     batched) or a legacy ``make_executor(fault_injector)`` factory;
-    ``make_inputs(rng)`` draws one input assignment from a private generator.
-    Seeding follows the campaign's discipline: every trial's input sampling
-    and fault injection derive from ``(seed, trial index, stream name)``
-    through SHA-256 (:func:`~repro.core.backend.derive_seed`) as independent
-    named streams, so a coverage run is reproducible from the single ``seed``
-    on either backend, and trial *i*'s randomness never depends on how much
-    entropy earlier trials consumed.  ``model`` overrides the fault model
-    (defaults to gate errors only, at ``gate_error_rate``); ``fault_model``
-    instead runs the declarative fault-model layer
+    ``make_inputs(rng)`` draws one input assignment from a private generator
+    seeded per trial from ``(seed, "coverage", trial, "inputs")``; faults
+    come from the counter-based stream keyed by ``(seed, "coverage")``
+    (:class:`~repro.core.rng.TrialStream`), so a coverage run is
+    reproducible from the single ``seed`` and byte-identical across
+    backends, and trial *i*'s randomness never depends on how much entropy
+    earlier trials consumed.  ``model`` sets the stochastic rates (defaults
+    to gate errors only, at ``gate_error_rate``); ``fault_model`` instead
+    runs any declarative fault model
     (:class:`~repro.pim.faults.FaultModelSpec`: stochastic / burst /
-    stuck-at, with an unset gate rate inheriting ``gate_error_rate``) and is
-    byte-identical across backends.
+    stuck-at, with an unset gate rate inheriting ``gate_error_rate``).
     """
     if trials <= 0:
         raise EvaluationError("trials must be positive")
@@ -163,20 +163,22 @@ def monte_carlo_coverage(
         make_inputs(random.Random(derive_seed(seed, "coverage", trial, "inputs")))
         for trial in range(trials)
     ]
-    fault_seeds = [
-        derive_seed(seed, "coverage", trial, "faults") for trial in range(trials)
-    ]
-    if fault_model is not None:
-        fault_model = fault_model.resolved(gate_error_rate=gate_error_rate)
-        outcomes = backend.run_trials(
-            input_rows,
-            fault_model=fault_model,
-            fault_seeds=fault_seeds if fault_model.needs_seeds else None,
+    if model is not None:
+        fault_model = FaultModelSpec.stochastic(
+            gate_error_rate=model.gate_error_rate,
+            memory_error_rate=model.memory_error_rate,
+            preset_error_rate=model.preset_error_rate,
+            metadata_error_rate=model.metadata_error_rate,
         )
-    else:
-        if model is None:
-            model = FaultModel(gate_error_rate=gate_error_rate)
-        outcomes = backend.run_trials(input_rows, model=model, fault_seeds=fault_seeds)
+    fault_model = (fault_model or FaultModelSpec.stochastic()).resolved(
+        gate_error_rate=gate_error_rate
+    )
+    stream = TrialStream.keyed((seed, "coverage"), range(trials))
+    outcomes = backend.run_trials(
+        input_rows,
+        fault_model=fault_model,
+        stream=stream if fault_model.needs_stream else None,
+    )
     return MonteCarloCoverage(
         trials=outcomes.n_trials,
         correct_runs=int(outcomes.outputs_correct.sum()),

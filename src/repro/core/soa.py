@@ -27,13 +27,12 @@ lowers once more, per plan, into its interned int-tape records):
   ``lut[offset + packed_syndrome]``;
 * the **TRiM tape**: CSR data column lists plus the redundant-copy column
   groups and copy counts per vote;
-* the **stochastic site tables** — for each of the four structural fault
-  classes (gate outputs, metadata outputs, preset-step cells, read cells) a
-  flat enumeration of every injectable site in tape order, mapping a class
-  position to its (tape step, lane).  These are what lets a sparse sampler
-  (e.g. geometric skip sampling over ~10^3 Bernoulli sites) land its hits on
-  the right step without replaying the tape, and what lets the dense
-  samplers lay out their draws with array passes instead of a tape walk.
+* the **inverse gate maps** array-native deterministic plans need (tape
+  step of each gate slot, gate slot of each operation index).
+
+The per-class stochastic fault sites live on the plan itself
+(:attr:`~repro.core.batched.ExecutionPlan.site_map`), shared by every
+backend that consumes a :class:`~repro.core.rng.FaultSchedule`.
 
 Lowering is pure bookkeeping: the SoA plan references the original
 :class:`ExecutionPlan` (``soa.plan``) for netlist/layout metadata, and every
@@ -151,17 +150,6 @@ class SoaPlan:
     trim_copy_groups: Tuple[Tuple[np.ndarray, ...], ...]
     trim_n_copies: np.ndarray             # (n_checks,) int64
 
-    # Stochastic site tables: class position → (tape step index, lane), in
-    # tape order.  Lanes index the step's own column list (gate output
-    # position, preset/read column position).
-    gate_site_step: np.ndarray
-    gate_site_lane: np.ndarray
-    meta_site_step: np.ndarray
-    meta_site_lane: np.ndarray
-    preset_site_step: np.ndarray
-    preset_site_lane: np.ndarray
-    read_site_step: np.ndarray
-    read_site_lane: np.ndarray
     #: Inverse gate maps for array-native deterministic plans
     #: (:mod:`repro.core.faultplan`): tape step index of each gate slot,
     #: and gate slot of each global operation index (-1 for indices no
@@ -169,9 +157,6 @@ class SoaPlan:
     #: path).
     gate_step_index: np.ndarray   # (n_gates,) intp
     gate_slot_of_op: np.ndarray   # (max_op + 1,) intp, -1 padded
-    #: Total gate-output cells (metadata included) — the site count of the
-    #: count-only preset-on-gate-output fault class.
-    n_gate_output_sites: int
 
     # ------------------------------------------------------------------ #
     # Plan metadata passthrough
@@ -208,10 +193,7 @@ def lower_plan(plan: ExecutionPlan) -> SoaPlan:
     ecim_data, ecim_parity, ecim_a_t, ecim_weights, ecim_luts = [], [], [], [], []
     trim_data, trim_groups, trim_copies = [], [], []
 
-    gate_sites, meta_sites, preset_sites, read_sites = [], [], [], []
-    n_gate_output_sites = 0
-
-    for index, step in enumerate(plan.steps):
+    for step in plan.steps:
         if isinstance(step, GateStep):
             kinds.append(KIND_GATE)
             slots.append(len(gate_table_id))
@@ -223,24 +205,15 @@ def lower_plan(plan: ExecutionPlan) -> SoaPlan:
             gate_names.append(step.gate)
             gate_ins.append(step.input_cols)
             gate_outs.append(step.output_cols)
-            n_out = int(step.output_cols.shape[0])
-            sites = meta_sites if step.is_metadata else gate_sites
-            for lane in range(n_out):
-                sites.append((index, lane))
-            n_gate_output_sites += n_out
         elif isinstance(step, PresetStep):
             kinds.append(KIND_PRESET)
             slots.append(len(preset_values))
             preset_values.append(step.value)
             preset_chunks.append(step.columns)
-            for lane in range(int(step.columns.shape[0])):
-                preset_sites.append((index, lane))
         elif isinstance(step, ReadStep):
             kinds.append(KIND_READ)
             slots.append(len(read_chunks))
             read_chunks.append(step.columns)
-            for lane in range(int(step.columns.shape[0])):
-                read_sites.append((index, lane))
         elif isinstance(step, EcimCheckStep):
             kinds.append(KIND_ECIM)
             slots.append(len(ecim_data))
@@ -278,20 +251,6 @@ def lower_plan(plan: ExecutionPlan) -> SoaPlan:
         ecim_lut_offset[check] = row
         ecim_lut[row:row + lut.shape[0], : lut.shape[1]] = lut
         row += lut.shape[0]
-
-    def site_arrays(sites):
-        if not sites:
-            return _frozen(np.zeros(0, dtype=np.intp)), _frozen(np.zeros(0, dtype=np.intp))
-        steps_, lanes = zip(*sites)
-        return (
-            _frozen(np.asarray(steps_, dtype=np.intp)),
-            _frozen(np.asarray(lanes, dtype=np.intp)),
-        )
-
-    gate_site_step, gate_site_lane = site_arrays(gate_sites)
-    meta_site_step, meta_site_lane = site_arrays(meta_sites)
-    preset_site_step, preset_site_lane = site_arrays(preset_sites)
-    read_site_step, read_site_lane = site_arrays(read_sites)
 
     # Inverse gate maps: slots were appended in tape order, so gate slot s
     # is the s-th KIND_GATE step of the dispatch array.
@@ -335,15 +294,6 @@ def lower_plan(plan: ExecutionPlan) -> SoaPlan:
         trim_data_cols=trim_data_cols,
         trim_copy_groups=tuple(trim_groups),
         trim_n_copies=_frozen(np.asarray(trim_copies, dtype=np.int64)),
-        gate_site_step=gate_site_step,
-        gate_site_lane=gate_site_lane,
-        meta_site_step=meta_site_step,
-        meta_site_lane=meta_site_lane,
-        preset_site_step=preset_site_step,
-        preset_site_lane=preset_site_lane,
-        read_site_step=read_site_step,
-        read_site_lane=read_site_lane,
         gate_step_index=_frozen(gate_step_index),
         gate_slot_of_op=_frozen(slot_of_op),
-        n_gate_output_sites=n_gate_output_sites,
     )

@@ -562,18 +562,18 @@ def experiment_burst(
     ending in silent corruption — the failure mode the schemes exist to
     eliminate — plus the recovered/detected rates.  ``burst_lengths`` of 1
     reduce to independent flips (the stochastic baseline).  Every cell reuses
-    the same per-trial input/fault seeds, so rows differ only in the model;
-    fault-model trials are byte-identical on either ``backend``.
+    the same trial stream (keyed by ``(seed, "burst")``), so rows differ only
+    in the model; fault-model trials are byte-identical on every
+    ``backend``.
     """
     from repro.campaign.workloads import get_campaign_workload
-    from repro.core.backend import derive_seed
     from repro.core.batched import sample_input_matrix
+    from repro.core.rng import TrialStream
     from repro.pim.faults import FaultModelSpec
 
     netlist = get_campaign_workload(workload).netlist
-    input_seeds = [derive_seed(seed, "burst", trial, "inputs") for trial in range(trials)]
-    fault_seeds = [derive_seed(seed, "burst", trial, "faults") for trial in range(trials)]
-    inputs = sample_input_matrix(netlist, input_seeds)
+    stream = TrialStream.keyed((seed, "burst"), range(trials))
+    inputs = sample_input_matrix(netlist, stream)
 
     rows: List[Dict[str, object]] = []
     series: Dict[str, List[float]] = {}
@@ -586,9 +586,7 @@ def experiment_burst(
                 correlation_window=correlation_window,
                 gate_error_rate=gate_error_rate,
             )
-            counts = scheme_backend.run_trials(
-                inputs, fault_model=spec, fault_seeds=fault_seeds
-            ).counts()
+            counts = scheme_backend.run_trials(inputs, fault_model=spec, stream=stream).counts()
             silent_rate = counts["silent_corruption"] / trials
             silent_series.append(silent_rate)
             rows.append(

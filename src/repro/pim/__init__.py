@@ -35,7 +35,7 @@ from repro.pim.faults import (
     FaultModel,
     FaultModelSpec,
     NoFaultInjector,
-    PhiloxRandom,
+    ScheduledFaultInjector,
     StochasticFaultInjector,
     StuckAtFaultInjector,
     parse_fault_model,
@@ -144,7 +144,7 @@ __all__ = [
     "FaultModelSpec",
     "FAULT_MODEL_KINDS",
     "parse_fault_model",
-    "PhiloxRandom",
+    "ScheduledFaultInjector",
     "FaultInjector",
     "NoFaultInjector",
     "StochasticFaultInjector",

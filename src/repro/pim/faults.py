@@ -43,7 +43,7 @@ __all__ = [
     "BurstFaultInjector",
     "StuckAtFaultInjector",
     "FaultLog",
-    "PhiloxRandom",
+    "ScheduledFaultInjector",
     "SeedLike",
     "normalize_flip_positions",
     "resolve_rng",
@@ -67,45 +67,6 @@ def resolve_rng(seed: SeedLike) -> random.Random:
     if seed is not None and not isinstance(seed, int):
         raise PimError(f"seed must be an int, random.Random or None, got {seed!r}")
     return random.Random(seed)
-
-
-class PhiloxRandom(random.Random):
-    """A ``random.Random`` facade over a counter-based ``numpy`` Philox stream.
-
-    The batched tape interpreter draws each trial's fault stream from
-    ``numpy.random.Generator(numpy.random.Philox(key=seed))`` in tape order.
-    Handing a scalar injector a ``PhiloxRandom(seed)`` makes it consume the
-    *identical* uniform sequence (``Generator.random(n)`` equals ``n``
-    successive ``Generator.random()`` calls), which is what lets the unified
-    fault-model layer produce byte-identical trial outcomes on both backends
-    from one shared trial seed.
-
-    Only :meth:`random` and :meth:`getrandbits` are rebased onto the Philox
-    stream; the injectors consume nothing else.
-    """
-
-    def __init__(self, seed: int) -> None:
-        import numpy as np
-
-        self._generator = np.random.Generator(np.random.Philox(key=int(seed)))
-        super().__init__(0)
-
-    def random(self) -> float:  # noqa: A003 - mirrors random.Random.random
-        return float(self._generator.random())
-
-    def getrandbits(self, k: int) -> int:
-        if k < 0:
-            raise ValueError("number of bits must be non-negative")
-        if k == 0:
-            return 0
-        n_bytes = (k + 7) // 8
-        raw = int.from_bytes(self._generator.bytes(n_bytes), "little")
-        return raw >> (n_bytes * 8 - k)
-
-    def seed(self, *args, **kwargs) -> None:  # noqa: D102 - facade
-        # random.Random.__init__ seeds the (unused) Mersenne state; the
-        # Philox stream itself is keyed once, at construction.
-        super().seed(0)
 
 
 def normalize_flip_positions(positions: object) -> frozenset:
@@ -266,22 +227,21 @@ class FaultModelSpec:
       exactly like the scalar injector.
     * ``stuck-at`` — permanent (hard) faults (:class:`StuckAtFaultInjector`):
       ``stuck_columns`` (cell columns of the execution row) all stuck at
-      ``stuck_polarity``.  Purely deterministic — no rates, no seeds.
+      ``stuck_polarity``.  Purely deterministic — no rates, no stream.
 
     Rates left as ``None`` mean "inherit from the surrounding grid cell":
     :meth:`resolved` fills them in from a campaign cell's swept rates.  A
     spec that reaches a backend with still-``None`` rates reads them as
     ``0.0`` (:meth:`rate_model`) — with the one :class:`FaultModel`
     exception that a ``None`` *metadata* rate inherits the gate rate, on
-    both backends alike.  Passing ``fault_seeds`` alongside such an
+    both backends alike.  Passing a trial stream alongside such an
     error-free spec is rejected, so an unresolved model can never
     masquerade as 100% coverage.
 
-    Equivalence contract: for one spec and one per-trial seed, the scalar
-    injector built by :meth:`make_injector` (Philox-backed via
-    :class:`PhiloxRandom`) and the batched interpreter's per-trial Philox
-    stream consume identical uniform draws in identical order, so trial
-    outcomes are **byte-identical** across backends — the property
+    Equivalence contract: every backend draws a batch's stochastic and
+    burst faults from one precomputed schedule
+    (:func:`repro.core.rng.fault_schedule`), so trial outcomes are
+    **byte-identical** across backends — the property
     ``tests/differential`` enforces for every kind.
     """
 
@@ -404,8 +364,8 @@ class FaultModelSpec:
     # Derived views
     # ------------------------------------------------------------------ #
     @property
-    def needs_seeds(self) -> bool:
-        """Whether trials under this model consume per-trial fault seeds."""
+    def needs_stream(self) -> bool:
+        """Whether trials under this model draw from a trial stream."""
         return self.kind in ("stochastic", "burst") and not self.is_error_free
 
     @property
@@ -464,31 +424,6 @@ class FaultModelSpec:
                 f"stuck column {self.stuck_columns[-1]} outside the "
                 f"{layout}'s {n_cols} columns"
             )
-
-    def make_injector(
-        self, seed: Optional[int] = None, log: Optional[FaultLog] = None
-    ) -> FaultInjector:
-        """Build the scalar injector realising this model for one trial.
-
-        Stochastic and burst injectors are handed a :class:`PhiloxRandom`
-        keyed by ``seed`` — the same counter-based stream the batched
-        interpreter derives from the same trial seed, which is what makes
-        the two backends byte-identical under this layer.
-        """
-        if self.kind == "stuck-at":
-            return StuckAtFaultInjector(self.stuck_cells(), log=log)
-        if self.needs_seeds and seed is None:
-            raise PimError(f"a {self.kind} fault model needs a per-trial seed")
-        rng = PhiloxRandom(seed) if seed is not None else None
-        if self.kind == "burst":
-            return BurstFaultInjector(
-                self.rate_model(),
-                burst_length=self.burst_length,
-                correlation_window=self.correlation_window,
-                seed=rng,
-                log=log,
-            )
-        return StochasticFaultInjector(self.rate_model(), seed=rng, log=log)
 
     # ------------------------------------------------------------------ #
     # Serialisation (campaign spec field / CLI flag)
@@ -698,6 +633,60 @@ class StochasticFaultInjector(FaultInjector):
 
     def corrupt_preset(self, value, site, operation_index):
         if self.model.preset_error_rate > 0.0 and self._rng.random() < self.model.preset_error_rate:
+            return self._flip(FaultKind.PRESET, value, site, operation_index)
+        return value
+
+
+class ScheduledFaultInjector(FaultInjector):
+    """Flips at precomputed per-class ordinals: the scalar consumer of a
+    :class:`~repro.core.rng.FaultSchedule`.
+
+    ``hits`` maps a fault class to the zero-based ordinals of the calls it
+    flips, counted per class in execution order: ``gate`` and ``metadata``
+    gate outputs, ``output`` (every gate output — the burst model's
+    sites), ``preset`` (every preset, gate outputs' included) and
+    ``memory`` (every checker read).  The injector draws nothing itself,
+    so it flips exactly what the tape engines flip from the same schedule.
+    """
+
+    def __init__(self, hits: Dict[str, Iterable[int]], log: Optional[FaultLog] = None) -> None:
+        super().__init__(log)
+        ordinals = {name: frozenset(int(o) for o in values) for name, values in hits.items()}
+        empty: frozenset = frozenset()
+        self._gate_hits = ordinals.get("gate", empty)
+        self._metadata_hits = ordinals.get("metadata", empty)
+        self._output_hits = ordinals.get("output", empty)
+        self._preset_hits = ordinals.get("preset", empty)
+        self._memory_hits = ordinals.get("memory", empty)
+        self._gates = self._metadata = self._outputs = self._presets = self._reads = 0
+
+    def corrupt_gate_output(self, value, site, operation_index, is_metadata=False):
+        output = self._outputs
+        self._outputs = output + 1
+        if is_metadata:
+            ordinal = self._metadata
+            self._metadata = ordinal + 1
+            hit = ordinal in self._metadata_hits
+        else:
+            ordinal = self._gates
+            self._gates = ordinal + 1
+            hit = ordinal in self._gate_hits
+        if hit or output in self._output_hits:
+            kind = FaultKind.METADATA if is_metadata else FaultKind.LOGIC
+            return self._flip(kind, value, site, operation_index)
+        return value
+
+    def corrupt_stored_bit(self, value, site):
+        ordinal = self._reads
+        self._reads = ordinal + 1
+        if ordinal in self._memory_hits:
+            return self._flip(FaultKind.MEMORY, value, site, None)
+        return value
+
+    def corrupt_preset(self, value, site, operation_index):
+        ordinal = self._presets
+        self._presets = ordinal + 1
+        if ordinal in self._preset_hits:
             return self._flip(FaultKind.PRESET, value, site, operation_index)
         return value
 

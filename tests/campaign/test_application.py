@@ -152,27 +152,27 @@ class TestCampaignDeterminism:
         assert result.application_by_cell == {
             f"mlp16|unprotected|{prefix}": {
                 "app_trials": 16,
-                "argmax_flips": 13,
-                "output_bit_errors": 214,
-                "output_error_magnitude": 875789,
+                "argmax_flips": 10,
+                "output_bit_errors": 190,
+                "output_error_magnitude": 786963,
             },
             f"mlp16|ecim|{prefix}": {
                 "app_trials": 16,
-                "argmax_flips": 7,
-                "output_bit_errors": 305,
-                "output_error_magnitude": 1330839,
+                "argmax_flips": 11,
+                "output_bit_errors": 313,
+                "output_error_magnitude": 1289765,
             },
             f"fft4|unprotected|{prefix}": {
                 "app_trials": 16,
-                "argmax_flips": 2,
-                "output_bit_errors": 13,
-                "output_error_magnitude": 17,
+                "argmax_flips": 1,
+                "output_bit_errors": 4,
+                "output_error_magnitude": 16,
             },
             f"fft4|ecim|{prefix}": {
                 "app_trials": 16,
-                "argmax_flips": 1,
-                "output_bit_errors": 8,
-                "output_error_magnitude": 28,
+                "argmax_flips": 0,
+                "output_bit_errors": 3,
+                "output_error_magnitude": 8,
             },
         }
 

@@ -192,21 +192,17 @@ class TestScalarAgreement:
         for report in batched.reports:
             assert report.counts["correct"] == report.counts["trials"]
 
-    def test_stochastic_cells_agree_statistically(self):
-        # Different RNG streams, same Bernoulli model: expected faults per
-        # trial are identical, so the realised totals over 300 trials must
-        # agree within a generous band (fixed seeds keep this deterministic).
+    def test_stochastic_cells_match_scalar_exactly(self):
+        # One trial stream per cell and one fault schedule per shard: the
+        # stochastic counters are byte-identical across backends.
         kwargs = dict(
-            workloads=("dot2",), schemes=("ecim",), gate_error_rates=(1e-2,),
-            trials=300, shard_size=100,
+            workloads=("and2",), schemes=("ecim", "trim"), gate_error_rates=(5e-2,),
+            memory_error_rate=2e-2, trials=60, shard_size=25,
         )
-        batched = run_campaign(spec(**kwargs), workers=0).reports[0]
-        scalar = run_campaign(spec(backend="scalar", **kwargs), workers=0).reports[0]
-        assert batched.counts["faults_injected"] > 0
-        ratio = batched.counts["faults_injected"] / scalar.counts["faults_injected"]
-        assert 0.8 < ratio < 1.25
-        assert abs(batched.coverage - scalar.coverage) < 0.12
-        assert abs(batched.detected_rate - scalar.detected_rate) < 0.12
+        batched = run_campaign(spec(**kwargs), workers=0)
+        scalar = run_campaign(spec(backend="scalar", **kwargs), workers=0)
+        assert batched.counts_by_cell == scalar.counts_by_cell
+        assert all(report.counts["faults_injected"] > 0 for report in batched.reports)
 
 
 class TestSepAcceptance:
@@ -256,18 +252,21 @@ class TestBatchedMemoryErrors:
     def test_memory_rate_changes_outcomes_only_for_checked_schemes(self):
         # Memory errors strike checker-transfer reads; the unprotected
         # executor performs none, so its batched counters must be invariant.
+        from repro.core.rng import TrialStream
+        from repro.pim.faults import FaultModelSpec
+
         netlist = get_campaign_workload("dot2").netlist
-        seeds = list(range(80))
-        matrix = sample_input_matrix(netlist, seeds)
-        from repro.pim.faults import FaultModel
+        stream = TrialStream.keyed(("memory",), range(80))
+        matrix = sample_input_matrix(netlist, stream)
+        memory = FaultModelSpec.stochastic(gate_error_rate=0.0, memory_error_rate=0.05)
 
         plan_u = compile_plan(netlist, "unprotected")
-        clean = run_batch(plan_u, matrix, FaultModel(), None)
-        noisy = run_batch(plan_u, matrix, FaultModel(memory_error_rate=0.05), seeds)
+        clean = run_batch(plan_u, matrix)
+        noisy = run_batch(plan_u, matrix, fault_model=memory, stream=stream)
         assert np.array_equal(clean.outputs, noisy.outputs)
         assert noisy.counts()["faults_injected"] == 0
 
         plan_e = compile_plan(netlist, "ecim")
-        noisy_e = run_batch(plan_e, matrix, FaultModel(memory_error_rate=0.05), seeds)
+        noisy_e = run_batch(plan_e, matrix, fault_model=memory, stream=stream)
         assert noisy_e.counts()["faults_injected"] > 0
         assert noisy_e.counts()["detected"] > 0

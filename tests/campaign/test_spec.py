@@ -117,20 +117,21 @@ class TestSerialisation:
 
 class TestTrialSeed:
     def test_deterministic(self):
-        assert trial_seed(1, "cell", 5, "faults") == trial_seed(1, "cell", 5, "faults")
+        assert trial_seed(1, "cell") == trial_seed(1, "cell")
 
-    def test_streams_are_independent(self):
-        assert trial_seed(1, "cell", 5, "faults") != trial_seed(1, "cell", 5, "inputs")
+    def test_is_the_cells_rng_v2_stream_key(self):
+        from repro.core.rng import stream_key
+
+        assert trial_seed(1, "cell") == stream_key(1, "cell")
 
     def test_varies_with_every_component(self):
-        base = trial_seed(1, "cell", 5, "faults")
-        assert trial_seed(2, "cell", 5, "faults") != base
-        assert trial_seed(1, "other", 5, "faults") != base
-        assert trial_seed(1, "cell", 6, "faults") != base
+        base = trial_seed(1, "cell")
+        assert trial_seed(2, "cell") != base
+        assert trial_seed(1, "other") != base
 
     def test_is_64_bit(self):
-        for trial in range(50):
-            assert 0 <= trial_seed(0, "c", trial, "s") < 2**64
+        for seed in range(50):
+            assert 0 <= trial_seed(seed, "c") < 2**64
 
     def test_schemes_constant_matches_worker_support(self):
         assert CAMPAIGN_SCHEMES == ("unprotected", "ecim", "trim")

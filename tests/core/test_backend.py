@@ -23,11 +23,16 @@ from repro.core.backend import (
 )
 from repro.core.executor import EcimExecutor
 from repro.core.sep import and_gate_example_netlist
+from repro.core.rng import TrialStream
 from repro.errors import ProtectionError
-from repro.pim.faults import FaultModel, FaultModelSpec
+from repro.pim.faults import FaultModelSpec
 
 AND2 = and_gate_example_netlist()
 AND2_INPUTS = {AND2.inputs[0]: 1, AND2.inputs[1]: 1}
+
+
+def _stream(n):
+    return TrialStream.keyed(("backend-surface",), range(n))
 
 
 class TestDispatch:
@@ -91,16 +96,16 @@ class TestDerivedSeeds:
         assert derive_seed(1, "x", 2, "inputs") != derive_seed(1, "x", 2, "faults")
         assert derive_seed(1, "x", 2, "inputs") != derive_seed(1, "x", 3, "inputs")
 
-    def test_campaign_trial_seed_byte_layout_preserved(self):
-        # trial_seed delegates to derive_seed; the historical SHA-256 payload
-        # must be unchanged or every existing checkpoint would orphan.
+    def test_campaign_stream_key_byte_layout(self):
+        # One SHA-256 per (campaign seed, cell key), tagged with the RNG
+        # contract: the key every trial of the cell draws from.
         import hashlib
 
         expected = int.from_bytes(
-            hashlib.sha256("7|cellkey|41|faults".encode()).digest()[:8], "big"
+            hashlib.sha256("7|cellkey|rng-v2".encode()).digest()[:8], "big"
         )
-        assert trial_seed(7, "cellkey", 41, "faults") == expected
-        assert derive_seed(7, "cellkey", 41, "faults") == expected
+        assert trial_seed(7, "cellkey") == expected
+        assert derive_seed(7, "cellkey", "rng-v2") == expected
 
 
 class TestRunTrialsSurface:
@@ -121,24 +126,26 @@ class TestRunTrialsSurface:
             backend.run_trials([])
 
     @pytest.mark.parametrize("name", BACKEND_NAMES)
-    def test_stochastic_model_requires_per_trial_seeds(self, name):
+    def test_stochastic_model_requires_a_stream(self, name):
         backend = make_backend(name, AND2, "ecim")
         with pytest.raises(ProtectionError):
-            backend.run_trials([AND2_INPUTS], model=FaultModel(gate_error_rate=0.1))
+            backend.run_trials([AND2_INPUTS], fault_model=FaultModelSpec.stochastic(0.1))
 
     @pytest.mark.parametrize("name", BACKEND_NAMES)
-    def test_fault_seeds_without_model_rejected(self, name):
-        # A forgotten model= kwarg must not silently run fault-free.
+    def test_stream_without_model_rejected(self, name):
+        # A forgotten fault_model= kwarg must not silently run fault-free.
         backend = make_backend(name, AND2, "ecim")
         with pytest.raises(ProtectionError):
-            backend.run_trials([AND2_INPUTS], fault_seeds=[1])
+            backend.run_trials([AND2_INPUTS], stream=_stream(1))
 
     @pytest.mark.parametrize("name", BACKEND_NAMES)
-    def test_error_free_model_with_seeds_is_allowed(self, name):
-        # The zero-rate point of a coverage sweep passes seeds alongside an
-        # all-zero model; that stays valid (and fault free).
+    def test_zero_rate_model_runs_without_a_stream(self, name):
+        # The zero-rate point of a coverage sweep draws nothing, so it needs
+        # no stream and runs fault free.
         backend = make_backend(name, AND2, "ecim")
-        outcomes = backend.run_trials([AND2_INPUTS], model=FaultModel(), fault_seeds=[1])
+        outcomes = backend.run_trials(
+            [AND2_INPUTS], fault_model=FaultModelSpec.stochastic(0.0, 0.0)
+        )
         assert outcomes.faults_injected.sum() == 0
 
     @pytest.mark.parametrize("name", BACKEND_NAMES)
@@ -148,8 +155,8 @@ class TestRunTrialsSurface:
             backend.run_trials(
                 [AND2_INPUTS],
                 fault_plan=[{0: 0}],
-                model=FaultModel(gate_error_rate=0.1),
-                fault_seeds=[1],
+                fault_model=FaultModelSpec.stochastic(0.1),
+                stream=_stream(1),
             )
 
     @pytest.mark.parametrize("name", BACKEND_NAMES)
@@ -186,15 +193,13 @@ class TestFaultModelSurface:
             )
 
     @pytest.mark.parametrize("name", BACKEND_NAMES)
-    def test_fault_model_exclusive_with_stochastic_model(self, name):
+    def test_legacy_fault_arguments_are_gone(self, name):
+        # One fault-source argument per kind: the pre-stream model= and
+        # fault_seeds= keywords no longer exist on any backend.
         backend = make_backend(name, AND2, "ecim")
-        with pytest.raises(ProtectionError):
-            backend.run_trials(
-                [AND2_INPUTS],
-                model=FaultModel(gate_error_rate=0.1),
-                fault_model=FaultModelSpec.stochastic(0.1),
-                fault_seeds=[1],
-            )
+        for legacy in ({"model": None}, {"fault_seeds": [1]}):
+            with pytest.raises(TypeError):
+                backend.run_trials([AND2_INPUTS], **legacy)
 
     @pytest.mark.parametrize("name", BACKEND_NAMES)
     @pytest.mark.parametrize(
@@ -202,15 +207,15 @@ class TestFaultModelSurface:
         [FaultModelSpec.stochastic(0.1), FaultModelSpec.burst(2, 4, gate_error_rate=0.1)],
         ids=["stochastic", "burst"],
     )
-    def test_drawing_models_require_per_trial_seeds(self, name, spec):
+    def test_drawing_models_require_a_stream_per_trial(self, name, spec):
         backend = make_backend(name, AND2, "ecim")
         with pytest.raises(ProtectionError):
             backend.run_trials([AND2_INPUTS], fault_model=spec)
         with pytest.raises(ProtectionError):
-            backend.run_trials([AND2_INPUTS] * 2, fault_model=spec, fault_seeds=[1])
+            backend.run_trials([AND2_INPUTS] * 2, fault_model=spec, stream=_stream(1))
 
     @pytest.mark.parametrize("name", BACKEND_NAMES)
-    def test_stuck_at_needs_no_seeds(self, name):
+    def test_stuck_at_needs_no_stream(self, name):
         backend = make_backend(name, AND2, "trim")
         outcomes = backend.run_trials(
             [AND2_INPUTS], fault_model=FaultModelSpec.stuck_at((0,), 0)
@@ -237,19 +242,19 @@ class TestFaultModelSurface:
         assert bool(outcomes.outputs_correct[0])
 
     @pytest.mark.parametrize("name", BACKEND_NAMES)
-    def test_seeds_with_non_drawing_fault_model_rejected(self, name):
-        # An unresolved ("inherit") spec draws nothing; seeds alongside it
+    def test_stream_with_non_drawing_fault_model_rejected(self, name):
+        # An unresolved ("inherit") spec draws nothing; a stream alongside it
         # would silently run fault-free and masquerade as 100% coverage.
         backend = make_backend(name, AND2, "ecim")
-        with pytest.raises(ProtectionError, match="draws nothing"):
+        with pytest.raises(ProtectionError, match="no effect"):
             backend.run_trials(
-                [AND2_INPUTS], fault_model=FaultModelSpec.burst(3, 8), fault_seeds=[1]
+                [AND2_INPUTS], fault_model=FaultModelSpec.burst(3, 8), stream=_stream(1)
             )
-        with pytest.raises(ProtectionError, match="draws nothing"):
+        with pytest.raises(ProtectionError, match="no effect"):
             backend.run_trials(
                 [AND2_INPUTS],
                 fault_model=FaultModelSpec.stuck_at((0,), 1),
-                fault_seeds=[1],
+                stream=_stream(1),
             )
 
 
@@ -260,17 +265,33 @@ class TestFaultModelSurface:
 
 
 class TestStochasticEquivalence:
-    def test_fixed_seeds_reproduce_on_both_backends(self):
+    def test_fixed_stream_reproduces_byte_identically_on_every_backend(self):
         netlist = get_campaign_workload("dot2").netlist
-        model = FaultModel(gate_error_rate=5e-3)
-        seeds = [derive_seed(3, t, "faults") for t in range(50)]
+        spec = FaultModelSpec.stochastic(gate_error_rate=5e-3)
+        stream = TrialStream.keyed((3,), range(50))
         rows = [sample_inputs(netlist, __import__("random").Random(t)) for t in range(50)]
+        outcomes = []
         for name in BACKEND_NAMES:
             backend = make_backend(name, netlist, "ecim")
-            first = backend.run_trials(rows, model=model, fault_seeds=seeds)
-            again = backend.run_trials(rows, model=model, fault_seeds=seeds)
+            first = backend.run_trials(rows, fault_model=spec, stream=stream)
+            again = backend.run_trials(rows, fault_model=spec, stream=stream)
             assert first.counts() == again.counts()
             assert np.array_equal(first.faults_injected, again.faults_injected)
+            outcomes.append(first)
+        assert all(o.counts() == outcomes[0].counts() for o in outcomes)
+        assert outcomes[0].counts()["faulty_trials"] > 0
+
+    @pytest.mark.parametrize("scheme", ["unprotected", "ecim", "trim"])
+    def test_scalar_dry_run_counts_the_tape_sites(self, scheme):
+        # The scalar backend counts its fault sites by a dry run; the tape
+        # backends read them off the compiled plan — they must agree, or
+        # the same schedule would land on different sites.
+        netlist = get_campaign_workload("dot2").netlist
+        scalar = make_backend("scalar", netlist, scheme).fault_sites
+        tape = make_backend("batched", netlist, scheme).plan.fault_sites
+        for name in ("gate", "metadata", "preset", "memory"):
+            assert scalar.size(name) == tape.size(name), name
+        assert np.array_equal(scalar.output_ops, tape.output_ops)
 
     def test_protocol_is_abstract(self):
         with pytest.raises(TypeError):

@@ -6,8 +6,8 @@ The contract under test (see ``repro/core/batched.py``):
 * exhaustive deterministic single-fault executions match the scalar
   :class:`DeterministicFaultInjector` path exactly, per site — and uphold
   the SEP guarantee (no silent corruption) under ECiM/TRiM;
-* stochastic executions are reproducible for a fixed seed and invariant to
-  batch composition.
+* stochastic executions are reproducible for a fixed stream and invariant
+  to batch composition.
 """
 
 import itertools
@@ -24,8 +24,9 @@ from repro.core.batched import (
     sample_input_matrix,
 )
 from repro.core.executor import EcimExecutor, TrimExecutor, UnprotectedExecutor
+from repro.core.rng import TrialStream
 from repro.errors import ProtectionError
-from repro.pim.faults import DeterministicFaultInjector, FaultModel
+from repro.pim.faults import DeterministicFaultInjector, FaultModelSpec
 from repro.pim.operations import NullTrace
 
 EXECUTORS = {
@@ -33,6 +34,10 @@ EXECUTORS = {
     "ecim": EcimExecutor,
     "trim": TrimExecutor,
 }
+
+
+def _stream(tag, trials):
+    return TrialStream.keyed((tag,), trials)
 
 
 def scalar_report(netlist, scheme, multi_output, inputs, injector=None):
@@ -55,19 +60,21 @@ class TestGolden:
     @pytest.mark.parametrize("workload", ["and2", "dot2", "mac4"])
     def test_batched_golden_matches_netlist_evaluation(self, workload):
         netlist = get_campaign_workload(workload).netlist
-        matrix = sample_input_matrix(netlist, list(range(16)))
+        matrix = sample_input_matrix(netlist, _stream("golden", range(16)))
         golden = batched_golden_outputs(netlist, matrix)
         for row in range(matrix.shape[0]):
             expected = netlist.evaluate_outputs(dict(zip(netlist.inputs, map(int, matrix[row]))))
             assert list(golden[row]) == [expected[s] for s in netlist.outputs]
 
-    def test_sample_input_matrix_matches_scalar_sampler(self):
+    def test_sample_input_matrix_is_one_stream_draw_per_trial(self):
+        # Row t depends on trial t alone: any sub-batch draws the same rows.
         netlist = get_campaign_workload("dot2").netlist
-        seeds = [101, 202, 303]
-        matrix = sample_input_matrix(netlist, seeds)
-        for row, seed in enumerate(seeds):
-            scalar = sample_inputs(netlist, random.Random(seed))
-            assert list(matrix[row]) == [scalar[s] for s in netlist.inputs]
+        stream = _stream("inputs", range(101, 140))
+        matrix = sample_input_matrix(netlist, stream)
+        assert matrix.shape == (39, len(netlist.inputs))
+        assert np.array_equal(matrix, stream.input_bits(len(netlist.inputs)))
+        assert np.array_equal(sample_input_matrix(netlist, stream[5:9]), matrix[5:9])
+        assert 0 < matrix.mean() < 1
 
 
 class TestFaultFreeExactMatch:
@@ -79,12 +86,15 @@ class TestFaultFreeExactMatch:
     def test_outputs_checks_and_corrections_match_scalar(self, workload, scheme, multi_output):
         netlist = get_campaign_workload(workload).netlist
         plan = compile_plan(netlist, scheme, multi_output=multi_output)
-        seeds = list(range(12))
-        matrix = sample_input_matrix(netlist, seeds)
+        matrix = np.array(
+            [[sample_inputs(netlist, random.Random(seed))[s] for s in netlist.inputs]
+             for seed in range(12)],
+            dtype=np.uint8,
+        )
         result = run_batch(plan, matrix)
-        for row, seed in enumerate(seeds):
+        for row in range(matrix.shape[0]):
             report = scalar_report(
-                netlist, scheme, multi_output, sample_inputs(netlist, random.Random(seed))
+                netlist, scheme, multi_output, dict(zip(netlist.inputs, map(int, matrix[row])))
             )
             assert_trial_matches(result, row, report, netlist, (workload, scheme, multi_output, row))
         assert not result.detected.any()
@@ -149,28 +159,26 @@ class TestStochasticDeterminism:
     def _spec(self, batch):
         netlist = get_campaign_workload("dot2").netlist
         plan = compile_plan(netlist, "ecim")
-        input_seeds = list(range(1000, 1000 + batch))
-        fault_seeds = list(range(2000, 2000 + batch))
-        matrix = sample_input_matrix(netlist, input_seeds)
-        return plan, matrix, fault_seeds
+        stream = _stream("determinism", range(1000, 1000 + batch))
+        return plan, sample_input_matrix(netlist, stream), stream
 
     def test_same_seeds_same_outcomes(self):
-        plan, matrix, fault_seeds = self._spec(50)
-        model = FaultModel(gate_error_rate=1e-2)
-        first = run_batch(plan, matrix, model, fault_seeds)
-        second = run_batch(plan, matrix, model, fault_seeds)
+        plan, matrix, stream = self._spec(50)
+        model = FaultModelSpec.stochastic(gate_error_rate=1e-2)
+        first = run_batch(plan, matrix, fault_model=model, stream=stream)
+        second = run_batch(plan, matrix, fault_model=model, stream=stream)
         assert np.array_equal(first.outputs, second.outputs)
         assert first.counts() == second.counts()
 
     def test_outcomes_invariant_to_batch_composition(self):
-        # A trial's Philox stream is keyed by its own seed, so splitting the
+        # A trial's draws are addressed by its own index, so splitting the
         # batch differently must not change any per-trial outcome.
-        plan, matrix, fault_seeds = self._spec(40)
-        model = FaultModel(gate_error_rate=1e-2, memory_error_rate=1e-3)
-        whole = run_batch(plan, matrix, model, fault_seeds)
+        plan, matrix, stream = self._spec(40)
+        model = FaultModelSpec.stochastic(gate_error_rate=1e-2, memory_error_rate=1e-3)
+        whole = run_batch(plan, matrix, fault_model=model, stream=stream)
         split_at = 13
-        front = run_batch(plan, matrix[:split_at], model, fault_seeds[:split_at])
-        back = run_batch(plan, matrix[split_at:], model, fault_seeds[split_at:])
+        front = run_batch(plan, matrix[:split_at], fault_model=model, stream=stream[:split_at])
+        back = run_batch(plan, matrix[split_at:], fault_model=model, stream=stream[split_at:])
         assert np.array_equal(whole.outputs, np.vstack([front.outputs, back.outputs]))
         assert np.array_equal(
             whole.faults_injected,
@@ -179,10 +187,11 @@ class TestStochasticDeterminism:
         assert np.array_equal(whole.detected, np.concatenate([front.detected, back.detected]))
 
     def test_different_seeds_differ(self):
-        plan, matrix, fault_seeds = self._spec(60)
-        model = FaultModel(gate_error_rate=1e-2)
-        a = run_batch(plan, matrix, model, fault_seeds)
-        b = run_batch(plan, matrix, model, [s + 10_000 for s in fault_seeds])
+        plan, matrix, stream = self._spec(60)
+        model = FaultModelSpec.stochastic(gate_error_rate=1e-2)
+        a = run_batch(plan, matrix, fault_model=model, stream=stream)
+        other = TrialStream(stream.key + 1, stream.trials)
+        b = run_batch(plan, matrix, fault_model=model, stream=other)
         assert not np.array_equal(a.faults_injected, b.faults_injected)
 
 
@@ -198,11 +207,15 @@ class TestValidation:
         with pytest.raises(ProtectionError):
             run_batch(plan, np.zeros((4, 7), dtype=np.uint8))
 
-    def test_missing_fault_seeds_rejected(self):
+    def test_missing_stream_rejected(self):
         netlist = get_campaign_workload("and2").netlist
         plan = compile_plan(netlist, "unprotected")
         with pytest.raises(ProtectionError):
-            run_batch(plan, np.zeros((4, 2), dtype=np.uint8), FaultModel(gate_error_rate=0.1))
+            run_batch(
+                plan,
+                np.zeros((4, 2), dtype=np.uint8),
+                fault_model=FaultModelSpec.stochastic(gate_error_rate=0.1),
+            )
 
     def test_empty_batch_rejected(self):
         netlist = get_campaign_workload("and2").netlist

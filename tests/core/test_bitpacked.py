@@ -5,9 +5,9 @@ The systematic cross-backend grid lives in ``tests/differential/``; this
 module owns the engine-local properties that grid cannot see — the
 pack/unpack transposition contract (ragged batches, tail bits never set,
 int XOR vs uint8 XOR), the gate records against the truth tables, the SoA
-lowering and int-tape invariants, and the legacy skip-sampling stream
-discipline (reproducible, batch-composition-invariant, statistically
-faithful).
+lowering and int-tape invariants, and the engine's consumption of the
+shared stochastic stream (reproducible, batch-composition-invariant,
+statistically faithful).
 """
 
 import numpy as np
@@ -16,15 +16,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.campaign.workloads import get_campaign_workload
-from repro.core.backend import BitpackedBackend, derive_seed, make_backend
+from repro.core.backend import BitpackedBackend, make_backend
 from repro.core.batched import batched_golden_outputs, compile_plan, sample_input_matrix
 from repro.core.bitpacked import (
     _ECIM,
     _flip_table,
     _gate_record,
     _int_tape,
-    _legacy_events,
     _Machine,
+    _scheduled_events,
     _table_program,
     bitpacked_golden_outputs,
     pack_trials,
@@ -40,8 +40,9 @@ from repro.core.soa import (
     _table_key,
     lower_plan,
 )
+from repro.core.rng import TrialStream, fault_schedule
 from repro.errors import ProtectionError
-from repro.pim.faults import FaultModel, FaultModelSpec
+from repro.pim.faults import FaultModelSpec
 from repro.pim.vector import truth_table, vector_gate_output
 
 OUTCOME_FIELDS = (
@@ -52,6 +53,10 @@ OUTCOME_FIELDS = (
     "faults_injected",
     "outputs",
 )
+
+
+def _stream(tag, batch):
+    return TrialStream.keyed((tag,), range(batch))
 
 
 def _assert_outcomes_equal(left, right, context):
@@ -231,15 +236,28 @@ class TestSoaLowering:
         assert len(soa.tables) == len(set(soa.tables))
         assert len(soa.tables) < soa.n_gate_steps  # real plans repeat gates
 
-    def test_site_tables_partition_gate_outputs(self, soa):
+    def test_site_map_partitions_gate_outputs(self, soa):
+        site_map = soa.plan.site_map
+        classes = site_map.classes
         total_outputs = int(soa.gate_out_ptr[-1])
-        assert soa.n_gate_output_sites == total_outputs
-        assert (
-            soa.gate_site_step.shape[0] + soa.meta_site_step.shape[0]
-            == total_outputs
+        n_presets, n_reads = int(soa.preset_ptr[-1]), int(soa.read_ptr[-1])
+        assert site_map.steps.shape[0] == total_outputs + n_presets + n_reads
+        # Entries 0.. are the gate outputs in firing order: the SoA's CSR.
+        assert np.array_equal(site_map.columns[:total_outputs], soa.gate_out_cols)
+        gate_and_metadata = np.concatenate([classes["gate"], classes["metadata"]])
+        assert np.array_equal(np.sort(gate_and_metadata), np.arange(total_outputs))
+        # Every gate output is preset (count-only), then every preset cell.
+        preset = classes["preset"]
+        assert preset.shape[0] == total_outputs + n_presets
+        assert int((preset < 0).sum()) == total_outputs
+        held = preset[preset >= 0]
+        assert np.array_equal(np.sort(held), np.arange(total_outputs, total_outputs + n_presets))
+        steps = np.where(preset >= 0, site_map.steps[np.maximum(preset, 0)], -1)
+        assert np.all(np.diff(steps[preset >= 0]) >= 0)
+        assert np.array_equal(
+            classes["memory"], np.arange(total_outputs + n_presets, site_map.steps.shape[0])
         )
-        assert soa.preset_site_step.shape[0] == int(soa.preset_ptr[-1])
-        assert soa.read_site_step.shape[0] == int(soa.read_ptr[-1])
+        assert np.array_equal(site_map.columns[classes["memory"]], soa.read_cols)
 
     def test_buffers_are_frozen(self, soa):
         with pytest.raises(ValueError):
@@ -266,29 +284,29 @@ class TestRaggedBatchParity:
     @pytest.mark.parametrize("batch", [1, 63, 64, 65, 128, 130])
     def test_declarative_stochastic_byte_identical(self, backends, batch):
         batched, bitpacked = backends
-        seeds = [derive_seed("ragged", trial, "faults") for trial in range(batch)]
-        matrix = sample_input_matrix(batched.netlist, seeds)
+        stream = _stream("ragged", batch)
+        matrix = sample_input_matrix(batched.netlist, stream)
         spec = FaultModelSpec.stochastic(
             gate_error_rate=0.03, memory_error_rate=0.01, preset_error_rate=0.01
         )
         _assert_outcomes_equal(
-            batched.run_trials(matrix, fault_model=spec, fault_seeds=seeds, capture_outputs=True),
-            bitpacked.run_trials(matrix, fault_model=spec, fault_seeds=seeds, capture_outputs=True),
+            batched.run_trials(matrix, fault_model=spec, stream=stream, capture_outputs=True),
+            bitpacked.run_trials(matrix, fault_model=spec, stream=stream, capture_outputs=True),
             batch,
         )
 
     @pytest.mark.parametrize("batch", [63, 64, 65])
     def test_burst_byte_identical(self, backends, batch):
         batched, bitpacked = backends
-        seeds = [derive_seed("ragged-burst", trial) for trial in range(batch)]
-        matrix = sample_input_matrix(batched.netlist, seeds)
+        stream = _stream("ragged-burst", batch)
+        matrix = sample_input_matrix(batched.netlist, stream)
         spec = FaultModelSpec.burst(
             burst_length=3, correlation_window=6, gate_error_rate=0.02,
             memory_error_rate=0.01,
         )
         _assert_outcomes_equal(
-            batched.run_trials(matrix, fault_model=spec, fault_seeds=seeds, capture_outputs=True),
-            bitpacked.run_trials(matrix, fault_model=spec, fault_seeds=seeds, capture_outputs=True),
+            batched.run_trials(matrix, fault_model=spec, stream=stream, capture_outputs=True),
+            bitpacked.run_trials(matrix, fault_model=spec, stream=stream, capture_outputs=True),
             batch,
         )
 
@@ -297,13 +315,12 @@ class TestRaggedBatchParity:
 
         batched, bitpacked = backends
         batch = 70
-        seeds = [derive_seed("ragged-plan", trial) for trial in range(batch)]
-        matrix = sample_input_matrix(batched.netlist, seeds)
+        matrix = sample_input_matrix(batched.netlist, _stream("ragged-plan", batch))
         sites = batched.plan.gate_fault_sites()
         plans = []
-        for seed in seeds:
+        for trial in range(batch):
             entry = {}
-            for op, pos in random.Random(seed).sample(sites, 2):
+            for op, pos in random.Random(trial).sample(sites, 2):
                 entry.setdefault(op, []).append(pos)
             plans.append(entry)
         _assert_outcomes_equal(
@@ -314,35 +331,33 @@ class TestRaggedBatchParity:
 
 
 # ---------------------------------------------------------------------- #
-# Legacy skip-sampled stream discipline
+# The shared stochastic stream, as this engine consumes it
 # ---------------------------------------------------------------------- #
-class TestLegacyStreams:
+class TestStochasticStreams:
     @pytest.fixture(scope="class")
     def backend(self):
         netlist = get_campaign_workload("dot2").netlist
         return make_backend("bitpacked", netlist, "ecim")
 
     def test_reproducible_for_fixed_seeds(self, backend):
-        seeds = [derive_seed("legacy", t, "faults") for t in range(100)]
-        matrix = sample_input_matrix(backend.netlist, seeds)
-        model = FaultModel(gate_error_rate=2e-3, memory_error_rate=1e-3)
-        first = backend.run_trials(matrix, model=model, fault_seeds=seeds, capture_outputs=True)
-        again = backend.run_trials(matrix, model=model, fault_seeds=seeds, capture_outputs=True)
+        stream = _stream("stochastic", 100)
+        matrix = sample_input_matrix(backend.netlist, stream)
+        spec = FaultModelSpec.stochastic(gate_error_rate=2e-3, memory_error_rate=1e-3)
+        first = backend.run_trials(matrix, fault_model=spec, stream=stream, capture_outputs=True)
+        again = backend.run_trials(matrix, fault_model=spec, stream=stream, capture_outputs=True)
         _assert_outcomes_equal(first, again, "repro")
 
     def test_batch_composition_invariance(self, backend):
-        # A trial's outcome depends only on its own seeds, never on shard
-        # size or neighbours — the property that makes sharded campaigns
-        # placement-independent.
-        seeds = [derive_seed("legacy-invar", t, "faults") for t in range(130)]
-        matrix = sample_input_matrix(backend.netlist, seeds)
-        model = FaultModel(gate_error_rate=5e-3, memory_error_rate=1e-3)
-        whole = backend.run_trials(
-            matrix, model=model, fault_seeds=seeds, capture_outputs=True
-        )
+        # A trial's outcome depends only on its own stream row, never on
+        # shard size or neighbours — the property that makes sharded
+        # campaigns placement-independent.
+        stream = _stream("stochastic-invar", 130)
+        matrix = sample_input_matrix(backend.netlist, stream)
+        spec = FaultModelSpec.stochastic(gate_error_rate=5e-3, memory_error_rate=1e-3)
+        whole = backend.run_trials(matrix, fault_model=spec, stream=stream, capture_outputs=True)
         for lo, hi in ((0, 1), (17, 18), (60, 70), (100, 130)):
             part = backend.run_trials(
-                matrix[lo:hi], model=model, fault_seeds=seeds[lo:hi], capture_outputs=True
+                matrix[lo:hi], fault_model=spec, stream=stream[lo:hi], capture_outputs=True
             )
             for field in OUTCOME_FIELDS:
                 assert np.array_equal(
@@ -355,27 +370,27 @@ class TestLegacyStreams:
         # sigma of the binomial).
         rate = 1e-3
         trials = 4000
-        seeds = [derive_seed("legacy-stats", t, "faults") for t in range(trials)]
-        matrix = sample_input_matrix(backend.netlist, seeds)
+        stream = _stream("stochastic-stats", trials)
+        matrix = sample_input_matrix(backend.netlist, stream)
         outcomes = backend.run_trials(
-            matrix, model=FaultModel(gate_error_rate=rate), fault_seeds=seeds
+            matrix, fault_model=FaultModelSpec.stochastic(gate_error_rate=rate), stream=stream
         )
         # metadata_error_rate falls back to the gate rate, so every gate
         # output (metadata included) is a site at this rate.
-        sites = backend.soa.n_gate_output_sites
+        sites = len(backend.plan.fault_sites.output_ops)
         expected = trials * sites * rate
         sigma = (trials * sites * rate * (1 - rate)) ** 0.5
         observed = int(outcomes.faults_injected.sum())
         assert abs(observed - expected) < 5 * sigma, (observed, expected)
 
     def test_rate_one_hits_every_site(self, backend):
-        seeds = [derive_seed("legacy-sat", t) for t in range(3)]
-        matrix = sample_input_matrix(backend.netlist, seeds)
+        stream = _stream("stochastic-sat", 3)
+        matrix = sample_input_matrix(backend.netlist, stream)
         outcomes = backend.run_trials(
-            matrix, model=FaultModel(gate_error_rate=1.0), fault_seeds=seeds
+            matrix, fault_model=FaultModelSpec.stochastic(gate_error_rate=1.0), stream=stream
         )
         # Gate and (fallback-rate) metadata outputs all flip, every trial.
-        assert np.all(outcomes.faults_injected == backend.soa.n_gate_output_sites)
+        assert np.all(outcomes.faults_injected == len(backend.plan.fault_sites.output_ops))
 
 
 # ---------------------------------------------------------------------- #
@@ -406,8 +421,7 @@ class TestBitpackedBackendSurface:
 
     def test_golden_outputs_match_the_batched_model(self):
         netlist = get_campaign_workload("fft4").netlist
-        seeds = [derive_seed("golden-int", trial) for trial in range(77)]
-        matrix = sample_input_matrix(netlist, seeds)
+        matrix = sample_input_matrix(netlist, _stream("golden-int", 77))
         assert np.array_equal(
             bitpacked_golden_outputs(netlist, pack_trials(matrix), 77),
             batched_golden_outputs(netlist, matrix),
@@ -455,11 +469,11 @@ class TestIntTape:
 
     @pytest.mark.parametrize("batch", [1, 63, 65, 130])
     def test_state_ints_never_set_tail_bits(self, soa, batch):
-        seeds = [derive_seed("tail", trial) for trial in range(batch)]
-        matrix = sample_input_matrix(soa.plan.netlist, seeds)
-        keys, trials, _ = _legacy_events(
-            soa, FaultModel(gate_error_rate=0.05, memory_error_rate=0.05), seeds, batch
-        )
+        stream = _stream("tail", batch)
+        matrix = sample_input_matrix(soa.plan.netlist, stream)
+        spec = FaultModelSpec.stochastic(gate_error_rate=0.05, memory_error_rate=0.05)
+        schedule = fault_schedule(spec, stream, soa.plan.fault_sites, batch)
+        keys, trials = _scheduled_events(soa.plan, schedule)
         tape = _int_tape(soa)
         machine = _Machine([0] * soa.n_cols, batch)
         machine.state[tape.const1_col] = machine.full

@@ -4,7 +4,7 @@ This package is the single systematic scalar-vs-batched equivalence surface
 (ISSUE 5): every *(workload x scheme x gate-style x fault-model)* cell is
 compiled once per session and every registered candidate backend must
 produce **byte-identical** :class:`~repro.core.backend.TrialOutcomes`
-against the scalar reference from shared per-trial seeds — counters, all
+against the scalar reference from one shared trial stream — counters, all
 five per-trial vectors and the captured output bit matrix that application
 scoring consumes.
 
@@ -16,29 +16,29 @@ grid applies to it automatically.
 The four fault models of the grid mirror the scalar injector family:
 
 * ``stochastic`` — independent Bernoulli flips (gate + memory + preset +
-  metadata rates), Philox streams shared across backends;
+  metadata rates), one fault schedule shared across backends;
 * ``burst`` — correlated bursts (trigger rate, length, correlation window)
   plus independent memory errors;
 * ``stuck-at`` — permanent faults on a data output column and the last
   metadata column of the cell's layout;
 * ``plan`` — deterministic two-flip plans per trial, drawn from the trial's
-  fault seed over the backend-enumerated site list.
+  plan stream over the backend-enumerated site list.
 
 Rates are deliberately high so that a significant fraction of trials
 injects faults — a differential test on an all-clean batch proves nothing.
 """
 
 import itertools
-import random
 
 import numpy as np
 
 from repro.campaign.workloads import get_campaign_workload
-from repro.core.backend import derive_seed, make_backend
+from repro.core.backend import make_backend
 from repro.core.batched import sample_input_matrix
+from repro.core.rng import TrialStream
 from repro.pim.faults import FaultModelSpec
 
-#: The bit-exact legacy engine every candidate is measured against.
+#: The object-model engine every candidate is measured against.
 REFERENCE_BACKEND = "scalar"
 
 #: Candidate backends under differential test.  A future backend joins the
@@ -81,7 +81,7 @@ def _grid_id(cell):
 
 class DifferentialCell:
     """One compiled grid cell: reference + candidate backends and the shared
-    per-trial inputs/seeds every fault model reuses."""
+    inputs and trial stream every fault model reuses."""
 
     def __init__(self, workload, scheme, multi_output):
         self.workload = workload
@@ -96,15 +96,8 @@ class DifferentialCell:
             for name, build in BACKEND_FACTORIES.items()
         }
         self.trials = TRIAL_COUNTS.get(workload, TRIALS)
-        self.input_seeds = [
-            derive_seed(SEED, workload, scheme, multi_output, trial, "inputs")
-            for trial in range(self.trials)
-        ]
-        self.fault_seeds = [
-            derive_seed(SEED, workload, scheme, multi_output, trial, "faults")
-            for trial in range(self.trials)
-        ]
-        self.inputs = sample_input_matrix(netlist, self.input_seeds)
+        self.stream = TrialStream.keyed((SEED, workload, scheme, multi_output), range(self.trials))
+        self.inputs = sample_input_matrix(netlist, self.stream)
         # Column layout is shared between backends (the tape compiler reuses
         # the scalar executor's layout verbatim), so the batched plan is the
         # cheap way to pick valid stuck columns for both.
@@ -139,7 +132,7 @@ class DifferentialCell:
                     preset_error_rate=0.005,
                     metadata_error_rate=0.03,
                 ),
-                fault_seeds=self.fault_seeds,
+                stream=self.stream,
             )
         if kind == "burst":
             return dict(
@@ -149,7 +142,7 @@ class DifferentialCell:
                     gate_error_rate=0.01,
                     memory_error_rate=0.005,
                 ),
-                fault_seeds=self.fault_seeds,
+                stream=self.stream,
             )
         if kind == "stuck-at":
             return dict(
@@ -161,10 +154,9 @@ class DifferentialCell:
 
     def _two_flip_plans(self):
         """Deterministic two-flip plans per trial, campaign-style: uniform
-        site pairs drawn from each trial's fault seed."""
+        site pairs drawn from each trial's plan stream."""
         plans = []
-        for seed in self.fault_seeds:
-            chosen = random.Random(seed).sample(range(len(self.sites)), 2)
+        for chosen in self.stream.subsets(len(self.sites), 2).tolist():
             entry = {}
             for index in chosen:
                 site = self.sites[index]

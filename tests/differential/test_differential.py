@@ -5,7 +5,7 @@ against the scalar reference:
 
 * byte-identical ``TrialOutcomes`` (counters + per-trial vectors) for all
   four fault models on every (workload x scheme x gate-style) cell, from
-  shared per-trial seeds;
+  one shared trial stream;
 * identical fault-site enumeration (the property deterministic plans and
   campaign k-flip trials rest on);
 * per-site classification equality under the exhaustive single-fault SEP
@@ -39,8 +39,8 @@ CANDIDATES = tuple(sorted(BACKEND_FACTORIES))
 class TestByteIdenticalOutcomes:
     """Acceptance: byte-identical TrialOutcomes for all four fault models on
     the arithmetic workloads x both schemes (x both gate styles) plus the
-    application netlists (fft4 full-width, mlp16 runtime-bounded), shared
-    trial seeds."""
+    application netlists (fft4 full-width, mlp16 runtime-bounded), one
+    shared trial stream."""
 
     def test_outcomes_byte_identical(self, cell, kind, candidate):
         reference = cell.reference_outcomes(kind)

@@ -4,18 +4,17 @@
 The CSR :class:`~repro.core.faultplan.FaultPlanArrays` form is a pure
 re-encoding of the per-trial dict plans: lowering it must be byte-identical
 on the scalar reference and every candidate backend, the campaign worker's
-array-native plan assembly must reproduce the legacy dict construction
+array-native plan assembly must reproduce the dict construction
 draw-for-draw, and a sharded multiprocess sweep must equal the serial one
 for any job count.
 """
-
-import random
 
 import pytest
 
 from repro.campaign.workloads import get_campaign_workload
 from repro.core.backend import make_backend
 from repro.core.faultplan import FaultPlanArrays
+from repro.core.rng import TrialStream
 from repro.core.sep import exhaustive_multi_fault_injection
 
 from differential_harness import (
@@ -52,22 +51,21 @@ class TestArrayPlanEqualsDictPlan:
 
 class TestWorkerPlanAssembly:
     """The campaign worker's array-native k-flip assembly reproduces the
-    legacy per-trial dict construction (the golden counters rest on the
-    exact ``random.Random(seed).sample`` draws)."""
+    per-trial dict construction from the same plan-stream subsets."""
 
     @pytest.mark.parametrize("k", [1, 2, 3])
-    def test_draws_match_legacy_dict_construction(self, k):
+    def test_draws_match_dict_construction(self, k):
         from repro.campaign.worker import _multi_fault_plan
 
         backend = make_backend(
             "scalar", get_campaign_workload("and2").netlist, "ecim"
         )
         sites = backend.enumerate_sites()
-        fault_seeds = [1000 + trial for trial in range(24)]
-        arrays = _multi_fault_plan(backend, fault_seeds, k)
+        stream = TrialStream.keyed(("plan-assembly",), range(1000, 1024))
+        arrays = _multi_fault_plan(backend, stream, k)
         legacy = []
-        for seed in fault_seeds:
-            chosen = random.Random(seed).sample(range(len(sites)), k)
+        for chosen in stream.subsets(len(sites), k).tolist():
+            assert len(set(chosen)) == k
             entry = {}
             for index in chosen:
                 site = sites[index]

@@ -1,5 +1,6 @@
 """Tests for the experiment registry (one runner per table/figure)."""
 
+import numpy as np
 import pytest
 
 from repro.errors import UnknownExperimentError
@@ -261,27 +262,22 @@ class TestBurstExperiment:
         assert "backend" in inspect.signature(EXPERIMENTS["burst"]).parameters
 
     def test_burst_length_one_reduces_to_independent_flips(self):
-        # A burst of one is the stochastic baseline: byte-identical to the
-        # stochastic fault model at the same trigger rate and seeds.
+        # A burst of one is the stochastic baseline: every gate output,
+        # metadata included, is hit independently at the trigger rate — its
+        # flips are exactly the Bernoulli hits of the trigger stream.
         from repro.campaign.workloads import get_campaign_workload
-        from repro.core.backend import derive_seed, make_backend
-        from repro.core.batched import sample_input_matrix
+        from repro.core.backend import make_backend
+        from repro.core.rng import STREAM_BURST, TrialStream, fault_schedule
         from repro.pim.faults import FaultModelSpec
 
         netlist = get_campaign_workload("dot2").netlist
-        backend = make_backend("batched", netlist, "ecim")
-        seeds = [derive_seed(4, t, "faults") for t in range(60)]
-        inputs = sample_input_matrix(
-            netlist, [derive_seed(4, t, "inputs") for t in range(60)]
+        sites = make_backend("batched", netlist, "ecim").plan.fault_sites
+        stream = TrialStream.keyed((4, "burst-one"), range(400))
+        schedule = fault_schedule(
+            FaultModelSpec.burst(1, 4, gate_error_rate=5e-3), stream, sites, 400
         )
-        burst = backend.run_trials(
-            inputs,
-            fault_model=FaultModelSpec.burst(1, 4, gate_error_rate=5e-3),
-            fault_seeds=seeds,
-        )
-        stochastic = backend.run_trials(
-            inputs,
-            fault_model=FaultModelSpec.stochastic(gate_error_rate=5e-3),
-            fault_seeds=seeds,
-        )
-        assert burst.counts() == stochastic.counts()
+        rows, ordinals = stream.bernoulli_hits(STREAM_BURST, len(sites.output_ops), 5e-3)
+        assert rows.size > 0
+        assert np.array_equal(schedule.hits["output"][0], rows)
+        assert np.array_equal(schedule.hits["output"][1], ordinals)
+        assert np.array_equal(schedule.faults, np.bincount(rows, minlength=400))

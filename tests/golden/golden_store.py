@@ -16,14 +16,18 @@ as drift (the columns are recorded in the payload for debuggability).
 Counters are computed on the batched backend and re-verified against the
 same pins on every other byte-identical engine (``PINNED_BACKENDS``; the
 differential harness separately proves scalar produces byte-identical
-outcomes for every kind).
+outcomes for every kind).  Inputs come from the module's own per-trial
+``random.Random`` sampler, so the kinds that draw nothing (stuck-at, plan)
+pin the same numbers under any RNG contract; the stochastic and burst kinds
+draw their faults from an RNG-contract-2 trial stream.
 
-A separate file, ``legacy_bitpacked.json``, pins the legacy
-``model=FaultModel(...)`` path that plain campaigns run by default.  Legacy
-fault streams are owned by each backend, so those pins hold for
-``LEGACY_BACKEND`` only: the dot2 cells under both schemes, plus one
-paper-scale mlp16 + ECiM cell whose captured outputs are also scored
-against the integer oracle (``application_counts``).
+A separate file, ``legacy_bitpacked.json``, pins the default fault model
+plain campaigns run — the stochastic model at the cell's rates, inputs and
+faults both from the cell's trial stream — on every backend
+(``DEFAULT_CELLS``): the dot2 cells under both schemes on all three, plus
+one paper-scale mlp16 + ECiM cell, whose captured outputs are also scored
+against the integer oracle (``application_counts``), on the two tape
+engines.
 
 Regenerate after an *intentional* semantic change with::
 
@@ -50,19 +54,19 @@ BACKEND = "batched"
 PINNED_BACKENDS = ("batched", "bitpacked")
 
 
-#: The legacy-model pins: backend, and per cell (workload, scheme, trials,
-#: FaultModel rates, whether to score application counters).
-LEGACY_BACKEND = "bitpacked"
-LEGACY_CELLS = {
+#: The default-model pins, per cell: (workload, scheme, trials, stochastic
+#: rates, whether to score application counters, backends that must
+#: reproduce the pin).  The backend the pin was computed on comes first.
+DEFAULT_CELLS = {
     "dot2/ecim": ("dot2", "ecim", TRIALS, dict(
         gate_error_rate=0.003, memory_error_rate=0.002, preset_error_rate=0.002
-    ), False),
+    ), False, ("bitpacked", "batched", "scalar")),
     "dot2/trim": ("dot2", "trim", TRIALS, dict(
         gate_error_rate=0.003, memory_error_rate=0.002, preset_error_rate=0.002
-    ), False),
+    ), False, ("bitpacked", "batched", "scalar")),
     "mlp16/ecim": ("mlp16", "ecim", 64, dict(
         gate_error_rate=1e-3, memory_error_rate=1e-3, preset_error_rate=1e-3
-    ), True),
+    ), True, ("bitpacked", "batched")),
 }
 
 
@@ -90,6 +94,25 @@ def _seeds(stream: str):
     return [derive_seed(SEED, "golden", WORKLOAD, trial, stream) for trial in range(TRIALS)]
 
 
+def _inputs(netlist):
+    """Per-trial inputs from the module's own seeded sampler."""
+    import numpy as np
+
+    return np.array(
+        [
+            [rng.getrandbits(1) for _ in netlist.inputs]
+            for rng in (random.Random(seed) for seed in _seeds("inputs"))
+        ],
+        dtype=np.uint8,
+    )
+
+
+def _stream():
+    from repro.core.rng import TrialStream
+
+    return TrialStream.keyed((SEED, "golden", WORKLOAD), range(TRIALS))
+
+
 def _stuck_columns(backend) -> tuple:
     plan = backend.plan
     return (int(plan.output_cols[0]), plan.n_cols - 1)
@@ -98,7 +121,6 @@ def _stuck_columns(backend) -> tuple:
 def _run_kwargs(backend, kind: str) -> dict:
     from repro.pim.faults import FaultModelSpec
 
-    fault_seeds = _seeds("faults")
     if kind == "stochastic":
         return dict(
             fault_model=FaultModelSpec.stochastic(
@@ -107,7 +129,7 @@ def _run_kwargs(backend, kind: str) -> dict:
                 preset_error_rate=0.004,
                 metadata_error_rate=0.02,
             ),
-            fault_seeds=fault_seeds,
+            stream=_stream(),
         )
     if kind == "burst":
         return dict(
@@ -117,7 +139,7 @@ def _run_kwargs(backend, kind: str) -> dict:
                 gate_error_rate=0.008,
                 memory_error_rate=0.004,
             ),
-            fault_seeds=fault_seeds,
+            stream=_stream(),
         )
     if kind == "stuck-at":
         return dict(
@@ -126,7 +148,7 @@ def _run_kwargs(backend, kind: str) -> dict:
     if kind == "plan":
         sites = backend.enumerate_sites()
         plans = []
-        for seed in fault_seeds:
+        for seed in _seeds("faults"):
             chosen = random.Random(seed).sample(range(len(sites)), 2)
             entry = {}
             for index in chosen:
@@ -139,11 +161,8 @@ def _run_kwargs(backend, kind: str) -> dict:
 
 def compute_counts(scheme: str, kind: str, backend: str = BACKEND) -> dict:
     """Current counters for one (scheme, fault model) golden cell."""
-    from repro.core.batched import sample_input_matrix
-
     engine = _backend(scheme, backend)
-    inputs = sample_input_matrix(engine.netlist, _seeds("inputs"))
-    return engine.run_trials(inputs, **_run_kwargs(engine, kind)).counts()
+    return engine.run_trials(_inputs(engine.netlist), **_run_kwargs(engine, kind)).counts()
 
 
 def compute_payload(scheme: str) -> dict:
@@ -168,29 +187,24 @@ def load_legacy_golden() -> dict:
         return json.load(handle)
 
 
-def compute_legacy_cell(name: str) -> dict:
+def compute_legacy_cell(name: str, backend: str = "bitpacked") -> dict:
     """Current counters (and application counters, where scored) of one
-    legacy-model golden cell on :data:`LEGACY_BACKEND`."""
+    default-model golden cell on ``backend``."""
     from repro.campaign.application import application_counts, get_application_workload
     from repro.campaign.workloads import get_campaign_workload
-    from repro.core.backend import derive_seed, make_backend
+    from repro.core.backend import make_backend
     from repro.core.batched import sample_input_matrix
-    from repro.pim.faults import FaultModel
+    from repro.core.rng import TrialStream
+    from repro.pim.faults import FaultModelSpec
 
-    workload, scheme, trials, rates, scored = LEGACY_CELLS[name]
-    engine = make_backend(LEGACY_BACKEND, get_campaign_workload(workload).netlist, scheme)
-    seeds = {
-        stream: [
-            derive_seed(SEED, "golden-legacy", workload, trial, stream)
-            for trial in range(trials)
-        ]
-        for stream in ("inputs", "faults")
-    }
-    inputs = sample_input_matrix(engine.netlist, seeds["inputs"])
+    workload, scheme, trials, rates, scored, _ = DEFAULT_CELLS[name]
+    engine = make_backend(backend, get_campaign_workload(workload).netlist, scheme)
+    stream = TrialStream.keyed((SEED, "golden-default", workload), range(trials))
+    inputs = sample_input_matrix(engine.netlist, stream)
     outcomes = engine.run_trials(
         inputs,
-        model=FaultModel(**rates),
-        fault_seeds=seeds["faults"],
+        fault_model=FaultModelSpec.stochastic(**rates),
+        stream=stream,
         capture_outputs=scored,
     )
     cell = {"trials": trials, "rates": rates, "counters": outcomes.counts()}
@@ -203,9 +217,10 @@ def compute_legacy_cell(name: str) -> dict:
 
 def compute_legacy_payload() -> dict:
     return {
-        "backend": LEGACY_BACKEND,
         "seed": SEED,
-        "cells": {name: compute_legacy_cell(name) for name in LEGACY_CELLS},
+        "cells": {
+            name: compute_legacy_cell(name, cell[5][0]) for name, cell in DEFAULT_CELLS.items()
+        },
     }
 
 

@@ -48,24 +48,32 @@ class TestGoldenCounters:
             assert counters["faults_injected"] > 0, kind
 
 
-@pytest.mark.parametrize("cell", sorted(golden_store.LEGACY_CELLS))
-class TestLegacyGoldenCounters:
-    """The default campaign fault source, ``model=FaultModel(...)``, pinned on
-    the one backend whose skip-sampled streams the pins record."""
+DEFAULT_PINS = [
+    (name, backend)
+    for name, cell in sorted(golden_store.DEFAULT_CELLS.items())
+    for backend in cell[5]
+]
 
-    def test_counters_match_golden(self, cell):
+
+class TestDefaultModelGoldenCounters:
+    """The default campaign fault source — the stochastic model at the
+    cell's rates — pinned once and reproduced on every backend."""
+
+    @pytest.mark.parametrize("cell,backend", DEFAULT_PINS)
+    def test_counters_match_golden(self, cell, backend):
         stored = golden_store.load_legacy_golden()
-        assert stored["backend"] == golden_store.LEGACY_BACKEND
         assert stored["seed"] == golden_store.SEED
-        computed = golden_store.compute_legacy_cell(cell)
+        computed = golden_store.compute_legacy_cell(cell, backend)
         assert computed == stored["cells"][cell], (
-            f"legacy golden drift in {cell}: if this change is intentional, "
-            "regenerate with PYTHONPATH=src python tests/golden/golden_store.py --write"
+            f"default-model golden drift in {cell} on {backend}: if this change "
+            "is intentional, regenerate with "
+            "PYTHONPATH=src python tests/golden/golden_store.py --write"
         )
 
+    @pytest.mark.parametrize("cell", sorted(golden_store.DEFAULT_CELLS))
     def test_goldens_inject_and_carry_the_schema(self, cell):
         pinned = golden_store.load_legacy_golden()["cells"][cell]
         assert set(pinned["counters"]) == set(COUNT_KEYS)
         assert pinned["counters"]["faulty_trials"] > 0
-        if golden_store.LEGACY_CELLS[cell][4]:
+        if golden_store.DEFAULT_CELLS[cell][4]:
             assert pinned["application"]["app_trials"] == pinned["trials"]

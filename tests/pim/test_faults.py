@@ -14,7 +14,7 @@ from repro.pim.faults import (
     FaultModel,
     FaultModelSpec,
     NoFaultInjector,
-    PhiloxRandom,
+    ScheduledFaultInjector,
     StochasticFaultInjector,
     StuckAtFaultInjector,
     parse_fault_model,
@@ -433,31 +433,42 @@ class TestFaultModelSpec:
         stuck = FaultModelSpec.stuck_at((3,))
         assert stuck.resolved(0.5, 0.5) is stuck  # deterministic: no rates
 
-    def test_needs_seeds_and_error_free(self):
-        assert FaultModelSpec.stochastic(0.1).needs_seeds
-        assert FaultModelSpec.burst(2, 4, gate_error_rate=0.1).needs_seeds
-        assert not FaultModelSpec.stuck_at((1,)).needs_seeds
+    def test_needs_stream_and_error_free(self):
+        assert FaultModelSpec.stochastic(0.1).needs_stream
+        assert FaultModelSpec.burst(2, 4, gate_error_rate=0.1).needs_stream
+        assert not FaultModelSpec.stuck_at((1,)).needs_stream
         assert FaultModelSpec.stochastic().is_error_free
-        assert not FaultModelSpec.stochastic().needs_seeds
+        assert not FaultModelSpec.stochastic().needs_stream
 
-    def test_make_injector_builds_the_matching_scalar_class(self):
-        assert isinstance(
-            FaultModelSpec.stochastic(0.1).make_injector(seed=1), StochasticFaultInjector
+    def test_scheduled_injector_flips_at_class_ordinals(self):
+        injector = ScheduledFaultInjector(
+            {"gate": [1], "metadata": [0], "preset": [2], "memory": [0, 1]}
         )
-        assert isinstance(
-            FaultModelSpec.burst(2, 4, gate_error_rate=0.1).make_injector(seed=1),
-            BurstFaultInjector,
-        )
-        assert isinstance(FaultModelSpec.stuck_at((1,)).make_injector(), StuckAtFaultInjector)
-        with pytest.raises(PimError):
-            FaultModelSpec.stochastic(0.1).make_injector()  # drawing model, no seed
+        gate = [injector.corrupt_gate_output(0, SITE, op) for op in range(3)]
+        meta = [injector.corrupt_gate_output(0, SITE, 3 + op, is_metadata=True) for op in range(2)]
+        presets = [injector.corrupt_preset(1, SITE, 0) for _ in range(3)]
+        stored = [injector.corrupt_stored_bit(1, SITE) for _ in range(3)]
+        assert gate == [0, 1, 0]
+        assert meta == [1, 0]
+        assert presets == [1, 1, 0]
+        assert stored == [0, 0, 1]
+        kinds = [event.kind for event in injector.log.events]
+        assert kinds == [
+            FaultKind.LOGIC, FaultKind.METADATA, FaultKind.PRESET,
+            FaultKind.MEMORY, FaultKind.MEMORY,
+        ]
 
-    def test_philox_random_matches_numpy_stream(self):
-        import numpy as np
-
-        generator = np.random.Generator(np.random.Philox(key=99))
-        rng = PhiloxRandom(99)
-        assert [rng.random() for _ in range(16)] == list(generator.random(16))
+    def test_scheduled_injector_output_class_spans_metadata(self):
+        # The burst model's sites are every gate output, metadata included.
+        injector = ScheduledFaultInjector({"output": [1, 2]})
+        values = [
+            injector.corrupt_gate_output(0, SITE, 0),
+            injector.corrupt_gate_output(0, SITE, 0, is_metadata=True),
+            injector.corrupt_gate_output(0, SITE, 1),
+            injector.corrupt_gate_output(0, SITE, 2, is_metadata=True),
+        ]
+        assert values == [0, 1, 1, 0]
+        assert injector.log.count() == 2
 
     def test_stuck_cells_site_map(self):
         spec = FaultModelSpec.stuck_at((2, 9), 1)
