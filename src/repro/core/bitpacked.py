@@ -12,12 +12,25 @@ costs a few big-int ops regardless of B, with no per-step numpy dispatch.
 The interpreter walks a compact int tape lowered once per
 :class:`~repro.core.soa.SoaPlan` and cached: one interned record per step
 (opcode plus column ints), so the ~40k-step mlp16 + ECiM tape holds only
-its few thousand distinct records.  Every fault source is lowered once per
-call to one XOR int per (tape step, column) with whole-array numpy passes;
-the interpreter XORs them in right after their step executes.  numpy is
-touched again only for per-trial vectors: an ECiM level's syndrome decode
-(or a TRiM level's correction count) when its syndrome (or disagreement)
-int is non-zero, and the final unpack.
+its few thousand distinct records.  The fault path stays in int ops too:
+
+* every fault source is lowered once per call to one XOR int per fault
+  site, through the tape's per-plan index of sites in tape order — one
+  ``np.bincount`` finds the hit sites, already in step order; a site hit
+  in one trial is ``1 << trial``, the rest are packed bit rows — and the
+  interpreter XORs them in right after their step executes;
+* an ECiM level whose syndrome ints fire splits the fired trials by
+  syndrome value, one syndrome bit at a time, and XORs each group's trial
+  mask into the data columns its decode-table entry flips (a dict built
+  from the level's LUT slice), so decoding costs big-int ops per syndrome
+  value present, not per trial;
+* per-trial correction, uncorrectable and stuck-at counts are bit-sliced
+  too: adding a trial mask is a ripple-carry add over a few ints, and the
+  counts are unpacked once, at the end of the batch.
+
+numpy is touched only at the batch boundary: lowering the fault sources,
+packing the inputs, and unpacking outputs and per-trial counters (plus
+the general n-copy TRiM vote, which works on per-trial bits).
 
 Equivalence contract (enforced by ``tests/differential/`` and
 ``tests/golden/``): fault-free, deterministic ``fault_plan`` and every
@@ -36,12 +49,12 @@ from __future__ import annotations
 
 import weakref
 from functools import lru_cache
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.compiler.netlist import Netlist
-from repro.core.batched import BatchResult, ExecutionPlan, _StuckCells
+from repro.core.batched import BatchResult, _StuckCells
 from repro.core.faultplan import FaultPlanArrays
 from repro.core.rng import FaultSchedule, TrialStream, fault_schedule
 from repro.core.soa import (
@@ -104,21 +117,31 @@ def unpack_trials(columns: Sequence[int], batch: int) -> np.ndarray:
     )
 
 
-def _xor_ints(keys: np.ndarray, trials: np.ndarray, batch: int) -> Tuple[np.ndarray, List[int]]:
-    """Fold (key, trial) flip events into one XOR int per distinct key:
-    ``(sorted keys, ints)``.  One ``bitwise_xor.at`` into a packed
-    ``(keys, ceil(B/8))`` byte matrix, so a key flipped twice in one trial
-    cancels, exactly like applying the flips one by one."""
-    unique, inverse = np.unique(keys, return_inverse=True)
-    width = (batch + 7) >> 3
-    packed = np.zeros((unique.shape[0], width), dtype=np.uint8)
-    trials = np.asarray(trials, dtype=np.intp)
-    np.bitwise_xor.at(
-        packed,
-        (inverse.reshape(-1), trials >> 3),
-        np.left_shift(1, trials & 7).astype(np.uint8),
-    )
-    return unique, _row_ints(packed)
+class _Counter:
+    """Per-trial counts held bit-sliced, like the state: ``planes[i]`` holds
+    bit ``i`` of every trial's count, so adding one trial mask is a
+    ripple-carry add over a few ints, and the counts are unpacked once, at
+    the end of the batch."""
+
+    __slots__ = ("planes",)
+
+    def __init__(self) -> None:
+        self.planes: List[int] = []
+
+    def add(self, mask: int) -> None:
+        planes = self.planes
+        for index, plane in enumerate(planes):
+            planes[index] = plane ^ mask
+            mask &= plane
+            if not mask:
+                return
+        planes.append(mask)
+
+    def counts(self, batch: int) -> np.ndarray:
+        if not self.planes:
+            return np.zeros(batch, dtype=np.int64)
+        weights = np.left_shift(1, np.arange(len(self.planes), dtype=np.int64))
+        return unpack_trials(self.planes, batch).astype(np.int64) @ weights
 
 
 # ---------------------------------------------------------------------- #
@@ -135,7 +158,7 @@ def _xor_ints(keys: np.ndarray, trials: np.ndarray, batch: int) -> Tuple[np.ndar
     _TABLE,   # (op, program, ins, outs): any other gate, program(values, full) -> int
     _PRESET,  # (op, value bit, cols)
     _READ,    # (op,): a no-op unless a fault lands on it
-    _ECIM,    # (op, ((parity col, covered data cols), ...), data cols, lut rows, weights)
+    _ECIM,    # (op, ((parity col, covered data cols), ...), {syndrome: data cols to flip})
     _TRIM3,   # (op, ((data col, copy col, copy col), ...))
     _TRIM,    # (op, data cols, copy col groups, n_copies)
 ) = range(11)
@@ -229,11 +252,47 @@ def _golden_records(netlist: Netlist) -> List[tuple]:
     ]
 
 
+def _decode_table(
+    lut: np.ndarray, data_cols: np.ndarray, interner: _Interner
+) -> Dict[int, Tuple[int, ...]]:
+    """One ECiM level's decode table as ``{syndrome: data columns to flip}``.
+
+    Every correctable non-zero syndrome (a row of ``lut`` with any valid
+    position) maps to the columns of its data positions — empty for a
+    pattern that lies in the parity bits, since positions at or past
+    ``len(data_cols)`` flip nothing visible.  A syndrome missing from the
+    dict is detected but uncorrectable.
+    """
+    syndromes = np.flatnonzero((lut >= 0).any(axis=1))
+    syndromes = syndromes[syndromes != 0]
+    rows = lut[syndromes]
+    is_data = (rows >= 0) & (rows < data_cols.shape[0])
+    flipped = interner.cols(data_cols[rows[is_data]].tolist())
+    ends = np.cumsum(is_data.sum(axis=1)).tolist()
+    starts = [0] + ends[:-1]
+    return {
+        syndrome: flipped[start:end]
+        for syndrome, start, end in zip(syndromes.tolist(), starts, ends)
+    }
+
+
 class _IntTape:
     """A :class:`SoaPlan` as interned int-tape records, plus the golden
     netlist's records — built once per plan (see :func:`_int_tape`)."""
 
     def __init__(self, soa: SoaPlan) -> None:
+        # Fault sites in tape order: rank_of_entry[e] is the rank of site-map
+        # entry e, and rank_step / rank_col the step and column of each rank.
+        # Entries are in (step, lane) order per kind, so a stable argsort by
+        # step merges them.  Built before the record lists below exist, so
+        # the site map's first build does not add to their memory peak.
+        site_map = soa.plan.site_map
+        order = np.argsort(site_map.steps, kind="stable").astype(np.int32)
+        self.rank_of_entry = np.empty_like(order)
+        self.rank_of_entry[order] = np.arange(order.shape[0], dtype=np.int32)
+        self.rank_step = site_map.steps[order]
+        self.rank_col = site_map.columns[order]
+        self.site_map = site_map
         interner = _Interner(soa.n_cols)
         cols = interner.cols
         gate_in = soa.gate_in_cols.tolist()
@@ -284,9 +343,7 @@ class _IntTape:
         )
         offset = int(soa.ecim_lut_offset[slot])
         lut = soa.ecim_lut[offset:offset + (1 << len(terms))]
-        return (
-            _ECIM, terms, interner.cols(data_cols.tolist()), lut, soa.ecim_weights[slot]
-        )
+        return (_ECIM, terms, _decode_table(lut, data_cols, interner))
 
     @staticmethod
     def _trim_record(soa: SoaPlan, slot: int, interner: _Interner) -> tuple:
@@ -317,6 +374,10 @@ def _int_tape(soa: SoaPlan) -> _IntTape:
 #: The end of an event stream: a step past the end of any tape.
 _NO_EVENT = (1 << 62, 0, 0)
 
+#: Most bits :func:`_packed_rows` lays out one byte each; past it, rows
+#: are filled a bit plane at a time.
+_BIT_ROWS_CAP = 1 << 20
+
 
 class _Machine:
     """One batch's bit-sliced state plus its per-trial outcome accumulators."""
@@ -326,16 +387,16 @@ class _Machine:
         self.batch = batch
         self.full = (1 << batch) - 1
         self.detected = 0
-        self.corrections = np.zeros(batch, dtype=np.int64)
-        self.uncorrectable = np.zeros(batch, dtype=np.int64)
-        #: Per-trial counts still to add to ``faults_injected``, as ints
-        #: (stuck-at bits that actually changed).
-        self.fault_ints: List[int] = []
+        #: Corrected data bits, uncorrectable ECiM levels, and stuck-at
+        #: writes that changed a bit (which count as injected faults).
+        self.corrections = _Counter()
+        self.uncorrectable = _Counter()
+        self.stuck_faults = _Counter()
 
     def execute(
         self,
         records: Sequence[tuple],
-        flips: Sequence[Tuple[int, int, int]] = (),
+        flips: Iterable[Tuple[int, int, int]] = (),
         stuck: Sequence[Tuple[int, int]] = (),
         stuck_value: int = 0,
     ) -> None:
@@ -404,15 +465,17 @@ class _Machine:
                 while stuck_step == index:
                     changed = s[stuck_col] ^ stuck_value
                     if changed:
-                        self.fault_ints.append(changed)
+                        self.stuck_faults.add(changed)
                         s[stuck_col] = stuck_value
                     stuck_step, stuck_col = next(stuck, _NO_EVENT[:2])
                 next_hot = min(flip_step, stuck_step)
 
     def _ecim(self, rec: tuple) -> None:
-        """Fold each parity bit's syndrome int; decode per trial only when
-        some trial's syndrome is non-zero."""
-        _, terms, data_cols, lut, weights = rec
+        """Fold each parity bit's syndrome int; when some trial's syndrome
+        is non-zero, split the fired trials into groups of equal syndrome
+        value, one syndrome bit (weight ``2**j``) at a time, and apply each
+        group's decode-table entry to all of its trials at once."""
+        _, terms, decode = rec
         s = self.state
         syndromes = []
         fired = 0
@@ -425,23 +488,33 @@ class _Machine:
         if not fired:
             return
         self.detected |= fired
-        packed = unpack_trials(syndromes, self.batch).astype(np.int64) @ weights
-        rows = np.flatnonzero(packed)
-        patterns = lut[packed[rows]]
-        valid = patterns >= 0
-        self.uncorrectable[rows[~valid.any(axis=1)]] += 1
-        hit_rows, hit_slots = np.nonzero(valid & (patterns < len(data_cols)))
-        if hit_rows.size:
-            trials = rows[hit_rows]
-            self.corrections += np.bincount(trials, minlength=self.batch)
-            positions, masks = _xor_ints(patterns[hit_rows, hit_slots], trials, self.batch)
-            for position, mask in zip(positions.tolist(), masks):
-                s[data_cols[position]] ^= mask
+        groups = [(0, fired)]
+        weight = 1
+        for syndrome in syndromes:
+            if syndrome:
+                split = []
+                for value, mask in groups:
+                    high = mask & syndrome
+                    if high:
+                        split.append((value | weight, high))
+                        if high != mask:
+                            split.append((value, mask ^ high))
+                    else:
+                        split.append((value, mask))
+                groups = split
+            weight <<= 1
+        for value, mask in groups:
+            flipped = decode.get(value)
+            if flipped is None:
+                self.uncorrectable.add(mask)
+                continue
+            for col in flipped:
+                s[col] ^= mask
+                self.corrections.add(mask)
 
     def _trim3(self, triples: Tuple[Tuple[int, int, int], ...]) -> None:
         """Three-copy majority vote per data bit, all trials at once."""
         s = self.state
-        fixes = []
         for data_col, copy1_col, copy2_col in triples:
             a = s[data_col]
             b = s[copy1_col]
@@ -451,10 +524,8 @@ class _Machine:
             self.detected |= (a ^ b) | (a ^ c)
             voted = a & b | c & (a | b)
             if voted != a:
-                fixes.append(a ^ voted)
+                self.corrections.add(a ^ voted)
                 s[data_col] = voted
-        if fixes:
-            self.corrections += unpack_trials(fixes, self.batch).sum(axis=1, dtype=np.int64)
 
     def _trim(self, rec: tuple) -> None:
         """Majority vote over any number of copies, through per-trial bits."""
@@ -467,7 +538,8 @@ class _Machine:
         voted = (total * 2 > n_copies).astype(np.uint8)
         disagree = ((total != 0) & (total != n_copies)).any(axis=1)
         self.detected |= pack_trials(disagree[:, None])[0]
-        self.corrections += (data != voted).sum(axis=1, dtype=np.int64)
+        for changed in pack_trials(data != voted):
+            self.corrections.add(changed)
         for col, value in zip(data_cols, pack_trials(voted)):
             s[col] = value
 
@@ -499,35 +571,102 @@ def bitpacked_golden_outputs(
 
 
 # ---------------------------------------------------------------------- #
-# Fault-source lowering: (key, trial) flip events, key = step * n_cols + col
+# Fault-source lowering: (rank, trial) flip events, rank = a fault site's
+# place in tape order (see _IntTape)
 # ---------------------------------------------------------------------- #
-def _concat_events(
-    keys: List[np.ndarray], trials: List[np.ndarray]
-) -> Tuple[np.ndarray, np.ndarray]:
-    if not keys:
-        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.intp)
-    return np.concatenate(keys), np.concatenate(trials)
-
-
 def _flip_table(
-    keys: np.ndarray, trials: np.ndarray, n_cols: int, batch: int
-) -> List[Tuple[int, int, int]]:
-    """``(step, column, XOR int)`` of a whole batch's events, by step."""
-    if not keys.size:
-        return []
-    unique, masks = _xor_ints(keys, trials, batch)
-    steps, cols = np.divmod(unique, n_cols)
-    return list(zip(steps.tolist(), cols.tolist(), masks))
+    tape: _IntTape, ranks: np.ndarray, trials: np.ndarray, batch: int
+) -> Iterable[Tuple[int, int, int]]:
+    """``(step, column, XOR int)`` of every fault site a batch's events hit,
+    by step — lazily, so the interpreter builds one tuple at a time."""
+    if not ranks.size:
+        return ()
+    hot, masks = _site_masks(tape, ranks, trials, batch)
+    return zip(tape.rank_step[hot].tolist(), tape.rank_col[hot].tolist(), masks)
+
+
+def _site_masks(
+    tape: _IntTape, ranks: np.ndarray, trials: np.ndarray, batch: int
+) -> Tuple[np.ndarray, List[int]]:
+    """The ranks of the hit sites, in tape order, and each one's trial mask.
+
+    One ``np.bincount`` over the ranks finds the hit sites.  A site hit in
+    one trial is ``1 << trial``; the sites hit in several trials become one
+    packed bit row each (:func:`_packed_rows`).  A (site, trial) pair may
+    occur once: the engines apply one flip per site, so a repeat would
+    cancel here and count twice elsewhere.
+    """
+    counts = np.bincount(ranks, minlength=tape.rank_step.shape[0])
+    hot = np.flatnonzero(counts)
+    shared = counts[hot] > 1
+    # One slot per site: the trial of a single-trial site, then the bit
+    # row of each shared one.
+    slot = np.empty(counts.shape[0], dtype=np.int32)
+    slot[ranks] = trials
+    masks = [1 << trial for trial in np.where(shared, 0, slot[hot]).tolist()]
+    if shared.any():
+        rows = hot[shared]
+        slot[rows] = np.arange(rows.shape[0], dtype=np.int32)
+        events = counts[ranks] > 1
+        packed = _packed_rows(rows.shape[0], slot[ranks[events]], trials[events], batch)
+        if packed is None:
+            _raise_repeat(tape, ranks, trials)
+        for index, mask in zip(np.flatnonzero(shared).tolist(), _row_ints(packed)):
+            masks[index] = mask
+    return hot, masks
+
+
+def _packed_rows(
+    n_rows: int, rows: np.ndarray, trials: np.ndarray, batch: int
+) -> Optional[np.ndarray]:
+    """``(n_rows, ceil(batch / 8))`` little-endian bit rows with bit
+    ``trials[i]`` of row ``rows[i]`` set, or None when a (row, trial) pair
+    repeats.
+
+    Up to :data:`_BIT_ROWS_CAP` bits, the rows are one bool matrix packed
+    in one pass.  Wider batches fill the packed bytes one bit plane at a
+    time, touching an eighth of the memory: within a plane each (row, byte)
+    is one (row, trial), so a plain fancy ``|=`` sets every bit, and the
+    byte sum falls short of the events' bit values only if a pair repeats.
+    """
+    if n_rows * batch <= _BIT_ROWS_CAP:
+        bits = np.zeros((n_rows, batch), dtype=bool)
+        bits[rows, trials] = True
+        if np.count_nonzero(bits) != rows.shape[0]:
+            return None
+        return np.packbits(bits, axis=1, bitorder="little")
+    packed = np.zeros((n_rows, (batch + 7) >> 3), dtype=np.uint8)
+    byte_of, bit_of = trials >> 3, trials & 7
+    for bit in range(8):
+        plane = bit_of == bit
+        packed[rows[plane], byte_of[plane]] |= np.uint8(1 << bit)
+    if int(packed.sum(dtype=np.int64)) != int(np.left_shift(1, bit_of).sum()):
+        return None
+    return packed
+
+
+def _raise_repeat(tape: _IntTape, ranks: np.ndarray, trials: np.ndarray) -> None:
+    order = np.lexsort((trials, ranks))
+    ranks, trials = ranks[order], trials[order]
+    first = int(np.flatnonzero((ranks[1:] == ranks[:-1]) & (trials[1:] == trials[:-1]))[0])
+    rank = int(ranks[first])
+    raise ProtectionError(
+        f"trial {int(trials[first])} flips the fault site at tape step "
+        f"{int(tape.rank_step[rank])}, column {int(tape.rank_col[rank])} more than "
+        "once; each trial may name an (operation, position) pair only once"
+    )
 
 
 def _deterministic_events(
-    soa: SoaPlan, plan_arrays: FaultPlanArrays, batch: int
+    soa: SoaPlan, tape: _IntTape, plan_arrays: FaultPlanArrays, batch: int
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Flip events of a whole batch of deterministic plans, in a handful of
     numpy passes: map plan operations to gate slots, drop unknown
     operations and out-of-range positions (both inject nothing, exactly as
-    on the uint8 engine) and count the surviving flips per trial."""
-    trials = plan_arrays.trial_of_entry().astype(np.int64, copy=False)
+    on the uint8 engine), count the surviving flips per trial and rank
+    each one's gate output — site-map entry ``gate_out_ptr[slot] +
+    position``."""
+    trials = plan_arrays.trial_of_entry()
     ops = plan_arrays.op_index
     positions = plan_arrays.position
     slot_table = soa.gate_slot_of_op
@@ -536,22 +675,20 @@ def _deterministic_events(
     widths = np.diff(soa.gate_out_ptr)
     valid = (slots >= 0) & (positions >= 0)
     valid &= positions < widths[np.where(valid, slots, 0)]
+    if not valid.all():
+        # _flip_table's guard sees only the flips that survive the filter.
+        plan_arrays.check_unique_pairs()
     trials, slots, positions = trials[valid], slots[valid], positions[valid]
     faults = np.bincount(trials, minlength=batch).astype(np.int64, copy=False)
-    columns = soa.gate_out_cols[soa.gate_out_ptr[slots] + positions]
-    keys = soa.gate_step_index[slots].astype(np.int64) * soa.n_cols + columns
-    return keys, trials, faults
+    ranks = tape.rank_of_entry[soa.gate_out_ptr[slots] + positions]
+    return ranks, trials, faults
 
 
-def _scheduled_events(
-    plan: ExecutionPlan, schedule: FaultSchedule
-) -> Tuple[np.ndarray, np.ndarray]:
+def _scheduled_events(tape: _IntTape, schedule: FaultSchedule) -> Tuple[np.ndarray, np.ndarray]:
     """Flip events of a batch's fault schedule; count-only presets (gate
     outputs the firing overwrites) hold no state and add no event."""
-    site_map = plan.site_map
-    rows, entries = site_map.held_hits(schedule)
-    keys = site_map.steps[entries].astype(np.int64) * plan.n_cols + site_map.columns[entries]
-    return keys, rows
+    rows, entries = tape.site_map.held_hits(schedule)
+    return tape.rank_of_entry[entries], rows
 
 
 def _stuck_steps(soa: SoaPlan, stuck: _StuckCells) -> List[Tuple[int, int]]:
@@ -601,31 +738,27 @@ def run_packed(
             "a batch takes one fault source: fault_model is exclusive with fault_plan"
         )
 
+    tape = _int_tape(soa)
     stuck: Optional[_StuckCells] = None
-    event_keys: List[np.ndarray] = []
-    event_trials: List[np.ndarray] = []
+    ranks = np.zeros(0, dtype=np.int32)
+    trials = np.zeros(0, dtype=np.intp)
     faults = np.zeros(batch, dtype=np.int64)
     if fault_model is not None and fault_model.kind == "stuck-at":
         stuck = _StuckCells(fault_model, plan.n_cols)
     schedule = fault_schedule(fault_model, stream, plan.fault_sites, batch)
     if schedule is not None:
-        keys, trials = _scheduled_events(plan, schedule)
-        event_keys.append(keys)
-        event_trials.append(trials)
+        ranks, trials = _scheduled_events(tape, schedule)
         faults += schedule.faults
 
     if fault_plan is not None:
         if len(fault_plan) != batch:
             raise ProtectionError("fault_plan must supply one entry per trial")
-        keys, trials, plan_faults = _deterministic_events(
-            soa, FaultPlanArrays.coerce(fault_plan), batch
+        ranks, trials, plan_faults = _deterministic_events(
+            soa, tape, FaultPlanArrays.coerce(fault_plan), batch
         )
-        event_keys.append(keys)
-        event_trials.append(trials)
         faults += plan_faults
 
-    tape = _int_tape(soa)
-    flips = _flip_table(*_concat_events(event_keys, event_trials), soa.n_cols, batch)
+    flips = _flip_table(tape, ranks, trials, batch)
     inputs = pack_trials(matrix)
     state = [0] * soa.n_cols
     machine = _Machine(state, batch)
@@ -638,14 +771,13 @@ def run_packed(
         stuck_value = machine.full if stuck.value else 0
         stuck_at = _stuck_steps(soa, stuck)
     machine.execute(tape.records, flips, stuck_at, stuck_value)
-    if machine.fault_ints:
-        faults += unpack_trials(machine.fault_ints, batch).sum(axis=1, dtype=np.int64)
+    faults += machine.stuck_faults.counts(batch)
 
     return BatchResult(
         outputs=unpack_trials([state[col] for col in tape.output_cols], batch),
         golden=_golden(tape.golden, plan.netlist, inputs, batch),
         detected=unpack_trials([machine.detected], batch)[:, 0].astype(bool),
-        corrections=machine.corrections,
-        uncorrectable_levels=machine.uncorrectable,
+        corrections=machine.corrections.counts(batch),
+        uncorrectable_levels=machine.uncorrectable.counts(batch),
         faults_injected=faults,
     )

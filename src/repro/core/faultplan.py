@@ -14,7 +14,7 @@ This module is the array-native replacement:
   (``trial_ptr`` / ``op_index`` / ``position``), accepted directly by
   ``run_trials`` on every backend.  The batched engine lowers it to per-
   operation scatter indices with one ``argsort`` + ``np.split``; the
-  bit-sliced engine lowers it to one XOR int per (tape step, column) in a
+  bit-sliced engine lowers it to one XOR int per hit fault site in a
   handful of numpy passes; the scalar engine views one trial at a time through
   ``plan[trial]`` (a plain dict), so its bit-exact legacy path is
   untouched.  ``from_dicts`` / ``to_dicts`` bridge the historical form.
@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Dict, Iterator, List, Mapping, Sequence, Tuple
 
 import numpy as np
@@ -67,15 +68,18 @@ def combination_count(n: int, k: int) -> int:
     return total
 
 
+@lru_cache(maxsize=64)
 def _comb_table(n: int, k: int) -> np.ndarray:
     """``table[a, j] = C(a, j)`` for ``0 <= a <= n``, ``0 <= j <= k`` —
     column ``j`` is nondecreasing in ``a``, which is what the searchsorted
-    unranking step relies on."""
+    unranking step relies on.  Built once per (n, k) and read-only, since
+    every shard of a sweep unranks against the same table."""
     table = np.zeros((n + 1, k + 1), dtype=np.int64)
     table[:, 0] = 1
     for a in range(1, n + 1):
         hi = min(a, k)
         table[a, 1:hi + 1] = table[a - 1, 1:hi + 1] + table[a - 1, 0:hi]
+    table.setflags(write=False)
     return table
 
 
@@ -114,6 +118,13 @@ def unrank_combinations(n: int, k: int, ranks: np.ndarray) -> np.ndarray:
     return out
 
 
+def _repeat_error(trial: int, op: int, position: int) -> ProtectionError:
+    return ProtectionError(
+        f"trial {trial} names operation {op}, output position {position} more than "
+        "once; each trial may name an (operation, position) pair only once"
+    )
+
+
 @dataclass(eq=False)
 class FaultPlanArrays:
     """A whole batch of deterministic fault plans in CSR form.
@@ -124,7 +135,10 @@ class FaultPlanArrays:
     bridge dedups through
     :func:`~repro.pim.faults.normalize_flip_positions`;
     :meth:`from_site_matrix` inherits uniqueness from distinct sites) —
-    the same one-flip-per-site semantics as the scalar injector.
+    the same one-flip-per-site semantics as the scalar injector.  Every
+    engine rejects a trial that repeats a pair with
+    :class:`~repro.errors.ProtectionError` when it runs the plan (see
+    :meth:`check_unique_pairs`).
 
     Out-of-range operation indices inject nothing and out-of-range
     positions are dropped by the engines, exactly as for dict plans; only
@@ -228,8 +242,11 @@ class FaultPlanArrays:
             raise IndexError(f"trial {trial} out of range [0, {self.n_trials})")
         lo, hi = int(self.trial_ptr[trial]), int(self.trial_ptr[trial + 1])
         plan: Dict[int, List[int]] = {}
-        for op, position in zip(self.op_index[lo:hi], self.position[lo:hi]):
-            plan.setdefault(int(op), []).append(int(position))
+        for op, position in zip(self.op_index[lo:hi].tolist(), self.position[lo:hi].tolist()):
+            positions = plan.setdefault(op, [])
+            if position in positions:
+                raise _repeat_error(trial, op, position)
+            positions.append(position)
         return {op: tuple(sorted(positions)) for op, positions in plan.items()}
 
     def __iter__(self) -> Iterator[Dict[int, Tuple[int, ...]]]:
@@ -248,11 +265,25 @@ class FaultPlanArrays:
             np.arange(self.n_trials, dtype=np.intp), np.diff(self.trial_ptr)
         )
 
+    def check_unique_pairs(self) -> None:
+        """Raise :class:`~repro.errors.ProtectionError` naming the first
+        trial that repeats an ``(op_index, position)`` pair."""
+        rows = self.trial_of_entry()
+        order = np.lexsort((self.position, self.op_index, rows))
+        rows, ops, positions = rows[order], self.op_index[order], self.position[order]
+        repeats = np.flatnonzero(
+            (rows[1:] == rows[:-1]) & (ops[1:] == ops[:-1]) & (positions[1:] == positions[:-1])
+        )
+        if repeats.size:
+            first = int(repeats[0])
+            raise _repeat_error(int(rows[first]), int(ops[first]), int(positions[first]))
+
     def targets_by_op(self) -> Dict[int, Tuple[np.ndarray, np.ndarray]]:
         """``{op_index: (trial rows, output positions)}`` scatter indices —
         the batched engine's per-operation grouping, computed once per plan
         with a stable argsort instead of a per-trial Python loop."""
         if self._targets is None:
+            self.check_unique_pairs()
             rows = self.trial_of_entry()
             order = np.argsort(self.op_index, kind="stable")
             ops = self.op_index[order]

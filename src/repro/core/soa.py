@@ -20,11 +20,11 @@ lowers once more, per plan, into its interned int-tape records):
   truth-table registry ``tables`` (one entry per distinct
   ``(gate, n_inputs, threshold)``);
 * the **preset** and **read** tapes (CSR column lists, preset values);
-* the **ECiM tape**: CSR data/parity column lists, per-check ``a_t`` /
-  ``weights`` matrices, and all decode tables concatenated into one
-  ``ecim_lut`` buffer addressed by per-check ``ecim_lut_offset`` — the
-  syndrome-LUT-offset form a flat-array interpreter indexes with
-  ``lut[offset + packed_syndrome]``;
+* the **ECiM tape**: CSR data/parity column lists, per-check ``a_t``
+  matrices, and all decode tables concatenated into one ``ecim_lut``
+  buffer addressed by per-check ``ecim_lut_offset`` — row
+  ``lut[offset + syndrome]`` decodes the syndrome whose bit ``j`` is
+  parity bit ``j``;
 * the **TRiM tape**: CSR data column lists plus the redundant-copy column
   groups and copy counts per vote;
 * the **inverse gate maps** array-native deterministic plans need (tape
@@ -140,7 +140,6 @@ class SoaPlan:
     ecim_parity_ptr: np.ndarray
     ecim_parity_cols: np.ndarray
     ecim_a_t: Tuple[np.ndarray, ...]      # per check, (d, r) int64
-    ecim_weights: Tuple[np.ndarray, ...]  # per check, (r,) int64
     ecim_lut: np.ndarray                  # (sum 2^r, t_max) int64, -1 padded
     ecim_lut_offset: np.ndarray           # (n_checks,) intp
 
@@ -190,7 +189,7 @@ def lower_plan(plan: ExecutionPlan) -> SoaPlan:
     gate_ins, gate_outs = [], []
     preset_values, preset_chunks = [], []
     read_chunks = []
-    ecim_data, ecim_parity, ecim_a_t, ecim_weights, ecim_luts = [], [], [], [], []
+    ecim_data, ecim_parity, ecim_a_t, ecim_luts = [], [], [], []
     trim_data, trim_groups, trim_copies = [], [], []
 
     for step in plan.steps:
@@ -220,7 +219,6 @@ def lower_plan(plan: ExecutionPlan) -> SoaPlan:
             ecim_data.append(step.data_cols)
             ecim_parity.append(step.parity_cols)
             ecim_a_t.append(step.a_t)
-            ecim_weights.append(step.weights)
             ecim_luts.append(step.lut)
         elif isinstance(step, TrimCheckStep):
             kinds.append(KIND_TRIM)
@@ -287,7 +285,6 @@ def lower_plan(plan: ExecutionPlan) -> SoaPlan:
         ecim_parity_ptr=ecim_parity_ptr,
         ecim_parity_cols=ecim_parity_cols,
         ecim_a_t=tuple(ecim_a_t),
-        ecim_weights=tuple(ecim_weights),
         ecim_lut=_frozen(ecim_lut),
         ecim_lut_offset=_frozen(ecim_lut_offset),
         trim_data_ptr=trim_data_ptr,

@@ -5,9 +5,11 @@ The systematic cross-backend grid lives in ``tests/differential/``; this
 module owns the engine-local properties that grid cannot see — the
 pack/unpack transposition contract (ragged batches, tail bits never set,
 int XOR vs uint8 XOR), the gate records against the truth tables, the SoA
-lowering and int-tape invariants, and the engine's consumption of the
-shared stochastic stream (reproducible, batch-composition-invariant,
-statistically faithful).
+lowering and int-tape invariants, the engine's consumption of the shared
+stochastic stream (reproducible, batch-composition-invariant, statistically
+faithful), and the fault path's two int-op pieces against the per-trial
+algorithms they replaced: the ECiM decode by syndrome value and the flip
+lowering.
 """
 
 import numpy as np
@@ -19,7 +21,9 @@ from repro.campaign.workloads import get_campaign_workload
 from repro.core.backend import BitpackedBackend, make_backend
 from repro.core.batched import batched_golden_outputs, compile_plan, sample_input_matrix
 from repro.core.bitpacked import (
+    _BIT_ROWS_CAP,
     _ECIM,
+    _Counter,
     _flip_table,
     _gate_record,
     _int_tape,
@@ -41,6 +45,7 @@ from repro.core.soa import (
     lower_plan,
 )
 from repro.core.rng import TrialStream, fault_schedule
+from repro.ecc.bch import bch_code_factory
 from repro.errors import ProtectionError
 from repro.pim.faults import FaultModelSpec
 from repro.pim.vector import truth_table, vector_gate_output
@@ -473,12 +478,203 @@ class TestIntTape:
         matrix = sample_input_matrix(soa.plan.netlist, stream)
         spec = FaultModelSpec.stochastic(gate_error_rate=0.05, memory_error_rate=0.05)
         schedule = fault_schedule(spec, stream, soa.plan.fault_sites, batch)
-        keys, trials = _scheduled_events(soa.plan, schedule)
         tape = _int_tape(soa)
+        ranks, trials = _scheduled_events(tape, schedule)
         machine = _Machine([0] * soa.n_cols, batch)
         machine.state[tape.const1_col] = machine.full
         for col, value in zip(tape.input_cols, pack_trials(matrix)):
             machine.state[col] = value
-        machine.execute(tape.records, _flip_table(keys, trials, soa.n_cols, batch))
+        machine.execute(tape.records, _flip_table(tape, ranks, trials, batch))
         assert machine.detected  # the faults reached the checks
         assert all(0 <= value <= machine.full for value in machine.state)
+
+
+# ---------------------------------------------------------------------- #
+# The fault path: ECiM decode by syndrome value, sort-free flip lowering
+# ---------------------------------------------------------------------- #
+FAULT_PATH_BATCHES = (1, 63, 64, 65, 250, 4096)
+
+
+def _reference_decode(syndrome_bits, data_bits, lut):
+    """The per-trial LUT decode the engine replaced: pack each trial's
+    syndrome, gather its LUT row and flip the row's data positions."""
+    batch, d = data_bits.shape
+    packed = syndrome_bits.astype(np.int64) @ (1 << np.arange(syndrome_bits.shape[1]))
+    rows = np.flatnonzero(packed)
+    patterns = lut[packed[rows]]
+    valid = patterns >= 0
+    uncorrectable = np.zeros(batch, dtype=np.int64)
+    uncorrectable[rows[~valid.any(axis=1)]] += 1
+    hit_rows, hit_slots = np.nonzero(valid & (patterns < d))
+    trials = rows[hit_rows]
+    corrections = np.bincount(trials, minlength=batch).astype(np.int64)
+    flipped = data_bits.copy()
+    for trial, position in zip(trials.tolist(), patterns[hit_rows, hit_slots].tolist()):
+        flipped[trial, position] ^= 1
+    return flipped, corrections, uncorrectable, packed != 0
+
+
+@pytest.mark.parametrize("batch", FAULT_PATH_BATCHES)
+def test_bit_sliced_counter_sums_the_added_masks(batch):
+    rng = np.random.default_rng(batch)
+    bits = rng.random((300, batch)) < rng.random((300, 1))  # sparse to dense masks
+    counter = _Counter()
+    for mask in pack_trials(bits.T):
+        counter.add(mask)
+    assert np.array_equal(counter.counts(batch), bits.sum(axis=0))
+    assert _Counter().counts(batch).tolist() == [0] * batch
+
+
+class TestEcimDecode:
+    """The int-op decode against the per-trial LUT reference, on the
+    decode tables of real dot2 tapes (every level's own data width)."""
+
+    @pytest.fixture(scope="class", params=["hamming", "bch-t2", "bch-t3"])
+    def levels(self, request):
+        factory = {"hamming": None, "bch-t2": bch_code_factory(2), "bch-t3": bch_code_factory(3)}
+        netlist = get_campaign_workload("dot2").netlist
+        soa = make_backend(
+            "bitpacked", netlist, "ecim", code_factory=factory[request.param]
+        ).soa
+        records = _int_tape(soa).records
+        levels = []
+        for step in np.flatnonzero(soa.step_kind == KIND_ECIM).tolist():
+            slot = int(soa.step_slot[step])
+            data = soa.ecim_data_cols[soa.ecim_data_ptr[slot]:soa.ecim_data_ptr[slot + 1]]
+            parity = soa.ecim_parity_cols[
+                soa.ecim_parity_ptr[slot]:soa.ecim_parity_ptr[slot + 1]
+            ]
+            offset = int(soa.ecim_lut_offset[slot])
+            lut = soa.ecim_lut[offset:offset + (1 << parity.shape[0])]
+            levels.append((data.tolist(), parity.tolist(), lut, records[step][2]))
+        return soa.n_cols, levels
+
+    @pytest.mark.parametrize("batch", FAULT_PATH_BATCHES)
+    def test_matches_the_per_trial_lut_reference(self, levels, batch):
+        n_cols, level_list = levels
+        rng = np.random.default_rng(batch)
+        seen = {"parity-only": 0, "uncorrectable": 0, "data": 0}
+        for data_cols, parity_cols, lut, decode in level_list:
+            r, d = len(parity_cols), len(data_cols)
+            # A mix of correctable syndromes (the decode table's own keys,
+            # parity-only patterns included), uniform ones (mostly
+            # uncorrectable for BCH) and zeros.
+            correctable = np.fromiter(decode, dtype=np.int64, count=len(decode))
+            syndromes = np.where(
+                rng.random(batch) < 0.5,
+                rng.choice(correctable, size=batch),
+                rng.integers(0, 1 << r, size=batch),
+            )
+            syndromes[rng.random(batch) < 0.2] = 0
+            syndrome_bits = ((syndromes[:, None] >> np.arange(r)) & 1).astype(np.uint8)
+            data_bits = rng.integers(0, 2, size=(batch, d), dtype=np.uint8)
+
+            # The syndrome of parity bit j is the parity column itself: no
+            # data column is covered, so s[parity_j] is syndrome int j.
+            machine = _Machine([0] * n_cols, batch)
+            for col, value in zip(parity_cols, pack_trials(syndrome_bits)):
+                machine.state[col] = value
+            for col, value in zip(data_cols, pack_trials(data_bits)):
+                machine.state[col] = value
+            machine._ecim((_ECIM, tuple((col, ()) for col in parity_cols), decode))
+
+            flipped, corrections, uncorrectable, detected = _reference_decode(
+                syndrome_bits, data_bits, lut
+            )
+            got = unpack_trials([machine.state[col] for col in data_cols], batch)
+            assert np.array_equal(got, flipped)
+            assert np.array_equal(machine.corrections.counts(batch), corrections)
+            assert np.array_equal(machine.uncorrectable.counts(batch), uncorrectable)
+            assert np.array_equal(unpack_trials([machine.detected], batch)[:, 0], detected)
+            rows = lut[syndromes[syndromes != 0]]
+            correctable = (rows >= 0).any(axis=1)
+            touches_data = ((rows >= 0) & (rows < d)).any(axis=1)
+            seen["uncorrectable"] += int((~correctable).sum())
+            seen["parity-only"] += int((correctable & ~touches_data).sum())
+            seen["data"] += int(corrections.sum())
+        if batch >= 250:
+            assert all(seen.values()), seen
+
+    def test_decode_table_skips_the_zero_syndrome_and_padding(self, levels):
+        _, level_list = levels
+        for data_cols, _, lut, decode in level_list:
+            assert 0 not in decode
+            for syndrome, flipped in decode.items():
+                row = lut[syndrome]
+                assert (row >= 0).any()
+                assert flipped == tuple(
+                    data_cols[position] for position in row.tolist()
+                    if 0 <= position < len(data_cols)
+                )
+            correctable = np.flatnonzero((lut >= 0).any(axis=1))
+            assert set(decode) == set(correctable.tolist()) - {0}
+
+
+class TestFlipLowering:
+    @pytest.fixture(scope="class")
+    def tape(self):
+        netlist = get_campaign_workload("dot2").netlist
+        return _int_tape(lower_plan(compile_plan(netlist, "ecim")))
+
+    @staticmethod
+    def _events(tape, batch, rng, n_sites=40):
+        """Random (site-map entry, trial) events without repeats at
+        ``n_sites`` sites: half of them hit in one trial, the rest in
+        several."""
+        sites = rng.choice(tape.rank_step.shape[0], size=n_sites, replace=False)
+        entries, trials = [], []
+        for index, entry in enumerate(sites.tolist()):
+            width = 1 if index % 2 or batch == 1 else int(rng.integers(2, min(batch, 9) + 1))
+            for trial in rng.choice(batch, size=width, replace=False).tolist():
+                entries.append(entry)
+                trials.append(trial)
+        order = rng.permutation(len(entries))
+        return np.asarray(entries)[order], np.asarray(trials, dtype=np.intp)[order]
+
+    @staticmethod
+    def _fold(table):
+        folded = {}
+        for step, col, mask in table:
+            folded[(step, col)] = folded.get((step, col), 0) ^ mask
+        return {key: mask for key, mask in folded.items() if mask}
+
+    @pytest.mark.parametrize(
+        "batch,n_sites",
+        [(batch, 40) for batch in FAULT_PATH_BATCHES] + [(4096, 1200)],
+    )
+    def test_equals_a_naive_fold(self, tape, batch, n_sites):
+        # 600 sites hit in several of 4,096 trials are past _BIT_ROWS_CAP:
+        # their rows are filled a bit plane at a time.
+        assert 600 * 4096 > _BIT_ROWS_CAP >= 20 * 4096
+        rng = np.random.default_rng(batch + 7)
+        site_map = tape.site_map
+        for _ in range(3):
+            entries, trials = self._events(tape, batch, rng, n_sites)
+            naive = {}
+            for entry, trial in zip(entries.tolist(), trials.tolist()):
+                key = (int(site_map.steps[entry]), int(site_map.columns[entry]))
+                naive[key] = naive.get(key, 0) ^ (1 << trial)
+            table = list(_flip_table(tape, tape.rank_of_entry[entries], trials, batch))
+            steps = [step for step, _, _ in table]
+            assert steps == sorted(steps)
+            assert all(0 < mask <= (1 << batch) - 1 for _, _, mask in table)
+            assert self._fold(table) == {key: mask for key, mask in naive.items() if mask}
+
+    def test_no_events_no_flips(self, tape):
+        none = _flip_table(tape, np.zeros(0, dtype=np.int32), np.zeros(0, dtype=np.intp), 5)
+        assert list(none) == []
+
+    @pytest.mark.parametrize("batch,n_sites", [(2, 40), (65, 40), (4096, 40), (4096, 1200)])
+    @pytest.mark.parametrize("shared", [True, False])
+    def test_a_repeated_site_trial_pair_raises(self, tape, batch, n_sites, shared):
+        rng = np.random.default_rng(batch)
+        entries, trials = self._events(tape, batch, rng, n_sites)
+        ranks = tape.rank_of_entry[entries]
+        # Repeat one event: at a site hit in several trials, or at one hit
+        # in a single trial (whose repeat alone makes it look shared).
+        counts = np.bincount(ranks)
+        index = int(np.flatnonzero((counts[ranks] > 1) == shared)[0])
+        ranks = np.append(ranks, ranks[index])
+        trials = np.append(trials, trials[index])
+        with pytest.raises(ProtectionError, match=f"trial {trials[index]} flips"):
+            _flip_table(tape, ranks, trials, batch)

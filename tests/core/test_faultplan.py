@@ -14,6 +14,7 @@ from repro.core.backend import BACKEND_NAMES, make_backend
 from repro.core.batched import _deterministic_targets
 from repro.core.faultplan import (
     FaultPlanArrays,
+    _comb_table,
     combination_count,
     unrank_combinations,
 )
@@ -59,6 +60,14 @@ class TestUnranking:
         # C(200, 100) dwarfs int64; the guard must fail loudly, not wrap.
         with pytest.raises(ProtectionError):
             combination_count(200, 100)
+
+    def test_binomial_table_is_built_once_and_read_only(self):
+        # Every shard of a sweep unranks against the same (n, k) table.
+        table = _comb_table(63, 4)
+        assert _comb_table(63, 4) is table
+        assert not table.flags.writeable
+        unrank_combinations(63, 4, np.arange(10, dtype=np.int64))
+        assert _comb_table(63, 4) is table
 
 
 class TestFaultPlanArrays:
@@ -109,6 +118,30 @@ class TestFaultPlanArrays:
         with pytest.raises(IndexError):
             arrays[1]
 
+    def test_a_trial_repeating_a_pair_is_rejected(self):
+        arrays = FaultPlanArrays(
+            trial_ptr=np.array([0, 2, 5]),
+            op_index=np.array([3, 4, 0, 1, 0]),
+            position=np.array([0, 0, 2, 2, 2]),
+        )
+        assert arrays[0] == {3: (0,), 4: (0,)}
+        with pytest.raises(ProtectionError, match="trial 1 names operation 0, output position 2"):
+            arrays[1]
+        with pytest.raises(ProtectionError, match="trial 1 names operation 0, output position 2"):
+            arrays.check_unique_pairs()
+        with pytest.raises(ProtectionError, match="trial 1"):
+            arrays.targets_by_op()
+
+    def test_pairs_may_repeat_across_trials_and_dicts_deduplicate(self):
+        # The same pair in different trials is fine, and dict plans
+        # deduplicate their positions before they reach the arrays.
+        arrays = FaultPlanArrays(
+            trial_ptr=np.array([0, 1, 2]), op_index=np.array([0, 0]), position=np.array([1, 1])
+        )
+        arrays.check_unique_pairs()
+        assert set(arrays.targets_by_op()) == {0}
+        FaultPlanArrays.from_dicts([{0: [1, 1]}]).check_unique_pairs()
+
 
 class TestBackendAcceptance:
     """Every registered backend consumes the CSR form directly."""
@@ -146,6 +179,19 @@ class TestBackendAcceptance:
         outcomes = backend.run_trials([AND2_INPUTS] * 3, fault_plan=arrays)
         assert outcomes.faults_injected.tolist() == [0, 0, 0]
         assert outcomes.outputs_correct.all()
+
+    @pytest.mark.parametrize("name", BACKEND_NAMES)
+    def test_a_repeated_pair_that_injects_nothing_still_raises(self, name):
+        # Out-of-range pairs are dropped before the bitpacked engine's own
+        # guard sees them; the repeat is rejected on every backend anyway.
+        backend = make_backend(name, AND2, "ecim")
+        arrays = FaultPlanArrays(
+            trial_ptr=np.array([0, 2]),
+            op_index=np.array([10_000, 10_000]),
+            position=np.array([0, 0]),
+        )
+        with pytest.raises(ProtectionError, match="more than once"):
+            backend.run_trials([AND2_INPUTS], fault_plan=arrays)
 
 
 class TestBroadcastInputs:

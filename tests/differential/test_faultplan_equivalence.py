@@ -9,6 +9,7 @@ draw-for-draw, and a sharded multiprocess sweep must equal the serial one
 for any job count.
 """
 
+import numpy as np
 import pytest
 
 from repro.campaign.workloads import get_campaign_workload
@@ -16,6 +17,7 @@ from repro.core.backend import make_backend
 from repro.core.faultplan import FaultPlanArrays
 from repro.core.rng import TrialStream
 from repro.core.sep import exhaustive_multi_fault_injection
+from repro.errors import ProtectionError
 
 from differential_harness import (
     BACKEND_FACTORIES,
@@ -47,6 +49,20 @@ class TestArrayPlanEqualsDictPlan:
         context = f"{cell.workload}/{cell.scheme}/mo={cell.multi_output}/{backend_name}"
         assert_outcomes_identical(from_dicts, from_arrays, context)
         assert from_arrays.counts()["faulty_trials"] > 0
+
+
+@pytest.mark.parametrize("backend_name", ALL_BACKENDS)
+def test_a_trial_repeating_a_pair_raises_on_every_backend(backend_name):
+    """One trial naming (op 0, position 0) twice on the Fig. 6 AND with
+    a = b = 1: the engines once disagreed here (one flip and one count,
+    one flip and two counts, two cancelling flips and two counts); now
+    every backend rejects the plan."""
+    netlist = get_campaign_workload("and2").netlist
+    backend = make_backend(backend_name, netlist, "unprotected")
+    plan = FaultPlanArrays(trial_ptr=[0, 2], op_index=[0, 0], position=[0, 0])
+    inputs = np.ones((1, len(netlist.inputs)), dtype=np.uint8)
+    with pytest.raises(ProtectionError, match="more than once"):
+        backend.run_trials(inputs, fault_plan=plan, capture_outputs=True)
 
 
 class TestWorkerPlanAssembly:
