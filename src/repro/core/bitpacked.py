@@ -374,10 +374,6 @@ def _int_tape(soa: SoaPlan) -> _IntTape:
 #: The end of an event stream: a step past the end of any tape.
 _NO_EVENT = (1 << 62, 0, 0)
 
-#: Most bits :func:`_packed_rows` lays out one byte each; past it, rows
-#: are filled a bit plane at a time.
-_BIT_ROWS_CAP = 1 << 20
-
 
 class _Machine:
     """One batch's bit-sliced state plus its per-trial outcome accumulators."""
@@ -609,52 +605,33 @@ def _site_masks(
         slot[rows] = np.arange(rows.shape[0], dtype=np.int32)
         events = counts[ranks] > 1
         packed = _packed_rows(rows.shape[0], slot[ranks[events]], trials[events], batch)
-        if packed is None:
-            _raise_repeat(tape, ranks, trials)
         for index, mask in zip(np.flatnonzero(shared).tolist(), _row_ints(packed)):
             masks[index] = mask
     return hot, masks
 
 
-def _packed_rows(
-    n_rows: int, rows: np.ndarray, trials: np.ndarray, batch: int
-) -> Optional[np.ndarray]:
-    """``(n_rows, ceil(batch / 8))`` little-endian bit rows with bit
-    ``trials[i]`` of row ``rows[i]`` set, or None when a (row, trial) pair
-    repeats.
+def _packed_rows(n_rows: int, rows: np.ndarray, trials: np.ndarray, batch: int) -> np.ndarray:
+    """``(n_rows, 4 * ceil(batch / 32))`` little-endian bit rows with bit
+    ``trials[i]`` of row ``rows[i]`` set.
 
-    Up to :data:`_BIT_ROWS_CAP` bits, the rows are one bool matrix packed
-    in one pass.  Wider batches fill the packed bytes one bit plane at a
-    time, touching an eighth of the memory: within a plane each (row, byte)
-    is one (row, trial), so a plain fancy ``|=`` sets every bit, and the
-    byte sum falls short of the events' bit values only if a pair repeats.
+    Distinct bits of a 32-bit word never carry, so each word is the sum of
+    its events' bit values: one weighted ``np.bincount`` lays out every row
+    (exactly — the sums stay below 2**32, far inside a float64's 53 bits).
+    A (row, trial) pair that repeats carries instead: its word ends up with
+    fewer set bits than events, or at 2**32 or more, and
+    :class:`~repro.errors.ProtectionError` is raised.
     """
-    if n_rows * batch <= _BIT_ROWS_CAP:
-        bits = np.zeros((n_rows, batch), dtype=bool)
-        bits[rows, trials] = True
-        if np.count_nonzero(bits) != rows.shape[0]:
-            return None
-        return np.packbits(bits, axis=1, bitorder="little")
-    packed = np.zeros((n_rows, (batch + 7) >> 3), dtype=np.uint8)
-    byte_of, bit_of = trials >> 3, trials & 7
-    for bit in range(8):
-        plane = bit_of == bit
-        packed[rows[plane], byte_of[plane]] |= np.uint8(1 << bit)
-    if int(packed.sum(dtype=np.int64)) != int(np.left_shift(1, bit_of).sum()):
-        return None
-    return packed
-
-
-def _raise_repeat(tape: _IntTape, ranks: np.ndarray, trials: np.ndarray) -> None:
-    order = np.lexsort((trials, ranks))
-    ranks, trials = ranks[order], trials[order]
-    first = int(np.flatnonzero((ranks[1:] == ranks[:-1]) & (trials[1:] == trials[:-1]))[0])
-    rank = int(ranks[first])
-    raise ProtectionError(
-        f"trial {int(trials[first])} flips the fault site at tape step "
-        f"{int(tape.rank_step[rank])}, column {int(tape.rank_col[rank])} more than "
-        "once; each trial may name an (operation, position) pair only once"
+    width = (batch + 31) >> 5
+    sums = np.bincount(
+        rows.astype(np.intp) * width + (trials >> 5),
+        weights=np.left_shift(1, trials & 31),
+        minlength=n_rows * width,
     )
+    if sums.max() < 1 << 32:
+        words = sums.astype("<u4")
+        if int(np.bitwise_count(words).sum()) == rows.shape[0]:
+            return words.view(np.uint8).reshape(n_rows, 4 * width)
+    raise ProtectionError("a trial flips one fault site more than once")
 
 
 def _deterministic_events(
@@ -743,6 +720,7 @@ def run_packed(
     ranks = np.zeros(0, dtype=np.int32)
     trials = np.zeros(0, dtype=np.intp)
     faults = np.zeros(batch, dtype=np.int64)
+    plan_arrays: Optional[FaultPlanArrays] = None
     if fault_model is not None and fault_model.kind == "stuck-at":
         stuck = _StuckCells(fault_model, plan.n_cols)
     schedule = fault_schedule(fault_model, stream, plan.fault_sites, batch)
@@ -753,12 +731,16 @@ def run_packed(
     if fault_plan is not None:
         if len(fault_plan) != batch:
             raise ProtectionError("fault_plan must supply one entry per trial")
-        ranks, trials, plan_faults = _deterministic_events(
-            soa, tape, FaultPlanArrays.coerce(fault_plan), batch
-        )
+        plan_arrays = FaultPlanArrays.coerce(fault_plan)
+        ranks, trials, plan_faults = _deterministic_events(soa, tape, plan_arrays, batch)
         faults += plan_faults
 
-    flips = _flip_table(tape, ranks, trials, batch)
+    try:
+        flips = _flip_table(tape, ranks, trials, batch)
+    except ProtectionError:
+        if plan_arrays is not None:
+            plan_arrays.check_unique_pairs()  # names the repeated pair
+        raise
     inputs = pack_trials(matrix)
     state = [0] * soa.n_cols
     machine = _Machine(state, batch)

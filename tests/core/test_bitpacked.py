@@ -21,13 +21,13 @@ from repro.campaign.workloads import get_campaign_workload
 from repro.core.backend import BitpackedBackend, make_backend
 from repro.core.batched import batched_golden_outputs, compile_plan, sample_input_matrix
 from repro.core.bitpacked import (
-    _BIT_ROWS_CAP,
     _ECIM,
     _Counter,
     _flip_table,
     _gate_record,
     _int_tape,
     _Machine,
+    _packed_rows,
     _scheduled_events,
     _table_program,
     bitpacked_golden_outputs,
@@ -617,11 +617,10 @@ class TestFlipLowering:
         return _int_tape(lower_plan(compile_plan(netlist, "ecim")))
 
     @staticmethod
-    def _events(tape, batch, rng, n_sites=40):
-        """Random (site-map entry, trial) events without repeats at
-        ``n_sites`` sites: half of them hit in one trial, the rest in
-        several."""
-        sites = rng.choice(tape.rank_step.shape[0], size=n_sites, replace=False)
+    def _events(tape, batch, rng):
+        """Random (site-map entry, trial) events without repeats at 40
+        sites: half of them hit in one trial, the rest in several."""
+        sites = rng.choice(tape.rank_step.shape[0], size=40, replace=False)
         entries, trials = [], []
         for index, entry in enumerate(sites.tolist()):
             width = 1 if index % 2 or batch == 1 else int(rng.integers(2, min(batch, 9) + 1))
@@ -638,18 +637,12 @@ class TestFlipLowering:
             folded[(step, col)] = folded.get((step, col), 0) ^ mask
         return {key: mask for key, mask in folded.items() if mask}
 
-    @pytest.mark.parametrize(
-        "batch,n_sites",
-        [(batch, 40) for batch in FAULT_PATH_BATCHES] + [(4096, 1200)],
-    )
-    def test_equals_a_naive_fold(self, tape, batch, n_sites):
-        # 600 sites hit in several of 4,096 trials are past _BIT_ROWS_CAP:
-        # their rows are filled a bit plane at a time.
-        assert 600 * 4096 > _BIT_ROWS_CAP >= 20 * 4096
+    @pytest.mark.parametrize("batch", FAULT_PATH_BATCHES)
+    def test_equals_a_naive_fold(self, tape, batch):
         rng = np.random.default_rng(batch + 7)
         site_map = tape.site_map
         for _ in range(3):
-            entries, trials = self._events(tape, batch, rng, n_sites)
+            entries, trials = self._events(tape, batch, rng)
             naive = {}
             for entry, trial in zip(entries.tolist(), trials.tolist()):
                 key = (int(site_map.steps[entry]), int(site_map.columns[entry]))
@@ -664,11 +657,11 @@ class TestFlipLowering:
         none = _flip_table(tape, np.zeros(0, dtype=np.int32), np.zeros(0, dtype=np.intp), 5)
         assert list(none) == []
 
-    @pytest.mark.parametrize("batch,n_sites", [(2, 40), (65, 40), (4096, 40), (4096, 1200)])
+    @pytest.mark.parametrize("batch", [2, 33, 65, 4096])
     @pytest.mark.parametrize("shared", [True, False])
-    def test_a_repeated_site_trial_pair_raises(self, tape, batch, n_sites, shared):
+    def test_a_repeated_site_trial_pair_raises(self, tape, batch, shared):
         rng = np.random.default_rng(batch)
-        entries, trials = self._events(tape, batch, rng, n_sites)
+        entries, trials = self._events(tape, batch, rng)
         ranks = tape.rank_of_entry[entries]
         # Repeat one event: at a site hit in several trials, or at one hit
         # in a single trial (whose repeat alone makes it look shared).
@@ -676,5 +669,26 @@ class TestFlipLowering:
         index = int(np.flatnonzero((counts[ranks] > 1) == shared)[0])
         ranks = np.append(ranks, ranks[index])
         trials = np.append(trials, trials[index])
-        with pytest.raises(ProtectionError, match=f"trial {trials[index]} flips"):
+        with pytest.raises(ProtectionError, match="more than once"):
             _flip_table(tape, ranks, trials, batch)
+
+    @pytest.mark.parametrize(
+        "trials",
+        [
+            [0, 0],
+            [0, 0, 0],
+            [0, 0, 1],
+            [5, 3, 5, 6],
+            [40, 33, 40],
+            [31, 31],
+            [31] * 5,
+            [31, 31, *range(30)],
+        ],
+    )
+    def test_packed_rows_reject_every_repeat(self, trials):
+        # A repeat carries within its word, and the sum can reach 2**32:
+        # the last case is 2**32 + 2**30 - 1 from 32 events, which a
+        # saturating float-to-uint32 cast would read as 32 set bits.
+        rows = np.zeros(len(trials), dtype=np.int32)
+        with pytest.raises(ProtectionError, match="more than once"):
+            _packed_rows(1, rows, np.asarray(trials, dtype=np.intp), 64)

@@ -190,7 +190,7 @@ class TestBackendAcceptance:
             op_index=np.array([10_000, 10_000]),
             position=np.array([0, 0]),
         )
-        with pytest.raises(ProtectionError, match="more than once"):
+        with pytest.raises(ProtectionError, match="trial 0 names operation 10000, output"):
             backend.run_trials([AND2_INPUTS], fault_plan=arrays)
 
 

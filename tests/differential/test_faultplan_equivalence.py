@@ -56,12 +56,14 @@ def test_a_trial_repeating_a_pair_raises_on_every_backend(backend_name):
     """One trial naming (op 0, position 0) twice on the Fig. 6 AND with
     a = b = 1: the engines once disagreed here (one flip and one count,
     one flip and two counts, two cancelling flips and two counts); now
-    every backend rejects the plan."""
+    every backend rejects the plan, naming the repeated pair."""
     netlist = get_campaign_workload("and2").netlist
     backend = make_backend(backend_name, netlist, "unprotected")
     plan = FaultPlanArrays(trial_ptr=[0, 2], op_index=[0, 0], position=[0, 0])
     inputs = np.ones((1, len(netlist.inputs)), dtype=np.uint8)
-    with pytest.raises(ProtectionError, match="more than once"):
+    with pytest.raises(
+        ProtectionError, match="trial 0 names operation 0, output position 0 more than once"
+    ):
         backend.run_trials(inputs, fault_plan=plan, capture_outputs=True)
 
 
