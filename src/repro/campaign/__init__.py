@@ -24,19 +24,16 @@ from repro.campaign.adaptive.grammar import EstimatorSpec, parse_estimator
 from repro.campaign.aggregate import (
     APPLICATION_KEYS,
     COUNT_KEYS,
+    FAMILIES,
     CellReport,
+    MetricFamily,
     ShardResult,
-    accumulate_report,
-    build_cell_reports,
-    merge_shard_application,
-    merge_shard_counts,
-    merge_shard_strata,
-    merge_shard_weights,
+    cell_reports,
+    merge_shards,
     render_application_table,
     render_campaign_table,
     render_estimator_table,
     wilson_interval,
-    zeroed_application,
     zeroed_counts,
 )
 from repro.campaign.application import (
@@ -83,22 +80,20 @@ __all__ = [
     "CellReport",
     "CheckpointStore",
     "EstimatorSpec",
+    "FAMILIES",
+    "MetricFamily",
     "ShardResult",
     "ShardTask",
-    "accumulate_report",
     "application_counts",
     "available_application_workloads",
     "available_campaign_workloads",
-    "build_cell_reports",
     "build_executor",
     "build_plan",
+    "cell_reports",
     "get_application_workload",
     "get_campaign_workload",
     "has_application_metrics",
-    "merge_shard_application",
-    "merge_shard_counts",
-    "merge_shard_strata",
-    "merge_shard_weights",
+    "merge_shards",
     "parse_estimator",
     "render_application_table",
     "render_campaign_table",
@@ -109,6 +104,5 @@ __all__ = [
     "site_count",
     "trial_seed",
     "wilson_interval",
-    "zeroed_application",
     "zeroed_counts",
 ]

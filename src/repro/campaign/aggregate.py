@@ -1,4 +1,5 @@
-"""Campaign statistics: shard merging, outcome rates and Wilson intervals.
+"""Campaign statistics: the metric-family table, shard merging, outcome
+rates and Wilson intervals.
 
 Every trial is classified into exactly one of four outcomes:
 
@@ -9,8 +10,21 @@ Every trial is classified into exactly one of four outcomes:
 * **silent corruption** — final outputs wrong and no check ever fired
   (the failure mode ECiM/TRiM exist to eliminate).
 
-Shard counts are plain integer sums, so merging is associative and
-commutative — the aggregate is bit-identical no matter how trials were
+A shard reports its sums in *metric families*, declared once in
+:data:`FAMILIES`: the outcome ``counts`` every shard carries, the estimator
+``weights`` and per-stratum ``strata`` of rare-event shards, and the
+oracle-comparison ``application`` counters.  Each :class:`MetricFamily`
+gives its keys (owned by its producer), value type, whether a shard may
+omit it, the store schema version whose migration added its columns, and
+its derived query columns.  Checkpoint (de)serialisation, merging, the
+cell reports, the store's DDL, recording and ``repro query`` all iterate
+that table, so a new family costs one entry, a field on :class:`ShardResult`,
+:class:`CellReport` and ``CampaignResult``, and its producer; its store
+migration is generated from the entry.
+
+Shards merge in one canonical ``(cell key, shard index)`` order.  Integer
+sums do not need it, but float addition is not associative, so the order is
+what keeps every merged sum bit-identical no matter how trials were
 partitioned across shards, processes or resumed runs.
 
 Rates come with Wilson score intervals rather than normal approximations:
@@ -22,11 +36,12 @@ collapses to zero width and the Wilson interval stays honest.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.campaign.adaptive.grammar import ESTIMATOR_METRICS
 from repro.campaign.adaptive.importance import WEIGHT_KEYS
-from repro.campaign.application import APPLICATION_KEYS, zeroed_application
+from repro.campaign.adaptive.strata import STRATUM_COUNT_KEYS
+from repro.campaign.application import APPLICATION_KEYS
 from repro.campaign.spec import CampaignCell
 from repro.errors import EvaluationError
 from repro.stats import (
@@ -41,17 +56,14 @@ __all__ = [
     "COUNT_KEYS",
     "WEIGHT_KEYS",
     "APPLICATION_KEYS",
+    "MetricFamily",
+    "FAMILIES",
     "wilson_interval",
     "zeroed_counts",
-    "zeroed_application",
-    "accumulate_report",
     "ShardResult",
-    "merge_shard_counts",
-    "merge_shard_weights",
-    "merge_shard_strata",
-    "merge_shard_application",
+    "merge_shards",
     "CellReport",
-    "build_cell_reports",
+    "cell_reports",
     "render_campaign_table",
     "render_estimator_table",
     "render_application_table",
@@ -77,165 +89,220 @@ def zeroed_counts() -> Dict[str, int]:
     return {key: 0 for key in COUNT_KEYS}
 
 
-def accumulate_report(counts: Dict[str, int], report, faults_injected: int = 0) -> None:
-    """Fold one trial's :class:`~repro.core.executor.ExecutionReport` into a
-    counter dict.
+@dataclass(frozen=True)
+class MetricFamily:
+    """One family of per-shard sums, declared once for every layer.
 
-    The four-way outcome classification lives on the report itself
-    (``clean`` / ``recovered`` / ``detected_corruption`` /
-    ``silent_corruption``), so every consumer shares one definition instead
-    of re-deriving it from ``outputs_correct`` and ``errors_detected``.
+    ``name`` is the :class:`ShardResult` and :class:`CellReport` field, the
+    checkpoint record key and the ``CampaignResult.<name>_by_cell`` map;
+    ``keys`` are the sums its producer reports, each of type ``value``.
     """
-    counts["trials"] += 1
-    counts["correct"] += int(report.outputs_correct)
-    counts["clean"] += int(report.clean)
-    counts["recovered"] += int(report.recovered)
-    counts["detected"] += int(report.detected)
-    counts["detected_corruption"] += int(report.detected_corruption)
-    counts["silent_corruption"] += int(report.silent_corruption)
-    counts["corrections"] += report.corrections
-    counts["uncorrectable_levels"] += report.uncorrectable_levels
-    counts["faults_injected"] += faults_injected
-    counts["faulty_trials"] += int(faults_injected > 0)
+
+    name: str
+    #: Singular noun for error messages ("unknown shard <noun> ...").
+    noun: str
+    keys: Tuple[str, ...]
+    value: type = int
+    #: A shard may omit the family: it then serialises without it, and its
+    #: store columns hold NULL.
+    optional: bool = True
+    #: Store schema version whose migration added the family's shard
+    #: columns; None for a family that never reaches SQL.
+    schema_version: Optional[int] = None
+    #: The key counting the family's trials, which its rates divide by.
+    trials: Optional[str] = None
+    #: Per-stratum entries ``{label: {"pi": float, key: int}}`` instead of
+    #: one flat sum per key.
+    nested: bool = False
+    #: Derived ``repro query`` columns, each ``(column, value of a
+    #: CellReport)``; None on rows no shard of which carried the family.
+    derived: Tuple[Tuple[str, Callable[["CellReport"], object]], ...] = ()
+
+    def zeroed(self) -> Dict[str, object]:
+        return dict.fromkeys(self.keys, self.value(0))
+
+    def parse(self, raw: object) -> Dict[str, object]:
+        """The family's sums in one checkpoint record, zero-filled; raises
+        :class:`EvaluationError` on anything but an object of known keys (and,
+        when nested, of strata each carrying a numeric ``pi``)."""
+        if not self.nested:
+            return self._parse_flat(raw)
+        if not isinstance(raw, dict):
+            raise EvaluationError(f"shard {self.name} must be an object, got {raw!r}")
+        entries = {}
+        for label, entry in raw.items():
+            pi = entry.get("pi") if isinstance(entry, dict) else None
+            if isinstance(pi, bool) or not isinstance(pi, (int, float)):
+                raise EvaluationError(
+                    f"stratum {label!r} must be an object with a numeric 'pi', got {entry!r}"
+                )
+            counters = {key: value for key, value in entry.items() if key != "pi"}
+            entries[str(label)] = {"pi": float(pi), **self._parse_flat(counters)}
+        return entries
+
+    def _parse_flat(self, raw: object) -> Dict[str, object]:
+        if not isinstance(raw, dict):
+            raise EvaluationError(f"shard {self.noun}s must be an object, got {raw!r}")
+        sums = self.zeroed()
+        for key, value in raw.items():
+            if key not in sums:
+                raise EvaluationError(f"unknown shard {self.noun} {key!r}")
+            sums[key] = self.value(value)
+        return sums
+
+    def derive(self, report: "CellReport") -> Dict[str, object]:
+        """The family's query columns for ``report``."""
+        present = getattr(report, self.name) is not None
+        return {column: value(report) if present else None for column, value in self.derived}
+
+
+COUNTS = MetricFamily(
+    "counts",
+    "counter",
+    COUNT_KEYS,
+    optional=False,
+    schema_version=1,
+    trials="trials",
+    derived=(
+        ("trials", lambda r: r.trials),
+        ("coverage", lambda r: r.coverage),
+        ("coverage_ci_low", lambda r: r.coverage_interval[0]),
+        ("coverage_ci_high", lambda r: r.coverage_interval[1]),
+        ("silent_corruption_rate", lambda r: r.silent_corruption_rate),
+        ("silent_ci_low", lambda r: r.silent_corruption_interval[0]),
+        ("silent_ci_high", lambda r: r.silent_corruption_interval[1]),
+        ("detected_rate", lambda r: r.detected_rate),
+        ("recovered_rate", lambda r: r.recovered_rate),
+        ("detected_corruption_rate", lambda r: r.detected_corruption_rate),
+        ("faults_per_trial_avg", lambda r: r.average_faults_per_trial),
+    ),
+)
+
+#: Importance/stratified weight sums.  In the store a group mixing weighted
+#: and uniform shards sums only the weighted ones — such groups are
+#: statistically ill-posed, and keeping them apart is the caller's job.
+WEIGHTS = MetricFamily(
+    "weights",
+    "weight",
+    WEIGHT_KEYS,
+    float,
+    schema_version=2,
+    derived=(
+        ("weight_sum", lambda r: r.weights["weight_sum"]),
+        ("effective_sample_size", lambda r: r.effective_sample_size),
+        ("weighted_silent_rate", lambda r: r._weighted("silent_corruption")[0]),
+        ("weighted_silent_ci_low", lambda r: r._weighted("silent_corruption")[1]),
+        ("weighted_silent_ci_high", lambda r: r._weighted("silent_corruption")[2]),
+        ("weighted_detected_corruption_rate", lambda r: r._weighted("detected_corruption")[0]),
+        ("weighted_detected_corruption_ci_low", lambda r: r._weighted("detected_corruption")[1]),
+        ("weighted_detected_corruption_ci_high", lambda r: r._weighted("detected_corruption")[2]),
+    ),
+)
+
+#: Per-stratum counters of stratified shards; they steer Neyman allocation
+#: in process and never reach SQL.
+STRATA = MetricFamily("strata", "stratum counter", STRATUM_COUNT_KEYS, nested=True)
+
+#: Oracle-comparison counters of application-scored shards.
+APPLICATION = MetricFamily(
+    "application",
+    "application counter",
+    APPLICATION_KEYS,
+    schema_version=3,
+    trials="app_trials",
+    derived=(
+        ("app_trials", lambda r: r.application_trials),
+        ("argmax_flip_rate", lambda r: r.argmax_flip_rate),
+        ("argmax_flip_ci_low", lambda r: r.argmax_flip_interval[0]),
+        ("argmax_flip_ci_high", lambda r: r.argmax_flip_interval[1]),
+        ("output_bit_errors_avg", lambda r: r.output_bit_errors_avg),
+        ("output_error_magnitude_avg", lambda r: r.output_error_magnitude_avg),
+    ),
+)
+
+#: Every metric family a shard may carry.  Append-only in practice: the
+#: store's migrations are generated from the stored families' columns and
+#: pinned by ``tests/golden/store_schema.json``.
+FAMILIES: Tuple[MetricFamily, ...] = (COUNTS, WEIGHTS, STRATA, APPLICATION)
 
 
 @dataclass(frozen=True)
 class ShardResult:
-    """Counts from one completed shard (picklable and JSON-round-trippable).
+    """Sums from one completed shard, one field per :data:`FAMILIES` entry
+    (picklable and JSON-round-trippable).
 
-    ``weights`` (importance/stratified shards) carries the float sums of
-    :data:`WEIGHT_KEYS`; ``strata`` (stratified shards) carries per-stratum
-    integer counters plus each stratum's population probability ``pi``;
-    ``application`` (application-scored shards) carries the integer sums of
-    :data:`APPLICATION_KEYS`.  All three serialise only when present, so
-    every pre-existing checkpoint byte stream round-trips unchanged.
+    Optional families stay None unless the shard reports them and serialise
+    only when present, so every pre-existing checkpoint byte stream
+    round-trips unchanged.
     """
 
     cell_key: str
     shard_index: int
     counts: Dict[str, int] = field(default_factory=zeroed_counts)
+    #: Float sums of :data:`WEIGHT_KEYS` (importance/stratified shards).
     weights: Optional[Dict[str, float]] = None
+    #: Per-stratum integer counters plus each stratum's population
+    #: probability ``pi`` (stratified shards).
     strata: Optional[Dict[str, Dict[str, float]]] = None
+    #: Integer sums of :data:`APPLICATION_KEYS` (application-scored shards).
     application: Optional[Dict[str, int]] = None
 
     def to_dict(self) -> Dict[str, object]:
-        data: Dict[str, object] = {
-            "cell": self.cell_key,
-            "shard": self.shard_index,
-            "counts": dict(self.counts),
-        }
-        if self.weights is not None:
-            data["weights"] = dict(self.weights)
-        if self.strata is not None:
-            data["strata"] = {label: dict(entry) for label, entry in self.strata.items()}
-        if self.application is not None:
-            data["application"] = dict(self.application)
+        data: Dict[str, object] = {"cell": self.cell_key, "shard": self.shard_index}
+        for family in FAMILIES:
+            sums = getattr(self, family.name)
+            if sums is not None:
+                data[family.name] = (
+                    {label: dict(entry) for label, entry in sums.items()}
+                    if family.nested
+                    else dict(sums)
+                )
         return data
 
     @classmethod
     def from_dict(cls, data: Dict[str, object]) -> "ShardResult":
-        counts = zeroed_counts()
-        for key, value in dict(data["counts"]).items():
-            if key not in counts:
-                raise EvaluationError(f"unknown shard counter {key!r}")
-            counts[key] = int(value)
-        weights = None
-        if data.get("weights") is not None:
-            weights = {}
-            for key, value in dict(data["weights"]).items():
-                if key not in WEIGHT_KEYS:
-                    raise EvaluationError(f"unknown shard weight {key!r}")
-                weights[key] = float(value)
-        strata = None
-        if data.get("strata") is not None:
-            strata = {
-                str(label): {str(k): float(v) if k == "pi" else int(v) for k, v in entry.items()}
-                for label, entry in dict(data["strata"]).items()
-            }
-        application = None
-        if data.get("application") is not None:
-            application = zeroed_application()
-            for key, value in dict(data["application"]).items():
-                if key not in application:
-                    raise EvaluationError(f"unknown shard application counter {key!r}")
-                application[key] = int(value)
-        return cls(
-            cell_key=str(data["cell"]),
-            shard_index=int(data["shard"]),
-            counts=counts,
-            weights=weights,
-            strata=strata,
-            application=application,
-        )
+        families = {}
+        for family in FAMILIES:
+            raw = data.get(family.name)
+            if raw is not None:
+                families[family.name] = family.parse(raw)
+            elif not family.optional:
+                raise EvaluationError(f"shard record has no {family.name!r}")
+        return cls(cell_key=str(data["cell"]), shard_index=int(data["shard"]), **families)
 
 
-def merge_shard_counts(results: Iterable[ShardResult]) -> Dict[str, Dict[str, int]]:
-    """Sum shard counters per cell key (order-independent)."""
-    merged: Dict[str, Dict[str, int]] = {}
-    for result in results:
-        cell = merged.setdefault(result.cell_key, zeroed_counts())
-        for key, value in result.counts.items():
-            cell[key] = cell.get(key, 0) + value
-    return merged
+def merge_shards(results: Iterable[ShardResult]) -> Dict[str, Dict[str, Dict[str, object]]]:
+    """Merge shard sums per family and cell key: ``{family: {cell key: sums}}``.
 
-
-def merge_shard_weights(results: Iterable[ShardResult]) -> Dict[str, Dict[str, float]]:
-    """Sum shard weight sums per cell key, in ``(cell, shard index)`` order.
-
-    Float addition is not associative, so — unlike the integer counters —
-    the weighted sums are accumulated in a canonical order to keep cell
-    totals bit-identical for any worker count and resume history.  Cells
-    whose shards carry no weights are absent from the result.
+    Shards merge in ``(cell key, shard index)`` order.  Strata pool per
+    label, each stratum's ``pi`` — a population constant, identical in every
+    shard that reports the stratum — carried through unchanged.  A cell none
+    of whose shards carries an optional family is absent from its map.
     """
-    weighted = sorted(
-        (r for r in results if r.weights is not None),
-        key=lambda r: (r.cell_key, r.shard_index),
-    )
-    merged: Dict[str, Dict[str, float]] = {}
-    for result in weighted:
-        cell = merged.setdefault(result.cell_key, {key: 0.0 for key in WEIGHT_KEYS})
-        for key, value in result.weights.items():
-            cell[key] = cell.get(key, 0.0) + value
-    return merged
-
-
-def merge_shard_strata(results: Iterable[ShardResult]) -> Dict[str, Dict[str, Dict[str, float]]]:
-    """Pool per-stratum counters per cell key (integer sums, order-free).
-
-    Each stratum's ``pi`` is a population constant — identical in every
-    shard that reports the stratum — and is carried through unchanged.
-    """
-    merged: Dict[str, Dict[str, Dict[str, float]]] = {}
-    for result in results:
-        if result.strata is None:
-            continue
-        cell = merged.setdefault(result.cell_key, {})
-        for label, entry in result.strata.items():
-            into = cell.setdefault(label, {"pi": entry["pi"]})
-            for key, value in entry.items():
-                if key == "pi":
-                    continue
-                into[key] = into.get(key, 0) + int(value)
-    return merged
-
-
-def merge_shard_application(results: Iterable[ShardResult]) -> Dict[str, Dict[str, int]]:
-    """Sum shard application counters per cell key (integer sums — order-free
-    like the base counters).  Cells whose shards carry no application metrics
-    are absent from the result."""
-    merged: Dict[str, Dict[str, int]] = {}
-    for result in results:
-        if result.application is None:
-            continue
-        cell = merged.setdefault(result.cell_key, zeroed_application())
-        for key, value in result.application.items():
-            cell[key] = cell.get(key, 0) + value
+    merged: Dict[str, Dict[str, Dict[str, object]]] = {family.name: {} for family in FAMILIES}
+    for result in sorted(results, key=lambda r: (r.cell_key, r.shard_index)):
+        for family in FAMILIES:
+            sums = getattr(result, family.name)
+            if sums is None:
+                continue
+            if family.nested:
+                cell = merged[family.name].setdefault(result.cell_key, {})
+                for label, entry in sums.items():
+                    into = cell.setdefault(label, {"pi": entry["pi"]})
+                    for key, value in entry.items():
+                        if key != "pi":
+                            into[key] = into.get(key, 0) + value
+            else:
+                cell = merged[family.name].setdefault(result.cell_key, family.zeroed())
+                for key, value in sums.items():
+                    cell[key] += value
     return merged
 
 
 @dataclass(frozen=True)
 class CellReport:
-    """Aggregated outcome rates for one grid cell, with 95% Wilson intervals.
+    """Merged family sums of one grid cell, with outcome rates and 95%
+    Wilson intervals.
 
     When the cell ran under a rare-event estimator, ``weights`` / ``strata``
     hold its merged weight sums and pooled per-stratum counters, and
@@ -245,10 +312,14 @@ class CellReport:
     proportion + Wilson interval otherwise.  The raw-count properties
     (``coverage`` etc.) always describe the *sampled* trials — under a tilted
     proposal they estimate the proposal-rate probabilities, not the target's.
+
+    ``repro query`` builds one report per result row from the store's sums,
+    with ``cell`` None (a row may pool many cells) and no strata, and reads
+    its derived columns off it (:attr:`MetricFamily.derived`).
     """
 
-    cell: CampaignCell
-    counts: Dict[str, int]
+    cell: Optional[CampaignCell]
+    counts: Dict[str, int] = field(default_factory=zeroed_counts)
     weights: Optional[Dict[str, float]] = None
     strata: Optional[Dict[str, Dict[str, float]]] = None
     estimator: Optional[str] = None
@@ -275,11 +346,15 @@ class CellReport:
             )
             return mean, (low, high)
         if self.weights:
-            mean, low, high = weighted_mean_interval(
-                self.weights[f"w_{metric}"], self.weights[f"w_{metric}_sq"], self.trials
-            )
+            mean, low, high = self._weighted(metric)
             return mean, (low, high)
         return self._rate(metric), self._interval(metric)
+
+    def _weighted(self, metric: str) -> Tuple[float, float, float]:
+        """Horvitz-Thompson ``(mean, low, high)`` of one metric's weight sums."""
+        return weighted_mean_interval(
+            self.weights[f"w_{metric}"], self.weights[f"w_{metric}_sq"], self.trials
+        )
 
     def estimate_halfwidth(self, metric: str = "silent_corruption") -> float:
         """CI half-width of :meth:`estimate` — the sequential-stopping signal."""
@@ -292,11 +367,17 @@ class CellReport:
             return None
         return effective_sample_size(self.weights["weight_sum"], self.weights["weight_sq_sum"])
 
-    def _rate(self, key: str) -> float:
-        return self.counts[key] / self.trials if self.trials else 0.0
+    def _tally(self, key: str, family: MetricFamily) -> Tuple[int, int]:
+        """``(count, trials)`` of one integer sum; an absent family is empty."""
+        sums = getattr(self, family.name) or {}
+        return sums.get(key, 0), sums.get(family.trials, 0)
 
-    def _interval(self, key: str) -> Tuple[float, float]:
-        return wilson_interval(self.counts[key], self.trials)
+    def _rate(self, key: str, family: MetricFamily = COUNTS) -> float:
+        count, trials = self._tally(key, family)
+        return count / trials if trials else 0.0
+
+    def _interval(self, key: str, family: MetricFamily = COUNTS) -> Tuple[float, float]:
+        return wilson_interval(*self._tally(key, family))
 
     @property
     def coverage(self) -> float:
@@ -329,12 +410,11 @@ class CellReport:
 
     @property
     def average_faults_per_trial(self) -> float:
-        return self.counts["faults_injected"] / self.trials if self.trials else 0.0
+        return self._rate("faults_injected")
 
     # -------------------------------------------------------------- #
-    # Application metrics (None/0.0 rules mirror the weighted columns:
-    # absent application data yields None-valued query columns, zero
-    # trials yield 0.0 rates)
+    # Application metrics (absent application data reads as zero
+    # trials, whose rates are 0.0)
     # -------------------------------------------------------------- #
     @property
     def application_trials(self) -> int:
@@ -344,29 +424,21 @@ class CellReport:
     def argmax_flip_rate(self) -> float:
         """Accuracy degradation: fraction of trials whose dominant output
         word moved vs the integer oracle."""
-        trials = self.application_trials
-        return self.application["argmax_flips"] / trials if trials else 0.0
+        return self._rate("argmax_flips", APPLICATION)
 
     @property
     def argmax_flip_interval(self) -> Tuple[float, float]:
-        return wilson_interval(
-            self.application["argmax_flips"] if self.application else 0,
-            self.application_trials,
-        )
+        return self._interval("argmax_flips", APPLICATION)
 
     @property
     def output_bit_errors_avg(self) -> float:
         """Mean Hamming distance between faulty and oracle output words."""
-        trials = self.application_trials
-        return self.application["output_bit_errors"] / trials if trials else 0.0
+        return self._rate("output_bit_errors", APPLICATION)
 
     @property
     def output_error_magnitude_avg(self) -> float:
         """Mean summed wrap-around word distance — the SNR proxy."""
-        trials = self.application_trials
-        return (
-            self.application["output_error_magnitude"] / trials if trials else 0.0
-        )
+        return self._rate("output_error_magnitude", APPLICATION)
 
     def as_row(self) -> List[object]:
         """One rendered table row (shared by the CLI and the experiment)."""
@@ -387,29 +459,21 @@ class CellReport:
         ]
 
 
-def build_cell_reports(
+def cell_reports(
     cells: Iterable[CampaignCell],
-    counts_by_cell: Dict[str, Dict[str, int]],
-    weights_by_cell: Optional[Dict[str, Dict[str, float]]] = None,
-    strata_by_cell: Optional[Dict[str, Dict[str, Dict[str, float]]]] = None,
+    merged: Dict[str, Dict[str, Dict[str, object]]],
     estimator: Optional[str] = None,
-    application_by_cell: Optional[Dict[str, Dict[str, int]]] = None,
 ) -> List[CellReport]:
-    """Pair each grid cell with its merged counts, in grid order."""
-    reports = []
-    for cell in cells:
-        counts = counts_by_cell.get(cell.key, zeroed_counts())
-        reports.append(
-            CellReport(
-                cell=cell,
-                counts=counts,
-                weights=(weights_by_cell or {}).get(cell.key),
-                strata=(strata_by_cell or {}).get(cell.key),
-                estimator=estimator,
-                application=(application_by_cell or {}).get(cell.key),
-            )
+    """Pair each grid cell with its :func:`merge_shards` sums, in grid order;
+    a cell without shards reports zero counts."""
+    return [
+        CellReport(
+            cell=cell,
+            estimator=estimator,
+            **{name: by_cell[cell.key] for name, by_cell in merged.items() if cell.key in by_cell},
         )
-    return reports
+        for cell in cells
+    ]
 
 
 def render_campaign_table(title: str, reports: Iterable[CellReport]) -> str:

@@ -50,7 +50,6 @@ __all__ = [
     "APPLICATION_KEYS",
     "ApplicationWorkload",
     "APPLICATION_WORKLOADS",
-    "zeroed_application",
     "available_application_workloads",
     "get_application_workload",
     "has_application_metrics",
@@ -87,10 +86,6 @@ MLP16_SIDE = 4
 #: subtractor path across two butterfly stages).
 FFT4_POINTS = 4
 FFT4_BITS = 4
-
-
-def zeroed_application() -> Dict[str, int]:
-    return {key: 0 for key in APPLICATION_KEYS}
 
 
 @lru_cache(maxsize=1)

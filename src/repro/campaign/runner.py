@@ -11,8 +11,8 @@ a :class:`CampaignResult`:
    into the checkpoint (and, with ``db``, the persistent
    :class:`~repro.store.database.ResultsStore` corpus) as it completes, so
    an interrupt at any point loses at most the shards in flight;
-4. merge all counters (order-independent integer sums) into per-cell reports
-   with Wilson confidence intervals.
+4. merge every metric family's sums (in canonical shard order) into
+   per-cell reports with Wilson confidence intervals.
 
 Both execution modes call the very same
 :func:`repro.campaign.worker.run_shard`, and every trial's randomness is
@@ -36,11 +36,8 @@ from typing import Callable, Dict, List, Optional, Union
 from repro.campaign.aggregate import (
     CellReport,
     ShardResult,
-    build_cell_reports,
-    merge_shard_application,
-    merge_shard_counts,
-    merge_shard_strata,
-    merge_shard_weights,
+    cell_reports,
+    merge_shards,
     render_application_table,
     render_campaign_table,
     render_estimator_table,
@@ -55,11 +52,14 @@ __all__ = ["CampaignResult", "ShardRecorder", "drain_tasks", "run_campaign"]
 
 @dataclass
 class CampaignResult:
-    """Everything a caller needs from a finished campaign."""
+    """Everything a caller needs from a finished campaign.
+
+    Merged sums live in one ``<family>_by_cell`` map per metric family
+    (:func:`~repro.campaign.aggregate.merge_shards`), keyed by cell key.
+    """
 
     spec: CampaignSpec
     reports: List[CellReport]
-    counts_by_cell: Dict[str, Dict[str, int]]
     executed_shards: int
     resumed_shards: int
     workers: int
@@ -67,6 +67,7 @@ class CampaignResult:
     rounds: int = 1
     #: Sequential-stopping target this run converged against, when set.
     target_ci_halfwidth: Optional[float] = None
+    counts_by_cell: Dict[str, Dict[str, int]] = field(default_factory=dict)
     weights_by_cell: Dict[str, Dict[str, float]] = field(default_factory=dict)
     strata_by_cell: Dict[str, Dict[str, Dict[str, float]]] = field(default_factory=dict)
     application_by_cell: Dict[str, Dict[str, int]] = field(default_factory=dict)
@@ -249,30 +250,16 @@ def build_result(
     target_ci_halfwidth: Optional[float] = None,
 ) -> CampaignResult:
     """Merge a recorder's accumulated shards into the final result."""
-    counts_by_cell = merge_shard_counts(recorder.results)
-    weights_by_cell = merge_shard_weights(recorder.results)
-    strata_by_cell = merge_shard_strata(recorder.results)
-    application_by_cell = merge_shard_application(recorder.results)
-    reports = build_cell_reports(
-        spec.cells(),
-        counts_by_cell,
-        weights_by_cell=weights_by_cell,
-        strata_by_cell=strata_by_cell,
-        estimator=spec.estimator,
-        application_by_cell=application_by_cell,
-    )
+    merged = merge_shards(recorder.results)
     return CampaignResult(
         spec=spec,
-        reports=reports,
-        counts_by_cell=counts_by_cell,
+        reports=cell_reports(spec.cells(), merged, estimator=spec.estimator),
         executed_shards=recorder.executed,
         resumed_shards=recorder.resumed,
         workers=max(1, workers),
         rounds=rounds,
         target_ci_halfwidth=target_ci_halfwidth,
-        weights_by_cell=weights_by_cell,
-        strata_by_cell=strata_by_cell,
-        application_by_cell=application_by_cell,
+        **{f"{name}_by_cell": by_cell for name, by_cell in merged.items()},
     )
 
 

@@ -574,26 +574,6 @@ class BatchResult:
     def outputs_correct(self) -> np.ndarray:
         return (self.outputs == self.golden).all(axis=1)
 
-    def counts(self) -> Dict[str, int]:
-        """Summed outcome counters, schema-identical to
-        ``repro.campaign.aggregate.COUNT_KEYS`` (kept import-free to preserve
-        the core → campaign layering)."""
-        correct = self.outputs_correct
-        detected = self.detected
-        return {
-            "trials": self.n_trials,
-            "correct": int(correct.sum()),
-            "clean": int((correct & ~detected).sum()),
-            "recovered": int((correct & detected).sum()),
-            "detected": int(detected.sum()),
-            "detected_corruption": int((~correct & detected).sum()),
-            "silent_corruption": int((~correct & ~detected).sum()),
-            "corrections": int(self.corrections.sum()),
-            "uncorrectable_levels": int(self.uncorrectable_levels.sum()),
-            "faults_injected": int(self.faults_injected.sum()),
-            "faulty_trials": int((self.faults_injected > 0).sum()),
-        }
-
 
 class _StuckCells:
     """Vectorised :class:`~repro.pim.faults.StuckAtFaultInjector` semantics.

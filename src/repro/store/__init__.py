@@ -30,10 +30,9 @@ from repro.store.query import (
     run_query,
 )
 from repro.store.render import OUTPUT_FORMATS, format_output
-from repro.store.schema import COUNTER_COLUMNS, MIGRATIONS, SCHEMA_VERSION
+from repro.store.schema import MIGRATIONS, SCHEMA_VERSION
 
 __all__ = [
-    "COUNTER_COLUMNS",
     "DEFAULT_GROUP_BY",
     "DERIVED_COLUMNS",
     "FileLock",

@@ -26,23 +26,22 @@ from __future__ import annotations
 import os
 import sqlite3
 from datetime import datetime, timezone
-from typing import Dict, Iterable, List, Optional, Tuple, Union
+from typing import Dict, Iterable, List, Mapping, Optional, Tuple, Union
 
 import repro
-from repro.campaign.aggregate import ShardResult, zeroed_counts
+from repro.campaign.aggregate import ShardResult
 from repro.campaign.spec import CampaignCell, CampaignSpec
 from repro.errors import EvaluationError
 from repro.store.locking import FileLock
 from repro.store.schema import (
-    APPLICATION_COLUMNS,
-    COUNTER_COLUMNS,
     SCHEMA_VERSION,
-    WEIGHT_COLUMNS,
+    SHARD_COLUMNS,
+    STORED_FAMILIES,
     apply_migrations,
     schema_version,
 )
 
-__all__ = ["ResultsStore", "CellFields"]
+__all__ = ["ResultsStore", "CellFields", "row_sums"]
 
 #: Decomposed cell-identity columns stored alongside the authoritative key.
 CELL_FIELD_NAMES = (
@@ -58,6 +57,24 @@ CELL_FIELD_NAMES = (
 
 #: ``cells`` column values keyed by :data:`CELL_FIELD_NAMES`.
 CellFields = Dict[str, object]
+
+_INSERT_SHARD = f"""
+    INSERT INTO shards
+        (cell_id, shard_index, {', '.join(SHARD_COLUMNS)}, repro_version, recorded_at)
+    VALUES (?, ?, {', '.join('?' for _ in SHARD_COLUMNS)}, ?, ?)
+    ON CONFLICT (cell_id, shard_index) DO NOTHING
+    """
+
+
+def row_sums(row: Mapping[str, object]) -> Dict[str, Dict[str, object]]:
+    """The stored families' sums in one row of family columns, keyed by
+    family name; a family whose columns are NULL (no shard of the row
+    carried it) is absent."""
+    return {
+        family.name: {key: family.value(row[key]) for key in family.keys}
+        for family in STORED_FAMILIES
+        if row[family.keys[0]] is not None
+    }
 
 
 def _utcnow() -> str:
@@ -175,40 +192,27 @@ class ResultsStore:
         )
         return spec_hash
 
-    def upsert_shard(
-        self,
-        spec_hash: str,
-        cell_key: str,
-        fields: CellFields,
-        shard_index: int,
-        counts: Dict[str, int],
-        weights: Optional[Dict[str, float]] = None,
-        application: Optional[Dict[str, int]] = None,
-    ) -> bool:
+    def upsert_shard(self, spec_hash: str, fields: CellFields, result: ShardResult) -> bool:
         """Record one completed shard; returns True if the row was new.
 
         The campaign row must exist (``register_campaign`` first).  A shard
         already present under ``(spec_hash, cell_key, shard_index)`` is kept
         as-is — shard outcomes are deterministic, so the incoming record is
-        identical and re-ingesting is a byte-level no-op.  ``weights`` (the
-        estimator weight sums of importance/stratified shards) land in the
-        nullable REAL columns migration 2 added; uniform shards leave NULLs.
-        ``application`` (the oracle-comparison counters of application
-        campaigns) likewise lands in migration 3's nullable INTEGER columns.
+        identical and re-ingesting is a byte-level no-op.  Each stored
+        family's sums land in its columns; an optional family the shard
+        did not report (estimator weights of a uniform shard, application
+        counters of a plain one) leaves them NULL.
         """
-        unknown = set(counts) - set(COUNTER_COLUMNS)
-        if unknown:
-            raise EvaluationError(f"unknown shard counters: {sorted(unknown)}")
-        if weights is not None:
-            unknown = set(weights) - set(WEIGHT_COLUMNS)
+        values: List[object] = []
+        for family in STORED_FAMILIES:
+            sums = getattr(result, family.name)
+            if sums is None:
+                values += [None] * len(family.keys)
+                continue
+            unknown = set(sums) - set(family.keys)
             if unknown:
-                raise EvaluationError(f"unknown shard weights: {sorted(unknown)}")
-        if application is not None:
-            unknown = set(application) - set(APPLICATION_COLUMNS)
-            if unknown:
-                raise EvaluationError(
-                    f"unknown shard application counters: {sorted(unknown)}"
-                )
+                raise EvaluationError(f"unknown shard {family.noun}s: {sorted(unknown)}")
+            values += [family.value(sums.get(key, 0)) for key in family.keys]
         with self.lock, self._conn:
             self._conn.execute(
                 """
@@ -219,35 +223,16 @@ class ResultsStore:
                 VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?)
                 ON CONFLICT (spec_hash, cell_key) DO NOTHING
                 """,
-                (spec_hash, cell_key) + tuple(fields.get(name) for name in CELL_FIELD_NAMES),
+                (spec_hash, result.cell_key)
+                + tuple(fields.get(name) for name in CELL_FIELD_NAMES),
             )
             cell_id = self._conn.execute(
                 "SELECT id FROM cells WHERE spec_hash = ? AND cell_key = ?",
-                (spec_hash, cell_key),
+                (spec_hash, result.cell_key),
             ).fetchone()[0]
-            all_columns = COUNTER_COLUMNS + WEIGHT_COLUMNS + APPLICATION_COLUMNS
-            columns = ", ".join(all_columns)
-            placeholders = ", ".join("?" for _ in all_columns)
-            weight_values = tuple(
-                None if weights is None else float(weights.get(name, 0.0))
-                for name in WEIGHT_COLUMNS
-            )
-            application_values = tuple(
-                None if application is None else int(application.get(name, 0))
-                for name in APPLICATION_COLUMNS
-            )
             cursor = self._conn.execute(
-                f"""
-                INSERT INTO shards
-                    (cell_id, shard_index, {columns}, repro_version, recorded_at)
-                VALUES (?, ?, {placeholders}, ?, ?)
-                ON CONFLICT (cell_id, shard_index) DO NOTHING
-                """,
-                (cell_id, shard_index)
-                + tuple(int(counts.get(name, 0)) for name in COUNTER_COLUMNS)
-                + weight_values
-                + application_values
-                + (repro.__version__, _utcnow()),
+                _INSERT_SHARD,
+                (cell_id, result.shard_index, *values, repro.__version__, _utcnow()),
             )
             return cursor.rowcount > 0
 
@@ -257,15 +242,7 @@ class ResultsStore:
             raise EvaluationError(
                 f"cell/result mismatch: {cell.key!r} vs {result.cell_key!r}"
             )
-        return self.upsert_shard(
-            spec_hash,
-            cell.key,
-            cell_fields(cell),
-            result.shard_index,
-            result.counts,
-            weights=result.weights,
-            application=result.application,
-        )
+        return self.upsert_shard(spec_hash, cell_fields(cell), result)
 
     # ------------------------------------------------------------------ #
     # Reads
@@ -299,48 +276,22 @@ class ResultsStore:
         )
         return rows[0][0] if rows else None
 
-    def counts_by_cell(self, spec_hash: str) -> Dict[str, Dict[str, int]]:
-        """Summed counters per cell key for one campaign — the same shape
-        :func:`repro.campaign.aggregate.merge_shard_counts` produces, so the
-        store can stand in for a pile of checkpoint files."""
-        sums = ", ".join(f"SUM(s.{name}) AS {name}" for name in COUNTER_COLUMNS)
-        merged: Dict[str, Dict[str, int]] = {}
+    def cell_sums(self, spec_hash: str) -> Dict[str, Dict[str, Dict[str, object]]]:
+        """Summed family sums per cell key for one campaign — the
+        ``{family: {cell key: sums}}`` shape
+        :func:`repro.campaign.aggregate.merge_shards` produces for the stored
+        families, so the store can stand in for a pile of checkpoint files.
+        A cell whose shards never carried an optional family is absent from
+        that family's map, matching the in-process merge."""
+        merged: Dict[str, Dict[str, Dict[str, object]]] = {
+            family.name: {} for family in STORED_FAMILIES
+        }
         for row in self.rows(
-            f"""
-            SELECT c.cell_key, {sums}
-            FROM cells c JOIN shards s ON s.cell_id = c.id
-            WHERE c.spec_hash = ?
-            GROUP BY c.id
-            """,
+            f"SELECT cell_key, {', '.join(SHARD_COLUMNS)} FROM cell_totals WHERE spec_hash = ?",
             (spec_hash,),
         ):
-            counts = zeroed_counts()
-            for name in COUNTER_COLUMNS:
-                counts[name] = int(row[name])
-            merged[row["cell_key"]] = counts
-        return merged
-
-    def application_by_cell(self, spec_hash: str) -> Dict[str, Dict[str, int]]:
-        """Summed application counters per cell key for one campaign — the
-        shape :func:`repro.campaign.aggregate.merge_shard_application`
-        produces.  Cells whose shards never carried application metrics
-        (all-NULL columns) are absent, matching the in-process merge."""
-        sums = ", ".join(f"SUM(s.{name}) AS {name}" for name in APPLICATION_COLUMNS)
-        merged: Dict[str, Dict[str, int]] = {}
-        for row in self.rows(
-            f"""
-            SELECT c.cell_key, {sums}
-            FROM cells c JOIN shards s ON s.cell_id = c.id
-            WHERE c.spec_hash = ?
-            GROUP BY c.id
-            """,
-            (spec_hash,),
-        ):
-            if row[APPLICATION_COLUMNS[0]] is None:
-                continue
-            merged[row["cell_key"]] = {
-                name: int(row[name]) for name in APPLICATION_COLUMNS
-            }
+            for name, sums in row_sums(row).items():
+                merged[name][row["cell_key"]] = sums
         return merged
 
     def shard_keys(self, spec_hash: Optional[str] = None) -> List[Tuple[str, str, int]]:

@@ -157,15 +157,7 @@ def ingest_checkpoint(
                     report.skipped_malformed += 1
                     continue
                 fields_by_key[result.cell_key] = fields
-            if store.upsert_shard(
-                spec_hash,
-                result.cell_key,
-                fields,
-                result.shard_index,
-                result.counts,
-                weights=result.weights,
-                application=result.application,
-            ):
+            if store.upsert_shard(spec_hash, fields, result):
                 report.ingested += 1
             else:
                 report.duplicates += 1

@@ -1,12 +1,13 @@
 """Aggregate queries over the results corpus: filter, group, Wilson CIs.
 
-The SQL side only ever *sums integer counters* (over the ``cell_totals``
-view); every rate and confidence interval is derived in Python from those
-sums using the exact arithmetic of the in-process aggregator
-(:mod:`repro.campaign.aggregate` — same ``counts[key] / trials`` division,
-same :func:`repro.stats.wilson_interval`).  That is what makes the store's
-answers *byte-for-byte identical* to ``run_campaign``'s reports for the same
-shards, which the golden and CI tests pin.
+The SQL side only ever *sums* metric-family columns (over the
+``cell_totals`` view); every rate and confidence interval is read off a
+:class:`~repro.campaign.aggregate.CellReport` built from those sums — the
+very object ``run_campaign`` reports with, so each family's derived columns
+(:attr:`~repro.campaign.aggregate.MetricFamily.derived`) have one
+definition.  That is what makes the store's answers *byte-for-byte
+identical* to ``run_campaign``'s reports for the same shards, which the
+golden and CI tests pin.
 
 Grouping defaults to cell identity (workload, scheme, technology, gate
 error rate) — the campaign-table view, but merged across every campaign
@@ -17,14 +18,14 @@ whole corpus", ``--group-by spec_hash,scheme`` keeps campaigns separate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.campaign.aggregate import CellReport
 from repro.errors import EvaluationError, PimError
 from repro.pim.faults import parse_fault_model
-from repro.stats import effective_sample_size, weighted_mean_interval, wilson_interval
-from repro.store.database import ResultsStore
-from repro.store.schema import APPLICATION_COLUMNS, COUNTER_COLUMNS, WEIGHT_COLUMNS
+from repro.store.database import ResultsStore, row_sums
+from repro.store.schema import SHARD_COLUMNS, STORED_FAMILIES
 
 __all__ = [
     "GROUPABLE_COLUMNS",
@@ -52,49 +53,11 @@ GROUPABLE_COLUMNS = (
 #: The campaign-table view: one row per swept cell identity.
 DEFAULT_GROUP_BY = ("workload", "scheme", "technology", "gate_error_rate")
 
-#: The always-present count-derived statistics.
-_BASE_DERIVED = (
-    "trials",
-    "coverage",
-    "coverage_ci_low",
-    "coverage_ci_high",
-    "silent_corruption_rate",
-    "silent_ci_low",
-    "silent_ci_high",
-    "detected_rate",
-    "recovered_rate",
-    "detected_corruption_rate",
-    "faults_per_trial_avg",
-)
-
-#: Estimator-weighted statistics (schema v2): None on rows whose shards
-#: were all recorded by uniform campaigns (NULL weight columns).
-_WEIGHTED_DERIVED = (
-    "weight_sum",
-    "effective_sample_size",
-    "weighted_silent_rate",
-    "weighted_silent_ci_low",
-    "weighted_silent_ci_high",
-    "weighted_detected_corruption_rate",
-    "weighted_detected_corruption_ci_low",
-    "weighted_detected_corruption_ci_high",
-)
-
-#: Application-metric statistics (schema v3): None on rows whose shards were
-#: all recorded by non-application campaigns (NULL application columns).
-_APPLICATION_DERIVED = (
-    "app_trials",
-    "argmax_flip_rate",
-    "argmax_flip_ci_low",
-    "argmax_flip_ci_high",
-    "output_bit_errors_avg",
-    "output_error_magnitude_avg",
-)
-
-#: Derived statistics appended after the group columns, in order.  This
-#: list is the query output's schema contract — pinned by the golden tests;
-#: extend only at the end, alongside a golden refresh.
-DERIVED_COLUMNS = _BASE_DERIVED + _WEIGHTED_DERIVED + _APPLICATION_DERIVED
+#: Derived statistics appended after the group columns, in order: each
+#: stored family's derived columns, None on rows no shard of which carried
+#: the family.  This list is the query output's schema contract — pinned by
+#: the golden tests; extend only at the end, alongside a golden refresh.
+DERIVED_COLUMNS = tuple(column for family in STORED_FAMILIES for column, _ in family.derived)
 
 
 @dataclass(frozen=True)
@@ -145,91 +108,6 @@ def _fault_model_clause(values: Sequence[str], where: List[str], params: List[ob
     where.append("(" + " OR ".join(clauses) + ")")
 
 
-def _derive(row_counts: Dict[str, int]) -> Dict[str, object]:
-    """Rates + Wilson CIs from integer sums — CellReport's arithmetic."""
-    trials = row_counts["trials"]
-
-    def rate(key: str) -> float:
-        return row_counts[key] / trials if trials else 0.0
-
-    cov_low, cov_high = wilson_interval(row_counts["correct"], trials)
-    silent_low, silent_high = wilson_interval(row_counts["silent_corruption"], trials)
-    return {
-        "trials": trials,
-        "coverage": rate("correct"),
-        "coverage_ci_low": cov_low,
-        "coverage_ci_high": cov_high,
-        "silent_corruption_rate": rate("silent_corruption"),
-        "silent_ci_low": silent_low,
-        "silent_ci_high": silent_high,
-        "detected_rate": rate("detected"),
-        "recovered_rate": rate("recovered"),
-        "detected_corruption_rate": rate("detected_corruption"),
-        "faults_per_trial_avg": rate("faults_injected"),
-    }
-
-
-def _derive_weighted(row_weights: Dict[str, Optional[float]], trials: int) -> Dict[str, object]:
-    """Weighted estimates from weight sums — CellReport.estimate's arithmetic.
-
-    ``weight_sum`` is NULL (None) exactly when no shard of the group carried
-    estimator weights, in which case every weighted column is None.  SUM over
-    a mixed weighted/unweighted group silently covers only the weighted
-    shards — such groups are statistically ill-posed and the caller's
-    responsibility (don't merge uniform and importance campaigns into one
-    group and expect a meaningful weighted rate).
-    """
-    if row_weights["weight_sum"] is None:
-        return {name: None for name in _WEIGHTED_DERIVED}
-    silent, silent_low, silent_high = weighted_mean_interval(
-        row_weights["w_silent_corruption"], row_weights["w_silent_corruption_sq"], trials
-    )
-    detcor, detcor_low, detcor_high = weighted_mean_interval(
-        row_weights["w_detected_corruption"],
-        row_weights["w_detected_corruption_sq"],
-        trials,
-    )
-    return {
-        "weight_sum": row_weights["weight_sum"],
-        "effective_sample_size": effective_sample_size(
-            row_weights["weight_sum"], row_weights["weight_sq_sum"]
-        ),
-        "weighted_silent_rate": silent,
-        "weighted_silent_ci_low": silent_low,
-        "weighted_silent_ci_high": silent_high,
-        "weighted_detected_corruption_rate": detcor,
-        "weighted_detected_corruption_ci_low": detcor_low,
-        "weighted_detected_corruption_ci_high": detcor_high,
-    }
-
-
-def _derive_application(row_application: Dict[str, Optional[int]]) -> Dict[str, object]:
-    """Application rates from integer sums — CellReport's application
-    arithmetic (same divisions, same :func:`wilson_interval`).
-
-    ``app_trials`` is NULL (None) exactly when no shard of the group carried
-    application metrics, in which case every application column is None.  As
-    with the weighted columns, a group mixing application and plain shards
-    covers only the application-scored trials.
-    """
-    if row_application["app_trials"] is None:
-        return {name: None for name in _APPLICATION_DERIVED}
-    trials = row_application["app_trials"]
-    flip_low, flip_high = wilson_interval(row_application["argmax_flips"], trials)
-    return {
-        "app_trials": trials,
-        "argmax_flip_rate": row_application["argmax_flips"] / trials if trials else 0.0,
-        "argmax_flip_ci_low": flip_low,
-        "argmax_flip_ci_high": flip_high,
-        "output_bit_errors_avg": (
-            row_application["output_bit_errors"] / trials if trials else 0.0
-        ),
-        "output_error_magnitude_avg": (
-            row_application["output_error_magnitude"] / trials if trials else 0.0
-        ),
-    }
-
-
 def run_query(
     store: ResultsStore,
     filters: Optional[QueryFilters] = None,
@@ -266,10 +144,7 @@ def run_query(
         params.append(float(filters.max_error_rate))
 
     group_sql = ", ".join(group_by)
-    sums = ", ".join(
-        f"SUM({name}) AS {name}"
-        for name in COUNTER_COLUMNS + WEIGHT_COLUMNS + APPLICATION_COLUMNS
-    )
+    sums = ", ".join(f"SUM({name}) AS {name}" for name in SHARD_COLUMNS)
     sql = f"SELECT {group_sql}, {sums} FROM cell_totals"
     if where:
         sql += " WHERE " + " AND ".join(where)
@@ -279,16 +154,8 @@ def run_query(
     rows: List[Dict[str, object]] = []
     for raw in store.rows(sql, params):
         row: Dict[str, object] = {column: raw[column] for column in group_by}
-        counts = {name: int(raw[name]) for name in COUNTER_COLUMNS}
-        weights = {
-            name: None if raw[name] is None else float(raw[name]) for name in WEIGHT_COLUMNS
-        }
-        application = {
-            name: None if raw[name] is None else int(raw[name])
-            for name in APPLICATION_COLUMNS
-        }
-        row.update(_derive(counts))
-        row.update(_derive_weighted(weights, counts["trials"]))
-        row.update(_derive_application(application))
+        report = CellReport(cell=None, **row_sums(raw))
+        for family in STORED_FAMILIES:
+            row.update(family.derive(report))
         rows.append(row)
     return columns, rows

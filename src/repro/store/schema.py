@@ -21,59 +21,105 @@ Three tables plus one aggregate view:
     ``UNIQUE (spec_hash, cell_key)`` constraint on ``cells`` make
     "spec hash + cell key + shard index" the upsert identity, so replaying a
     checkpoint (or recording live while a checkpoint also ingests) can never
-    duplicate a shard.  Counter columns mirror
-    :data:`repro.campaign.aggregate.COUNT_KEYS` exactly; each row carries
-    the writing repro version for provenance.
+    duplicate a shard.  Each row carries one column per key of every stored
+    metric family (:data:`repro.campaign.aggregate.FAMILIES` entries with a
+    ``schema_version``) and the writing repro version for provenance.
 
 ``cell_totals`` (view)
-    Per-cell integer sums over shards, joined with campaign provenance.
-    Only *sums* live in SQL — rates and Wilson intervals are computed at
-    query time in Python (:mod:`repro.store.query`) by the very same
-    :func:`repro.stats.wilson_interval` the in-process aggregator uses, so
-    query results match ``campaign/aggregate.py`` byte-for-byte.
+    Per-cell sums of every family column over shards, joined with campaign
+    provenance.  Only *sums* live in SQL — rates and intervals are computed
+    at query time in Python (:mod:`repro.store.query`) by the very
+    :class:`~repro.campaign.aggregate.CellReport` the in-process aggregator
+    builds, so query results match ``campaign/aggregate.py`` byte-for-byte.
 
-Migrations are append-only: ``MIGRATIONS[i]`` upgrades a version-``i``
-database to version ``i + 1``, and the applied version is stored in
-``schema_meta``.  Never edit a shipped migration — append a new one.
+Migrations are generated from the family table: version 1 creates the
+tables with the required ``counts`` columns inline, and each later version
+adds the nullable columns of the families that name it (``INTEGER`` or
+``REAL`` by value type; NULL on every shard that did not report the family)
+and rebuilds the view.  They are append-only: ``MIGRATIONS[i]`` upgrades a
+version-``i`` database to version ``i + 1``, and the applied version is
+stored in ``schema_meta``.  Never change a family's keys or a shipped
+migration — add a family with the next schema version instead;
+``tests/golden/store_schema.json`` pins the shipped DDL.
 """
 
 from __future__ import annotations
 
 import sqlite3
-from typing import Tuple
+from typing import List, Tuple
 
+from repro.campaign.aggregate import FAMILIES, MetricFamily
 from repro.errors import EvaluationError
 
 __all__ = [
-    "COUNTER_COLUMNS",
-    "WEIGHT_COLUMNS",
-    "APPLICATION_COLUMNS",
+    "STORED_FAMILIES",
+    "SHARD_COLUMNS",
     "SCHEMA_VERSION",
     "MIGRATIONS",
     "apply_migrations",
     "schema_version",
 ]
 
-#: Shard counter columns, frozen at migration time.  This tuple must stay a
-#: *literal* copy of :data:`repro.campaign.aggregate.COUNT_KEYS` as of schema
-#: version 1 — a test asserts equality, so growing COUNT_KEYS forces a
-#: conscious new migration instead of silently rewriting history.
-COUNTER_COLUMNS: Tuple[str, ...] = (
-    "trials",
-    "correct",
-    "clean",
-    "recovered",
-    "detected",
-    "detected_corruption",
-    "silent_corruption",
-    "corrections",
-    "uncorrectable_levels",
-    "faults_injected",
-    "faulty_trials",
+#: Metric families with shard columns, in the order migrations added them.
+STORED_FAMILIES: Tuple[MetricFamily, ...] = tuple(
+    sorted(
+        (family for family in FAMILIES if family.schema_version is not None),
+        key=lambda family: family.schema_version,
+    )
 )
 
-_COUNTER_DDL = ",\n    ".join(f"{name} INTEGER NOT NULL DEFAULT 0" for name in COUNTER_COLUMNS)
-_COUNTER_SUMS = ",\n    ".join(f"SUM(s.{name}) AS {name}" for name in COUNTER_COLUMNS)
+#: Every family column of ``shards``, in table and view order.
+SHARD_COLUMNS: Tuple[str, ...] = tuple(key for family in STORED_FAMILIES for key in family.keys)
+
+
+def _added(version: int) -> List[str]:
+    """Definitions of the columns the families of ``version`` add."""
+    return [
+        f"{name} {'REAL' if family.value is float else 'INTEGER'}"
+        + ("" if family.optional else " NOT NULL DEFAULT 0")
+        for family in STORED_FAMILIES
+        if family.schema_version == version
+        for name in family.keys
+    ]
+
+
+def _view(version: int) -> str:
+    """The ``cell_totals`` view over every column present at ``version``.
+
+    SQLite's SUM returns NULL over all-NULL groups, so a cell none of whose
+    shards reported an optional family surfaces NULL — "no such metrics" —
+    rather than a misleading 0.
+    """
+    sums = ",\n    ".join(
+        f"SUM(s.{name}) AS {name}"
+        for family in STORED_FAMILIES
+        if family.schema_version <= version
+        for name in family.keys
+    )
+    return f"""CREATE VIEW cell_totals AS
+SELECT
+    c.spec_hash,
+    c.cell_key,
+    c.workload,
+    c.scheme,
+    c.technology,
+    c.gate_error_rate,
+    c.memory_error_rate,
+    c.multi_output,
+    c.faults_per_trial,
+    c.fault_model,
+    p.name AS campaign_name,
+    p.backend,
+    COUNT(s.shard_index) AS n_shards,
+    {sums}
+FROM cells c
+JOIN campaigns p ON p.spec_hash = c.spec_hash
+JOIN shards s ON s.cell_id = c.id
+GROUP BY c.id;
+"""
+
+
+_COUNTER_DDL = ",\n    ".join(_added(1))
 
 _MIGRATION_1 = f"""
 CREATE TABLE schema_meta (
@@ -119,137 +165,20 @@ CREATE TABLE shards (
 CREATE INDEX cells_by_identity
     ON cells (workload, scheme, technology, gate_error_rate);
 
-CREATE VIEW cell_totals AS
-SELECT
-    c.spec_hash,
-    c.cell_key,
-    c.workload,
-    c.scheme,
-    c.technology,
-    c.gate_error_rate,
-    c.memory_error_rate,
-    c.multi_output,
-    c.faults_per_trial,
-    c.fault_model,
-    p.name AS campaign_name,
-    p.backend,
-    COUNT(s.shard_index) AS n_shards,
-    {_COUNTER_SUMS}
-FROM cells c
-JOIN campaigns p ON p.spec_hash = c.spec_hash
-JOIN shards s ON s.cell_id = c.id
-GROUP BY c.id;
-"""
+{_view(1)}"""
 
-#: Estimator weight columns added at schema version 2.  A *literal* copy of
-#: :data:`repro.campaign.adaptive.importance.WEIGHT_KEYS` as of that
-#: migration (a test asserts equality); NULL on every shard a uniform
-#: campaign wrote, so the pre-estimator corpus keeps its exact byte shape.
-WEIGHT_COLUMNS: Tuple[str, ...] = (
-    "weight_sum",
-    "weight_sq_sum",
-    "w_correct",
-    "w_correct_sq",
-    "w_detected",
-    "w_detected_sq",
-    "w_detected_corruption",
-    "w_detected_corruption_sq",
-    "w_silent_corruption",
-    "w_silent_corruption_sq",
-)
 
-_WEIGHT_ALTERS = ";\n".join(
-    f"ALTER TABLE shards ADD COLUMN {name} REAL" for name in WEIGHT_COLUMNS
-)
-_WEIGHT_SUMS = ",\n    ".join(f"SUM(s.{name}) AS {name}" for name in WEIGHT_COLUMNS)
+def _migration(version: int) -> str:
+    """Version ``version - 1`` -> ``version``: the families that name it
+    add their columns, and the totals view re-grows to sum them."""
+    alters = ";\n".join(f"ALTER TABLE shards ADD COLUMN {column}" for column in _added(version))
+    return f"\n{alters};\n\nDROP VIEW cell_totals;\n\n{_view(version)}"
 
-# Version 1 -> 2: per-shard estimator weight sums (importance likelihood
-# ratios / stratified Horvitz-Thompson weights) ride along as nullable REAL
-# columns, and the totals view re-grows to sum them.  SQLite's SUM returns
-# NULL over all-NULL groups, so uniform cells surface NULL — "no weighted
-# estimate" — rather than a misleading 0.0.
-_MIGRATION_2 = f"""
-{_WEIGHT_ALTERS};
-
-DROP VIEW cell_totals;
-
-CREATE VIEW cell_totals AS
-SELECT
-    c.spec_hash,
-    c.cell_key,
-    c.workload,
-    c.scheme,
-    c.technology,
-    c.gate_error_rate,
-    c.memory_error_rate,
-    c.multi_output,
-    c.faults_per_trial,
-    c.fault_model,
-    p.name AS campaign_name,
-    p.backend,
-    COUNT(s.shard_index) AS n_shards,
-    {_COUNTER_SUMS},
-    {_WEIGHT_SUMS}
-FROM cells c
-JOIN campaigns p ON p.spec_hash = c.spec_hash
-JOIN shards s ON s.cell_id = c.id
-GROUP BY c.id;
-"""
-
-#: Application-metric columns added at schema version 3.  A *literal* copy
-#: of :data:`repro.campaign.application.APPLICATION_KEYS` as of that
-#: migration (a test asserts equality); NULL on every shard a non-application
-#: campaign wrote, so the existing corpus keeps its exact byte shape.
-APPLICATION_COLUMNS: Tuple[str, ...] = (
-    "app_trials",
-    "argmax_flips",
-    "output_bit_errors",
-    "output_error_magnitude",
-)
-
-_APPLICATION_ALTERS = ";\n".join(
-    f"ALTER TABLE shards ADD COLUMN {name} INTEGER" for name in APPLICATION_COLUMNS
-)
-_APPLICATION_SUMS = ",\n    ".join(
-    f"SUM(s.{name}) AS {name}" for name in APPLICATION_COLUMNS
-)
-
-# Version 2 -> 3: per-shard application counters (argmax flips vs the integer
-# oracle, output Hamming/magnitude sums) ride along as nullable INTEGER
-# columns, and the totals view re-grows to sum them.  As with the weight
-# columns, SUM over an all-NULL group yields NULL — "no application metrics"
-# — so v2-era shards and plain campaigns read back unchanged.
-_MIGRATION_3 = f"""
-{_APPLICATION_ALTERS};
-
-DROP VIEW cell_totals;
-
-CREATE VIEW cell_totals AS
-SELECT
-    c.spec_hash,
-    c.cell_key,
-    c.workload,
-    c.scheme,
-    c.technology,
-    c.gate_error_rate,
-    c.memory_error_rate,
-    c.multi_output,
-    c.faults_per_trial,
-    c.fault_model,
-    p.name AS campaign_name,
-    p.backend,
-    COUNT(s.shard_index) AS n_shards,
-    {_COUNTER_SUMS},
-    {_WEIGHT_SUMS},
-    {_APPLICATION_SUMS}
-FROM cells c
-JOIN campaigns p ON p.spec_hash = c.spec_hash
-JOIN shards s ON s.cell_id = c.id
-GROUP BY c.id;
-"""
 
 #: ``MIGRATIONS[i]``: SQL script upgrading schema version i -> i + 1.
-MIGRATIONS: Tuple[str, ...] = (_MIGRATION_1, _MIGRATION_2, _MIGRATION_3)
+MIGRATIONS: Tuple[str, ...] = (_MIGRATION_1,) + tuple(
+    _migration(version) for version in range(2, STORED_FAMILIES[-1].schema_version + 1)
+)
 
 #: The schema version this build of the library reads and writes.
 SCHEMA_VERSION = len(MIGRATIONS)

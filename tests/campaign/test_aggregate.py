@@ -6,8 +6,8 @@ from repro.campaign.aggregate import (
     COUNT_KEYS,
     CellReport,
     ShardResult,
-    build_cell_reports,
-    merge_shard_counts,
+    cell_reports,
+    merge_shards,
     render_campaign_table,
     wilson_interval,
     zeroed_counts,
@@ -85,19 +85,41 @@ class TestShardResult:
 
 class TestMerge:
     def test_sums_per_cell(self):
-        merged = merge_shard_counts(
+        merged = merge_shards(
             [
                 make_result("a", 0, trials=4, correct=3),
                 make_result("a", 1, trials=4, correct=4),
                 make_result("b", 0, trials=2, correct=0),
             ]
-        )
+        )["counts"]
         assert merged["a"]["trials"] == 8 and merged["a"]["correct"] == 7
         assert merged["b"]["trials"] == 2 and merged["b"]["correct"] == 0
 
     def test_order_independent(self):
         shards = [make_result("a", i, trials=3, correct=i) for i in range(4)]
-        assert merge_shard_counts(shards) == merge_shard_counts(list(reversed(shards)))
+        assert merge_shards(shards) == merge_shards(list(reversed(shards)))
+
+    def test_every_family_merges_bit_identically_in_any_order(self):
+        # Float weight sums are not associative: only the canonical
+        # (cell, shard) merge order makes them independent of arrival order.
+        shards = [
+            ShardResult(
+                cell_key="a",
+                shard_index=i,
+                counts=dict(zeroed_counts(), trials=3),
+                weights={"weight_sum": 0.1 * (i + 1), "w_correct": 1e16 if i == 0 else 1.0},
+                strata={"k=0": {"pi": 0.5, "trials": 2}, f"k={i + 1}": {"pi": 0.1, "trials": 1}},
+            )
+            for i in range(4)
+        ]
+        merged = merge_shards(shards)
+        for order in (list(reversed(shards)), shards[2:] + shards[:2]):
+            again = merge_shards(order)
+            assert again == merged
+            assert list(again["strata"]["a"]) == list(merged["strata"]["a"])
+        assert merged["counts"]["a"]["trials"] == 12
+        assert merged["strata"]["a"]["k=0"] == {"pi": 0.5, "trials": 8}
+        assert "a" not in merged["application"]
 
 
 class TestCellReport:
@@ -129,7 +151,7 @@ class TestCellReport:
 
     def test_build_reports_in_grid_order_with_missing_cells_zeroed(self):
         cells = [self.cell()]
-        reports = build_cell_reports(cells, {})
+        reports = cell_reports(cells, merge_shards([]))
         assert len(reports) == 1 and reports[0].trials == 0
 
     def test_render_contains_cells_and_intervals(self):

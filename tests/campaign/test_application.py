@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.campaign import CampaignSpec, run_campaign
-from repro.campaign.aggregate import ShardResult, merge_shard_application
+from repro.campaign.aggregate import APPLICATION, ShardResult, merge_shards
 from repro.campaign.application import (
     APPLICATION_KEYS,
     application_counts,
@@ -15,7 +15,6 @@ from repro.campaign.application import (
     get_application_workload,
     has_application_metrics,
     mlp16_netlist,
-    zeroed_application,
 )
 from repro.campaign.workloads import get_campaign_workload
 from repro.errors import EvaluationError, UnknownWorkloadError
@@ -112,7 +111,7 @@ class TestApplicationCounts:
         assert counts["output_error_magnitude"] == 1
 
     def test_keys_match_zeroed(self):
-        assert tuple(zeroed_application()) == APPLICATION_KEYS
+        assert tuple(APPLICATION.zeroed()) == APPLICATION_KEYS
 
 
 class TestSpecValidation:
@@ -251,7 +250,7 @@ class TestCheckpointRoundTrip:
             ShardResult.from_dict(data)
 
     def test_merge_skips_cells_without_application(self):
-        merged = merge_shard_application(
+        merged = merge_shards(
             [
                 ShardResult(cell_key="a", shard_index=0),
                 ShardResult(
@@ -265,7 +264,7 @@ class TestCheckpointRoundTrip:
                     application={"app_trials": 3, "argmax_flips": 0},
                 ),
             ]
-        )
+        )["application"]
         assert "a" not in merged
         assert merged["b"]["app_trials"] == 5
         assert merged["b"]["argmax_flips"] == 1

@@ -117,5 +117,16 @@ class TestCheckpointStore:
                 '{"spec_hash": "abc", "cell": "cell-a", "shard": 1,'
                 ' "counts": {"trials": 2, "counter_from_the_future": 9}}\n'
             )
-        loaded = store.load("abc")  # must not raise; shard 1 just re-runs
+            # A stratum that is no object, and one missing its population
+            # probability (which merging and the estimate both need).
+            handle.write(
+                '{"spec_hash": "abc", "cell": "cell-a", "shard": 2,'
+                ' "counts": {"trials": 5}, "strata": {"k=0": 5}}\n'
+            )
+            handle.write(
+                '{"spec_hash": "abc", "cell": "cell-a", "shard": 3,'
+                ' "counts": {"trials": 5}, "strata": {"k=0": {"trials": 5, "correct": 5}}}\n'
+            )
+        with pytest.warns(UserWarning, match="unreadable record"):
+            loaded = store.load("abc")  # must not raise; shards 1-3 just re-run
         assert set(loaded) == {("cell-a", 0)}

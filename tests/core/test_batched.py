@@ -152,7 +152,7 @@ class TestExhaustiveSingleFault:
         assert not result.detected.any()
         # Flipping the final AND output on inputs (1, 1) must corrupt it.
         assert not result.outputs_correct.all()
-        assert result.counts()["silent_corruption"] > 0
+        assert (~result.outputs_correct & ~result.detected).any()
 
 
 class TestStochasticDeterminism:
@@ -168,7 +168,8 @@ class TestStochasticDeterminism:
         first = run_batch(plan, matrix, fault_model=model, stream=stream)
         second = run_batch(plan, matrix, fault_model=model, stream=stream)
         assert np.array_equal(first.outputs, second.outputs)
-        assert first.counts() == second.counts()
+        for name in ("detected", "corrections", "uncorrectable_levels", "faults_injected"):
+            assert np.array_equal(getattr(first, name), getattr(second, name))
 
     def test_outcomes_invariant_to_batch_composition(self):
         # A trial's draws are addressed by its own index, so splitting the

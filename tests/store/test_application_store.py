@@ -4,13 +4,12 @@ import sqlite3
 
 import pytest
 
-from repro.campaign import CampaignSpec, run_campaign
-from repro.campaign.application import APPLICATION_KEYS
+from repro.campaign import CampaignSpec, ShardResult, run_campaign
 from repro.errors import EvaluationError
 from repro.store import ResultsStore
 from repro.store.database import cell_fields
 from repro.store.query import run_query
-from repro.store.schema import APPLICATION_COLUMNS, MIGRATIONS
+from repro.store.schema import MIGRATIONS
 
 
 def application_spec(**overrides):
@@ -59,11 +58,6 @@ def build_v2_database(path):
 
 
 class TestSchemaV3:
-    def test_application_columns_mirror_application_keys(self):
-        # Frozen at migration 3: growing APPLICATION_KEYS requires a new
-        # migration, never an edit of APPLICATION_COLUMNS in place.
-        assert APPLICATION_COLUMNS == APPLICATION_KEYS
-
     def test_v2_database_migrates_preserving_rows(self, tmp_path):
         path = tmp_path / "legacy.sqlite"
         build_v2_database(path)
@@ -73,7 +67,7 @@ class TestSchemaV3:
             # Pre-application shards surface NULL counters, not zeros.
             row = store.rows("SELECT app_trials, argmax_flips FROM shards")[0]
             assert tuple(row) == (None, None)
-            assert store.application_by_cell("deadbeefdeadbeef") == {}
+            assert store.cell_sums("deadbeefdeadbeef")["application"] == {}
             columns, rows = run_query(store)
             assert rows[0]["trials"] == 4
             assert rows[0]["app_trials"] is None
@@ -88,11 +82,8 @@ class TestSchemaV3:
             with pytest.raises(EvaluationError, match="unknown shard application"):
                 store.upsert_shard(
                     spec_hash,
-                    cell.key,
                     cell_fields(cell),
-                    0,
-                    {"trials": 1},
-                    application={"app_trials": 1, "bogus": 2},
+                    ShardResult(cell.key, 0, application={"app_trials": 1, "bogus": 2}),
                 )
 
 
@@ -104,7 +95,8 @@ class TestApplicationQueries:
         spec = application_spec()
         result = run_campaign(spec, workers=0, db=tmp_path / "r.sqlite")
         with ResultsStore(tmp_path / "r.sqlite") as store:
-            assert store.application_by_cell(spec.spec_hash()) == result.application_by_cell
+            sums = store.cell_sums(spec.spec_hash())
+            assert sums["application"] == result.application_by_cell
             _, rows = run_query(store, group_by=("workload", "scheme"))
         by_scheme = {row["scheme"]: row for row in rows}
         for report in result.reports:
@@ -125,13 +117,14 @@ class TestApplicationQueries:
         with ResultsStore(tmp_path / "r.sqlite") as store:
             report = ingest_checkpoint(store, checkpoint, spec=spec)
             assert report.ingested == result.executed_shards
-            assert store.application_by_cell(spec.spec_hash()) == result.application_by_cell
+            sums = store.cell_sums(spec.spec_hash())
+            assert sums["application"] == result.application_by_cell
 
     def test_plain_campaign_rows_stay_null(self, tmp_path):
         spec = application_spec(application=None)
         run_campaign(spec, workers=0, db=tmp_path / "r.sqlite")
         with ResultsStore(tmp_path / "r.sqlite") as store:
-            assert store.application_by_cell(spec.spec_hash()) == {}
+            assert store.cell_sums(spec.spec_hash())["application"] == {}
             _, rows = run_query(store)
         assert all(row["app_trials"] is None for row in rows)
         assert all(row["argmax_flip_rate"] is None for row in rows)

@@ -5,10 +5,10 @@ import sqlite3
 import pytest
 
 import repro
-from repro.campaign.aggregate import COUNT_KEYS, ShardResult, zeroed_counts
+from repro.campaign.aggregate import ShardResult, zeroed_counts
 from repro.campaign.spec import CampaignSpec
 from repro.errors import EvaluationError
-from repro.store import COUNTER_COLUMNS, SCHEMA_VERSION, FileLock, LockTimeoutError, ResultsStore
+from repro.store import SCHEMA_VERSION, FileLock, LockTimeoutError, ResultsStore
 from repro.store.database import cell_fields
 
 
@@ -33,12 +33,6 @@ def make_result(cell, shard=0, trials=4, correct=4):
 
 
 class TestSchema:
-    def test_counter_columns_mirror_count_keys(self):
-        # The schema froze COUNT_KEYS at migration 1.  If this fails, you
-        # grew COUNT_KEYS: write a new migration adding the column — never
-        # edit COUNTER_COLUMNS or a shipped migration in place.
-        assert COUNTER_COLUMNS == COUNT_KEYS
-
     def test_fresh_database_is_at_current_version(self, tmp_path):
         with ResultsStore(tmp_path / "r.sqlite") as store:
             assert store.schema_version == SCHEMA_VERSION
@@ -86,7 +80,7 @@ class TestRecording:
             assert campaigns[0]["has_spec"] == 1
             assert campaigns[0]["repro_version"] == repro.__version__
             assert store.shard_keys() == [(spec_hash, cell.key, 0)]
-            assert store.counts_by_cell(spec_hash)[cell.key]["trials"] == 4
+            assert store.cell_sums(spec_hash)["counts"][cell.key]["trials"] == 4
 
     def test_spec_json_round_trips_canonically(self, tmp_path):
         spec = small_spec()
@@ -130,7 +124,9 @@ class TestRecording:
             spec_hash = store.record_campaign(spec)
             with pytest.raises(EvaluationError, match="unknown shard counters"):
                 store.upsert_shard(
-                    spec_hash, cell.key, cell_fields(cell), 0, {"trials": 1, "bogus": 2}
+                    spec_hash,
+                    cell_fields(cell),
+                    ShardResult(cell.key, 0, counts={"trials": 1, "bogus": 2}),
                 )
 
     def test_stub_registration_never_erases_known_provenance(self, tmp_path):

@@ -113,11 +113,26 @@ class TestIngestCheckpoint:
                 )
                 + "\n"
             )
+            # Malformed strata under a valid cell key: a stratum that is no
+            # object, and one missing its population probability.
+            for shard, strata in ((7, {"k=0": 5}), (8, {"k=0": {"trials": 4}})):
+                handle.write(
+                    json.dumps(
+                        {
+                            "spec_hash": spec.spec_hash(),
+                            "cell": spec.cells()[0].key,
+                            "shard": shard,
+                            "counts": {"trials": 4},
+                            "strata": strata,
+                        }
+                    )
+                    + "\n"
+                )
             handle.write('{"spec_hash": "abc", "cell": "x", "sha')  # torn tail
         with ResultsStore(tmp_path / "r.sqlite") as store:
             report = ingest_checkpoint(store, path)
             assert report.ingested == 1
-            assert report.skipped_malformed == 2
+            assert report.skipped_malformed == 4
             assert len(store.shard_keys()) == 1
 
     def test_valid_record_with_unparseable_cell_key_is_skipped(self, tmp_path):

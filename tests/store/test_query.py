@@ -13,7 +13,7 @@ import json
 
 import pytest
 
-from repro.campaign import CampaignSpec, build_cell_reports, run_campaign
+from repro.campaign import CampaignSpec, run_campaign
 from repro.errors import EvaluationError
 from repro.store import (
     DEFAULT_GROUP_BY,
@@ -66,7 +66,7 @@ class TestEndToEndRoundtrip:
             columns, rows = run_query(store)
         reports = {
             (r.cell.workload, r.cell.scheme, r.cell.technology, r.cell.gate_error_rate): r
-            for r in build_cell_reports(SPEC.cells(), result.counts_by_cell)
+            for r in result.reports
         }
         assert len(rows) == len(reports) == 4
         for row in rows:
@@ -100,7 +100,7 @@ class TestEndToEndRoundtrip:
     def test_store_counts_equal_runner_counts(self, campaign_result):
         result, _checkpoint, live_db = campaign_result
         with ResultsStore(live_db) as store:
-            assert store.counts_by_cell(SPEC.spec_hash()) == result.counts_by_cell
+            assert store.cell_sums(SPEC.spec_hash())["counts"] == result.counts_by_cell
 
 
 class TestFiltersAndGrouping:

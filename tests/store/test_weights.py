@@ -4,13 +4,12 @@ import sqlite3
 
 import pytest
 
-from repro.campaign import CampaignSpec, run_campaign
-from repro.campaign.adaptive.importance import WEIGHT_KEYS
+from repro.campaign import CampaignSpec, ShardResult, run_campaign
 from repro.errors import EvaluationError
 from repro.store import ResultsStore
 from repro.store.database import cell_fields
 from repro.store.query import run_query
-from repro.store.schema import MIGRATIONS, WEIGHT_COLUMNS
+from repro.store.schema import MIGRATIONS
 
 
 def estimator_spec(**overrides):
@@ -57,11 +56,6 @@ def build_v1_database(path):
 
 
 class TestSchemaV2:
-    def test_weight_columns_mirror_weight_keys(self):
-        # Frozen at migration 2: growing WEIGHT_KEYS requires a new
-        # migration, never an edit of WEIGHT_COLUMNS in place.
-        assert WEIGHT_COLUMNS == WEIGHT_KEYS
-
     def test_v1_database_migrates_preserving_rows(self, tmp_path):
         path = tmp_path / "legacy.sqlite"
         build_v1_database(path)
@@ -85,11 +79,8 @@ class TestSchemaV2:
             with pytest.raises(EvaluationError, match="unknown shard weights"):
                 store.upsert_shard(
                     spec_hash,
-                    cell.key,
                     cell_fields(cell),
-                    0,
-                    {"trials": 1},
-                    weights={"weight_sum": 1.0, "bogus": 2.0},
+                    ShardResult(cell.key, 0, weights={"weight_sum": 1.0, "bogus": 2.0}),
                 )
 
 

@@ -230,7 +230,7 @@ class TestStoreAndQueryCommands:
     def test_query_json_matches_live_campaign_aggregates(self, capsys, tmp_path):
         import json
 
-        from repro.campaign import CampaignSpec, build_cell_reports, run_campaign
+        from repro.campaign import CampaignSpec, run_campaign
 
         db, _checkpoint = self.run_campaign_with_db(tmp_path)
         capsys.readouterr()
@@ -243,7 +243,7 @@ class TestStoreAndQueryCommands:
         result = run_campaign(spec, workers=0)
         reports = {
             r.cell.scheme: r
-            for r in build_cell_reports(spec.cells(), result.counts_by_cell)
+            for r in result.reports
         }
         assert len(rows) == 3
         for row in rows:
