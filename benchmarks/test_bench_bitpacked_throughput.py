@@ -16,7 +16,10 @@ Three shapes, matching how campaigns actually spend time:
   into a CSR ``FaultPlanArrays`` batch), so compiling the plan and
   enumerating its fault sites cost about as much as interpretation on both
   tape engines; the bench only guards against regressing below the uint8
-  engine rather than asserting a speedup.
+  engine rather than asserting a speedup;
+* a serial multi-shard campaign on warm caches — dot2 under unprotected,
+  ECiM and TRiM, four 250-trial shards per cell — where each cell's
+  shards run as one engine batch and are recorded one by one.
 """
 
 from conftest import emit
@@ -52,6 +55,19 @@ _KFLIP_CELL = dict(
     seed=31,
     name="bitpacked-kflip-bench",
 )
+
+#: The serial multi-shard campaign: perfbench's dot2 grid at its repeat size.
+_SERIAL_CAMPAIGN = dict(
+    workloads=("dot2",),
+    schemes=("unprotected", "ecim", "trim"),
+    technologies=("stt",),
+    gate_error_rates=(1e-3,),
+    shard_size=250,
+    seed=37,
+    backend="bitpacked",
+    name="bitpacked-serial-campaign-bench",
+)
+SERIAL_CAMPAIGN_TRIALS = 1000
 
 #: trials/sec per engine, filled in file order (scalar -> batched ->
 #: bitpacked) and consumed by the later tests' ratio assertions.
@@ -140,3 +156,14 @@ def test_bitpacked_kflip_throughput(benchmark):
         # (with CI noise headroom) rather than asserting a speedup.
         assert ratio >= 0.8, f"bitpacked k=2 shard fell below the uint8 engine: {ratio:.2f}x"
     emit({"rendered": "\n".join(lines)})
+
+
+def test_bitpacked_serial_campaign_throughput(benchmark):
+    run_campaign(CampaignSpec(trials=1, **_SERIAL_CAMPAIGN), workers=0)  # warm caches
+    spec = CampaignSpec(trials=SERIAL_CAMPAIGN_TRIALS, **_SERIAL_CAMPAIGN)
+    result = benchmark.pedantic(
+        run_campaign, args=(spec,), kwargs={"workers": 0}, rounds=5, iterations=1
+    )
+    assert result.executed_shards == 12
+    rate = result.total_trials / benchmark.stats.stats.median
+    emit({"rendered": f"bitpacked serial campaign: {rate:.0f} trials/sec (dot2, 3 schemes)"})

@@ -55,7 +55,14 @@ from repro.campaign.spec import (
     ShardTask,
     trial_seed,
 )
-from repro.campaign.worker import build_executor, build_plan, run_shard, site_count
+from repro.campaign.worker import (
+    build_executor,
+    build_plan,
+    run_shard,
+    run_shards,
+    shard_groups,
+    site_count,
+)
 from repro.campaign.workloads import (
     CAMPAIGN_WORKLOADS,
     CampaignWorkload,
@@ -100,7 +107,9 @@ __all__ = [
     "render_estimator_table",
     "run_campaign",
     "run_shard",
+    "run_shards",
     "sample_inputs",
+    "shard_groups",
     "site_count",
     "trial_seed",
     "wilson_interval",

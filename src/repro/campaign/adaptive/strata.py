@@ -217,10 +217,10 @@ def stratified_plan(
     site_ops: np.ndarray,
     site_positions: np.ndarray,
 ) -> Tuple[FaultPlanArrays, np.ndarray, np.ndarray]:
-    """Deterministic fault plans for one shard of a stratified block.
+    """Deterministic fault plans for one batch of a stratified block's trials.
 
     ``allocation`` splits the enclosing block's trials across strata;
-    ``offsets`` are this shard's trial positions *within* the block, mapped
+    ``offsets`` are the batch's trial positions *within* the block, mapped
     onto strata by cumulative allocation (so any shard boundary sees the same
     stratum per trial).  Each trial's randomness comes solely from its row
     of ``stream``: tail trials draw ``f`` by inverse CDF from their

@@ -6,7 +6,8 @@ The store is an append-only file with one JSON object per completed shard::
 
 Append-only JSONL is deliberately boring: a crash mid-write loses at most the
 final line (dropped on load, with a warning naming the line so the operator
-knows one shard will re-run), completed shards are never
+knows one shard will re-run; reopening the store terminates it, so the next
+append starts a fresh line), completed shards are never
 rewritten, and the file can be inspected / grepped / concatenated with
 standard tools.  Records are tagged with the owning spec's hash so a file can
 be reused across campaign definitions — records from other specs are simply
@@ -37,8 +38,15 @@ class CheckpointStore:
         parent = os.path.dirname(self.path)
         if parent:
             os.makedirs(parent, exist_ok=True)
-        with open(self.path, "a", encoding="utf-8"):
-            pass
+        with open(self.path, "a+b") as handle:
+            # A crash mid-append leaves a last line without its newline.  End
+            # it once, here, so the next record starts a line of its own
+            # instead of being glued onto the torn one and dropped with it.
+            size = handle.seek(0, os.SEEK_END)
+            if size:
+                handle.seek(size - 1)
+                if handle.read(1) != b"\n":
+                    handle.write(b"\n")
 
     def load(self, spec_hash: str) -> Dict[Tuple[str, int], ShardResult]:
         """Completed shards recorded for ``spec_hash``, keyed by (cell, shard).

@@ -14,10 +14,16 @@ a :class:`CampaignResult`:
 4. merge every metric family's sums (in canonical shard order) into
    per-cell reports with Wilson confidence intervals.
 
-Both execution modes call the very same
-:func:`repro.campaign.worker.run_shard`, and every trial's randomness is
-derived from the spec alone, so aggregate results are bit-identical for any
-worker count and any serial/parallel/resumed execution history.
+Shards stay the unit of resume and recording in both modes.  The serial
+mode runs a cell's consecutive pending shards as one engine batch of at
+most 4,096 trials (:func:`repro.campaign.worker.shard_groups`; one shard
+per batch on the scalar backend), then records the batch's shards one by
+one — so a crash loses at most one group, and progress arrives one group at
+a time.  The pool runs one shard per task.  Both go through
+:func:`repro.campaign.worker.run_shards` (:func:`~repro.campaign.worker.run_shard`
+is its one-shard group), and every trial's randomness is derived from the
+spec and its trial index alone, so aggregate results are bit-identical for
+any worker count and any serial/parallel/resumed execution history.
 
 Specs with an ``estimator`` (or a ``target_ci_halfwidth``) dispatch to the
 round-structured adaptive driver in :mod:`repro.campaign.adaptive.runner`,
@@ -44,7 +50,7 @@ from repro.campaign.aggregate import (
 )
 from repro.campaign.checkpoint import CheckpointStore
 from repro.campaign.spec import CampaignSpec, ShardTask
-from repro.campaign.worker import run_shard
+from repro.campaign.worker import run_shard, run_shards, shard_groups
 from repro.errors import EvaluationError
 
 __all__ = ["CampaignResult", "ShardRecorder", "drain_tasks", "run_campaign"]
@@ -212,7 +218,12 @@ class ShardRecorder:
 def drain_tasks(
     workers: int, pending: List[ShardTask], record: Callable[[ShardResult], None]
 ) -> None:
-    """Execute ``pending`` shards serially or over a bounded process pool."""
+    """Execute ``pending`` shards serially or over a bounded process pool.
+
+    Serially, each group of :func:`~repro.campaign.worker.shard_groups` runs
+    as one batch and its shards are recorded in order; the pool runs and
+    records one shard per task.
+    """
     if pending and workers > 1:
         # Bound in-flight futures so enormous campaigns don't materialise
         # their whole shard list in the pool's queue at once.
@@ -238,8 +249,9 @@ def drain_tasks(
                 # Python 3.9+: cancel_futures sweeps the pool's own queue too.
                 pool.shutdown(wait=False, cancel_futures=True)
     else:
-        for task in pending:
-            record(run_shard(task))
+        for group in shard_groups(pending):
+            for result in run_shards(group):
+                record(result)
 
 
 def build_result(
@@ -281,7 +293,8 @@ def run_campaign(
     ``workers``: 0 or 1 runs shards serially in-process; N > 1 fans them out
     over a process pool of N workers; negative picks ``cpu_count - 1``.
     ``progress`` (optional) is called as ``progress(done, total)`` after each
-    shard completes, counting resumed shards as already done.
+    shard is recorded, counting resumed shards as already done (serial runs
+    record a batch's shards together, so updates arrive one batch at a time).
     ``db`` (optional) names a :class:`~repro.store.database.ResultsStore`
     SQLite file: the campaign row is registered up front and every completed
     shard (resumed ones included) is recorded live as it lands, so even an

@@ -9,7 +9,8 @@ with ``trials`` independent trials per grid cell.  Expansion is deterministic:
 :meth:`CampaignSpec.cells` enumerates :class:`CampaignCell` objects in a fixed
 order, and :meth:`CampaignSpec.shards` splits each cell's trial range into
 fixed-size :class:`ShardTask` chunks — the unit of work the runner hands to
-worker processes and the unit of resume the checkpoint store records.
+worker processes (a serial run batches a cell's consecutive shards) and the
+unit of resume the checkpoint store records.
 
 Reproducibility is anchored in :func:`trial_seed`: every trial's randomness
 (input sampling and fault injection, as separate counter-based streams)
@@ -49,7 +50,7 @@ CAMPAIGN_SCHEMES = ("unprotected", "ecim", "trim")
 
 #: Trial execution backends: ``scalar`` walks the behavioural array per trial,
 #: ``batched`` and ``bitpacked`` interpret a compiled instruction tape for a
-#: whole shard at once — the campaign view of
+#: whole batch of trials at once — the campaign view of
 #: :data:`repro.core.backend.BACKEND_NAMES`.
 CAMPAIGN_BACKENDS = BACKEND_NAMES
 

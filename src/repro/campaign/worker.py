@@ -1,14 +1,23 @@
 """Shard execution: the code that actually runs trials, in any process.
 
-One :func:`run_shard` call executes a contiguous chunk of one grid cell's
-trials and returns summed counters.  It is the single code path for both the
-serial runner and the process-pool runner, which is what makes "same result
-for 1 or N workers" a structural property rather than a testing aspiration:
+A shard is a contiguous chunk of one grid cell's trials, and it stays the
+unit of resume and recording.  :func:`run_shards` executes one *group* of a
+cell's consecutive shards as a single engine batch and returns one summed
+:class:`~repro.campaign.aggregate.ShardResult` per shard; :func:`run_shard`
+is the one-shard group.  The serial runner hands it the groups
+:func:`shard_groups` cuts (at most the backend class's
+``max_batch_trials`` — 4,096 trials on the tape backends, one shard on the
+scalar one) and the process pool one shard per task.  Both give the same
+bytes, which is a structural property rather than a testing aspiration:
 
 * every trial's randomness comes from one counter-based
-  :class:`~repro.core.rng.TrialStream` per shard, keyed once through
+  :class:`~repro.core.rng.TrialStream` per batch, keyed once through
   :func:`~repro.campaign.spec.trial_seed` and addressed by trial index —
-  inputs and faults as independent streams, never process-local state;
+  inputs and faults as independent streams, never process-local state — so
+  a trial draws the same whichever batch it runs in;
+* every per-shard sum is taken over that shard's own slice of the batch's
+  per-trial vectors (outcomes, captured outputs, importance weights,
+  stratum labels), so even float sums match a one-shard run;
 * the fault source follows the cell: ``faults_per_trial`` builds
   deterministic k-flip plans, ``fault_model`` runs the declarative
   :class:`~repro.pim.faults.FaultModelSpec` layer (rates the grammar leaves
@@ -17,9 +26,9 @@ for 1 or N workers" a structural property rather than a testing aspiration:
 * trial execution goes through the
   :class:`~repro.core.backend.ExecutionBackend` protocol — the **scalar**
   backend reuses one executor per cell configuration through the ``reset``
-  fast path, the **batched** backend interprets one compiled instruction
-  tape per cell configuration over the whole shard at once — so the engine
-  dispatch lives in :func:`repro.core.backend.make_backend`, not here;
+  fast path, the tape backends interpret one compiled instruction tape per
+  cell configuration over the whole batch at once — so the engine dispatch
+  lives in :func:`repro.core.backend.make_backend`, not here;
 * scalar backends get a :class:`~repro.pim.operations.NullTrace` because
   campaigns only consume outcome counters, not timing/energy traces.
 
@@ -30,6 +39,8 @@ accumulating one per distinct cell configuration for the life of the worker.
 """
 
 from __future__ import annotations
+
+from typing import Iterable, Iterator, List, Sequence
 
 import numpy as np
 
@@ -44,7 +55,7 @@ from repro.campaign.aggregate import ShardResult
 from repro.campaign.application import application_counts, get_application_workload
 from repro.campaign.spec import CampaignCell, ShardTask, trial_seed
 from repro.campaign.workloads import get_campaign_workload
-from repro.core.backend import BoundedCache, ExecutionBackend, make_backend
+from repro.core.backend import BoundedCache, ExecutionBackend, backend_class, make_backend
 from repro.core.batched import sample_input_matrix
 from repro.core.faultplan import FaultPlanArrays
 from repro.core.rng import TrialStream
@@ -57,6 +68,8 @@ __all__ = [
     "build_executor",
     "build_plan",
     "run_shard",
+    "run_shards",
+    "shard_groups",
     "site_count",
     "clear_executor_cache",
 ]
@@ -170,7 +183,13 @@ def _site_arrays(backend: ExecutionBackend):
 
 
 def _estimator_outcomes(task: ShardTask, est: EstimatorSpec, backend, inputs, stream):
-    """Run one estimator-mode shard; returns ``(outcomes, weights, strata)``."""
+    """Run one estimator-mode batch over ``stream``'s trials.
+
+    Returns ``(outcomes, weights, strata)``: the per-trial outcomes and
+    weights, and for stratified batches ``strata(rows)``, the per-stratum
+    counters of those rows (None otherwise).  ``task`` is any shard of the
+    batch: they share the cell, allocation and block start.
+    """
     cell = task.cell
     site_ops, site_positions, n_sites = _site_arrays(backend)
     if est.kind == "importance":
@@ -182,7 +201,7 @@ def _estimator_outcomes(task: ShardTask, est: EstimatorSpec, backend, inputs, st
         weights = likelihood_ratios(
             outcomes.faults_injected, n_sites, cell.gate_error_rate, est.rate
         )
-        return outcomes, weighted_outcome_sums(weights, outcomes), None
+        return outcomes, weights, None
     if est.kind == "stratified":
         if task.allocation is None:
             raise EvaluationError(
@@ -190,7 +209,7 @@ def _estimator_outcomes(task: ShardTask, est: EstimatorSpec, backend, inputs, st
                 "through run_campaign, which plans allocations per round"
             )
         probabilities = stratum_probabilities(n_sites, cell.gate_error_rate, est.k_max)
-        offsets = np.asarray(task.trial_indices, dtype=np.int64) - task.block_start
+        offsets = stream.trials.astype(np.int64) - task.block_start
         plans, stratum_of, _ = stratified_plan(
             n_sites,
             cell.gate_error_rate,
@@ -210,9 +229,11 @@ def _estimator_outcomes(task: ShardTask, est: EstimatorSpec, backend, inputs, st
         per_stratum_weight = np.where(
             allocation > 0, probabilities * block_trials / np.maximum(allocation, 1.0), 0.0
         )
-        weights = per_stratum_weight[stratum_of]
-        strata = per_stratum_counts(stratum_of, outcomes, probabilities, est.k_max)
-        return outcomes, weighted_outcome_sums(weights, outcomes), strata
+
+        def strata(rows):
+            return per_stratum_counts(stratum_of[rows], outcomes[rows], probabilities, est.k_max)
+
+        return outcomes, per_stratum_weight[stratum_of], strata
     raise EvaluationError(f"unknown estimator kind {est.kind!r}")
 
 
@@ -244,14 +265,78 @@ def _multi_fault_plan(backend: ExecutionBackend, stream: TrialStream, k: int) ->
     return FaultPlanArrays.from_site_matrix(stream.subsets(count, k), site_ops, site_positions)
 
 
-def run_shard(task: ShardTask) -> ShardResult:
-    """Execute every trial of one shard and return its summed counters."""
-    cell = task.cell
-    backend = _backend_for(cell, task.backend)
-    stream = TrialStream(trial_seed(task.campaign_seed, cell.key), task.trial_indices)
+def _batch_key(task: ShardTask) -> tuple:
+    """Everything but the trial range: tasks sharing it draw from one
+    stream under one fault source, so they can run as one batch."""
+    return (
+        task.cell,
+        task.campaign_seed,
+        task.backend,
+        task.estimator,
+        task.allocation,
+        task.block_start,
+    )
+
+
+def _continues(previous: ShardTask, task: ShardTask) -> bool:
+    """Whether ``task`` extends ``previous``'s batch: the same batch key,
+    starting at the trial where ``previous`` ends."""
+    return (
+        _batch_key(task) == _batch_key(previous)
+        and task.start_trial == previous.start_trial + previous.n_trials
+    )
+
+
+def shard_groups(tasks: Iterable[ShardTask]) -> Iterator[List[ShardTask]]:
+    """Cut ``tasks``, in order, into the groups :func:`run_shards` runs.
+
+    A group is a run of consecutive tasks each of which continues the one
+    before it (see :func:`_continues`), holding at most the backend class's
+    ``max_batch_trials`` trials — a shard alone always forms a group.  So a
+    resume gap, a new cell or a new stratified round starts a new group.
+    """
+    group: List[ShardTask] = []
+    trials = 0
+    for task in tasks:
+        if (
+            group
+            and _continues(group[-1], task)
+            and trials + task.n_trials <= backend_class(task.backend).max_batch_trials
+        ):
+            group.append(task)
+            trials += task.n_trials
+            continue
+        if group:
+            yield group
+        group, trials = [task], task.n_trials
+    if group:
+        yield group
+
+
+def run_shards(tasks: Sequence[ShardTask]) -> List[ShardResult]:
+    """Execute one group of shards as one engine batch; one result per shard.
+
+    The group's trials share one trial stream, one input matrix, one fault
+    source and one ``run_trials`` call; each result sums its own shard's
+    slice of the per-trial vectors, so it equals :func:`run_shard` on that
+    shard byte for byte.
+    """
+    first, last = tasks[0], tasks[-1]
+    for previous, task in zip(tasks, tasks[1:]):
+        if not _continues(previous, task):
+            raise EvaluationError(
+                f"shard {task.shard_index} of {task.cell.key} does not continue "
+                f"shard {previous.shard_index} of {previous.cell.key}: run_shards "
+                "takes consecutive shards of one cell (see shard_groups)"
+            )
+    cell = first.cell
+    backend = _backend_for(cell, first.backend)
+    trials = range(first.start_trial, last.start_trial + last.n_trials)
+    stream = TrialStream(trial_seed(first.campaign_seed, cell.key), trials)
     inputs = sample_input_matrix(backend.netlist, stream)
     app = get_application_workload(cell.workload) if cell.application else None
-    est = parse_estimator(task.estimator) if task.estimator is not None else None
+    est = parse_estimator(first.estimator) if first.estimator is not None else None
+    weights = strata = None
     if est is not None and est.kind != "uniform":
         if app is not None:
             raise EvaluationError(
@@ -259,15 +344,8 @@ def run_shard(task: ShardTask) -> ShardResult:
                 "application counters are plain per-trial sums and carry no "
                 "importance weights"
             )
-        outcomes, weights, strata = _estimator_outcomes(task, est, backend, inputs, stream)
-        return ShardResult(
-            cell_key=cell.key,
-            shard_index=task.shard_index,
-            counts=outcomes.counts(),
-            weights=weights,
-            strata=strata,
-        )
-    if cell.faults_per_trial is not None:
+        outcomes, weights, strata = _estimator_outcomes(first, est, backend, inputs, stream)
+    elif cell.faults_per_trial is not None:
         outcomes = backend.run_trials(
             inputs,
             fault_plan=_multi_fault_plan(backend, stream, cell.faults_per_trial),
@@ -281,12 +359,26 @@ def run_shard(task: ShardTask) -> ShardResult:
             stream=stream if spec.needs_stream else None,
             capture_outputs=app is not None,
         )
-    application = (
-        application_counts(app, inputs, outcomes.outputs) if app is not None else None
-    )
-    return ShardResult(
-        cell_key=cell.key,
-        shard_index=task.shard_index,
-        counts=outcomes.counts(),
-        application=application,
-    )
+    results = []
+    for task in tasks:
+        row = task.start_trial - first.start_trial
+        rows = slice(row, row + task.n_trials)
+        shard = outcomes[rows]
+        results.append(
+            ShardResult(
+                cell_key=cell.key,
+                shard_index=task.shard_index,
+                counts=shard.counts(),
+                weights=None if weights is None else weighted_outcome_sums(weights[rows], shard),
+                strata=None if strata is None else strata(rows),
+                application=(
+                    None if app is None else application_counts(app, inputs[rows], shard.outputs)
+                ),
+            )
+        )
+    return results
+
+
+def run_shard(task: ShardTask) -> ShardResult:
+    """Execute every trial of one shard and return its summed counters."""
+    return run_shards([task])[0]

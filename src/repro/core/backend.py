@@ -77,6 +77,7 @@ __all__ = [
     "ScalarBackend",
     "BatchedBackend",
     "BitpackedBackend",
+    "backend_class",
     "make_backend",
     "as_backend",
     "derive_seed",
@@ -162,6 +163,17 @@ class TrialOutcomes:
     def n_trials(self) -> int:
         return int(self.outputs_correct.shape[0])
 
+    def __getitem__(self, rows) -> "TrialOutcomes":
+        """The same outcomes over a subset of this batch's trials."""
+        return TrialOutcomes(
+            outputs_correct=self.outputs_correct[rows],
+            detected=self.detected[rows],
+            corrections=self.corrections[rows],
+            uncorrectable_levels=self.uncorrectable_levels[rows],
+            faults_injected=self.faults_injected[rows],
+            outputs=None if self.outputs is None else self.outputs[rows],
+        )
+
     def classification(self, trial: int) -> str:
         """The SEP sweep's three-way per-trial verdict (see
         :func:`classify_outcome`)."""
@@ -212,6 +224,11 @@ class ExecutionBackend(abc.ABC):
     """
 
     name: ClassVar[str]
+
+    #: Most trials a serial campaign hands this backend in one call: it
+    #: batches a cell's consecutive pending shards up to this many trials,
+    #: and a shard alone always runs whole.
+    max_batch_trials: ClassVar[int]
 
     netlist: Netlist
     scheme: str
@@ -382,6 +399,9 @@ class ScalarBackend(ExecutionBackend):
     :class:`~repro.pim.faults.ScheduledFaultInjector`)."""
 
     name = "scalar"
+    #: Trials run one by one here, so batching shards would only delay
+    #: their recording: every shard runs alone.
+    max_batch_trials = 1
 
     def __init__(
         self,
@@ -574,6 +594,9 @@ class BatchedBackend(ExecutionBackend):
     bit-matrix interpretation)."""
 
     name = "batched"
+    #: A tape step's fixed cost outweighs its per-trial cost at shard sizes,
+    #: so shards batch up to the exhaustive sweeps' 4,096-row chunk.
+    max_batch_trials = 4096
 
     def __init__(
         self,
@@ -726,14 +749,9 @@ _BACKENDS = {
 BACKEND_NAMES = tuple(_BACKENDS)
 
 
-def make_backend(
-    name: str,
-    netlist: Netlist,
-    scheme: str,
-    multi_output: bool = True,
-    **kwargs,
-) -> ExecutionBackend:
-    """Construct a backend by name — the single engine-dispatch point.
+def backend_class(name: str) -> type:
+    """The registered backend class called ``name`` — the single
+    engine-dispatch point.
 
     An unknown name fails fast with the list of valid choices (the CLI and
     the campaign spec both funnel through here).
@@ -744,7 +762,18 @@ def make_backend(
         raise ProtectionError(
             f"unknown execution backend {name!r}; registered backends: {choices}"
         )
-    return _BACKENDS[key](netlist, scheme, multi_output=multi_output, **kwargs)
+    return _BACKENDS[key]
+
+
+def make_backend(
+    name: str,
+    netlist: Netlist,
+    scheme: str,
+    multi_output: bool = True,
+    **kwargs,
+) -> ExecutionBackend:
+    """Construct a backend by name (see :func:`backend_class`)."""
+    return backend_class(name)(netlist, scheme, multi_output=multi_output, **kwargs)
 
 
 def as_backend(target: object) -> ExecutionBackend:

@@ -50,6 +50,20 @@ class TestCheckpointStore:
             handle.write('{"spec_hash": "abc", "cell": "cell-a", "sha')  # crash mid-write
         assert set(store.load("abc")) == {("cell-a", 0)}
 
+    def test_append_after_a_torn_tail_starts_a_new_line(self, tmp_path):
+        # Regression: a resumed run used to glue its first record onto the
+        # crash's partial line, so the next load dropped that shard too.
+        path = tmp_path / "c.jsonl"
+        CheckpointStore(path).append("abc", make_result(shard=0))
+        with open(path, "a", encoding="utf-8") as handle:
+            handle.write('{"spec_hash": "abc", "cell": "cell-a", "sha')  # crash mid-write
+        resumed = CheckpointStore(path)
+        resumed.append("abc", make_result(shard=1))
+        with pytest.warns(UserWarning, match=r"c\.jsonl:2: dropping truncated record"):
+            loaded = CheckpointStore(path).load("abc")
+        assert set(loaded) == {("cell-a", 0), ("cell-a", 1)}
+        assert len(path.read_text(encoding="utf-8").splitlines()) == 3
+
     def test_hand_truncated_trailing_line_warns_and_resumes(self, tmp_path):
         # Regression: a file truncated mid-record (crash during the final
         # append) must load the intact records, warn about the partial one,
