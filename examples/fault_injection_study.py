@@ -11,73 +11,51 @@ multiply-accumulate kernel, how often each design produces a wrong result:
 * ECiM (in-memory Hamming parity, logic-level syndrome checks),
 * TRiM (in-memory triple redundancy, logic-level majority votes).
 
+Every design is one cell of a single campaign
+(:func:`repro.campaign.run_campaign`) over the registered ``mac4`` block, one
+carry-save multiply-accumulate step with 4-bit operands, run on the
+bit-sliced ``bitpacked`` backend (every backend prints the same table).
+
 Run with::
 
     python examples/fault_injection_study.py [--trials 40]
 """
 
 import argparse
-import random
 
-from repro.compiler import CircuitBuilder
-from repro.core import EcimExecutor, TrimExecutor, UnprotectedExecutor
+from repro.campaign import CampaignSpec, get_campaign_workload, run_campaign
 from repro.eval import format_table
-from repro.pim import FaultModel, StochasticFaultInjector
 
-
-def build_mac_kernel(operand_bits=3, accumulator_bits=8):
-    """acc + a*b on a carry-save accumulator — one MAC step of a dot product."""
-    builder = CircuitBuilder()
-    acc = builder.input_word(accumulator_bits, "acc")
-    a = builder.input_word(operand_bits, "a")
-    b = builder.input_word(operand_bits, "b")
-    product = builder.multiply_wallace(a, b)
-    total, _ = builder.ripple_adder(acc, builder.fit_width(product, accumulator_bits))
-    builder.mark_output_word(total, "acc_out")
-    return builder.netlist
-
-
-def random_inputs(netlist, rng):
-    return {signal: rng.randint(0, 1) for signal in netlist.inputs}
+SCHEMES = ("unprotected", "ecim", "trim")
 
 
 def run_study(error_rates, trials, seed=2024):
-    rng = random.Random(seed)
-    reference_netlist = build_mac_kernel()
-    n_gates = reference_netlist.stats().n_gates
+    stats = get_campaign_workload("mac4").netlist.stats()
     print(
-        f"Kernel: multiply-accumulate, {n_gates} in-array gates over "
-        f"{reference_netlist.stats().n_levels} logic levels; {trials} trials per point.\n"
+        f"Kernel: multiply-accumulate (mac4), {stats.n_gates} in-array gates over "
+        f"{stats.n_levels} logic levels; {trials} trials per point.\n"
     )
-
-    designs = (
-        ("unprotected", UnprotectedExecutor, {}),
-        ("ecim", EcimExecutor, {}),
-        ("trim", TrimExecutor, {}),
+    spec = CampaignSpec(
+        workloads=("mac4",),
+        schemes=SCHEMES,
+        gate_error_rates=error_rates,
+        trials=trials,
+        seed=seed,
+        backend="bitpacked",
+        name="fault-injection-study",
     )
-
+    reports = {
+        (report.cell.gate_error_rate, report.cell.scheme): report
+        for report in run_campaign(spec, workers=0).reports
+    }
     rows = []
-    for rate in error_rates:
+    for rate in spec.gate_error_rates:
         row = [f"{rate:.0e}"]
-        for name, executor_cls, kwargs in designs:
-            wrong = 0
-            detected = 0
-            for trial in range(trials):
-                inputs = random_inputs(reference_netlist, rng)
-                injector = StochasticFaultInjector(
-                    FaultModel(gate_error_rate=rate), seed=seed * 1000 + trial
-                )
-                executor = executor_cls(
-                    build_mac_kernel(), fault_injector=injector, **kwargs
-                )
-                report = executor.run(inputs)
-                if not report.outputs_correct:
-                    wrong += 1
-                if report.checks and any(c.error_detected for c in report.checks):
-                    detected += 1
-            row.append(f"{wrong}/{trials}")
-            if name != "unprotected":
-                row.append(detected)
+        for scheme in SCHEMES:
+            counts = reports[rate, scheme].counts
+            row.append(f"{counts['trials'] - counts['correct']}/{counts['trials']}")
+            if scheme != "unprotected":
+                row.append(counts["detected"])
         rows.append(row)
     return rows
 

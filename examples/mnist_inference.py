@@ -10,7 +10,10 @@ at a size the bit-exact simulator can execute quickly:
 * synthesise the whole two-layer MLP into NOR/THR gates with compile-time
   constant weights,
 * classify test images by executing the netlist inside the simulated array —
-  once unprotected and once under ECiM with injected gate errors,
+  once unprotected and once under ECiM with injected gate errors — as one
+  batch of trials on the bit-sliced ``bitpacked`` backend, one trial per
+  image, with the faults drawn from a trial stream keyed on the example's
+  seed,
 * report accuracy and the number of corrections the checker performed.
 
 Run with::
@@ -34,9 +37,10 @@ import argparse
 
 import numpy as np
 
-from repro.core import EcimExecutor, UnprotectedExecutor
+from repro.core import make_backend
+from repro.core.rng import TrialStream
 from repro.eval import format_table
-from repro.pim import FaultModel, StochasticFaultInjector
+from repro.pim import FaultModelSpec
 from repro.workloads import (
     MlpConfig,
     generate_prototype_weights,
@@ -47,6 +51,9 @@ from repro.workloads import (
     mlp_spec,
     quantize_unsigned,
 )
+
+#: Keys the trial stream the injected gate errors are drawn from.
+SEED = 17
 
 
 def main():
@@ -93,38 +100,41 @@ def main():
     # --- Bit-exact PiM execution, with and without protection --------------
     rows = []
     sample_count = min(args.pim_samples, test.n_samples)
-    for name, make_executor in (
-        ("unprotected (fault free)", lambda: UnprotectedExecutor(netlist)),
-        (
-            "ECiM + injected gate errors",
-            lambda: EcimExecutor(
-                netlist,
-                fault_injector=StochasticFaultInjector(
-                    FaultModel(gate_error_rate=1e-4), seed=17
-                ),
-            ),
-        ),
+    inputs = [
+        mlp_input_assignment(netlist, image, config.activation_bits)
+        for image in activations[:sample_count]
+    ]
+    golden_scores = [
+        mlp_outputs_to_scores(netlist, netlist.evaluate_outputs(row), n_classes)
+        for row in inputs
+    ]
+    stream = TrialStream.keyed((SEED,), range(sample_count))
+    for name, scheme, fault_model in (
+        ("unprotected (fault free)", "unprotected", None),
+        ("ECiM + injected gate errors", "ecim", FaultModelSpec.stochastic(gate_error_rate=1e-4)),
     ):
-        matches = 0
-        corrections = 0
-        detections = 0
-        for index in range(sample_count):
-            image = activations[index]
-            label = int(test.labels[index])
-            inputs = mlp_input_assignment(netlist, image, config.activation_bits)
-            golden_scores = mlp_outputs_to_scores(
-                netlist, netlist.evaluate_outputs(inputs), n_classes
+        outcomes = make_backend("bitpacked", netlist, scheme).run_trials(
+            inputs,
+            fault_model=fault_model,
+            stream=None if fault_model is None else stream,
+            capture_outputs=True,
+        )
+        matches = sum(
+            np.array_equal(
+                mlp_outputs_to_scores(netlist, dict(zip(netlist.outputs, bits)), n_classes),
+                golden,
             )
-            executor = make_executor()
-            report = executor.run(inputs)
-            scores = mlp_outputs_to_scores(netlist, report.outputs, n_classes)
-            matches += int(np.array_equal(scores, golden_scores))
-            corrections += report.corrections
-            detections += report.errors_detected
-        rows.append([name, f"{matches}/{sample_count}", detections, corrections])
+            for bits, golden in zip(outcomes.outputs.tolist(), golden_scores)
+        )
+        rows.append([
+            name,
+            f"{matches}/{sample_count}",
+            int(outcomes.detected.sum()),
+            int(outcomes.corrections.sum()),
+        ])
 
     print(format_table(
-        ["execution", "PiM result == golden model", "levels with detected errors", "corrections"],
+        ["execution", "PiM result == golden model", "runs with detected errors", "corrections"],
         rows,
     ))
     print(

@@ -56,8 +56,6 @@ from repro.campaign.spec import (
     trial_seed,
 )
 from repro.campaign.worker import (
-    build_executor,
-    build_plan,
     run_shard,
     run_shards,
     shard_groups,
@@ -68,7 +66,6 @@ from repro.campaign.workloads import (
     CampaignWorkload,
     available_campaign_workloads,
     get_campaign_workload,
-    sample_inputs,
 )
 
 __all__ = [
@@ -94,8 +91,6 @@ __all__ = [
     "application_counts",
     "available_application_workloads",
     "available_campaign_workloads",
-    "build_executor",
-    "build_plan",
     "cell_reports",
     "get_application_workload",
     "get_campaign_workload",
@@ -108,7 +103,6 @@ __all__ = [
     "run_campaign",
     "run_shard",
     "run_shards",
-    "sample_inputs",
     "shard_groups",
     "site_count",
     "trial_seed",

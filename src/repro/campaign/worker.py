@@ -65,8 +65,6 @@ from repro.pim.technology import get_technology
 
 __all__ = [
     "CACHE_LIMIT",
-    "build_executor",
-    "build_plan",
     "run_shard",
     "run_shards",
     "shard_groups",
@@ -85,26 +83,6 @@ _EXECUTOR_CACHE: "BoundedCache" = BoundedCache(CACHE_LIMIT)
 #: engines, keyed by engine name).  Plans are technology-independent
 #: (timing/energy never enter trial outcomes), hence the shorter key.
 _PLAN_CACHE: "BoundedCache" = BoundedCache(CACHE_LIMIT)
-
-
-def build_executor(cell: CampaignCell):
-    """Construct a fresh scalar executor for ``cell`` (no cache)."""
-    netlist = get_campaign_workload(cell.workload).netlist
-    return make_backend(
-        "scalar",
-        netlist,
-        cell.scheme,
-        multi_output=cell.multi_output,
-        technology=cell.technology,
-    ).executor
-
-
-def build_plan(cell: CampaignCell):
-    """Compile a fresh batched execution plan for ``cell`` (no cache)."""
-    netlist = get_campaign_workload(cell.workload).netlist
-    return make_backend(
-        "batched", netlist, cell.scheme, multi_output=cell.multi_output
-    ).plan
 
 
 def _executor_for(cell: CampaignCell) -> ExecutionBackend:

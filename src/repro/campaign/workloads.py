@@ -2,13 +2,14 @@
 
 A campaign workload is a *small, bit-exact* netlist — the functional
 counterparts of the paper benchmarks (the Fig. 6 AND example, the mm-family
-dot-product / MAC unit blocks, a full tiny matmul) — paired with an input
-sampler.  Paper-scale instances (mm64, fft64, ...) are analytic-only in this
-codebase, so campaigns measure empirical coverage on the same unit blocks
-whose measured statistics parameterise those analytic models — plus the
-down-scaled *application* netlists (``mlp16``, ``fft4``), whose trials can
-additionally be scored against their integer oracles
-(:mod:`repro.campaign.application`).
+dot-product / MAC unit blocks, a full tiny matmul), whose trial inputs are
+drawn uniformly from each trial's stream
+(:func:`~repro.core.batched.sample_input_matrix`).  Paper-scale instances
+(mm64, fft64, ...) are analytic-only in this codebase, so campaigns measure
+empirical coverage on the same unit blocks whose measured statistics
+parameterise those analytic models — plus the down-scaled *application*
+netlists (``mlp16``, ``fft4``), whose trials can additionally be scored
+against their integer oracles (:mod:`repro.campaign.application`).
 
 Netlist construction goes through the process-level compile cache
 (:mod:`repro.compiler.cache`): each worker process synthesises a given
@@ -17,7 +18,6 @@ workload exactly once, no matter how many thousand trials it executes.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from typing import Dict, Tuple
 
@@ -42,7 +42,6 @@ __all__ = [
     "CAMPAIGN_WORKLOADS",
     "get_campaign_workload",
     "available_campaign_workloads",
-    "sample_inputs",
 ]
 
 
@@ -119,12 +118,3 @@ def get_campaign_workload(name: str) -> CampaignWorkload:
             f"available: {sorted(CAMPAIGN_WORKLOADS)} "
             f"(registered netlists: {sorted(available_netlists())})"
         ) from None
-
-
-def sample_inputs(netlist: Netlist, rng: random.Random) -> Dict[int, int]:
-    """Draw a uniform input assignment for ``netlist`` from ``rng``.
-
-    Netlist input signals are ordered, so the same generator state always
-    produces the same assignment — the property campaign determinism rests on.
-    """
-    return {signal: rng.getrandbits(1) for signal in netlist.inputs}

@@ -44,11 +44,9 @@ from repro.core.checker import (
     TrimChecker,
 )
 from repro.core.coverage import (
-    MonteCarloCoverage,
     coverage_table,
     expected_uncorrectable_levels,
     level_failure_probability,
-    monte_carlo_coverage,
     run_survival_probability,
 )
 from repro.core.design_space import (
@@ -154,8 +152,6 @@ __all__ = [
     "run_survival_probability",
     "expected_uncorrectable_levels",
     "coverage_table",
-    "monte_carlo_coverage",
-    "MonteCarloCoverage",
     # design space
     "Granularity",
     "DesignPoint",

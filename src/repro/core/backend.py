@@ -1,12 +1,10 @@
 """Unified execution backends: one protocol over the scalar object model and
 the batched tape interpreter.
 
-Before this module, every consumer of netlist execution picked its engine by
-construction: the exhaustive SEP sweep (:mod:`repro.core.sep`) and the
-Monte-Carlo coverage loop (:mod:`repro.core.coverage`) built scalar
-executors one trial at a time, while the ~200x batched tape interpreter
-(:mod:`repro.core.batched`) was reachable only from the campaign worker.
-:class:`ExecutionBackend` is the common substrate: a backend is bound to one
+Every consumer of netlist execution — the exhaustive SEP sweeps
+(:mod:`repro.core.sep`), the campaign worker and the execution-bound
+experiments — runs through one protocol.  :class:`ExecutionBackend` is
+that common substrate: a backend is bound to one
 (netlist, scheme, gate style) configuration and runs *batches of trials* —
 fault free, under deterministic per-trial fault plans, or under the
 stochastic fault model — returning per-trial outcome vectors
@@ -369,7 +367,7 @@ class ExecutionBackend(abc.ABC):
 
 
 class _SiteCounter(NoFaultInjector):
-    """Counts every call a stochastic injector would draw for, per class."""
+    """Counts every site the stochastic schedule draws for, per class."""
 
     def __init__(self) -> None:
         super().__init__()

@@ -1,4 +1,4 @@
-"""Error-coverage analysis beyond the single-error guarantee.
+"""Analytic error-coverage model beyond the single-error guarantee.
 
 ECiM and TRiM *guarantee* correction of one error per logic level.  The
 paper's extension discussion (Fig. 8, Section VI "Extension to
@@ -7,43 +7,34 @@ rate is high enough that two or more errors can land in the same logic level
 before the check fires, stronger (BCH) codes buy additional coverage at a
 parity-bit cost.
 
-This module quantifies that trade-off two ways:
+This module quantifies that trade-off analytically: the number of errors per
+logic level is binomial in the number of protected sites, so the probability
+that a level exceeds the code's correction capability ``t`` is a
+closed-form tail sum (:func:`level_failure_probability`), and a whole run
+survives when every level stays within budget
+(:func:`run_survival_probability`).  :func:`coverage_table` sweeps gate
+error rates and correction strengths into the kind of coverage-vs-rate table
+a designer would use to pick between Hamming(255,247) and the BCH-255
+family.
 
-* **Analytically** — the number of errors per logic level is binomial in the
-  number of protected sites, so the probability that a level exceeds the
-  code's correction capability ``t`` is a closed-form tail sum
-  (:func:`level_failure_probability`), and a whole run survives when every
-  level stays within budget (:func:`run_survival_probability`).
-* **Empirically** — Monte-Carlo fault injection through any
-  :class:`~repro.core.backend.ExecutionBackend` (:func:`monte_carlo_coverage`
-  runs the scalar object model or the batched tape interpreter behind the
-  same protocol), which also captures effects the analytic model ignores
-  (metadata errors, logical masking, miscorrection).
-
-:func:`coverage_table` sweeps gate error rates and correction strengths into
-the kind of coverage-vs-rate table a designer would use to pick between
-Hamming(255,247) and the BCH-255 family.
+The empirical complement — bit-exact Monte-Carlo fault injection, which also
+captures what the model ignores (metadata errors, logical masking,
+miscorrection) — is a campaign (:func:`repro.campaign.run_campaign`); the
+``coverage`` experiment runs one next to this table when given a backend.
 """
 
 from __future__ import annotations
 
 import math
-import random
-from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
-from repro.core.backend import as_backend
-from repro.core.rng import TrialStream, derive_seed
 from repro.errors import EvaluationError
-from repro.pim.faults import FaultModel, FaultModelSpec
 
 __all__ = [
     "binomial_tail",
     "level_failure_probability",
     "run_survival_probability",
     "expected_uncorrectable_levels",
-    "MonteCarloCoverage",
-    "monte_carlo_coverage",
     "coverage_table",
 ]
 
@@ -102,89 +93,6 @@ def expected_uncorrectable_levels(
     return sum(
         level_failure_probability(sites, gate_error_rate, correctable_errors)
         for sites in sites_per_level
-    )
-
-
-@dataclass
-class MonteCarloCoverage:
-    """Aggregate outcome of a Monte-Carlo coverage campaign."""
-
-    trials: int = 0
-    correct_runs: int = 0
-    runs_with_detections: int = 0
-    total_faults_injected: int = 0
-    total_corrections: int = 0
-
-    @property
-    def coverage(self) -> float:
-        """Fraction of runs whose final outputs were correct."""
-        if self.trials == 0:
-            return 0.0
-        return self.correct_runs / self.trials
-
-    @property
-    def average_faults_per_run(self) -> float:
-        if self.trials == 0:
-            return 0.0
-        return self.total_faults_injected / self.trials
-
-
-def monte_carlo_coverage(
-    target: object,
-    make_inputs: Callable[[random.Random], Dict[int, int]],
-    gate_error_rate: float,
-    trials: int = 50,
-    seed: int = 0,
-    model: Optional[FaultModel] = None,
-    fault_model: Optional[FaultModelSpec] = None,
-) -> MonteCarloCoverage:
-    """Monte-Carlo fault injection over whole executions.
-
-    ``target`` is an :class:`~repro.core.backend.ExecutionBackend` (scalar or
-    batched) or a legacy ``make_executor(fault_injector)`` factory;
-    ``make_inputs(rng)`` draws one input assignment from a private generator
-    seeded per trial from ``(seed, "coverage", trial, "inputs")``; faults
-    come from the counter-based stream keyed by ``(seed, "coverage")``
-    (:class:`~repro.core.rng.TrialStream`), so a coverage run is
-    reproducible from the single ``seed`` and byte-identical across
-    backends, and trial *i*'s randomness never depends on how much entropy
-    earlier trials consumed.  ``model`` sets the stochastic rates (defaults
-    to gate errors only, at ``gate_error_rate``); ``fault_model`` instead
-    runs any declarative fault model
-    (:class:`~repro.pim.faults.FaultModelSpec`: stochastic / burst /
-    stuck-at, with an unset gate rate inheriting ``gate_error_rate``).
-    """
-    if trials <= 0:
-        raise EvaluationError("trials must be positive")
-    if model is not None and fault_model is not None:
-        raise EvaluationError("pass either model or fault_model, not both")
-    backend = as_backend(target)
-    input_rows = [
-        make_inputs(random.Random(derive_seed(seed, "coverage", trial, "inputs")))
-        for trial in range(trials)
-    ]
-    if model is not None:
-        fault_model = FaultModelSpec.stochastic(
-            gate_error_rate=model.gate_error_rate,
-            memory_error_rate=model.memory_error_rate,
-            preset_error_rate=model.preset_error_rate,
-            metadata_error_rate=model.metadata_error_rate,
-        )
-    fault_model = (fault_model or FaultModelSpec.stochastic()).resolved(
-        gate_error_rate=gate_error_rate
-    )
-    stream = TrialStream.keyed((seed, "coverage"), range(trials))
-    outcomes = backend.run_trials(
-        input_rows,
-        fault_model=fault_model,
-        stream=stream if fault_model.needs_stream else None,
-    )
-    return MonteCarloCoverage(
-        trials=outcomes.n_trials,
-        correct_runs=int(outcomes.outputs_correct.sum()),
-        runs_with_detections=int(outcomes.detected.sum()),
-        total_faults_injected=int(outcomes.faults_injected.sum()),
-        total_corrections=int(outcomes.corrections.sum()),
     )
 
 

@@ -153,20 +153,19 @@ class _BaseExecutor:
         Re-running without a reset leaks state between trials: the array's
         operation trace grows without bound and the global operation index
         keeps advancing, so operation-indexed injectors
-        (:class:`~repro.pim.faults.DeterministicFaultInjector`,
-        :class:`~repro.pim.faults.BurstFaultInjector`) would target different
-        sites on every repetition.  ``reset`` rewinds the array-side state
+        (:class:`~repro.pim.faults.DeterministicFaultInjector`) would target
+        different sites on every repetition.  ``reset`` rewinds the array-side state
         while keeping the compiled column layout, which is what makes
         repeated Monte-Carlo trials cost one execution instead of one
         compilation + execution.
 
-        The *injector's own* state (its fault log, RNG position, consumed
+        The *injector's own* state (its fault log, call ordinals, consumed
         deterministic targets) is not rewound — it cannot be, in general.
         Pass ``fault_injector`` to install a fresh injector for the next run
-        (a new seeded injector per trial for reproducible fault streams, or
+        (one per trial, as the scalar backend does with each trial's
+        :class:`~repro.pim.faults.ScheduledFaultInjector`, or
         :class:`~repro.pim.faults.NoFaultInjector` to return to error-free
-        execution); without it the retained injector simply continues its
-        stream.
+        execution); without it the retained injector simply carries on.
         """
         self.array.reset(fault_injector=fault_injector)
 

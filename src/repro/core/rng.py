@@ -1,7 +1,7 @@
 """Counter-based randomness: the one stream discipline every fault source uses.
 
-Every random draw a campaign, a coverage run or an experiment makes comes
-from one vectorized Philox4x32-10 generator (Salmon et al., "Parallel Random
+Every random draw a campaign or an experiment makes comes from one
+vectorized Philox4x32-10 generator (Salmon et al., "Parallel Random
 Numbers: As Easy as 1, 2, 3", SC'11).  A counter-based generator makes each
 (trial, stream, draw) directly addressable, so a whole batch draws in a few
 numpy passes with no generator object per trial, and a trial's draws never
@@ -11,7 +11,6 @@ RNG contract, version 2 (:data:`RNG_CONTRACT`)
 ----------------------------------------------
 * **Key.**  One 64-bit key per stream context, ``derive_seed(*context,
   "rng-v2")`` — ``(campaign seed, cell key)`` for a campaign cell,
-  ``(seed, "coverage")`` for :func:`~repro.core.coverage.monte_carlo_coverage`,
   ``(seed, "burst")`` for the burst experiment.  Its low and high 32-bit
   halves are the two Philox key words.
 * **Counter.**  ``(trial & 0xffffffff, trial >> 32, stream id, block)``.

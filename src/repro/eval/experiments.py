@@ -436,12 +436,13 @@ def experiment_coverage(
 
     When ``backend`` is given, the analytic table is complemented by an
     *empirical* Monte-Carlo coverage sweep of the same gate error rates on
-    ``empirical_workload`` (a bit-exact campaign unit block under ECiM),
-    executed through that :mod:`~repro.core.backend` — the operational
-    cross-check the default (analytic-only, byte-identical) artefact omits.
+    ``empirical_workload`` (a bit-exact campaign unit block under ECiM): one
+    serial campaign on that backend with one cell per rate — the
+    operational cross-check the default (analytic-only, byte-identical)
+    artefact omits.  Every backend prints the same rows.
     """
-    from repro.campaign.workloads import get_campaign_workload, sample_inputs
-    from repro.core.coverage import coverage_table, monte_carlo_coverage
+    from repro.campaign import CampaignSpec, run_campaign
+    from repro.core.coverage import coverage_table
 
     spec = _workload(benchmark)
     sites_per_level: List[int] = []
@@ -465,25 +466,27 @@ def experiment_coverage(
         "rendered": rendered,
     }
     if backend is not None:
-        netlist = get_campaign_workload(empirical_workload).netlist
-        ecim = make_backend(backend, netlist, "ecim")
-        empirical_rows = []
-        for rate in gate_error_rates:
-            coverage = monte_carlo_coverage(
-                ecim,
-                lambda rng: sample_inputs(netlist, rng),
-                gate_error_rate=float(rate),
+        campaign = run_campaign(
+            CampaignSpec(
+                workloads=(empirical_workload,),
+                schemes=("ecim",),
+                gate_error_rates=tuple(gate_error_rates),
                 trials=empirical_trials,
                 seed=seed,
-            )
-            empirical_rows.append(
-                {
-                    "gate_error_rate": float(rate),
-                    "coverage": coverage.coverage,
-                    "average_faults_per_run": coverage.average_faults_per_run,
-                    "corrections": coverage.total_corrections,
-                }
-            )
+                backend=backend,
+                name="coverage-empirical",
+            ),
+            workers=0,
+        )
+        empirical_rows = [
+            {
+                "gate_error_rate": report.cell.gate_error_rate,
+                "coverage": report.coverage,
+                "average_faults_per_run": report.average_faults_per_trial,
+                "corrections": report.counts["corrections"],
+            }
+            for report in campaign.reports
+        ]
         empirical_rendered = format_series(
             "gate error rate",
             [f"{row['gate_error_rate']:.0e}" for row in empirical_rows],

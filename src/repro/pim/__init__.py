@@ -26,7 +26,6 @@ from repro.pim.electrical import (
 from repro.pim.energy import EnergyBreakdown, EnergyModel, LevelEnergyStats
 from repro.pim.faults import (
     FAULT_MODEL_KINDS,
-    BurstFaultInjector,
     DeterministicFaultInjector,
     FaultEvent,
     FaultInjector,
@@ -36,10 +35,8 @@ from repro.pim.faults import (
     FaultModelSpec,
     NoFaultInjector,
     ScheduledFaultInjector,
-    StochasticFaultInjector,
     StuckAtFaultInjector,
     parse_fault_model,
-    resolve_rng,
 )
 from repro.pim.gates import (
     GateSpec,
@@ -147,15 +144,12 @@ __all__ = [
     "ScheduledFaultInjector",
     "FaultInjector",
     "NoFaultInjector",
-    "StochasticFaultInjector",
     "DeterministicFaultInjector",
-    "BurstFaultInjector",
     "StuckAtFaultInjector",
     # operations
     "OperationKind",
     "OperationTrace",
     "NullTrace",
-    "resolve_rng",
     "GateOperation",
     "PresetOperation",
     "ReadOperation",

@@ -13,19 +13,22 @@ The paper distinguishes (Section II-C):
 
 Following the paper's error model ("errors in Boolean gate operations are
 uniformly distributed in each PiM array throughout row-parallel
-computation"), the stochastic injector flips each gate output independently
-with probability ``gate_error_rate`` and each idle cell per read/scrub window
-with probability ``memory_error_rate``.  A deterministic injector targets a
-specific operation index / cell for the exhaustive SEP case analysis of
-Fig. 6, and a correlation-aware injector models the spatially / temporally
-correlated bursts discussed in Section IV-E.
+computation"), the ``stochastic`` fault model flips each gate output
+independently with probability ``gate_error_rate`` and each idle cell per
+read/scrub window with probability ``memory_error_rate``; the ``burst`` model
+adds the spatially / temporally correlated bursts discussed in Section IV-E.
+:class:`FaultModelSpec` declares either one (or a ``stuck-at`` hard fault).
+This module draws nothing: both random models are drawn once per batch from
+the counter-based stream of :mod:`repro.core.rng`, and the scalar executors
+consume the resulting schedule through :class:`ScheduledFaultInjector`.  A
+deterministic injector targets a specific operation index / cell for the
+exhaustive SEP case analysis of Fig. 6.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field, replace
-from typing import Dict, Iterable, List, Optional, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.errors import PimError
 
@@ -38,36 +41,12 @@ __all__ = [
     "parse_fault_model",
     "FaultInjector",
     "NoFaultInjector",
-    "StochasticFaultInjector",
     "DeterministicFaultInjector",
-    "BurstFaultInjector",
     "StuckAtFaultInjector",
     "FaultLog",
     "ScheduledFaultInjector",
-    "SeedLike",
     "normalize_flip_positions",
-    "resolve_rng",
 ]
-
-#: Anything the stochastic injectors accept as their randomness source: a
-#: plain seed, a pre-built generator (shared streams / campaign shards), or
-#: ``None`` for OS entropy.
-SeedLike = Union[int, random.Random, None]
-
-
-def resolve_rng(seed: SeedLike) -> random.Random:
-    """Turn a seed-or-generator into a private :class:`random.Random`.
-
-    Stochastic injectors never touch the module-global ``random`` state:
-    every injector owns (or is handed) an explicit generator, which is what
-    makes campaign trials reproducible and shard-independent.
-    """
-    if isinstance(seed, random.Random):
-        return seed
-    if seed is not None and not isinstance(seed, int):
-        raise PimError(f"seed must be an int, random.Random or None, got {seed!r}")
-    return random.Random(seed)
-
 
 def normalize_flip_positions(positions: object) -> frozenset:
     """Canonicalise one fault-plan entry value to a set of output positions.
@@ -144,7 +123,7 @@ class FaultLog:
 
 @dataclass(frozen=True)
 class FaultModel:
-    """Error-rate configuration shared by the stochastic injectors.
+    """Bernoulli rates of the ``stochastic`` fault model.
 
     Rates are per-event probabilities: ``gate_error_rate`` applies once per
     gate output produced, ``memory_error_rate`` once per idle cell per
@@ -209,22 +188,20 @@ def _validate_optional_rate(name: str, rate: Optional[float]) -> Optional[float]
 
 @dataclass(frozen=True)
 class FaultModelSpec:
-    """Declarative description of one fault model, shared by both backends.
+    """Declarative description of one fault model, shared by every backend.
 
-    Where :class:`FaultModel` is the rate configuration of the *stochastic*
-    injector alone, a spec names the model **kind** and carries every knob the
-    corresponding scalar injector class takes — it is the serialisable form
-    the campaign grid, the CLI (``--fault-model``) and the differential test
-    harness all speak:
+    Where :class:`FaultModel` holds the rates of the *stochastic* model
+    alone, a spec names the model **kind** and carries every knob of it —
+    it is the serialisable form the campaign grid, the CLI
+    (``--fault-model``) and the differential test harness all speak:
 
-    * ``stochastic`` — independent Bernoulli flips
-      (:class:`StochasticFaultInjector`): ``gate_error_rate``,
-      ``memory_error_rate``, ``preset_error_rate``, ``metadata_error_rate``.
-    * ``burst`` — spatially/temporally correlated bursts
-      (:class:`BurstFaultInjector`): ``gate_error_rate`` (the burst trigger),
-      ``memory_error_rate``, ``burst_length``, ``correlation_window``.
-      Presets are never corrupted and metadata outputs share the gate rate,
-      exactly like the scalar injector.
+    * ``stochastic`` — independent Bernoulli flips per fault class:
+      ``gate_error_rate``, ``memory_error_rate``, ``preset_error_rate``,
+      ``metadata_error_rate``.
+    * ``burst`` — spatially/temporally correlated bursts:
+      ``gate_error_rate`` (the burst trigger), ``memory_error_rate``,
+      ``burst_length``, ``correlation_window``.  Presets are never
+      corrupted and metadata outputs share the trigger rate.
     * ``stuck-at`` — permanent (hard) faults (:class:`StuckAtFaultInjector`):
       ``stuck_columns`` (cell columns of the execution row) all stuck at
       ``stuck_polarity``.  Purely deterministic — no rates, no stream.
@@ -278,6 +255,7 @@ class FaultModelSpec:
             raise PimError("correlation_window must be >= 1")
         if self.stuck_polarity not in (0, 1):
             raise PimError(f"stuck_polarity must be a bit, got {self.stuck_polarity!r}")
+        object.__setattr__(self, "stuck_polarity", int(self.stuck_polarity))
         columns = tuple(sorted({int(c) for c in self.stuck_columns}))
         if any(c < 0 for c in columns):
             raise PimError("stuck_columns must be non-negative column indices")
@@ -306,7 +284,7 @@ class FaultModelSpec:
             for rate in (self.preset_error_rate, self.metadata_error_rate)
         ):
             raise PimError(
-                "the burst injector never corrupts presets and folds metadata "
+                "the burst model never corrupts presets and folds metadata "
                 "into the gate rate; preset/metadata rates only apply to the "
                 "stochastic kind"
             )
@@ -394,11 +372,10 @@ class FaultModelSpec:
         return replace(self, **updates) if updates else self
 
     def rate_model(self) -> FaultModel:
-        """The spec's Bernoulli rates as a plain :class:`FaultModel` — the
-        batched interpreter's draw schedule.  ``None`` gate/memory/preset
-        rates read as 0.0; a ``None`` metadata rate is passed through, where
-        :class:`FaultModel` makes it inherit the gate rate (the scalar
-        injector's semantics, which batched must mirror byte-for-byte)."""
+        """The spec's Bernoulli rates as a plain :class:`FaultModel` — what
+        the stochastic schedule draws at.  ``None`` gate/memory/preset rates
+        read as 0.0; a ``None`` metadata rate is passed through, where
+        :class:`FaultModel` makes it inherit the gate rate."""
         return FaultModel(
             gate_error_rate=self.gate_error_rate or 0.0,
             memory_error_rate=self.memory_error_rate or 0.0,
@@ -602,41 +579,6 @@ class NoFaultInjector(FaultInjector):
         return value
 
 
-class StochasticFaultInjector(FaultInjector):
-    """Uniformly distributed, independent bit flips per the paper's model."""
-
-    def __init__(
-        self,
-        model: FaultModel,
-        seed: SeedLike = None,
-        log: Optional[FaultLog] = None,
-    ) -> None:
-        super().__init__(log)
-        self.model = model
-        self._rng = resolve_rng(seed)
-
-    def corrupt_gate_output(self, value, site, operation_index, is_metadata=False):
-        rate = (
-            self.model.effective_metadata_error_rate
-            if is_metadata
-            else self.model.gate_error_rate
-        )
-        if rate > 0.0 and self._rng.random() < rate:
-            kind = FaultKind.METADATA if is_metadata else FaultKind.LOGIC
-            return self._flip(kind, value, site, operation_index)
-        return value
-
-    def corrupt_stored_bit(self, value, site):
-        if self.model.memory_error_rate > 0.0 and self._rng.random() < self.model.memory_error_rate:
-            return self._flip(FaultKind.MEMORY, value, site, None)
-        return value
-
-    def corrupt_preset(self, value, site, operation_index):
-        if self.model.preset_error_rate > 0.0 and self._rng.random() < self.model.preset_error_rate:
-            return self._flip(FaultKind.PRESET, value, site, operation_index)
-        return value
-
-
 class ScheduledFaultInjector(FaultInjector):
     """Flips at precomputed per-class ordinals: the scalar consumer of a
     :class:`~repro.core.rng.FaultSchedule`.
@@ -748,54 +690,6 @@ class DeterministicFaultInjector(FaultInjector):
     def exhausted(self) -> bool:
         """True once every requested fault has been injected."""
         return not self._cells and all(v == 0 for v in self._remaining.values())
-
-
-class BurstFaultInjector(FaultInjector):
-    """Spatially / temporally correlated error bursts (Section IV-E).
-
-    When the base stochastic draw fires, the injector flips not just the
-    victim bit but also up to ``burst_length − 1`` of the next gate outputs
-    produced within ``correlation_window`` operations — modelling, e.g., a
-    shared-parameter disturbance affecting several back-to-back operations.
-    """
-
-    def __init__(
-        self,
-        model: FaultModel,
-        burst_length: int = 2,
-        correlation_window: int = 4,
-        seed: SeedLike = None,
-        log: Optional[FaultLog] = None,
-    ) -> None:
-        super().__init__(log)
-        if burst_length < 1:
-            raise PimError("burst_length must be >= 1")
-        if correlation_window < 1:
-            raise PimError("correlation_window must be >= 1")
-        self.model = model
-        self.burst_length = burst_length
-        self.correlation_window = correlation_window
-        self._rng = resolve_rng(seed)
-        self._burst_remaining = 0
-        self._burst_expires_at = -1
-
-    def corrupt_gate_output(self, value, site, operation_index, is_metadata=False):
-        if self._burst_remaining > 0 and operation_index <= self._burst_expires_at:
-            self._burst_remaining -= 1
-            kind = FaultKind.METADATA if is_metadata else FaultKind.LOGIC
-            return self._flip(kind, value, site, operation_index)
-        rate = self.model.gate_error_rate
-        if rate > 0.0 and self._rng.random() < rate:
-            self._burst_remaining = self.burst_length - 1
-            self._burst_expires_at = operation_index + self.correlation_window
-            kind = FaultKind.METADATA if is_metadata else FaultKind.LOGIC
-            return self._flip(kind, value, site, operation_index)
-        return value
-
-    def corrupt_stored_bit(self, value, site):
-        if self.model.memory_error_rate > 0.0 and self._rng.random() < self.model.memory_error_rate:
-            return self._flip(FaultKind.MEMORY, value, site, None)
-        return value
 
 
 class StuckAtFaultInjector(FaultInjector):

@@ -8,7 +8,7 @@ from repro.campaign import (
     run_campaign,
     run_shard,
 )
-from repro.campaign.worker import build_executor, clear_executor_cache
+from repro.campaign.worker import clear_executor_cache
 
 
 def small_spec(**overrides):
@@ -178,14 +178,3 @@ class TestOutcomes:
 
         with pytest.raises(UnknownWorkloadError):
             run_campaign(small_spec(workloads=("warp-core",), trials=1), workers=0)
-
-
-class TestBuildExecutor:
-    def test_builds_each_scheme(self):
-        from repro.core.executor import EcimExecutor, TrimExecutor, UnprotectedExecutor
-
-        spec = small_spec()
-        by_scheme = {cell.scheme: build_executor(cell) for cell in spec.cells()}
-        assert isinstance(by_scheme["unprotected"], UnprotectedExecutor)
-        assert isinstance(by_scheme["ecim"], EcimExecutor)
-        assert isinstance(by_scheme["trim"], TrimExecutor)

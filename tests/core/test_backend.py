@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from repro.campaign.spec import trial_seed
-from repro.campaign.workloads import get_campaign_workload, sample_inputs
+from repro.campaign.workloads import get_campaign_workload
 from repro.core.backend import (
     BACKEND_NAMES,
     BatchedBackend,
@@ -21,6 +21,7 @@ from repro.core.backend import (
     derive_seed,
     make_backend,
 )
+from repro.core.batched import sample_input_matrix
 from repro.core.executor import EcimExecutor
 from repro.core.sep import and_gate_example_netlist
 from repro.core.rng import TrialStream
@@ -269,7 +270,7 @@ class TestStochasticEquivalence:
         netlist = get_campaign_workload("dot2").netlist
         spec = FaultModelSpec.stochastic(gate_error_rate=5e-3)
         stream = TrialStream.keyed((3,), range(50))
-        rows = [sample_inputs(netlist, __import__("random").Random(t)) for t in range(50)]
+        rows = sample_input_matrix(netlist, stream)
         outcomes = []
         for name in BACKEND_NAMES:
             backend = make_backend(name, netlist, "ecim")

@@ -11,12 +11,11 @@ The contract under test (see ``repro/core/batched.py``):
 """
 
 import itertools
-import random
 
 import numpy as np
 import pytest
 
-from repro.campaign.workloads import get_campaign_workload, sample_inputs
+from repro.campaign.workloads import get_campaign_workload
 from repro.core.batched import (
     batched_golden_outputs,
     compile_plan,
@@ -86,11 +85,7 @@ class TestFaultFreeExactMatch:
     def test_outputs_checks_and_corrections_match_scalar(self, workload, scheme, multi_output):
         netlist = get_campaign_workload(workload).netlist
         plan = compile_plan(netlist, scheme, multi_output=multi_output)
-        matrix = np.array(
-            [[sample_inputs(netlist, random.Random(seed))[s] for s in netlist.inputs]
-             for seed in range(12)],
-            dtype=np.uint8,
-        )
+        matrix = sample_input_matrix(netlist, _stream(f"fault-free-{workload}", range(12)))
         result = run_batch(plan, matrix)
         for row in range(matrix.shape[0]):
             report = scalar_report(

@@ -8,7 +8,7 @@ from repro.core.executor import EcimExecutor, TrimExecutor, UnprotectedExecutor
 from repro.core.sep import and_gate_example_netlist
 from repro.errors import ProtectionError
 from repro.pim.array import PimArray
-from repro.pim.faults import DeterministicFaultInjector, FaultModel, StochasticFaultInjector
+from repro.pim.faults import DeterministicFaultInjector, NoFaultInjector, ScheduledFaultInjector
 from repro.pim.operations import OperationKind
 from repro.pim.technology import RERAM
 
@@ -126,15 +126,15 @@ class TestEcimExecutor:
         assert report.outputs_correct
 
     def test_low_stochastic_error_rate_survivable(self):
+        # At a low rate a run mostly takes at most one fault, which the
+        # per-level Hamming correction always repairs.
         netlist, a_sigs, b_sigs, *_ = adder_netlist(width=2)
-        injector = StochasticFaultInjector(FaultModel(gate_error_rate=0.002), seed=11)
+        injector = ScheduledFaultInjector({"gate": [7]})
         report = EcimExecutor(netlist, fault_injector=injector).run(
             adder_inputs(a_sigs, b_sigs, 2, 3)
         )
-        # With at most a couple of injected faults spread across levels the
-        # per-level Hamming correction keeps the result intact.
-        if injector.log.count() <= 1:
-            assert report.outputs_correct
+        assert injector.log.count() == 1
+        assert report.outputs_correct
 
 
 class TestTrimExecutor:
@@ -257,42 +257,31 @@ class TestExecutorReset:
     def test_reset_swaps_fault_injector(self):
         executor = self.executor()
         inputs = self.inputs(executor.netlist)
-        executor.reset(
-            fault_injector=StochasticFaultInjector(FaultModel(gate_error_rate=1.0), seed=0)
-        )
+        executor.reset(fault_injector=ScheduledFaultInjector({"gate": [0]}))
         faulty = executor.run(inputs)
         assert any(check.error_detected for check in faulty.checks)
-        from repro.pim.faults import NoFaultInjector
-
         executor.reset(fault_injector=NoFaultInjector())
         clean = executor.run(inputs)
         assert clean.outputs == clean.golden_outputs
         assert clean.errors_detected == 0
 
-    def test_reset_reproduces_seeded_fault_stream(self):
-        executor = self.executor()
-        inputs = self.inputs(executor.netlist)
-        reports = []
-        sites = []
-        for _ in range(2):
-            injector = StochasticFaultInjector(FaultModel(gate_error_rate=0.2), seed=99)
-            executor.reset(fault_injector=injector)
-            reports.append(executor.run(inputs))
-            sites.append(injector.log.sites())
-        assert reports[0].outputs == reports[1].outputs
-        assert sites[0] == sites[1]
-
     def test_deterministic_injector_lines_up_after_reset(self):
+        # Operation-indexed and ordinal-indexed injectors alike hit the same
+        # sites, with the same outputs, on every run after a reset.
         executor = self.executor()
         inputs = self.inputs(executor.netlist)
-        outcomes = []
-        for _ in range(2):
-            injector = DeterministicFaultInjector(target_operations={0: 1})
-            executor.reset(fault_injector=injector)
-            executor.run(inputs)
-            assert injector.exhausted
-            outcomes.append(injector.log.sites())
-        assert outcomes[0] == outcomes[1]
+        for make_injector, faults in (
+            (lambda: DeterministicFaultInjector(target_operations={0: 1}), 1),
+            (lambda: ScheduledFaultInjector({"gate": [1], "metadata": [3]}), 2),
+        ):
+            outcomes = []
+            for _ in range(2):
+                injector = make_injector()
+                executor.reset(fault_injector=injector)
+                report = executor.run(inputs)
+                assert injector.log.count() == faults
+                outcomes.append((report.outputs, injector.log.sites()))
+            assert outcomes[0] == outcomes[1]
 
     def test_reset_works_across_all_executors(self):
         netlist = and_gate_example_netlist()

@@ -17,12 +17,12 @@ new backend (e.g. a GPU tape) joins by registering one factory in
 ``conftest.BACKEND_FACTORIES``.
 """
 
-import random
-
 import pytest
 
-from repro.campaign.workloads import get_campaign_workload, sample_inputs
+from repro.campaign.workloads import get_campaign_workload
 from repro.core.backend import make_backend
+from repro.core.batched import sample_input_matrix
+from repro.core.rng import TrialStream
 from repro.core.sep import exhaustive_single_fault_injection
 
 from differential_harness import (
@@ -93,7 +93,8 @@ class TestSepEquivalence:
             if workload == "and2"
             else _synthesized_dot_netlist()
         )
-        inputs = sample_inputs(netlist, random.Random(13))
+        row = sample_input_matrix(netlist, TrialStream.keyed((13,), [0]))[0]
+        inputs = dict(zip(netlist.inputs, row.tolist()))
         reference = exhaustive_single_fault_injection(
             make_backend("scalar", netlist, scheme), inputs
         )

@@ -3,10 +3,14 @@
 * the vectorized Philox4x32-10 reproduces the Random123 known-answer
   vectors and a pure-Python-int reference on random keys and counters;
 * a trial's inputs and fault hits depend only on (key, trial index): the
-  same at any batch size and any shard offset;
+  same at any batch size and any shard offset, and the same for every
+  stream built from one context;
+* no backend touches module-global random state;
 * inputs never change with the fault model;
 * skip-sampled hit counts follow the class's binomial, and a rate of 1 hits
-  every site.
+  every site;
+* a burst schedule places each burst where a walk over the trial's trigger
+  draws says it goes.
 """
 
 import random
@@ -19,12 +23,16 @@ from repro.core.backend import derive_seed
 from repro.core.batched import sample_input_matrix
 from repro.core.rng import (
     FAULT_CLASSES,
+    STREAM_BURST,
     STREAM_INPUTS,
     STREAM_PLAN,
+    FaultSites,
     TrialStream,
     fault_schedule,
     philox4x32,
+    stream_key,
 )
+from repro.errors import ProtectionError
 from repro.pim.faults import FaultModelSpec
 
 from differential_harness import MODEL_KINDS, get_cell
@@ -155,6 +163,44 @@ class TestTrialAddressing:
             assert np.array_equal(alone.input_bits(9)[0], batch.input_bits(9)[row])
             assert np.array_equal(alone.subsets(500, 4)[0], batch.subsets(500, 4)[row])
 
+    def test_same_context_same_stream_across_instances(self, sites):
+        first, second = (TrialStream.keyed(("instances", 9), range(64)) for _ in range(2))
+        assert np.array_equal(first.input_bits(37), second.input_bits(37))
+        a, b = (fault_schedule(_stochastic_spec(), s, sites, 64) for s in (first, second))
+        assert a.faults.sum() > 0 and np.array_equal(a.faults, b.faults)
+        assert set(a.hits) == set(b.hits)
+        for name, (rows, ordinals) in a.hits.items():
+            assert np.array_equal(b.hits[name][0], rows), name
+            assert np.array_equal(b.hits[name][1], ordinals), name
+
+    def test_keyed_stream_is_the_context_stream_key(self):
+        context = (4, "dot2|ecim")
+        keyed = TrialStream.keyed(context, range(5))
+        assert keyed.key == stream_key(*context) == derive_seed(*context, "rng-v2")
+        assert keyed.key == trial_seed(*context)  # a campaign cell's stream
+        explicit = TrialStream(stream_key(*context), range(5))
+        assert np.array_equal(keyed.uniforms(STREAM_PLAN, 3), explicit.uniforms(STREAM_PLAN, 3))
+
+    def test_trial_indices_and_key_are_checked(self):
+        with pytest.raises(ProtectionError, match="non-negative"):
+            TrialStream(1, [0, -1])
+        # Keys reduce to their low 64 bits, the two Philox key words.
+        wide = TrialStream(2**64 + 5, [0, 1])
+        assert wide.key == 5
+        assert np.array_equal(wide.input_bits(40), TrialStream(5, [0, 1]).input_bits(40))
+
+    def test_backends_leave_global_random_state_untouched(self):
+        cell = get_cell("and2", "trim", True)
+        state, np_state = random.getstate(), np.random.get_state()
+        for kind in MODEL_KINDS:
+            for backend in (cell.reference, *cell.candidates.values()):
+                backend.run_trials(cell.inputs, **cell.run_kwargs(kind))
+        sample_input_matrix(cell.reference.netlist, cell.stream)
+        assert random.getstate() == state
+        after = np.random.get_state()
+        assert after[0] == np_state[0] and after[2:] == np_state[2:]
+        assert np.array_equal(after[1], np_state[1])
+
     def test_distinct_cells_and_trials_draw_differently(self):
         a = TrialStream(trial_seed(0, "a"), range(64)).input_bits(64)
         b = TrialStream(trial_seed(0, "b"), range(64)).input_bits(64)
@@ -251,3 +297,72 @@ class TestHitStatistics:
         assert not FaultModelSpec.stuck_at((3,), 1).needs_stream
         assert not FaultModelSpec.stochastic().needs_stream
         assert FaultModelSpec.burst(2, 4, gate_error_rate=0.1).needs_stream
+
+
+def _burst_walk(ops, draws, length, window):
+    """One trial's bursts, walked output by output over its trigger draws.
+
+    The trial draws once per gate output it visits outside a burst; a
+    trigger flips its output plus up to ``length - 1`` following outputs
+    whose operation lies within ``window`` of the trigger's, without
+    drawing for them.  Returns each burst as ``(trigger draw, sites)``.
+    """
+    bursts = []
+    draw = remaining = 0
+    expires = -1
+    for site, op in enumerate(ops):
+        if remaining and op <= expires:
+            remaining -= 1
+            bursts[-1][1].append(site)
+            continue
+        if draw in draws:
+            bursts.append((draw, [site]))
+            remaining, expires = length - 1, op + window
+        draw += 1
+    return bursts
+
+
+class TestBurstSemantics:
+    """The burst model pinned on the schedule every backend consumes, so a
+    ``_burst_schedule`` error cannot hide behind cross-backend agreement."""
+
+    #: Gate outputs by operation: multi-output firings, and gaps in the
+    #: operation index so that some windows close before the next output.
+    OPS = np.array(
+        [0, 0, 0, 1, 1, 2, 5, 6, 6, 6, 9, 10, 14, 15, 15, 16, 20, 21, 21, 22, 23, 23],
+        dtype=np.int64,
+    )
+    TRIALS = 300
+    RATE = 0.15
+
+    @pytest.mark.parametrize("length,window", [(1, 4), (2, 1), (3, 2), (4, 3), (6, 8)])
+    def test_schedule_follows_the_trigger_walk(self, length, window):
+        ops = self.OPS
+        sites = FaultSites(gate=len(ops), metadata=0, preset=0, memory=0, output_ops=ops)
+        stream = TrialStream.keyed(("burst-walk", length, window), range(self.TRIALS))
+        spec = FaultModelSpec.burst(length, window, gate_error_rate=self.RATE)
+        schedule = fault_schedule(spec, stream, sites, self.TRIALS)
+        assert set(schedule.hits) == {"output"}
+        rows, ordinals = schedule.hits["output"]
+        trigger_rows, trigger_draws = stream.bernoulli_hits(STREAM_BURST, len(ops), self.RATE)
+        bursts = []
+        for trial in range(self.TRIALS):
+            walk = _burst_walk(
+                ops, set(trigger_draws[trigger_rows == trial].tolist()), length, window
+            )
+            expected = [site for _, burst in walk for site in burst]
+            assert ordinals[rows == trial].tolist() == expected, trial
+            assert schedule.faults[trial] == len(expected)
+            bursts += walk
+        if length == 1:
+            # No followers: every output draws, and each hit is its draw.
+            assert all(burst == [draw] for draw, burst in bursts)
+            return
+        assert all(len(burst) <= length for _, burst in bursts)
+        # The walk covered each behaviour the schedule has to get right:
+        # bursts that skip draws, so later triggers land past their draw...
+        assert any(burst[0] > draw for draw, burst in bursts)
+        # ...bursts that run on into the next firing...
+        assert any(ops[burst[-1]] > ops[burst[0]] for _, burst in bursts)
+        # ...and bursts the window cuts short before the last output.
+        assert any(len(burst) < length and burst[-1] + 1 < len(ops) for _, burst in bursts)

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.errors import UnknownExperimentError
+from repro.core.backend import BACKEND_NAMES
+from repro.errors import EvaluationError, UnknownExperimentError
 from repro.eval.experiments import (
     EXPERIMENTS,
     available_experiments,
@@ -149,17 +150,107 @@ class TestAblationExperiments:
             assert row["survival_t1"] <= row["survival_t3"]
 
     def test_coverage_empirical_complement_with_backend(self):
+        # The empirical table is one campaign, so every backend reads the
+        # same counters off the same trial streams.
+        results = {
+            backend: run_experiment(
+                "coverage",
+                benchmark="mm8",
+                gate_error_rates=(0.0, 1e-3),
+                backend=backend,
+                empirical_trials=24,
+                seed=5,
+            )
+            for backend in BACKEND_NAMES
+        }
+        rows = {backend: result["empirical_rows"] for backend, result in results.items()}
+        assert rows["scalar"] == rows["batched"] == rows["bitpacked"]
+        zero, faulty = rows["scalar"]
+        assert [zero["gate_error_rate"], faulty["gate_error_rate"]] == [0.0, 1e-3]
+        assert zero["coverage"] == 1.0
+        assert zero["average_faults_per_run"] == zero["corrections"] == 0
+        assert faulty["average_faults_per_run"] > 0.0
+        assert "Empirical complement" in results["batched"]["rendered"]
+
+
+class TestEmpiricalCoverage:
+    """The coverage experiment's empirical rows: one serial campaign, one
+    cell (and so one trial stream) per swept rate."""
+
+    @staticmethod
+    def rows(backend, rates=(0.01, 0.03), trials=40, seed=11):
         result = run_experiment(
             "coverage",
             benchmark="mm8",
-            gate_error_rates=(1e-4, 1e-3),
-            backend="batched",
-            empirical_trials=120,
+            gate_error_rates=rates,
+            backend=backend,
+            empirical_workload="and2",
+            empirical_trials=trials,
+            seed=seed,
         )
-        rows = result["empirical_rows"]
-        assert [row["gate_error_rate"] for row in rows] == [1e-4, 1e-3]
-        assert all(0.0 <= row["coverage"] <= 1.0 for row in rows)
-        assert "Empirical complement" in result["rendered"]
+        return {row["gate_error_rate"]: row for row in result["empirical_rows"]}
+
+    @pytest.mark.parametrize("backend", BACKEND_NAMES)
+    def test_reproducible_from_single_seed(self, backend):
+        first, again = self.rows(backend), self.rows(backend)
+        assert first == again
+        assert all(row["average_faults_per_run"] > 0.0 for row in first.values())
+        assert self.rows(backend, seed=12) != first
+
+    @pytest.mark.parametrize("backend", BACKEND_NAMES)
+    def test_rows_do_not_depend_on_the_other_swept_rates(self, backend):
+        # Each rate is its own cell, keyed by its own cell key.
+        both = self.rows(backend, rates=(0.01, 0.03))
+        assert self.rows(backend, rates=(0.03,))[0.03] == both[0.03]
+        assert self.rows(backend, rates=(0.01, 0.02))[0.01] == both[0.01]
+
+    @pytest.mark.parametrize("backend", BACKEND_NAMES)
+    def test_more_trials_extend_the_same_trials(self, backend):
+        # Trial t draws the same inputs and faults at any trial count, so a
+        # 40-trial row sums the 20-trial row's trials plus 20 more.
+        short = self.rows(backend, rates=(0.03,), trials=20)[0.03]
+        long = self.rows(backend, rates=(0.03,), trials=40)[0.03]
+        extra_faults = long["average_faults_per_run"] * 40 - short["average_faults_per_run"] * 20
+        extra_correct = long["coverage"] * 40 - short["coverage"] * 20
+        assert round(extra_faults) >= 0 and short["average_faults_per_run"] > 0.0
+        assert 0 <= round(extra_correct) <= 20
+        assert long["corrections"] >= short["corrections"]
+
+    def test_protected_executor_retains_coverage_despite_more_exposure(self):
+        # ECiM issues several times the unprotected run's gate operations
+        # (metadata updates), so at one per-operation rate it takes far more
+        # faults, and its per-level correction still keeps its outputs right.
+        from repro.campaign import CampaignSpec, run_campaign
+
+        result = run_campaign(
+            CampaignSpec(
+                workloads=("and2",),
+                schemes=("unprotected", "ecim"),
+                gate_error_rates=(0.02,),
+                trials=100,
+                seed=5,
+                backend="bitpacked",
+            ),
+            workers=0,
+        )
+        unprotected, ecim = (
+            next(r for r in result.reports if r.cell.scheme == scheme)
+            for scheme in ("unprotected", "ecim")
+        )
+        assert ecim.counts["faults_injected"] > 2 * unprotected.counts["faults_injected"]
+        assert ecim.coverage >= 0.85
+        assert ecim.counts["corrections"] > 0
+        # The experiment's ECiM row is this campaign's ECiM cell.
+        assert self.rows("bitpacked", rates=(0.02,), trials=100, seed=5)[0.02] == {
+            "gate_error_rate": 0.02,
+            "coverage": ecim.coverage,
+            "average_faults_per_run": ecim.average_faults_per_trial,
+            "corrections": ecim.counts["corrections"],
+        }
+
+    def test_invalid_trials(self):
+        with pytest.raises(EvaluationError, match="trials must be positive"):
+            self.rows("batched", trials=0)
 
 
 class TestRenderedOutput:

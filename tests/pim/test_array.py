@@ -6,7 +6,7 @@ import pytest
 
 from repro.errors import ArrayBoundsError, GateOperandError, PartitionError, PimError
 from repro.pim.array import DEFAULT_ARRAY_COLS, DEFAULT_ARRAY_ROWS, PartitionLayout, PimArray
-from repro.pim.faults import DeterministicFaultInjector, StochasticFaultInjector, FaultModel
+from repro.pim.faults import DeterministicFaultInjector, FaultKind, ScheduledFaultInjector
 from repro.pim.operations import OperationKind
 
 
@@ -244,12 +244,14 @@ class TestFaultInjectionHooks:
         assert out == 0  # correct value 1 flipped to 0
         assert injector.log.count() == 1
 
-    def test_stochastic_memory_errors_on_read(self):
-        injector = StochasticFaultInjector(FaultModel(memory_error_rate=1.0), seed=3)
+    def test_scheduled_memory_errors_on_read(self):
+        # Memory-class ordinals count stored-bit reads in order.
+        injector = ScheduledFaultInjector({"memory": [0, 2]})
         array = PimArray(rows=4, cols=8, fault_injector=injector)
         array.load_row(0, [1, 1, 1, 1])
         values = array.read_row(0, [0, 1, 2, 3])
-        assert values == [0, 0, 0, 0]
+        assert values == [0, 1, 0, 1]
+        assert injector.log.count(FaultKind.MEMORY) == 2
 
     def test_fault_free_by_default(self):
         array = PimArray(rows=4, cols=8)

@@ -1,12 +1,12 @@
 """Tests for the fault models and injectors (Section II-C error model)."""
 
-import random
-
+import numpy as np
 import pytest
 
+from repro.campaign.spec import CampaignSpec
+from repro.core.rng import STREAM_BURST, FaultSites, TrialStream, fault_schedule
 from repro.errors import PimError
 from repro.pim.faults import (
-    BurstFaultInjector,
     DeterministicFaultInjector,
     FaultEvent,
     FaultKind,
@@ -15,13 +15,31 @@ from repro.pim.faults import (
     FaultModelSpec,
     NoFaultInjector,
     ScheduledFaultInjector,
-    StochasticFaultInjector,
     StuckAtFaultInjector,
     parse_fault_model,
-    resolve_rng,
 )
 
 SITE = (0, 3, 17)
+
+
+def _sites(gate=0, metadata=0, preset=0, memory=0, output_ops=None):
+    """Hand-built fault sites; gate outputs default to one per operation."""
+    ops = np.arange(gate + metadata) if output_ops is None else output_ops
+    return FaultSites(
+        gate=gate,
+        metadata=metadata,
+        preset=preset,
+        memory=memory,
+        output_ops=np.asarray(ops, dtype=np.int64),
+    )
+
+
+def _injectors(spec, sites, trials=1, context=("faults",)):
+    """One :class:`ScheduledFaultInjector` per trial, fed the batch schedule
+    of ``spec`` the way the scalar backend feeds its executors."""
+    stream = TrialStream.keyed(context, range(trials))
+    schedule = fault_schedule(spec, stream, sites, trials)
+    return [ScheduledFaultInjector(hits) for hits in schedule.by_trial()]
 
 
 class TestFaultModel:
@@ -76,46 +94,69 @@ class TestNoFaultInjector:
         assert injector.log.count() == 0
 
 
-class TestStochasticFaultInjector:
+class TestStochasticSchedule:
+    """The stochastic model on the scalar path: one schedule per batch,
+    flipped call by call through :class:`ScheduledFaultInjector`."""
+
     def test_rate_one_always_flips(self):
-        injector = StochasticFaultInjector(FaultModel(gate_error_rate=1.0), seed=1)
+        [injector] = _injectors(FaultModelSpec.stochastic(gate_error_rate=1.0), _sites(gate=2))
         assert injector.corrupt_gate_output(0, SITE, 0) == 1
         assert injector.corrupt_gate_output(1, SITE, 1) == 0
         assert injector.log.count() == 2
 
     def test_rate_zero_never_flips(self):
-        injector = StochasticFaultInjector(FaultModel(), seed=1)
+        spec = FaultModelSpec.stochastic(gate_error_rate=0.0, memory_error_rate=0.5)
+        [injector] = _injectors(spec, _sites(gate=100, memory=100))
         for index in range(100):
             assert injector.corrupt_gate_output(0, SITE, index) == 0
         assert injector.log.count() == 0
+        # A model that draws nothing has no schedule at all.
+        assert fault_schedule(FaultModelSpec.stochastic(0.0), None, _sites(gate=100), 1) is None
 
     def test_seed_reproducibility(self):
-        model = FaultModel(gate_error_rate=0.3)
-        a = StochasticFaultInjector(model, seed=42)
-        b = StochasticFaultInjector(model, seed=42)
-        seq_a = [a.corrupt_gate_output(0, SITE, i) for i in range(50)]
-        seq_b = [b.corrupt_gate_output(0, SITE, i) for i in range(50)]
-        assert seq_a == seq_b
+        spec = FaultModelSpec.stochastic(gate_error_rate=0.3)
+
+        def flips(context):
+            [injector] = _injectors(spec, _sites(gate=50), context=context)
+            return [injector.corrupt_gate_output(0, SITE, i) for i in range(50)]
+
+        assert flips(("seed", 42)) == flips(("seed", 42))
+        assert flips(("seed", 42)) != flips(("seed", 43))
 
     def test_empirical_rate_close_to_configured(self):
-        injector = StochasticFaultInjector(FaultModel(gate_error_rate=0.2), seed=7)
+        spec = FaultModelSpec.stochastic(gate_error_rate=0.2)
+        [injector] = _injectors(spec, _sites(gate=5000), context=("rate", 7))
         flips = sum(injector.corrupt_gate_output(0, SITE, i) for i in range(5000))
         assert 0.15 < flips / 5000 < 0.25
 
     def test_memory_errors_logged_as_memory(self):
-        injector = StochasticFaultInjector(FaultModel(memory_error_rate=1.0), seed=0)
-        injector.corrupt_stored_bit(1, SITE)
-        assert injector.log.count(FaultKind.MEMORY) == 1
+        spec = FaultModelSpec.stochastic(memory_error_rate=1.0)
+        [injector] = _injectors(spec, _sites(gate=2, memory=3))
+        assert [injector.corrupt_stored_bit(1, SITE) for _ in range(3)] == [0, 0, 0]
+        assert injector.corrupt_gate_output(0, SITE, 0) == 0
+        assert injector.log.count(FaultKind.MEMORY) == injector.log.count() == 3
 
     def test_metadata_errors_logged_as_metadata(self):
-        injector = StochasticFaultInjector(FaultModel(gate_error_rate=1.0), seed=0)
-        injector.corrupt_gate_output(0, SITE, 0, is_metadata=True)
-        assert injector.log.count(FaultKind.METADATA) == 1
+        # An unset metadata rate inherits the gate rate; an explicit one wins.
+        sites = _sites(gate=1, metadata=1)
+        [inherits] = _injectors(FaultModelSpec.stochastic(gate_error_rate=1.0), sites)
+        inherits.corrupt_gate_output(0, SITE, 0)
+        inherits.corrupt_gate_output(0, SITE, 1, is_metadata=True)
+        assert inherits.log.count(FaultKind.LOGIC) == 1
+        assert inherits.log.count(FaultKind.METADATA) == 1
+        spec = FaultModelSpec.stochastic(gate_error_rate=1.0, metadata_error_rate=0.0)
+        [spared] = _injectors(spec, sites)
+        assert spared.corrupt_gate_output(0, SITE, 0, is_metadata=True) == 0
+        assert spared.corrupt_gate_output(0, SITE, 1) == 1
+        assert spared.log.count(FaultKind.METADATA) == 0
 
     def test_preset_errors(self):
-        injector = StochasticFaultInjector(FaultModel(preset_error_rate=1.0), seed=0)
+        spec = FaultModelSpec.stochastic(preset_error_rate=1.0)
+        [injector] = _injectors(spec, _sites(gate=1, preset=2))
         assert injector.corrupt_preset(0, SITE, 0) == 1
-        assert injector.log.count(FaultKind.PRESET) == 1
+        assert injector.corrupt_preset(1, SITE, 1) == 0
+        assert injector.corrupt_gate_output(0, SITE, 2) == 0
+        assert injector.log.count(FaultKind.PRESET) == injector.log.count() == 2
 
 
 class TestDeterministicFaultInjector:
@@ -147,30 +188,80 @@ class TestDeterministicFaultInjector:
         assert not injector.exhausted
 
 
-class TestBurstFaultInjector:
+def _burst_triggers(stream, n_outputs, rate):
+    """Each trial's burst trigger draws (the draws that start a burst)."""
+    rows, draws = stream.bernoulli_hits(STREAM_BURST, n_outputs, rate)
+    return [set(draws[rows == trial].tolist()) for trial in range(len(stream))]
+
+
+def _burst_run(spec, sites, context, trials=400):
+    """A batch's stream, its schedule and each trial's flipped outputs."""
+    stream = TrialStream.keyed(context, range(trials))
+    schedule = fault_schedule(spec, stream, sites, trials)
+    hits = [trial.get("output", np.zeros(0)).tolist() for trial in schedule.by_trial()]
+    return stream, schedule, hits
+
+
+class TestBurstSchedule:
+    """The burst model on hand-built gate outputs, at trigger rates below 1
+    so that each expected flip is read off the trial's trigger draws."""
+
     def test_burst_flips_consecutive_outputs(self):
-        injector = BurstFaultInjector(
-            FaultModel(gate_error_rate=1.0), burst_length=3, correlation_window=10, seed=0
-        )
-        flips = [injector.corrupt_gate_output(0, SITE, i) for i in range(3)]
-        assert flips == [1, 1, 1]
+        # Every output is a firing of its own and each window spans the
+        # burst, so the k-th trigger draw d lands on output d + 2k and flips
+        # it and the two outputs after it.
+        n_out = 30
+        spec = FaultModelSpec.burst(3, 10, gate_error_rate=0.05)
+        stream, _, hits = _burst_run(spec, _sites(gate=n_out), ("consecutive",))
+        multi = 0
+        for trial, draws in enumerate(_burst_triggers(stream, n_out, 0.05)):
+            starts = [d + 2 * k for k, d in enumerate(sorted(draws)) if d + 2 * k < n_out]
+            expected = [s + j for s in starts for j in range(3) if s + j < n_out]
+            assert hits[trial] == expected, trial
+            multi += len(starts) > 1
+        assert multi > 0
+        first = next(trial for trial in hits if trial)
+        injector = ScheduledFaultInjector({"output": first})
+        flipped = [i for i in range(n_out) if injector.corrupt_gate_output(0, SITE, i)]
+        assert flipped == first
+        assert {event.kind for event in injector.log.events} == {FaultKind.LOGIC}
 
     def test_burst_expires_outside_window(self):
-        injector = BurstFaultInjector(
-            FaultModel(gate_error_rate=0.0), burst_length=3, correlation_window=2, seed=0
-        )
-        # No trigger ever fires with rate 0.
-        assert [injector.corrupt_gate_output(0, SITE, i) for i in range(5)] == [0] * 5
+        # Outputs five operations apart never fall inside a two-operation
+        # window: each trigger flips its own output only, so every output
+        # draws and the bursts are the burst stream's plain Bernoulli hits.
+        n_out = 40
+        spec = FaultModelSpec.burst(4, 2, gate_error_rate=0.1)
+        sites = _sites(gate=n_out, output_ops=np.arange(0, 5 * n_out, 5))
+        stream, schedule, _ = _burst_run(spec, sites, ("expires",))
+        rows, draws = stream.bernoulli_hits(STREAM_BURST, n_out, 0.1)
+        assert rows.size > 0
+        assert np.array_equal(schedule.hits["output"][0], rows)
+        assert np.array_equal(schedule.hits["output"][1], draws)
 
     def test_invalid_parameters(self):
-        with pytest.raises(PimError):
-            BurstFaultInjector(FaultModel(), burst_length=0)
-        with pytest.raises(PimError):
-            BurstFaultInjector(FaultModel(), correlation_window=0)
+        with pytest.raises(PimError, match="burst_length"):
+            FaultModelSpec.burst(0, 4)
+        with pytest.raises(PimError, match="correlation_window"):
+            FaultModelSpec.burst(3, 0)
+        with pytest.raises(PimError, match="correlation_window"):
+            parse_fault_model("burst:length=3,window=-2")
 
     def test_memory_path_still_stochastic(self):
-        injector = BurstFaultInjector(FaultModel(memory_error_rate=1.0), seed=0)
+        # Memory errors under the burst model are the stochastic model's
+        # memory class: same stream, same hits.
+        sites = _sites(gate=6, memory=50)
+        burst = FaultModelSpec.burst(3, 4, gate_error_rate=0.0, memory_error_rate=0.05)
+        _, schedule, _ = _burst_run(burst, sites, ("memory",))
+        stochastic = FaultModelSpec.stochastic(memory_error_rate=0.05)
+        _, reference, _ = _burst_run(stochastic, sites, ("memory",))
+        assert set(schedule.hits) == set(reference.hits) == {"memory"}
+        for got, want in zip(schedule.hits["memory"], reference.hits["memory"]):
+            assert np.array_equal(got, want)
+        [injector] = _injectors(FaultModelSpec.burst(3, 4, 0.0, 1.0), _sites(gate=2, memory=1))
+        assert injector.corrupt_gate_output(0, SITE, 0) == 0
         assert injector.corrupt_stored_bit(0, SITE) == 1
+        assert injector.log.count(FaultKind.MEMORY) == injector.log.count() == 1
 
 
 class TestStuckAtFaultInjector:
@@ -198,111 +289,65 @@ class TestStuckAtFaultInjector:
             StuckAtFaultInjector({SITE: 2})
 
 
-class TestSeedInjection:
-    """Injectors accept explicit seeds or generator instances — never module-global state."""
+def _drawn_streams(monkeypatch):
+    """Record the stream id of every uniform a :class:`TrialStream` draws."""
+    drawn = []
+    uniforms = TrialStream.uniforms
 
-    def draws(self, injector, n=200):
-        return [injector.corrupt_gate_output(0, SITE, i) for i in range(n)]
+    def recording(self, stream, *args, **kwargs):
+        drawn.append(stream)
+        return uniforms(self, stream, *args, **kwargs)
 
-    def test_resolve_rng_passes_through_generator_instance(self):
-        import random
-
-        rng = random.Random(5)
-        assert resolve_rng(rng) is rng
-
-    def test_resolve_rng_rejects_non_seeds(self):
-        with pytest.raises(PimError):
-            resolve_rng("entropy")
-
-    def test_generator_instance_equivalent_to_seed(self):
-        import random
-
-        model = FaultModel(gate_error_rate=0.3)
-        by_seed = StochasticFaultInjector(model, seed=123)
-        by_rng = StochasticFaultInjector(model, seed=random.Random(123))
-        assert self.draws(by_seed) == self.draws(by_rng)
-
-    def test_same_seed_same_stream_across_instances(self):
-        model = FaultModel(gate_error_rate=0.3)
-        assert self.draws(StochasticFaultInjector(model, seed=9)) == self.draws(
-            StochasticFaultInjector(model, seed=9)
-        )
-
-    def test_injector_does_not_touch_global_random(self):
-        import random
-
-        model = FaultModel(gate_error_rate=0.5)
-        random.seed(7)
-        expected = [random.random() for _ in range(10)]
-        random.seed(7)
-        self.draws(StochasticFaultInjector(model, seed=1))
-        assert [random.random() for _ in range(10)] == expected
-
-    def test_burst_injector_accepts_generator_instance(self):
-        import random
-
-        model = FaultModel(gate_error_rate=0.3)
-        by_seed = BurstFaultInjector(model, seed=77)
-        by_rng = BurstFaultInjector(model, seed=random.Random(77))
-        assert self.draws(by_seed) == self.draws(by_rng)
-
-
-class _CountingRandom(random.Random):
-    """A generator that counts its uniform draws (zero-rate early-exit probe)."""
-
-    def __init__(self, seed=0):
-        super().__init__(seed)
-        self.draws = 0
-
-    def random(self):
-        self.draws += 1
-        return super().random()
+    monkeypatch.setattr(TrialStream, "uniforms", recording)
+    return drawn
 
 
 class TestScalarInjectorEdgeCases:
-    """ISSUE 5 satellite: burst wrap / overlong bursts, stuck preset targets,
-    zero-rate early exits."""
+    """Burst wrap / overlong bursts, stuck preset targets, zero-rate classes
+    that draw nothing."""
 
     def test_burst_spans_row_end_into_next_operations(self):
-        # A burst triggered on the last output of one firing wraps into the
-        # following operations' outputs (the "row end" of a multi-output
-        # gate), as long as the correlation window allows.
-        injector = BurstFaultInjector(
-            FaultModel(gate_error_rate=1.0), burst_length=3, correlation_window=4, seed=0
-        )
-        # op 5: one output — triggers and flips; ops 6, 7: burst continues.
-        first = injector.corrupt_gate_output(0, SITE, 5)
-        second = injector.corrupt_gate_output(0, SITE, 6)
-        third = injector.corrupt_gate_output(0, SITE, 7)
-        assert (first, second, third) == (1, 1, 1)
-        kinds = {event.kind for event in injector.log.events}
-        assert kinds == {FaultKind.LOGIC}
+        # A trigger on the last output of a two-output firing runs on into
+        # the following operations while the window allows: ops 3, 5, 6 lie
+        # within 4 of op 3, op 30 does not.
+        ops = [3, 3, 5, 6, 30]
+        spec = FaultModelSpec.burst(4, 4, gate_error_rate=0.3)
+        stream, _, hits = _burst_run(spec, _sites(gate=5, output_ops=ops), ("row-end",))
+        seen = 0
+        for trial, draws in enumerate(_burst_triggers(stream, len(ops), 0.3)):
+            if 0 not in draws and 1 in draws:
+                # draw 2 falls on op 30, the first output outside the burst
+                assert hits[trial] == [1, 2, 3] + ([4] if 2 in draws else []), trial
+                seen += 1
+        assert seen > 0
 
     def test_burst_length_exceeding_row_width_stops_at_window(self):
-        # burst_length far beyond the outputs available inside the window:
-        # remaining flips are silently dropped once the window closes, and
-        # later operations draw afresh instead of inheriting stale flips.
-        injector = BurstFaultInjector(
-            FaultModel(gate_error_rate=1.0), burst_length=100, correlation_window=2, seed=3
-        )
-        assert injector.corrupt_gate_output(0, SITE, 0) == 1  # trigger
-        assert injector.corrupt_gate_output(0, SITE, 1) == 1  # in window
-        assert injector.corrupt_gate_output(0, SITE, 2) == 1  # window edge
-        # op 10 is far outside the window: the stale remaining budget must
-        # not flip; with rate 1.0 a *fresh* trigger fires instead, which the
-        # log distinguishes (4 events so far, all flips are new bursts).
-        assert injector.corrupt_gate_output(0, SITE, 10) == 1
-        assert injector.log.count() == 4
+        # A 100-output burst at op 0 with a two-operation window flips ops
+        # 0-2 only; op 10 then draws afresh instead of inheriting the budget.
+        ops = [0, 1, 2, 10, 11]
+        spec = FaultModelSpec.burst(100, 2, gate_error_rate=0.3)
+        stream, _, hits = _burst_run(spec, _sites(gate=5, output_ops=ops), ("overlong",))
+        branches = set()
+        for trial, draws in enumerate(_burst_triggers(stream, len(ops), 0.3)):
+            if 0 in draws:
+                tail = [3, 4] if 1 in draws else [4] if 2 in draws else []
+                assert hits[trial] == [0, 1, 2] + tail, trial
+                branches.add(len(tail))
+        assert branches == {0, 1, 2}
 
     def test_burst_window_expiry_leaves_stale_budget_inert(self):
-        injector = BurstFaultInjector(
-            FaultModel(gate_error_rate=1.0), burst_length=5, correlation_window=1, seed=1
-        )
-        assert injector.corrupt_gate_output(0, SITE, 0) == 1  # trigger, budget 4
-        # Jump past the window with rate forced to zero: the stale budget
-        # alone must not flip anything.
-        injector.model = FaultModel(gate_error_rate=0.0)
-        assert injector.corrupt_gate_output(0, SITE, 7) == 0
+        # A length-5 burst at op 0 with a one-operation window has no
+        # follower: its unused budget must not flip op 7 or op 8.
+        ops = [0, 7, 8]
+        spec = FaultModelSpec.burst(5, 1, gate_error_rate=0.3)
+        stream, _, hits = _burst_run(spec, _sites(gate=3, output_ops=ops), ("stale",))
+        alone = 0
+        for trial, draws in enumerate(_burst_triggers(stream, len(ops), 0.3)):
+            if 0 in draws:
+                tail = [1, 2] if 1 in draws else [2] if 2 in draws else []
+                assert hits[trial] == [0] + tail, trial
+                alone += not tail
+        assert alone > 0
 
     def test_stuck_at_on_a_preset_target_cell(self):
         # Presets bypass the injector (corrupt_preset default), but the gate
@@ -324,23 +369,24 @@ class TestScalarInjectorEdgeCases:
         assert array.read_row(0, [4]) == [1]
         assert array.read_cell(0, 4) == 1
 
-    def test_zero_rate_stochastic_consumes_no_draws(self):
-        rng = _CountingRandom(5)
-        injector = StochasticFaultInjector(FaultModel(), seed=rng)
-        for op in range(50):
-            assert injector.corrupt_gate_output(1, SITE, op) == 1
-            assert injector.corrupt_stored_bit(0, SITE) == 0
-            assert injector.corrupt_preset(0, SITE, op) == 0
-        assert rng.draws == 0
-        assert injector.log.count() == 0
+    def test_zero_rate_stochastic_consumes_no_draws(self, monkeypatch):
+        drawn = _drawn_streams(monkeypatch)
+        sites = _sites(gate=50, metadata=50, preset=50, memory=50)
+        spec = FaultModelSpec.stochastic(gate_error_rate=0.1, metadata_error_rate=0.0)
+        schedule = fault_schedule(spec, TrialStream.keyed(("zero",), range(8)), sites, 8)
+        assert set(drawn) == {1}  # the gate class's stream alone
+        assert set(schedule.hits) == {"gate"}
+        drawn.clear()
+        assert fault_schedule(FaultModelSpec.stochastic(0.0, 0.0, 0.0, 0.0), None, sites, 8) is None
+        assert drawn == []
 
-    def test_zero_rate_burst_consumes_no_draws(self):
-        rng = _CountingRandom(5)
-        injector = BurstFaultInjector(FaultModel(), seed=rng)
-        for op in range(50):
-            assert injector.corrupt_gate_output(0, SITE, op) == 0
-            assert injector.corrupt_stored_bit(1, SITE) == 1
-        assert rng.draws == 0
+    def test_zero_rate_burst_consumes_no_draws(self, monkeypatch):
+        drawn = _drawn_streams(monkeypatch)
+        sites = _sites(gate=50, memory=50)
+        spec = FaultModelSpec.burst(3, 4, gate_error_rate=0.0, memory_error_rate=0.1)
+        schedule = fault_schedule(spec, TrialStream.keyed(("zero",), range(8)), sites, 8)
+        assert STREAM_BURST not in drawn and set(drawn) == {4}  # the memory class
+        assert set(schedule.hits) == {"memory"}
 
 
 class TestFaultModelSpec:
@@ -356,6 +402,17 @@ class TestFaultModelSpec:
             spec = parse_fault_model(text)
             assert parse_fault_model(spec.to_string()) == spec
             assert parse_fault_model(spec.to_string()).to_string() == spec.to_string()
+
+    @pytest.mark.parametrize("polarity", [True, 1.0, 1])
+    def test_stuck_polarity_canonicalises_to_a_bit(self, polarity):
+        # A bool or float polarity passes the bit check, and must still
+        # print as a bit so the canonical string re-parses.
+        spec = FaultModelSpec.stuck_at([3], stuck_polarity=polarity)
+        assert spec.stuck_polarity == 1 and type(spec.stuck_polarity) is int
+        assert spec.to_string() == "stuck-at:cells=3,value=1"
+        assert parse_fault_model(spec.to_string()) == spec
+        campaign = CampaignSpec(workloads=("and2",), fault_model=spec.to_string())
+        assert campaign.fault_model == spec.to_string()
 
     def test_duplicate_and_alias_collisions_rejected(self):
         # 'rate' and 'gate' are one knob; last-wins would silently discard a

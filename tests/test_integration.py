@@ -14,14 +14,16 @@ from repro.compiler import CircuitBuilder, GreedyAllocator, InstructionEncoder, 
 from repro.core import (
     EcimExecutor,
     EcimScheme,
+    ScalarBackend,
     TrimExecutor,
     TrimScheme,
     UnprotectedExecutor,
     UnprotectedScheme,
     exhaustive_single_fault_injection,
 )
+from repro.core.rng import TrialStream
 from repro.eval import EvaluationModel, run_experiment
-from repro.pim import STT_MRAM, FaultModel, StochasticFaultInjector
+from repro.pim import STT_MRAM, FaultModelSpec
 from repro.workloads import (
     accumulator_bits,
     fft_input_assignment,
@@ -106,19 +108,22 @@ class TestProtectedWorkloads:
         assert report.outputs_correct
 
     def test_ecim_under_low_stochastic_error_rate(self):
+        # SEP promises correction of one error per logic level, so every run
+        # whose stochastic draw stays within one fault must be exact.
         netlist = matmul_netlist(2, operand_bits=2)
         a = [[1, 2], [3, 1]]
         b = [[2, 2], [1, 0]]
-        injector = StochasticFaultInjector(FaultModel(gate_error_rate=0.0005), seed=3)
         inputs = matmul_input_assignment(netlist, a, b, operand_bits=2)
-        report = EcimExecutor(netlist, fault_injector=injector).run(inputs)
-        # SEP only promises correction of one error per logic level; when the
-        # stochastic draw stays within that budget the result must be exact.
-        faults_per_level = {}
-        for event in injector.log.events:
-            faults_per_level[event.operation_index] = faults_per_level.get(event.operation_index, 0)
-        if injector.log.count() <= 1:
-            assert report.outputs_correct
+        trials = 10
+        outcomes = ScalarBackend(netlist, "ecim").run_trials(
+            inputs,
+            n_trials=trials,
+            fault_model=FaultModelSpec.stochastic(gate_error_rate=1e-4),
+            stream=TrialStream.keyed((3, "mm2-ecim"), range(trials)),
+        )
+        faults = outcomes.faults_injected
+        assert outcomes.outputs_correct[faults <= 1].all()
+        assert (faults == 1).any()
 
 
 class TestSepOnArithmeticCircuit:
