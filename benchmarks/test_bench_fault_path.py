@@ -19,7 +19,7 @@ from conftest import emit
 
 from repro.campaign.workloads import get_campaign_workload
 from repro.core.backend import make_backend
-from repro.core.bitpacked import _flip_table, _int_tape, _scheduled_events
+from repro.core.bitpacked import _flip_table, _scheduled_events
 from repro.core.faultplan import FaultPlanArrays, unrank_combinations
 from repro.core.rng import TrialStream, fault_schedule
 from repro.ecc.bch import bch_code_factory
@@ -35,10 +35,9 @@ _MODEL = FaultModelSpec.stochastic(gate_error_rate=1e-3, memory_error_rate=0.0)
 
 def test_mlp16_schedule_lowering(benchmark):
     netlist = get_campaign_workload("mlp16").netlist
-    soa = make_backend("bitpacked", netlist, "ecim").soa
-    tape = _int_tape(soa)
+    tape = make_backend("bitpacked", netlist, "ecim").tape
     stream = TrialStream.keyed((17, "mlp16"), range(MLP16_TRIALS))
-    schedule = fault_schedule(_MODEL, stream, soa.plan.fault_sites, MLP16_TRIALS)
+    schedule = fault_schedule(_MODEL, stream, tape.plan.fault_sites, MLP16_TRIALS)
 
     def lower():
         ranks, trials = _scheduled_events(tape, schedule)

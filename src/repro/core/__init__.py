@@ -31,11 +31,11 @@ from repro.core.batched import (
 )
 from repro.core.bitpacked import (
     bitpacked_golden_outputs,
+    lower_plan,
     pack_trials,
     run_packed,
     unpack_trials,
 )
-from repro.core.soa import SoaPlan, lower_plan
 from repro.core.checker import (
     DEFAULT_CHECKER_COSTS,
     CheckerCostModel,
@@ -128,7 +128,6 @@ __all__ = [
     "sample_input_matrix",
     "batched_golden_outputs",
     # bit-sliced trial engine
-    "SoaPlan",
     "lower_plan",
     "pack_trials",
     "unpack_trials",

@@ -21,11 +21,11 @@ Three implementations:
   batch is one numpy pass; deterministic fault plans map each batch row to a
   single ``{operation index: output position}`` flip, which is what lets the
   exhaustive single-fault sweep run with *fault site as the batch dimension*.
-* :class:`BitpackedBackend` — the same tape lowered to structure-of-arrays
-  form (:func:`~repro.core.soa.lower_plan`) and interpreted bit-sliced
-  (:func:`~repro.core.bitpacked.run_packed`): each column's state is one
-  Python ``int`` holding every trial of the batch, so each gate firing is a
-  few big-int boolean ops over the whole batch.
+* :class:`BitpackedBackend` — the same tape lowered once, in one pass, to
+  an interned int tape (:func:`~repro.core.bitpacked.lower_plan`) and
+  interpreted bit-sliced (:func:`~repro.core.bitpacked.run_packed`): each
+  column's state is one Python ``int`` holding every trial of the batch, so
+  each gate firing is a few big-int boolean ops over the whole batch.
 
 Equivalence contract (enforced by ``tests/core/test_sep.py``,
 ``tests/core/test_backend.py`` and ``tests/differential/``): fault-free,
@@ -50,11 +50,10 @@ import numpy as np
 
 from repro.compiler.netlist import Netlist
 from repro.core.batched import ExecutionPlan, GateStep, compile_plan, run_batch
-from repro.core.bitpacked import run_packed
+from repro.core.bitpacked import _IntTape, lower_plan, run_packed
 from repro.core.faultplan import FaultPlanArrays
 from repro.core.executor import EXECUTORS_BY_SCHEME, ExecutionReport
 from repro.core.rng import FaultSites, TrialStream, derive_seed, fault_schedule
-from repro.core.soa import SoaPlan, lower_plan
 from repro.errors import PimError, ProtectionError
 from repro.pim.faults import (
     DeterministicFaultInjector,
@@ -324,20 +323,10 @@ class ExecutionBackend(abc.ABC):
         self, inputs: TrialInputs, n_trials: Optional[int] = None
     ) -> List[Dict[int, int]]:
         """Normalise ``inputs`` to one ``{signal: bit}`` dict per trial."""
-        broadcast = self._check_broadcast(inputs, n_trials)
-        if broadcast is not None:
-            return [dict(inputs)] * broadcast
-        if isinstance(inputs, np.ndarray):
-            if inputs.ndim != 2 or inputs.shape[1] != len(self.netlist.inputs):
-                raise ProtectionError(
-                    f"input matrix must be (B, {len(self.netlist.inputs)}), "
-                    f"got shape {inputs.shape}"
-                )
-            return [
-                dict(zip(self.netlist.inputs, (int(bit) for bit in row)))
-                for row in inputs
-            ]
-        return [dict(row) for row in inputs]
+        signals = self.netlist.inputs
+        return [
+            dict(zip(signals, row)) for row in self._input_matrix(inputs, n_trials).tolist()
+        ]
 
     def _input_matrix(
         self, inputs: TrialInputs, n_trials: Optional[int] = None
@@ -348,22 +337,37 @@ class ExecutionBackend(abc.ABC):
         one row — O(n_inputs) memory however large the batch."""
         broadcast = self._check_broadcast(inputs, n_trials)
         signals = self.netlist.inputs
-        if broadcast is not None:
-            row = np.empty((1, len(signals)), dtype=np.uint8)
-            for position, signal in enumerate(signals):
-                if signal not in inputs:
-                    raise ProtectionError(f"missing value for input signal {signal}")
-                row[0, position] = int(inputs[signal])
-            return np.broadcast_to(row, (broadcast, len(signals)))
         if isinstance(inputs, np.ndarray):
+            if inputs.ndim != 2 or inputs.shape[1] != len(signals):
+                raise ProtectionError(
+                    f"input matrix must be (B, {len(signals)}), got shape {inputs.shape}"
+                )
+            _check_bits(inputs)
             return inputs
-        matrix = np.empty((len(inputs), len(signals)), dtype=np.uint8)
-        for row, values in enumerate(inputs):
-            for position, signal in enumerate(signals):
-                if signal not in values:
+        rows = [inputs] if broadcast is not None else inputs
+        values = []
+        for row in rows:
+            for signal in signals:
+                if signal not in row:
                     raise ProtectionError(f"missing value for input signal {signal}")
-                matrix[row, position] = int(values[signal])
+                values.append(row[signal])
+        matrix = np.array(values).reshape(len(rows), len(signals))
+        _check_bits(matrix)
+        matrix = matrix.astype(np.uint8)
+        if broadcast is not None:
+            return np.broadcast_to(matrix, (broadcast, len(signals)))
         return matrix
+
+
+def _check_bits(matrix: np.ndarray) -> None:
+    """Reject any input value other than 0 or 1 (bools pass) in one
+    vectorised pass — the scalar array's rule, applied before any backend
+    runs, so no engine reads a non-bit its own way."""
+    bad = (matrix != 0) & (matrix != 1)
+    if bad.any():
+        raise ProtectionError(
+            f"input values must be bits (0 or 1), got {matrix[bad].tolist()[0]!r}"
+        )
 
 
 class _SiteCounter(NoFaultInjector):
@@ -678,38 +682,34 @@ class BatchedBackend(ExecutionBackend):
 
 
 class BitpackedBackend(BatchedBackend):
-    """The structure-of-arrays tape interpreted bit-sliced
-    (:mod:`repro.core.bitpacked`): one Python ``int`` per column holds every
-    trial, gates are closed-form boolean ops on those ints, and every fault
-    source is lowered to one XOR int per (tape step, column).
+    """The compiled tape interpreted bit-sliced (:mod:`repro.core.bitpacked`):
+    one Python ``int`` per column holds every trial, gates are closed-form
+    boolean ops on those ints, and every fault source is lowered to one XOR
+    int per (tape step, column).
 
     Shares the batched backend's construction surface and compiled
-    :class:`ExecutionPlan` (the SoA form is lowered lazily from it), so site
-    enumeration and spec vocabulary are identical by construction.
+    :class:`ExecutionPlan` (the int tape is lowered lazily from it, once per
+    backend), so site enumeration and spec vocabulary are identical by
+    construction.
     """
 
     name = "bitpacked"
 
-    def __init__(
-        self,
-        netlist: Netlist,
-        scheme: str,
-        multi_output: bool = True,
-        plan: Optional[ExecutionPlan] = None,
-        code_factory: Optional[Callable[[int], object]] = None,
-    ) -> None:
-        super().__init__(
-            netlist, scheme, multi_output=multi_output, plan=plan,
-            code_factory=code_factory,
-        )
-        self._soa: Optional[SoaPlan] = None
+    _tape: Optional[_IntTape] = None
 
     @property
-    def soa(self) -> SoaPlan:
-        """The backend's (lazily lowered, reused) structure-of-arrays tape."""
-        if self._soa is None:
-            self._soa = lower_plan(self.plan)
-        return self._soa
+    def tape(self) -> _IntTape:
+        """The backend's (lazily lowered, reused) int tape."""
+        if self._tape is None:
+            self._tape = lower_plan(self.plan)
+        return self._tape
+
+    def __getstate__(self) -> dict:
+        # Records of gates outside the inlined shapes hold closures, which do
+        # not pickle: a pool worker lowers its own tape from the plan.
+        state = self.__dict__.copy()
+        state.pop("_tape", None)
+        return state
 
     def run_trials(
         self,
@@ -724,7 +724,7 @@ class BitpackedBackend(BatchedBackend):
         matrix = self._input_matrix(inputs, n_trials)
         self._validate_fault_args(matrix.shape[0], fault_plan, fault_model, stream)
         result = run_packed(
-            self.soa, matrix, fault_plan=fault_plan, fault_model=fault_model, stream=stream
+            self.tape, matrix, fault_plan=fault_plan, fault_model=fault_model, stream=stream
         )
         return TrialOutcomes(
             outputs_correct=result.outputs_correct,

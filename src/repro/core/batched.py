@@ -191,7 +191,6 @@ class ExecutionPlan:
     output_cols: np.ndarray
     const1_col: int
     steps: Tuple[PlanStep, ...]
-    n_gate_ops: int
 
     @property
     def n_inputs(self) -> int:
@@ -252,16 +251,6 @@ class ExecutionPlan:
             output_ops=op_of_step[self.site_map.steps[:n_outputs]],
         )
 
-    def gate_fault_sites(self) -> List[Tuple[int, int]]:
-        """Every (operation index, output position) a single logic fault can
-        strike — the site enumeration exhaustive SEP sweeps iterate."""
-        sites = []
-        for step in self.steps:
-            if isinstance(step, GateStep):
-                for position in range(step.output_cols.shape[0]):
-                    sites.append((step.op_index, position))
-        return sites
-
 
 # ---------------------------------------------------------------------- #
 # Plan compilation
@@ -277,7 +266,7 @@ def _base_plan_fields(executor) -> Dict[str, object]:
     )
 
 
-def _compile_unprotected(executor: UnprotectedExecutor) -> Tuple[Tuple[PlanStep, ...], int]:
+def _compile_unprotected(executor: UnprotectedExecutor) -> Tuple[PlanStep, ...]:
     steps: List[PlanStep] = []
     op = 0
     for level, gate_indices in enumerate(executor._levels, start=1):
@@ -295,7 +284,7 @@ def _compile_unprotected(executor: UnprotectedExecutor) -> Tuple[Tuple[PlanStep,
                 )
             )
             op += 1
-    return tuple(steps), op
+    return tuple(steps)
 
 
 def _code_correction_capability(code) -> int:
@@ -369,7 +358,7 @@ def _ecim_check_step(code, data_cols: Sequence[int], parity_cols: Sequence[int])
     )
 
 
-def _compile_ecim(executor: EcimExecutor) -> Tuple[Tuple[PlanStep, ...], int]:
+def _compile_ecim(executor: EcimExecutor) -> Tuple[PlanStep, ...]:
     netlist = executor.netlist
     multi_output = executor.multi_output
     steps: List[PlanStep] = []
@@ -446,10 +435,10 @@ def _compile_ecim(executor: EcimExecutor) -> Tuple[Tuple[PlanStep, ...], int]:
         steps.append(ReadStep(_cols(data_cols)))
         steps.append(ReadStep(_cols(parity_cols)))
         steps.append(_ecim_check_step(code, data_cols, parity_cols))
-    return tuple(steps), op
+    return tuple(steps)
 
 
-def _compile_trim(executor: TrimExecutor) -> Tuple[Tuple[PlanStep, ...], int]:
+def _compile_trim(executor: TrimExecutor) -> Tuple[PlanStep, ...]:
     netlist = executor.netlist
     multi_output = executor.multi_output
     n_copies = executor.n_copies
@@ -487,7 +476,7 @@ def _compile_trim(executor: TrimExecutor) -> Tuple[Tuple[PlanStep, ...], int]:
             steps.append(ReadStep(_cols(cols)))
             copy_groups.append(_cols(cols))
         steps.append(TrimCheckStep(_cols(data_cols), tuple(copy_groups), n_copies))
-    return tuple(steps), op
+    return tuple(steps)
 
 
 def compile_plan(
@@ -505,21 +494,20 @@ def compile_plan(
     scheme = scheme.strip().lower()
     if scheme == "unprotected":
         executor = UnprotectedExecutor(netlist)
-        steps, n_ops = _compile_unprotected(executor)
+        steps = _compile_unprotected(executor)
     elif scheme == "ecim":
         kwargs = {} if code_factory is None else {"code_factory": code_factory}
         executor = EcimExecutor(netlist, multi_output=multi_output, **kwargs)
-        steps, n_ops = _compile_ecim(executor)
+        steps = _compile_ecim(executor)
     elif scheme == "trim":
         executor = TrimExecutor(netlist, multi_output=multi_output, n_copies=n_copies)
-        steps, n_ops = _compile_trim(executor)
+        steps = _compile_trim(executor)
     else:
         raise ProtectionError(f"unknown protection scheme {scheme!r}")
     return ExecutionPlan(
         scheme=scheme,
         multi_output=multi_output,
         steps=steps,
-        n_gate_ops=n_ops,
         **_base_plan_fields(executor),
     )
 

@@ -9,13 +9,14 @@ those ints — NOR2 is ``full ^ (a | b)``, the paper's THR4 (threshold 3) is
 ``full ^ (a&b | c&d | (a|b)&(c|d))``, where ``full = (1 << B) - 1`` — and
 costs a few big-int ops regardless of B, with no per-step numpy dispatch.
 
-The interpreter walks a compact int tape lowered once per
-:class:`~repro.core.soa.SoaPlan` and cached: one interned record per step
-(opcode plus column ints), so the ~40k-step mlp16 + ECiM tape holds only
-its few thousand distinct records.  The fault path stays in int ops too:
+The interpreter walks a compact int tape that :func:`lower_plan` builds in
+one pass over an :class:`~repro.core.batched.ExecutionPlan`'s steps: one
+interned record per step (opcode plus column ints), so the ~40k-step
+mlp16 + ECiM tape holds only its few thousand distinct records.  The fault
+path stays in int ops too:
 
 * every fault source is lowered once per call to one XOR int per fault
-  site, through the tape's per-plan index of sites in tape order — one
+  site, through the tape's index of the plan's sites in tape order — one
   ``np.bincount`` finds the hit sites, already in step order; a site hit
   in one trial is ``1 << trial``, the rest are packed bit rows — and the
   interpreter XORs them in right after their step executes;
@@ -47,30 +48,32 @@ ints stay within ``full`` and :func:`unpack_trials` round-trips them.
 
 from __future__ import annotations
 
-import weakref
 from functools import lru_cache
 from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.compiler.netlist import Netlist
-from repro.core.batched import BatchResult, _StuckCells
+from repro.core.batched import (
+    BatchResult,
+    EcimCheckStep,
+    ExecutionPlan,
+    FaultSiteMap,
+    GateStep,
+    PresetStep,
+    ReadStep,
+    TrimCheckStep,
+    _StuckCells,
+)
 from repro.core.faultplan import FaultPlanArrays
 from repro.core.rng import FaultSchedule, TrialStream, fault_schedule
-from repro.core.soa import (
-    KIND_ECIM,
-    KIND_GATE,
-    KIND_PRESET,
-    KIND_READ,
-    SoaPlan,
-    _table_key,
-)
 from repro.errors import ProtectionError
 from repro.pim.faults import FaultModelSpec
 from repro.pim.gates import GateType
 from repro.pim.vector import TABLE_MAX_INPUTS, truth_table, vector_gate_output
 
 __all__ = [
+    "lower_plan",
     "pack_trials",
     "unpack_trials",
     "bitpacked_golden_outputs",
@@ -195,11 +198,23 @@ def _table_program(gate: str, n_inputs: int, threshold: Optional[int]) -> Callab
     return program
 
 
+def _table_key(
+    gate: str, n_inputs: int, threshold: Optional[int]
+) -> Tuple[str, int, Optional[int]]:
+    """Canonical truth-table identity of one firing: THR normalises its
+    default threshold (the paper's 3) so e.g. ``thr/None`` and ``thr/3``
+    share a record, every other gate carries no threshold at all."""
+    if gate == GateType.THR:
+        return (gate, n_inputs, 3 if threshold is None else int(threshold))
+    return (gate, n_inputs, None)
+
+
 def _gate_record(
     key: Tuple[str, int, Optional[int]], ins: Tuple[int, ...], outs: Tuple[int, ...]
 ) -> tuple:
-    """One firing of canonical table ``key`` (see
-    :func:`~repro.core.soa._table_key`) as an int-tape record."""
+    """One firing of canonical table ``key`` (see :func:`_table_key`) as an
+    int-tape record: an inlined opcode for the shapes the interpreter knows
+    in closed form, else a ``_TABLE`` record holding the gate's program."""
     gate, n_inputs, threshold = key
     if gate == GateType.NOR and n_inputs == 2:
         return (_NOR2, ins[0], ins[1], outs)
@@ -276,96 +291,100 @@ def _decode_table(
     }
 
 
-class _IntTape:
-    """A :class:`SoaPlan` as interned int-tape records, plus the golden
-    netlist's records — built once per plan (see :func:`_int_tape`)."""
+def _ecim_record(step: EcimCheckStep, interner: _Interner) -> tuple:
+    data_cols = step.data_cols
+    terms = tuple(
+        (
+            interner.ints[parity],
+            interner.cols(data_cols[np.flatnonzero(step.a_t[:, bit])].tolist()),
+        )
+        for bit, parity in enumerate(step.parity_cols.tolist())
+    )
+    return (_ECIM, terms, _decode_table(step.lut, data_cols, interner))
 
-    def __init__(self, soa: SoaPlan) -> None:
+
+def _trim_record(step: TrimCheckStep, interner: _Interner) -> tuple:
+    data_cols = interner.cols(step.data_cols.tolist())
+    groups = tuple(interner.cols(group.tolist()) for group in step.copy_col_groups)
+    n_copies = int(step.n_copies)
+    if n_copies == 3 and len(groups) == 2:
+        return (_TRIM3, tuple(zip(data_cols, *groups)))
+    return (_TRIM, data_cols, groups, n_copies)
+
+
+class _IntTape:
+    """An :class:`ExecutionPlan` as interned int-tape records, plus the
+    golden netlist's records and the maps that lower fault sources onto
+    them (built by :func:`lower_plan`)."""
+
+    def __init__(self, plan: ExecutionPlan) -> None:
+        self.plan = plan
         # Fault sites in tape order: rank_of_entry[e] is the rank of site-map
         # entry e, and rank_step / rank_col the step and column of each rank.
         # Entries are in (step, lane) order per kind, so a stable argsort by
         # step merges them.  Built before the record lists below exist, so
         # the site map's first build does not add to their memory peak.
-        site_map = soa.plan.site_map
+        site_map = plan.site_map
         order = np.argsort(site_map.steps, kind="stable").astype(np.int32)
         self.rank_of_entry = np.empty_like(order)
         self.rank_of_entry[order] = np.arange(order.shape[0], dtype=np.int32)
         self.rank_step = site_map.steps[order]
         self.rank_col = site_map.columns[order]
-        self.site_map = site_map
-        interner = _Interner(soa.n_cols)
+        interner = _Interner(plan.n_cols)
         cols = interner.cols
-        gate_in = soa.gate_in_cols.tolist()
-        gate_in_ptr = soa.gate_in_ptr.tolist()
-        gate_out = soa.gate_out_cols.tolist()
-        gate_out_ptr = soa.gate_out_ptr.tolist()
-        tables = soa.tables
-        table_ids = soa.gate_table_id.tolist()
         read = interner.record((_READ,))
-        records = []
-        for kind, slot in zip(soa.step_kind.tolist(), soa.step_slot.tolist()):
-            if kind == KIND_GATE:
+        records, gate_ops, gate_widths = [], [], []
+        for step in plan.steps:
+            if isinstance(step, GateStep):
+                outs = cols(step.output_cols.tolist())
+                gate_ops.append(step.op_index)
+                gate_widths.append(len(outs))
                 records.append(interner.record(_gate_record(
-                    tables[table_ids[slot]],
-                    cols(gate_in[gate_in_ptr[slot]:gate_in_ptr[slot + 1]]),
-                    cols(gate_out[gate_out_ptr[slot]:gate_out_ptr[slot + 1]]),
+                    _table_key(step.gate, int(step.input_cols.shape[0]), step.threshold),
+                    cols(step.input_cols.tolist()),
+                    outs,
                 )))
-            elif kind == KIND_PRESET:
-                columns = soa.preset_cols[soa.preset_ptr[slot]:soa.preset_ptr[slot + 1]]
+            elif isinstance(step, PresetStep):
                 records.append(interner.record(
-                    (_PRESET, int(soa.preset_values[slot]), cols(columns.tolist()))
+                    (_PRESET, int(step.value), cols(step.columns.tolist()))
                 ))
-            elif kind == KIND_READ:
+            elif isinstance(step, ReadStep):
                 records.append(read)
-            elif kind == KIND_ECIM:
-                records.append(self._ecim_record(soa, slot, interner))
-            else:
-                records.append(self._trim_record(soa, slot, interner))
+            elif isinstance(step, EcimCheckStep):
+                records.append(_ecim_record(step, interner))
+            elif isinstance(step, TrimCheckStep):
+                records.append(_trim_record(step, interner))
+            else:  # pragma: no cover - defensive
+                raise ProtectionError(f"unknown plan step {type(step).__name__}")
         self.records = records
-        self.const1_col = soa.plan.const1_col
-        self.input_cols = cols(soa.plan.input_cols.tolist())
-        self.output_cols = cols(soa.plan.output_cols.tolist())
-        self.golden = _golden_records(soa.plan.netlist)
+        self.input_cols = cols(plan.input_cols.tolist())
+        self.output_cols = cols(plan.output_cols.tolist())
+        self.golden = _golden_records(plan.netlist)
+        # What deterministic plans need: the gate slot (firing number) of
+        # each operation index, -1 where no firing carries it, and the first
+        # site-map entry of each slot (entries 0.. are the gate outputs in
+        # firing order), with the total output count last.
+        ops = np.asarray(gate_ops, dtype=np.int64)
+        self.gate_slot_of_op = np.full(int(ops.max()) + 1 if ops.size else 0, -1, dtype=np.intp)
+        self.gate_slot_of_op[ops] = np.arange(ops.shape[0], dtype=np.intp)
+        self.gate_entry_ptr = np.zeros(ops.shape[0] + 1, dtype=np.intp)
+        np.cumsum(gate_widths, out=self.gate_entry_ptr[1:])
+        # Every run of the backend shares these maps: freeze them.
+        for array in (
+            self.rank_of_entry, self.rank_step, self.rank_col,
+            self.gate_slot_of_op, self.gate_entry_ptr,
+        ):
+            array.setflags(write=False)
 
-    @staticmethod
-    def _ecim_record(soa: SoaPlan, slot: int, interner: _Interner) -> tuple:
-        data_cols = soa.ecim_data_cols[soa.ecim_data_ptr[slot]:soa.ecim_data_ptr[slot + 1]]
-        parity_cols = soa.ecim_parity_cols[
-            soa.ecim_parity_ptr[slot]:soa.ecim_parity_ptr[slot + 1]
-        ]
-        a_t = soa.ecim_a_t[slot]
-        terms = tuple(
-            (
-                interner.ints[parity],
-                interner.cols(data_cols[np.flatnonzero(a_t[:, bit])].tolist()),
-            )
-            for bit, parity in enumerate(parity_cols.tolist())
-        )
-        offset = int(soa.ecim_lut_offset[slot])
-        lut = soa.ecim_lut[offset:offset + (1 << len(terms))]
-        return (_ECIM, terms, _decode_table(lut, data_cols, interner))
-
-    @staticmethod
-    def _trim_record(soa: SoaPlan, slot: int, interner: _Interner) -> tuple:
-        data_cols = interner.cols(
-            soa.trim_data_cols[soa.trim_data_ptr[slot]:soa.trim_data_ptr[slot + 1]].tolist()
-        )
-        groups = tuple(interner.cols(group.tolist()) for group in soa.trim_copy_groups[slot])
-        n_copies = int(soa.trim_n_copies[slot])
-        if n_copies == 3 and len(groups) == 2:
-            return (_TRIM3, tuple(zip(data_cols, *groups)))
-        return (_TRIM, data_cols, groups, n_copies)
+    @property
+    def n_steps(self) -> int:
+        return len(self.records)
 
 
-#: One int tape per live SoaPlan (the tape holds no reference back to it).
-_TAPES: "weakref.WeakKeyDictionary[SoaPlan, _IntTape]" = weakref.WeakKeyDictionary()
-
-
-def _int_tape(soa: SoaPlan) -> _IntTape:
-    tape = _TAPES.get(soa)
-    if tape is None:
-        tape = _TAPES[soa] = _IntTape(soa)
-    return tape
+def lower_plan(plan: ExecutionPlan) -> _IntTape:
+    """Lower one compiled instruction tape to the int tape the interpreter
+    walks, in one pass over ``plan.steps``."""
+    return _IntTape(plan)
 
 
 # ---------------------------------------------------------------------- #
@@ -635,21 +654,21 @@ def _packed_rows(n_rows: int, rows: np.ndarray, trials: np.ndarray, batch: int) 
 
 
 def _deterministic_events(
-    soa: SoaPlan, tape: _IntTape, plan_arrays: FaultPlanArrays, batch: int
+    tape: _IntTape, plan_arrays: FaultPlanArrays, batch: int
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Flip events of a whole batch of deterministic plans, in a handful of
     numpy passes: map plan operations to gate slots, drop unknown
     operations and out-of-range positions (both inject nothing, exactly as
     on the uint8 engine), count the surviving flips per trial and rank
-    each one's gate output — site-map entry ``gate_out_ptr[slot] +
+    each one's gate output — site-map entry ``gate_entry_ptr[slot] +
     position``."""
     trials = plan_arrays.trial_of_entry()
     ops = plan_arrays.op_index
     positions = plan_arrays.position
-    slot_table = soa.gate_slot_of_op
+    slot_table = tape.gate_slot_of_op
     known = (ops >= 0) & (ops < slot_table.shape[0])
     slots = np.where(known, slot_table[np.where(known, ops, 0)], -1)
-    widths = np.diff(soa.gate_out_ptr)
+    widths = np.diff(tape.gate_entry_ptr)
     valid = (slots >= 0) & (positions >= 0)
     valid &= positions < widths[np.where(valid, slots, 0)]
     if not valid.all():
@@ -657,31 +676,27 @@ def _deterministic_events(
         plan_arrays.check_unique_pairs()
     trials, slots, positions = trials[valid], slots[valid], positions[valid]
     faults = np.bincount(trials, minlength=batch).astype(np.int64, copy=False)
-    ranks = tape.rank_of_entry[soa.gate_out_ptr[slots] + positions]
+    ranks = tape.rank_of_entry[tape.gate_entry_ptr[slots] + positions]
     return ranks, trials, faults
 
 
 def _scheduled_events(tape: _IntTape, schedule: FaultSchedule) -> Tuple[np.ndarray, np.ndarray]:
     """Flip events of a batch's fault schedule; count-only presets (gate
     outputs the firing overwrites) hold no state and add no event."""
-    rows, entries = tape.site_map.held_hits(schedule)
+    rows, entries = tape.plan.site_map.held_hits(schedule)
     return tape.rank_of_entry[entries], rows
 
 
-def _stuck_steps(soa: SoaPlan, stuck: _StuckCells) -> List[Tuple[int, int]]:
+def _stuck_steps(site_map: FaultSiteMap, stuck: _StuckCells) -> List[Tuple[int, int]]:
     """``(step, column)`` of every gate commit and checker read that touches
     an afflicted cell, by step — the scalar injector's touch points
-    (presets and checker write-backs bypass it)."""
-    steps, columns = [], []
-    read_steps = np.flatnonzero(soa.step_kind == KIND_READ)
-    for step_of_slot, ptr, cols in (
-        (soa.gate_step_index, soa.gate_out_ptr, soa.gate_out_cols),
-        (read_steps, soa.read_ptr, soa.read_cols),
-    ):
-        hit = stuck.is_stuck[cols]
-        steps.append(np.repeat(step_of_slot, np.diff(ptr))[hit])
-        columns.append(cols[hit])
-    steps, columns = np.concatenate(steps), np.concatenate(columns)
+    (presets and checker write-backs bypass it): the site map's gate-output
+    entries ``0 ..`` and its ``memory`` class of read cells."""
+    classes = site_map.classes
+    n_outputs = classes["gate"].shape[0] + classes["metadata"].shape[0]
+    entries = np.concatenate([np.arange(n_outputs), classes["memory"]])
+    entries = entries[stuck.is_stuck[site_map.columns[entries]]]
+    steps, columns = site_map.steps[entries], site_map.columns[entries]
     order = np.argsort(steps, kind="stable")
     return list(zip(steps[order].tolist(), columns[order].tolist()))
 
@@ -690,18 +705,19 @@ def _stuck_steps(soa: SoaPlan, stuck: _StuckCells) -> List[Tuple[int, int]]:
 # Entry point
 # ---------------------------------------------------------------------- #
 def run_packed(
-    soa: SoaPlan,
+    tape: _IntTape,
     input_matrix: np.ndarray,
     fault_plan: "Union[Sequence[Mapping[int, int]], FaultPlanArrays, None]" = None,
     fault_model: Optional[FaultModelSpec] = None,
     stream: Optional[TrialStream] = None,
 ) -> BatchResult:
-    """Interpret the SoA tape for all B trials, bit-sliced.
+    """Interpret the int tape (see :func:`lower_plan`) for all B trials,
+    bit-sliced.
 
     The argument surface and semantics mirror
     :func:`~repro.core.batched.run_batch` exactly.
     """
-    plan = soa.plan
+    plan = tape.plan
     matrix = np.asarray(input_matrix, dtype=np.uint8)
     if matrix.ndim != 2 or matrix.shape[1] != plan.n_inputs:
         raise ProtectionError(
@@ -715,7 +731,6 @@ def run_packed(
             "a batch takes one fault source: fault_model is exclusive with fault_plan"
         )
 
-    tape = _int_tape(soa)
     stuck: Optional[_StuckCells] = None
     ranks = np.zeros(0, dtype=np.int32)
     trials = np.zeros(0, dtype=np.intp)
@@ -732,7 +747,7 @@ def run_packed(
         if len(fault_plan) != batch:
             raise ProtectionError("fault_plan must supply one entry per trial")
         plan_arrays = FaultPlanArrays.coerce(fault_plan)
-        ranks, trials, plan_faults = _deterministic_events(soa, tape, plan_arrays, batch)
+        ranks, trials, plan_faults = _deterministic_events(tape, plan_arrays, batch)
         faults += plan_faults
 
     try:
@@ -742,16 +757,16 @@ def run_packed(
             plan_arrays.check_unique_pairs()  # names the repeated pair
         raise
     inputs = pack_trials(matrix)
-    state = [0] * soa.n_cols
+    state = [0] * plan.n_cols
     machine = _Machine(state, batch)
-    state[tape.const1_col] = machine.full
+    state[plan.const1_col] = machine.full
     for col, value in zip(tape.input_cols, inputs):
         state[col] = value
     stuck_value = 0
     stuck_at: List[Tuple[int, int]] = []
     if stuck is not None:
         stuck_value = machine.full if stuck.value else 0
-        stuck_at = _stuck_steps(soa, stuck)
+        stuck_at = _stuck_steps(plan.site_map, stuck)
     machine.execute(tape.records, flips, stuck_at, stuck_value)
     faults += machine.stuck_faults.counts(batch)
 

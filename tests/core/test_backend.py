@@ -121,6 +121,25 @@ class TestRunTrialsSurface:
         assert from_rows.counts() == from_matrix.counts()
 
     @pytest.mark.parametrize("name", BACKEND_NAMES)
+    def test_non_bit_inputs_rejected_before_running(self, name):
+        # One rule for every backend: the scalar array rejected a 2 when it
+        # wrote it, the uint8 engine indexed past its truth tables, and the
+        # bit-sliced engine read any non-zero value as 1.
+        backend = make_backend(name, AND2, "ecim")
+        a, b = AND2.inputs
+        for inputs, n_trials in (
+            (np.array([[2, 1], [1, 1], [0, 3]], dtype=np.uint8), None),
+            (np.array([[-1, 1]], dtype=np.int64), None),
+            ([{a: 1, b: 1}, {a: 0, b: 2}], None),
+            ({a: 2, b: 1}, 4),
+        ):
+            with pytest.raises(ProtectionError, match="must be bits"):
+                backend.run_trials(inputs, n_trials=n_trials)
+        # Bools are bits.
+        assert backend.run_trials(np.array([[True, True], [False, True]])).outputs_correct.all()
+        assert backend.run_trials({a: True, b: False}, n_trials=2).outputs_correct.all()
+
+    @pytest.mark.parametrize("name", BACKEND_NAMES)
     def test_empty_batch_rejected(self, name):
         backend = make_backend(name, AND2, "ecim")
         with pytest.raises(ProtectionError):

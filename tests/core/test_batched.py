@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from repro.campaign.workloads import get_campaign_workload
+from repro.core.backend import make_backend
 from repro.core.batched import (
     batched_golden_outputs,
     compile_plan,
@@ -96,6 +97,12 @@ class TestFaultFreeExactMatch:
         assert result.outputs_correct.all()
 
 
+def _site_pairs(backend):
+    """Every (operation index, output position) a single logic fault can
+    strike, in firing order."""
+    return [(site.operation_index, site.output_position) for site in backend.enumerate_sites()]
+
+
 class TestExhaustiveSingleFault:
     @pytest.mark.parametrize(
         "scheme,multi_output",
@@ -103,8 +110,9 @@ class TestExhaustiveSingleFault:
     )
     def test_every_site_matches_scalar_and_sep_holds(self, scheme, multi_output):
         netlist = get_campaign_workload("and2").netlist
-        plan = compile_plan(netlist, scheme, multi_output=multi_output)
-        sites = plan.gate_fault_sites()
+        backend = make_backend("batched", netlist, scheme, multi_output=multi_output)
+        plan = backend.plan
+        sites = _site_pairs(backend)
         assert sites, "plan must expose injectable gate sites"
         combos = list(itertools.product((0, 1), repeat=len(netlist.inputs)))
         trials = [(combo, site) for combo in combos for site in sites]
@@ -140,8 +148,9 @@ class TestExhaustiveSingleFault:
 
     def test_unprotected_single_faults_are_silent(self):
         netlist = get_campaign_workload("and2").netlist
-        plan = compile_plan(netlist, "unprotected")
-        sites = plan.gate_fault_sites()
+        backend = make_backend("batched", netlist, "unprotected")
+        plan = backend.plan
+        sites = _site_pairs(backend)
         matrix = np.tile(np.array([[1, 1]], dtype=np.uint8), (len(sites), 1))
         result = run_batch(plan, matrix, fault_plan=[{op: pos} for op, pos in sites])
         assert not result.detected.any()

@@ -1,10 +1,11 @@
-"""Bit-sliced engine tests: int transposition properties, SoA lowering,
-int-tape gate semantics, and cross-backend byte-identity on ragged batches.
+"""Bit-sliced engine tests: int transposition properties, the lowering to
+the int tape, int-tape gate semantics, and cross-backend byte-identity on
+ragged batches.
 
 The systematic cross-backend grid lives in ``tests/differential/``; this
 module owns the engine-local properties that grid cannot see — the
 pack/unpack transposition contract (ragged batches, tail bits never set,
-int XOR vs uint8 XOR), the gate records against the truth tables, the SoA
+int XOR vs uint8 XOR), the gate records against the truth tables, the
 lowering and int-tape invariants, the engine's consumption of the shared
 stochastic stream (reproducible, batch-composition-invariant, statistically
 faithful), and the fault path's two int-op pieces against the per-trial
@@ -18,31 +19,33 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.campaign.workloads import get_campaign_workload
+import repro.core.backend as backend_module
 from repro.core.backend import BitpackedBackend, make_backend
-from repro.core.batched import batched_golden_outputs, compile_plan, sample_input_matrix
+from repro.core.batched import (
+    EcimCheckStep,
+    GateStep,
+    PresetStep,
+    ReadStep,
+    batched_golden_outputs,
+    compile_plan,
+    sample_input_matrix,
+)
 from repro.core.bitpacked import (
     _ECIM,
+    _TABLE,
     _Counter,
     _flip_table,
     _gate_record,
-    _int_tape,
     _Machine,
     _packed_rows,
     _scheduled_events,
+    _table_key,
     _table_program,
     bitpacked_golden_outputs,
+    lower_plan,
     pack_trials,
     run_packed,
     unpack_trials,
-)
-from repro.core.soa import (
-    KIND_ECIM,
-    KIND_GATE,
-    KIND_PRESET,
-    KIND_READ,
-    KIND_TRIM,
-    _table_key,
-    lower_plan,
 )
 from repro.core.rng import TrialStream, fault_schedule
 from repro.ecc.bch import bch_code_factory
@@ -201,54 +204,70 @@ class TestGateRecords:
 
 
 # ---------------------------------------------------------------------- #
-# SoA lowering invariants
+# Lowering invariants
 # ---------------------------------------------------------------------- #
-class TestSoaLowering:
+def _step_columns(plan, kind, attr):
+    """The columns of every ``kind`` step of ``plan``, concatenated."""
+    chunks = [getattr(step, attr) for step in plan.steps if isinstance(step, kind)]
+    return np.concatenate(chunks) if chunks else np.zeros(0, dtype=np.intp)
+
+
+class TestLowering:
     @pytest.fixture(scope="class", params=["ecim", "trim"])
-    def soa(self, request):
+    def tape(self, request):
         netlist = get_campaign_workload("dot2").netlist
         return lower_plan(compile_plan(netlist, request.param))
 
-    def test_dispatch_covers_every_step(self, soa):
-        assert soa.n_steps == len(soa.plan.steps)
-        kinds = set(soa.step_kind.tolist())
-        assert kinds <= {KIND_GATE, KIND_PRESET, KIND_READ, KIND_ECIM, KIND_TRIM}
-        # Slots are dense per kind: the last slot of each kind indexes its
-        # tape's final entry.
-        assert soa.n_gate_steps == int((soa.step_kind == KIND_GATE).sum())
+    def test_one_record_per_step(self, tape):
+        assert tape.n_steps == len(tape.records) == len(tape.plan.steps)
 
-    def test_gate_tape_mirrors_plan_steps(self, soa):
-        from repro.core.batched import GateStep
+    def test_gate_tape_mirrors_plan_steps(self, tape):
+        plan = tape.plan
+        gate_steps = [
+            (index, step) for index, step in enumerate(plan.steps) if isinstance(step, GateStep)
+        ]
+        assert tape.gate_entry_ptr.shape[0] == len(gate_steps) + 1
+        assert int((tape.gate_slot_of_op >= 0).sum()) == len(gate_steps)
+        for slot, (index, step) in enumerate(gate_steps):
+            key = _table_key(step.gate, int(step.input_cols.shape[0]), step.threshold)
+            ins, outs = tuple(step.input_cols.tolist()), tuple(step.output_cols.tolist())
+            assert tape.records[index] == _gate_record(key, ins, outs)
+            assert tape.gate_slot_of_op[step.op_index] == slot
+            # The slot's site-map entries are its outputs, in order.
+            entries = slice(tape.gate_entry_ptr[slot], tape.gate_entry_ptr[slot + 1])
+            assert np.array_equal(plan.site_map.columns[entries], step.output_cols)
+            assert np.all(plan.site_map.steps[entries] == index)
 
-        gate_steps = [s for s in soa.plan.steps if isinstance(s, GateStep)]
-        assert soa.n_gate_steps == len(gate_steps)
-        for slot, step in enumerate(gate_steps):
-            assert np.array_equal(
-                soa.gate_in_cols[soa.gate_in_ptr[slot]:soa.gate_in_ptr[slot + 1]],
-                step.input_cols,
-            )
-            assert np.array_equal(
-                soa.gate_out_cols[soa.gate_out_ptr[slot]:soa.gate_out_ptr[slot + 1]],
-                step.output_cols,
-            )
-            assert soa.gate_op_index[slot] == step.op_index
-            assert soa.gate_is_metadata[slot] == step.is_metadata
-            table = soa.tables[soa.gate_table_id[slot]]
-            assert table[0] == step.gate
-            assert table[1] == step.input_cols.shape[0]
+    def test_tables_are_deduplicated(self, tape):
+        # Firings of one canonical table share one record shape: the same
+        # inlined opcode, or for a _TABLE record the same program object.
+        shapes = {}
+        for step, record in zip(tape.plan.steps, tape.records):
+            if isinstance(step, GateStep):
+                key = _table_key(step.gate, int(step.input_cols.shape[0]), step.threshold)
+                shape = record[:2] if record[0] == _TABLE else record[:1]
+                assert shapes.setdefault(key, shape) == shape
+        assert len(shapes) < tape.gate_entry_ptr.shape[0] - 1  # real plans repeat gates
 
-    def test_tables_are_deduplicated(self, soa):
-        assert len(soa.tables) == len(set(soa.tables))
-        assert len(soa.tables) < soa.n_gate_steps  # real plans repeat gates
+    def test_buffers_are_frozen(self, tape):
+        for array in (
+            tape.rank_of_entry, tape.rank_step, tape.rank_col,
+            tape.gate_slot_of_op, tape.gate_entry_ptr,
+        ):
+            with pytest.raises(ValueError):
+                array[0] = 0
 
-    def test_site_map_partitions_gate_outputs(self, soa):
-        site_map = soa.plan.site_map
+    def test_site_map_partitions_gate_outputs(self, tape):
+        plan = tape.plan
+        site_map = plan.site_map
         classes = site_map.classes
-        total_outputs = int(soa.gate_out_ptr[-1])
-        n_presets, n_reads = int(soa.preset_ptr[-1]), int(soa.read_ptr[-1])
-        assert site_map.steps.shape[0] == total_outputs + n_presets + n_reads
-        # Entries 0.. are the gate outputs in firing order: the SoA's CSR.
-        assert np.array_equal(site_map.columns[:total_outputs], soa.gate_out_cols)
+        gate_cols = _step_columns(plan, GateStep, "output_cols")
+        preset_cols = _step_columns(plan, PresetStep, "columns")
+        read_cols = _step_columns(plan, ReadStep, "columns")
+        total_outputs, n_presets = gate_cols.shape[0], preset_cols.shape[0]
+        assert site_map.steps.shape[0] == total_outputs + n_presets + read_cols.shape[0]
+        # Entries 0.. are the gate outputs in firing order.
+        assert np.array_equal(site_map.columns[:total_outputs], gate_cols)
         gate_and_metadata = np.concatenate([classes["gate"], classes["metadata"]])
         assert np.array_equal(np.sort(gate_and_metadata), np.arange(total_outputs))
         # Every gate output is preset (count-only), then every preset cell.
@@ -257,18 +276,17 @@ class TestSoaLowering:
         assert int((preset < 0).sum()) == total_outputs
         held = preset[preset >= 0]
         assert np.array_equal(np.sort(held), np.arange(total_outputs, total_outputs + n_presets))
+        assert np.array_equal(site_map.columns[np.sort(held)], preset_cols)
         steps = np.where(preset >= 0, site_map.steps[np.maximum(preset, 0)], -1)
         assert np.all(np.diff(steps[preset >= 0]) >= 0)
         assert np.array_equal(
             classes["memory"], np.arange(total_outputs + n_presets, site_map.steps.shape[0])
         )
-        assert np.array_equal(site_map.columns[classes["memory"]], soa.read_cols)
-
-    def test_buffers_are_frozen(self, soa):
-        with pytest.raises(ValueError):
-            soa.step_kind[0] = 0
-        with pytest.raises(ValueError):
-            soa.gate_out_cols[0] = 0
+        assert np.array_equal(site_map.columns[classes["memory"]], read_cols)
+        # Every entry names a column of its own step.
+        for step, column in zip(site_map.steps.tolist(), site_map.columns.tolist()):
+            step = plan.steps[step]
+            assert column in (step.output_cols if isinstance(step, GateStep) else step.columns)
 
 
 # ---------------------------------------------------------------------- #
@@ -321,7 +339,9 @@ class TestRaggedBatchParity:
         batched, bitpacked = backends
         batch = 70
         matrix = sample_input_matrix(batched.netlist, _stream("ragged-plan", batch))
-        sites = batched.plan.gate_fault_sites()
+        sites = [
+            (site.operation_index, site.output_position) for site in batched.enumerate_sites()
+        ]
         plans = []
         for trial in range(batch):
             entry = {}
@@ -402,13 +422,24 @@ class TestStochasticStreams:
 # Backend surface
 # ---------------------------------------------------------------------- #
 class TestBitpackedBackendSurface:
-    def test_make_backend_dispatch_and_lazy_soa(self):
+    def test_make_backend_dispatch_and_lazy_tape(self, monkeypatch):
+        lowered = []
+
+        def counting_lower_plan(plan):
+            lowered.append(plan)
+            return lower_plan(plan)
+
+        monkeypatch.setattr(backend_module, "lower_plan", counting_lower_plan)
         netlist = get_campaign_workload("and2").netlist
         backend = make_backend("bitpacked", netlist, "ecim")
         assert isinstance(backend, BitpackedBackend)
-        assert backend._soa is None  # lowered lazily
-        assert backend.soa.plan is backend.plan
-        assert backend._soa is not None
+        assert backend._tape is None  # lowered lazily
+        backend.run_trials({signal: 1 for signal in netlist.inputs}, n_trials=3)
+        tape = backend.tape
+        assert tape.plan is backend.plan
+        backend.run_trials(np.ones((2, len(netlist.inputs)), dtype=np.uint8))
+        assert backend.tape is tape
+        assert lowered == [backend.plan]  # once, then reused
 
     def test_sites_identical_to_batched(self):
         netlist = get_campaign_workload("dot2").netlist
@@ -418,11 +449,11 @@ class TestBitpackedBackendSurface:
 
     def test_run_packed_rejects_bad_matrix(self):
         netlist = get_campaign_workload("and2").netlist
-        soa = lower_plan(compile_plan(netlist, "ecim"))
+        tape = make_backend("bitpacked", netlist, "ecim").tape
         with pytest.raises(ProtectionError):
-            run_packed(soa, np.zeros((4, 99), dtype=np.uint8))
+            run_packed(tape, np.zeros((4, 99), dtype=np.uint8))
         with pytest.raises(ProtectionError):
-            run_packed(soa, np.zeros((0, soa.n_inputs), dtype=np.uint8))
+            run_packed(tape, np.zeros((0, tape.plan.n_inputs), dtype=np.uint8))
 
     def test_golden_outputs_match_the_batched_model(self):
         netlist = get_campaign_workload("fft4").netlist
@@ -453,19 +484,14 @@ class TestBitpackedBackendSurface:
 # ---------------------------------------------------------------------- #
 class TestIntTape:
     @pytest.fixture(scope="class")
-    def soa(self):
+    def tape(self):
         netlist = get_campaign_workload("dot2").netlist
-        return lower_plan(compile_plan(netlist, "ecim"))
+        return make_backend("bitpacked", netlist, "ecim").tape
 
-    def test_one_record_per_step_cached_per_plan(self, soa):
-        tape = _int_tape(soa)
-        assert len(tape.records) == soa.n_steps
-        assert _int_tape(soa) is tape
-
-    def test_records_are_interned(self, soa):
+    def test_records_are_interned(self, tape):
         # ECiM parity updates reuse a few column tuples: identical records
         # are one shared object, and column ints are shared across records.
-        records = _int_tape(soa).records
+        records = tape.records
         assert len({id(record) for record in records}) < len(records)
         canonical = {}
         for record in records:
@@ -473,15 +499,15 @@ class TestIntTape:
                 assert canonical.setdefault(record, record) is record
 
     @pytest.mark.parametrize("batch", [1, 63, 65, 130])
-    def test_state_ints_never_set_tail_bits(self, soa, batch):
+    def test_state_ints_never_set_tail_bits(self, tape, batch):
+        plan = tape.plan
         stream = _stream("tail", batch)
-        matrix = sample_input_matrix(soa.plan.netlist, stream)
+        matrix = sample_input_matrix(plan.netlist, stream)
         spec = FaultModelSpec.stochastic(gate_error_rate=0.05, memory_error_rate=0.05)
-        schedule = fault_schedule(spec, stream, soa.plan.fault_sites, batch)
-        tape = _int_tape(soa)
+        schedule = fault_schedule(spec, stream, plan.fault_sites, batch)
         ranks, trials = _scheduled_events(tape, schedule)
-        machine = _Machine([0] * soa.n_cols, batch)
-        machine.state[tape.const1_col] = machine.full
+        machine = _Machine([0] * plan.n_cols, batch)
+        machine.state[plan.const1_col] = machine.full
         for col, value in zip(tape.input_cols, pack_trials(matrix)):
             machine.state[col] = value
         machine.execute(tape.records, _flip_table(tape, ranks, trials, batch))
@@ -533,21 +559,14 @@ class TestEcimDecode:
     def levels(self, request):
         factory = {"hamming": None, "bch-t2": bch_code_factory(2), "bch-t3": bch_code_factory(3)}
         netlist = get_campaign_workload("dot2").netlist
-        soa = make_backend(
-            "bitpacked", netlist, "ecim", code_factory=factory[request.param]
-        ).soa
-        records = _int_tape(soa).records
-        levels = []
-        for step in np.flatnonzero(soa.step_kind == KIND_ECIM).tolist():
-            slot = int(soa.step_slot[step])
-            data = soa.ecim_data_cols[soa.ecim_data_ptr[slot]:soa.ecim_data_ptr[slot + 1]]
-            parity = soa.ecim_parity_cols[
-                soa.ecim_parity_ptr[slot]:soa.ecim_parity_ptr[slot + 1]
-            ]
-            offset = int(soa.ecim_lut_offset[slot])
-            lut = soa.ecim_lut[offset:offset + (1 << parity.shape[0])]
-            levels.append((data.tolist(), parity.tolist(), lut, records[step][2]))
-        return soa.n_cols, levels
+        backend = make_backend("bitpacked", netlist, "ecim", code_factory=factory[request.param])
+        records = backend.tape.records
+        levels = [
+            (step.data_cols.tolist(), step.parity_cols.tolist(), step.lut, records[index][2])
+            for index, step in enumerate(backend.plan.steps)
+            if isinstance(step, EcimCheckStep)
+        ]
+        return backend.plan.n_cols, levels
 
     @pytest.mark.parametrize("batch", FAULT_PATH_BATCHES)
     def test_matches_the_per_trial_lut_reference(self, levels, batch):
@@ -614,7 +633,7 @@ class TestFlipLowering:
     @pytest.fixture(scope="class")
     def tape(self):
         netlist = get_campaign_workload("dot2").netlist
-        return _int_tape(lower_plan(compile_plan(netlist, "ecim")))
+        return lower_plan(compile_plan(netlist, "ecim"))
 
     @staticmethod
     def _events(tape, batch, rng):
@@ -640,7 +659,7 @@ class TestFlipLowering:
     @pytest.mark.parametrize("batch", FAULT_PATH_BATCHES)
     def test_equals_a_naive_fold(self, tape, batch):
         rng = np.random.default_rng(batch + 7)
-        site_map = tape.site_map
+        site_map = tape.plan.site_map
         for _ in range(3):
             entries, trials = self._events(tape, batch, rng)
             naive = {}

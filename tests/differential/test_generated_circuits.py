@@ -10,7 +10,9 @@ reconvergent) give ECiM and TRiM levels of every size.  Each example runs
 fault free, under deterministic two-flip plans drawn from the backend's own
 site list, and under the stochastic model with gate, metadata, preset and
 memory errors, on a batch size drawn from 1 to 130 (so B % 64 and B % 8
-land everywhere).  ``max_examples`` stays small to keep tier-1 fast.
+land everywhere).  ``max_examples`` stays small to keep tier-1 fast.  One
+more case runs a pooled multi-fault sweep on a bitpacked backend whose int
+tape is already built, so the pool pickles it.
 """
 
 import os
@@ -24,6 +26,7 @@ from hypothesis import strategies as st
 from repro.core.backend import derive_seed, make_backend
 from repro.core.batched import sample_input_matrix
 from repro.core.rng import TrialStream
+from repro.core.sep import exhaustive_multi_fault_injection
 from repro.pim.faults import FaultModelSpec
 
 from differential_harness import BACKEND_FACTORIES, REFERENCE_BACKEND, assert_outcomes_identical
@@ -96,3 +99,18 @@ def test_generated_circuit_byte_identical(scheme, multi_output, seed, n_inputs, 
             candidate.run_trials(inputs, capture_outputs=True, **stochastic),
             f"{context}/stochastic",
         )
+
+
+def test_pooled_sweep_after_the_tape_is_built():
+    # A three-input NOR lowers to a truth-table record whose program is a
+    # closure.  The pool pickles the backend once per shard, after the
+    # in-process batch below has built its tape.
+    netlist = random_netlist(3, 3, 5)
+    assert any(node.gate == "nor" and len(node.inputs) == 3 for node in netlist.gates)
+    backend = make_backend("bitpacked", netlist, "ecim")
+    inputs = {signal: 1 for signal in netlist.inputs}
+    backend.run_trials(inputs, n_trials=4)
+    sweep = dict(k=2, chunk_size=64)
+    serial = exhaustive_multi_fault_injection(backend, inputs, jobs=1, **sweep)
+    assert serial.total_combinations > sweep["chunk_size"]  # several shards
+    assert exhaustive_multi_fault_injection(backend, inputs, jobs=2, **sweep) == serial
