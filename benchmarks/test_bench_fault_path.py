@@ -1,7 +1,10 @@
 """Fault-path layer benches: the bit-sliced engine's fault lowering and
-ECiM decode, timed alone so a campaign-level change can be traced to the
-layer it touched.
+ECiM decode, plus the fault-free walk they add to, timed alone so a
+campaign-level change can be traced to the layer it touched.
 
+* one 250-trial fault-free mlp16 + ECiM ``run_trials``: the int-tape walk
+  alone (16,834 of its 22,700 records are fused NOR2 -> THR43 parity
+  pairs), plus packing the inputs and the golden netlist run;
 * lowering one 250-trial mlp16 + ECiM stochastic schedule at 1e-3 (~72
   faults per trial over 79,102 fault sites) to the engine's per-site XOR
   ints: map the hits to tape-order ranks, one ``np.bincount``, pack the
@@ -19,6 +22,7 @@ from conftest import emit
 
 from repro.campaign.workloads import get_campaign_workload
 from repro.core.backend import make_backend
+from repro.core.batched import sample_input_matrix
 from repro.core.bitpacked import _flip_table, _scheduled_events
 from repro.core.faultplan import FaultPlanArrays, unrank_combinations
 from repro.core.rng import TrialStream, fault_schedule
@@ -31,6 +35,24 @@ SWEEP_K = 4
 
 #: The default campaign model at the benched rate.
 _MODEL = FaultModelSpec.stochastic(gate_error_rate=1e-3, memory_error_rate=0.0)
+
+
+def test_mlp16_faultfree_walk(benchmark):
+    netlist = get_campaign_workload("mlp16").netlist
+    backend = make_backend("bitpacked", netlist, "ecim")
+    stream = TrialStream.keyed((17, "mlp16"), range(MLP16_TRIALS))
+    matrix = sample_input_matrix(netlist, stream)
+    backend.run_trials(matrix[:2])  # lower the tape outside the timed rounds
+    outcomes = benchmark.pedantic(
+        backend.run_trials,
+        args=(matrix,),
+        kwargs={"capture_outputs": True},
+        rounds=10,
+        iterations=1,
+    )
+    assert outcomes.outputs_correct.all() and not outcomes.detected.any()
+    rate = MLP16_TRIALS / benchmark.stats.stats.mean
+    emit({"rendered": f"fault-free walk: {rate:.0f} trials/sec (mlp16, ecim, one shard)"})
 
 
 def test_mlp16_schedule_lowering(benchmark):

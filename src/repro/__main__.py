@@ -408,7 +408,7 @@ def build_parser() -> argparse.ArgumentParser:
         description=(
             "Sweep (workload x scheme x technology x gate error rate), run trials-per-cell "
             "independent stochastic trials with deterministic seeding, and report coverage / "
-            "detection / silent-corruption rates with 95%% Wilson intervals. Results are "
+            "detection / silent-corruption rates with 95% Wilson intervals. Results are "
             "bit-identical for a fixed seed regardless of --workers; --checkpoint makes the "
             "campaign resumable."
         ),
@@ -598,7 +598,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="aggregate the results corpus (filters, group-by, Wilson CIs)",
         description=(
             "Ask questions of every campaign ever recorded: filter cells, group them, "
-            "and render outcome rates with 95%% Wilson intervals. Rates are computed "
+            "and render outcome rates with 95% Wilson intervals. Rates are computed "
             "at query time from the stored integer counters with the campaign "
             "aggregator's exact arithmetic, so numbers match run output byte-for-byte."
         ),

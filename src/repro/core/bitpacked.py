@@ -11,9 +11,14 @@ costs a few big-int ops regardless of B, with no per-step numpy dispatch.
 
 The interpreter walks a compact int tape that :func:`lower_plan` builds in
 one pass over an :class:`~repro.core.batched.ExecutionPlan`'s steps: one
-interned record per step (opcode plus column ints), so the ~40k-step
-mlp16 + ECiM tape holds only its few thousand distinct records.  The fault
-path stays in int ops too:
+interned record per step (opcode plus column ints), except that each
+NOR2 -> THR43 pair of ECiM's two-step in-memory XOR becomes one ``_XOR2``
+record, which writes the NOR value to both scratch columns and ``x ^ y`` to
+the parity column in one dispatch.  The 39,534-step mlp16 + ECiM tape is
+22,700 records (16,834 of them fused pairs), only a few thousand of them
+distinct.  Fault events stay keyed by plan step: a fused record advances
+the step count by two, and applies a fault on its NOR step between its
+two halves.  The fault path stays in int ops too:
 
 * every fault source is lowered once per call to one XOR int per fault
   site, through the tape's index of the plan's sites in tape order — one
@@ -151,8 +156,10 @@ class _Counter:
 # The int tape
 # ---------------------------------------------------------------------- #
 #: Record opcodes, most frequent first (the interpreter tests them in this
-#: order).  Gate records end with the tuple of output columns.
+#: order).  Gate records end with the tuple of output columns.  Every record
+#: runs one plan step, except ``_XOR2``, which runs two (see _xor2_record).
 (
+    _XOR2,    # (op, x, y, s1, s2, t): NOR2(x, y) -> s1, s2, then THR43(x, y, s1, s2) -> t
     _NOR2,    # (op, a, b, outs)
     _THR43,   # (op, a, b, c, d, outs): 1 iff >= 3 of 4 inputs are 0
     _NOT,     # (op, a, outs): NOT and one-input NOR
@@ -164,7 +171,7 @@ class _Counter:
     _ECIM,    # (op, ((parity col, covered data cols), ...), {syndrome: data cols to flip})
     _TRIM3,   # (op, ((data col, copy col, copy col), ...))
     _TRIM,    # (op, data cols, copy col groups, n_copies)
-) = range(11)
+) = range(12)
 
 
 @lru_cache(maxsize=None)
@@ -227,6 +234,24 @@ def _gate_record(
     if gate == GateType.COPY:
         return (_COPY, ins[0], outs)
     return (_TABLE, _table_program(gate, n_inputs, threshold), ins, outs)
+
+
+def _xor2_record(nor: tuple, thr: tuple) -> Optional[tuple]:
+    """The one ``_XOR2`` record for a NOR2 record and the THR43 record of
+    the next plan step, or None unless they are the two-step in-memory XOR
+    ECiM keeps parity with: NOR2(x, y) into two distinct scratch columns
+    ``s1, s2``, then THR43(x, y, s1, s2) into one column ``t``.  THR43 over
+    ``(x, y, NOR(x, y), NOR(x, y))`` is ``x ^ y``; neither input may be a
+    scratch column, so the NOR writes leave ``x`` and ``y`` as they were."""
+    if nor[0] != _NOR2 or thr[0] != _THR43:
+        return None
+    _, x, y, scratch = nor
+    if len(scratch) != 2 or len(thr[5]) != 1 or thr[1:5] != (x, y) + scratch:
+        return None
+    s1, s2 = scratch
+    if s1 == s2 or x in scratch or y in scratch:
+        return None
+    return (_XOR2, x, y, s1, s2, thr[5][0])
 
 
 class _Interner:
@@ -339,11 +364,19 @@ class _IntTape:
                 outs = cols(step.output_cols.tolist())
                 gate_ops.append(step.op_index)
                 gate_widths.append(len(outs))
-                records.append(interner.record(_gate_record(
+                record = _gate_record(
                     _table_key(step.gate, int(step.input_cols.shape[0]), step.threshold),
                     cols(step.input_cols.tolist()),
                     outs,
-                )))
+                )
+                # records[-1] is the previous plan step's record: fuse the pair.
+                fused = None
+                if record[0] == _THR43 and records:
+                    fused = _xor2_record(records[-1], record)
+                if fused is None:
+                    records.append(interner.record(record))
+                else:
+                    records[-1] = interner.record(fused)
             elif isinstance(step, PresetStep):
                 records.append(interner.record(
                     (_PRESET, int(step.value), cols(step.columns.tolist()))
@@ -378,7 +411,9 @@ class _IntTape:
 
     @property
     def n_steps(self) -> int:
-        return len(self.records)
+        """Plan steps the tape runs (an ``_XOR2`` record runs two, so this
+        exceeds ``len(records)`` on a tape with fused pairs)."""
+        return len(self.plan.steps)
 
 
 def lower_plan(plan: ExecutionPlan) -> _IntTape:
@@ -415,10 +450,16 @@ class _Machine:
         stuck: Sequence[Tuple[int, int]] = (),
         stuck_value: int = 0,
     ) -> None:
-        """Run ``records`` in order.  Right after step ``i`` executes, XOR
-        ``mask`` into ``column`` for every ``(i, column, mask)`` of
+        """Run ``records`` in order.  Right after plan step ``i`` executes,
+        XOR ``mask`` into ``column`` for every ``(i, column, mask)`` of
         ``flips``, and force every ``column`` of a ``(i, column)`` of
-        ``stuck`` to ``stuck_value``.  Both are sorted by step."""
+        ``stuck`` to ``stuck_value``.  Both are sorted by step.
+
+        ``step`` counts plan steps: an ``_XOR2`` record runs two, its NOR
+        step and its THR step, and advances it by two.  When an event falls
+        on the NOR step, the record applies it between the two halves, so
+        the THR half reads the faulty scratch columns; otherwise the THR
+        half is ``x ^ y``.  Events on the THR step take the common path."""
         s = self.state
         full = self.full
         flips = iter(flips)
@@ -426,9 +467,40 @@ class _Machine:
         stuck = iter(stuck)
         stuck_step, stuck_col = next(stuck, _NO_EVENT[:2])
         next_hot = min(flip_step, stuck_step)
-        for index, rec in enumerate(records):
+        step = -1
+        for rec in records:
+            step += 1
             op = rec[0]
-            if op == _NOR2:
+            if op == _XOR2:
+                x = s[rec[1]]
+                y = s[rec[2]]
+                value = full ^ (x | y)
+                s[rec[3]] = value
+                s[rec[4]] = value
+                if step != next_hot:
+                    s[rec[5]] = x ^ y
+                else:
+                    # The NOR step's events, applied as the end-of-record
+                    # hook applies them (inlined: this branch runs on ~40%
+                    # of mlp16's pairs at 1e-3), then THR43 over the
+                    # current scratch columns.
+                    while flip_step == step:
+                        s[flip_col] ^= flip_mask
+                        flip_step, flip_col, flip_mask = next(flips, _NO_EVENT)
+                    while stuck_step == step:
+                        changed = s[stuck_col] ^ stuck_value
+                        if changed:
+                            self.stuck_faults.add(changed)
+                            s[stuck_col] = stuck_value
+                        stuck_step, stuck_col = next(stuck, _NO_EVENT[:2])
+                    next_hot = min(flip_step, stuck_step)
+                    a = s[rec[1]]
+                    b = s[rec[2]]
+                    c = s[rec[3]]
+                    d = s[rec[4]]
+                    s[rec[5]] = full ^ (a & b | c & d | (a | b) & (c | d))
+                step += 1
+            elif op == _NOR2:
                 value = full ^ (s[rec[1]] | s[rec[2]])
                 for col in rec[3]:
                     s[col] = value
@@ -473,11 +545,11 @@ class _Machine:
                 self._trim(rec)
             else:  # pragma: no cover - defensive
                 raise ProtectionError(f"unknown int-tape opcode {op}")
-            if index == next_hot:
-                while flip_step == index:
+            if step == next_hot:
+                while flip_step == step:
                     s[flip_col] ^= flip_mask
                     flip_step, flip_col, flip_mask = next(flips, _NO_EVENT)
-                while stuck_step == index:
+                while stuck_step == step:
                     changed = s[stuck_col] ^ stuck_value
                     if changed:
                         self.stuck_faults.add(changed)

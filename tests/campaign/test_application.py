@@ -9,6 +9,8 @@ from repro.campaign import CampaignSpec, run_campaign
 from repro.campaign.aggregate import APPLICATION, ShardResult, merge_shards
 from repro.campaign.application import (
     APPLICATION_KEYS,
+    MLP16_CONFIG,
+    _mlp16_tables,
     application_counts,
     available_application_workloads,
     fft4_netlist,
@@ -18,6 +20,7 @@ from repro.campaign.application import (
 )
 from repro.campaign.workloads import get_campaign_workload
 from repro.errors import EvaluationError, UnknownWorkloadError
+from repro.workloads.mlp import mlp_inference_reference
 
 
 def app_spec(**overrides):
@@ -109,6 +112,20 @@ class TestApplicationCounts:
         counts = application_counts(workload, inputs, outputs)
         assert counts["output_bit_errors"] == 4
         assert counts["output_error_magnitude"] == 1
+
+    @pytest.mark.parametrize("batch", [1, 77])
+    def test_mlp16_oracle_matches_the_per_row_reference(self, batch):
+        # The oracle scores a whole batch in one matmul; the reference is
+        # the MLP applied to one trial's activation vector at a time.
+        w1, w2, accs = _mlp16_tables()
+        words = np.random.default_rng(batch).integers(
+            0, 1 << MLP16_CONFIG.activation_bits, size=(batch, MLP16_CONFIG.input_size)
+        )
+        per_row = np.stack([mlp_inference_reference(row, w1, w2, accs) for row in words])
+        batched = get_application_workload("mlp16").oracle(words)
+        assert batched.shape == (batch, MLP16_CONFIG.n_classes)
+        assert batched.dtype == per_row.dtype
+        assert np.array_equal(batched, per_row)
 
     def test_keys_match_zeroed(self):
         assert tuple(APPLICATION.zeroed()) == APPLICATION_KEYS

@@ -6,11 +6,12 @@ The systematic cross-backend grid lives in ``tests/differential/``; this
 module owns the engine-local properties that grid cannot see — the
 pack/unpack transposition contract (ragged batches, tail bits never set,
 int XOR vs uint8 XOR), the gate records against the truth tables, the
-lowering and int-tape invariants, the engine's consumption of the shared
-stochastic stream (reproducible, batch-composition-invariant, statistically
-faithful), and the fault path's two int-op pieces against the per-trial
-algorithms they replaced: the ECiM decode by syndrome value and the flip
-lowering.
+lowering and int-tape invariants, the fused NOR2 -> THR43 parity-pair
+record under faults on either of its steps, the engine's consumption of
+the shared stochastic stream (reproducible, batch-composition-invariant,
+statistically faithful), and the fault path's two int-op pieces against
+the per-trial algorithms they replaced: the ECiM decode by syndrome value
+and the flip lowering.
 """
 
 import numpy as np
@@ -32,7 +33,10 @@ from repro.core.batched import (
 )
 from repro.core.bitpacked import (
     _ECIM,
+    _NOR2,
     _TABLE,
+    _THR43,
+    _XOR2,
     _Counter,
     _flip_table,
     _gate_record,
@@ -206,6 +210,18 @@ class TestGateRecords:
 # ---------------------------------------------------------------------- #
 # Lowering invariants
 # ---------------------------------------------------------------------- #
+def _step_records(tape):
+    """``(record, half)`` of every plan step, in step order: the record that
+    runs the step, and 0, or 1 for the THR step of a fused ``_XOR2``
+    record (which runs two steps)."""
+    owners = []
+    for record in tape.records:
+        owners.append((record, 0))
+        if record[0] == _XOR2:
+            owners.append((record, 1))
+    return owners
+
+
 def _step_columns(plan, kind, attr):
     """The columns of every ``kind`` step of ``plan``, concatenated."""
     chunks = [getattr(step, attr) for step in plan.steps if isinstance(step, kind)]
@@ -218,11 +234,13 @@ class TestLowering:
         netlist = get_campaign_workload("dot2").netlist
         return lower_plan(compile_plan(netlist, request.param))
 
-    def test_one_record_per_step(self, tape):
-        assert tape.n_steps == len(tape.records) == len(tape.plan.steps)
+    def test_records_cover_every_step_once(self, tape):
+        # Each record runs one plan step, a fused _XOR2 record two.
+        assert tape.n_steps == len(tape.plan.steps) == len(_step_records(tape))
 
     def test_gate_tape_mirrors_plan_steps(self, tape):
         plan = tape.plan
+        owners = _step_records(tape)
         gate_steps = [
             (index, step) for index, step in enumerate(plan.steps) if isinstance(step, GateStep)
         ]
@@ -231,7 +249,16 @@ class TestLowering:
         for slot, (index, step) in enumerate(gate_steps):
             key = _table_key(step.gate, int(step.input_cols.shape[0]), step.threshold)
             ins, outs = tuple(step.input_cols.tolist()), tuple(step.output_cols.tolist())
-            assert tape.records[index] == _gate_record(key, ins, outs)
+            record, half = owners[index]
+            if record[0] == _XOR2:
+                # The fused record is its pair's (x, y, s1, s2, t): NOR2(x, y)
+                # into s1 != s2, then THR43(x, y, s1, s2) into t.
+                _, x, y, s1, s2, t = record
+                assert s1 != s2 and not {x, y} & {s1, s2}
+                halves = ((_NOR2, x, y, (s1, s2)), (_THR43, x, y, s1, s2, (t,)))
+                assert halves[half] == _gate_record(key, ins, outs)
+            else:
+                assert record == _gate_record(key, ins, outs)
             assert tape.gate_slot_of_op[step.op_index] == slot
             # The slot's site-map entries are its outputs, in order.
             entries = slice(tape.gate_entry_ptr[slot], tape.gate_entry_ptr[slot + 1])
@@ -241,11 +268,15 @@ class TestLowering:
     def test_tables_are_deduplicated(self, tape):
         # Firings of one canonical table share one record shape: the same
         # inlined opcode, or for a _TABLE record the same program object.
+        # A fused step has the shape of the half it runs.
         shapes = {}
-        for step, record in zip(tape.plan.steps, tape.records):
+        for step, (record, half) in zip(tape.plan.steps, _step_records(tape)):
             if isinstance(step, GateStep):
                 key = _table_key(step.gate, int(step.input_cols.shape[0]), step.threshold)
-                shape = record[:2] if record[0] == _TABLE else record[:1]
+                if record[0] == _XOR2:
+                    shape = ((_NOR2,), (_THR43,))[half]
+                else:
+                    shape = record[:2] if record[0] == _TABLE else record[:1]
                 assert shapes.setdefault(key, shape) == shape
         assert len(shapes) < tape.gate_entry_ptr.shape[0] - 1  # real plans repeat gates
 
@@ -287,6 +318,66 @@ class TestLowering:
         for step, column in zip(site_map.steps.tolist(), site_map.columns.tolist()):
             step = plan.steps[step]
             assert column in (step.output_cols if isinstance(step, GateStep) else step.columns)
+
+
+@pytest.mark.parametrize(
+    "scheme,multi_output,pairs",
+    [("ecim", True, 384), ("ecim", False, 0), ("trim", True, 0), ("unprotected", True, 0)],
+)
+def test_only_multi_output_ecim_parity_pairs_fuse(scheme, multi_output, pairs):
+    # Single-output ECiM computes its XOR as NOR -> COPY -> THR, which does
+    # not match the NOR2 -> THR43 pattern.
+    netlist = get_campaign_workload("dot2").netlist
+    tape = lower_plan(compile_plan(netlist, scheme, multi_output=multi_output))
+    assert sum(record[0] == _XOR2 for record in tape.records) == pairs
+
+
+class TestFusedPairFaults:
+    """Faults on either step of a fused NOR2 -> THR43 pair, bitpacked
+    against the scalar reference: a fault on the NOR step's scratch
+    columns must reach the THR step's parity output."""
+
+    @pytest.fixture(scope="class")
+    def cell(self):
+        netlist = get_campaign_workload("dot2").netlist
+        bitpacked = make_backend("bitpacked", netlist, "ecim")
+        steps = bitpacked.plan.steps
+        pairs = [
+            (steps[index], steps[index + 1])
+            for index, (record, half) in enumerate(_step_records(bitpacked.tape))
+            if record[0] == _XOR2 and half == 0
+        ]
+        return netlist, make_backend("scalar", netlist, "ecim"), bitpacked, pairs
+
+    def test_flips_on_either_step(self, cell):
+        netlist, scalar, bitpacked, pairs = cell
+        plans = [{}]
+        for nor, thr in (pairs[0], pairs[len(pairs) // 2], pairs[-1]):
+            n, t = nor.op_index, thr.op_index
+            # s1, s2, both, t, s1 + t, all three.
+            plans += [
+                {n: (0,)}, {n: (1,)}, {n: (0, 1)}, {t: (0,)}, {n: (0,), t: (0,)},
+                {n: (0, 1), t: (0,)},
+            ]
+        matrix = sample_input_matrix(netlist, _stream("fused-plans", len(plans)))
+        expected = scalar.run_trials(matrix, fault_plan=plans, capture_outputs=True)
+        got = bitpacked.run_trials(matrix, fault_plan=plans, capture_outputs=True)
+        _assert_outcomes_equal(expected, got, "plans")
+        assert got.outputs_correct[0] and not got.detected[0]
+        assert got.detected[1:].any()
+
+    @pytest.mark.parametrize("polarity", [0, 1])
+    @pytest.mark.parametrize("column", ["scratch", "parity"])
+    def test_stuck_at_on_a_fused_column(self, cell, column, polarity):
+        netlist, scalar, bitpacked, pairs = cell
+        nor, thr = pairs[len(pairs) // 2]
+        stuck = nor.output_cols[0] if column == "scratch" else thr.output_cols[0]
+        spec = FaultModelSpec.stuck_at((int(stuck),), stuck_polarity=polarity)
+        matrix = sample_input_matrix(netlist, _stream("fused-stuck", 9))
+        expected = scalar.run_trials(matrix, fault_model=spec, capture_outputs=True)
+        got = bitpacked.run_trials(matrix, fault_model=spec, capture_outputs=True)
+        _assert_outcomes_equal(expected, got, (column, polarity))
+        assert got.faults_injected.any()
 
 
 # ---------------------------------------------------------------------- #
@@ -560,9 +651,9 @@ class TestEcimDecode:
         factory = {"hamming": None, "bch-t2": bch_code_factory(2), "bch-t3": bch_code_factory(3)}
         netlist = get_campaign_workload("dot2").netlist
         backend = make_backend("bitpacked", netlist, "ecim", code_factory=factory[request.param])
-        records = backend.tape.records
+        owners = _step_records(backend.tape)
         levels = [
-            (step.data_cols.tolist(), step.parity_cols.tolist(), step.lut, records[index][2])
+            (step.data_cols.tolist(), step.parity_cols.tolist(), step.lut, owners[index][0][2])
             for index, step in enumerate(backend.plan.steps)
             if isinstance(step, EcimCheckStep)
         ]

@@ -8,11 +8,15 @@ circuits of :func:`random_netlist` also fire one- and three-input NORs and
 THR4 with repeated operands, and their level structures (wide, narrow,
 reconvergent) give ECiM and TRiM levels of every size.  Each example runs
 fault free, under deterministic two-flip plans drawn from the backend's own
-site list, and under the stochastic model with gate, metadata, preset and
-memory errors, on a batch size drawn from 1 to 130 (so B % 64 and B % 8
-land everywhere).  ``max_examples`` stays small to keep tier-1 fast.  One
-more case runs a pooled multi-fault sweep on a bitpacked backend whose int
-tape is already built, so the pool pickles it.
+site list, under the stochastic model with gate, metadata, preset and
+memory errors, under bursts, and stuck at a polarity on two columns drawn
+from the whole layout (scratch and parity columns included), on a batch
+size drawn from 1 to 130 (so B % 64 and B % 8 land everywhere).  The
+multi-output ECiM examples have NOR2 -> THR43 parity pairs, which the
+bitpacked tape fuses, so their faults reach the fused record's slow path.
+``max_examples`` stays small to keep tier-1 fast.  One more case runs a
+pooled multi-fault sweep on a bitpacked backend whose int tape is already
+built, so the pool pickles it.
 """
 
 import os
@@ -55,6 +59,24 @@ STOCHASTIC = FaultModelSpec.stochastic(
 )
 
 
+#: Bursts long enough to hit both steps of a NOR -> THR parity pair.
+BURST = FaultModelSpec.burst(
+    burst_length=3,
+    correlation_window=5,
+    gate_error_rate=0.05,
+    memory_error_rate=0.05,
+)
+
+
+def _stuck_at(n_cols, seed):
+    """Two columns of the layout, stuck at a polarity, both drawn from the
+    example's seed."""
+    rng = random.Random(seed)
+    return FaultModelSpec.stuck_at(
+        rng.sample(range(n_cols), min(2, n_cols)), stuck_polarity=rng.randint(0, 1)
+    )
+
+
 @pytest.mark.parametrize("multi_output", [True, False], ids=["mo", "so"])
 @pytest.mark.parametrize("scheme", ["unprotected", "ecim", "trim"])
 @settings(max_examples=4, deadline=None)
@@ -73,32 +95,30 @@ def test_generated_circuit_byte_identical(scheme, multi_output, seed, n_inputs, 
     plans = _two_flip_plans(
         sites, [derive_seed("generated", seed, trial, "faults") for trial in range(batch)]
     )
-    stochastic = dict(fault_model=STOCHASTIC, stream=stream)
+    candidates = {
+        name: build(netlist, scheme, multi_output) for name, build in BACKEND_FACTORIES.items()
+    }
+    sources = {
+        "fault-free": {},
+        "plan": dict(fault_plan=plans),
+        "stochastic": dict(fault_model=STOCHASTIC, stream=stream),
+        "burst": dict(fault_model=BURST, stream=stream),
+        "stuck-at": dict(fault_model=_stuck_at(candidates["bitpacked"].plan.n_cols, seed)),
+    }
     expected = {
-        "fault-free": reference.run_trials(inputs, capture_outputs=True),
-        "plan": reference.run_trials(inputs, fault_plan=plans, capture_outputs=True),
-        "stochastic": reference.run_trials(inputs, capture_outputs=True, **stochastic),
+        source: reference.run_trials(inputs, capture_outputs=True, **kwargs)
+        for source, kwargs in sources.items()
     }
     assert expected["fault-free"].outputs_correct.all()
-    for name, build in BACKEND_FACTORIES.items():
-        candidate = build(netlist, scheme, multi_output)
+    for name, candidate in candidates.items():
         assert candidate.enumerate_sites() == sites
         context = f"{netlist.name}/{scheme}/mo={multi_output}/B={batch}/{name}"
-        assert_outcomes_identical(
-            expected["fault-free"],
-            candidate.run_trials(inputs, capture_outputs=True),
-            f"{context}/fault-free",
-        )
-        assert_outcomes_identical(
-            expected["plan"],
-            candidate.run_trials(inputs, fault_plan=plans, capture_outputs=True),
-            f"{context}/plan",
-        )
-        assert_outcomes_identical(
-            expected["stochastic"],
-            candidate.run_trials(inputs, capture_outputs=True, **stochastic),
-            f"{context}/stochastic",
-        )
+        for source, kwargs in sources.items():
+            assert_outcomes_identical(
+                expected[source],
+                candidate.run_trials(inputs, capture_outputs=True, **kwargs),
+                f"{context}/{source}",
+            )
 
 
 def test_pooled_sweep_after_the_tape_is_built():

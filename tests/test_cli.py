@@ -1,5 +1,7 @@
 """Tests for the ``python -m repro`` command-line interface."""
 
+import argparse
+
 import pytest
 
 from repro.__main__ import build_parser, main
@@ -17,6 +19,21 @@ class TestParser:
             "list", "run", "workloads", "technologies", "sep", "campaign", "store", "query",
         ):
             assert command in text
+
+    def test_help_renders_no_doubled_percent(self):
+        # argparse %-formats argument help but prints descriptions as
+        # written, so a "%%" meant for one shows up doubled in the other.
+        pending = [build_parser()]
+        rendered = 0
+        while pending:
+            parser = pending.pop()
+            text = parser.format_help()
+            assert "%%" not in text, parser.prog
+            rendered += 1
+            for action in parser._actions:
+                if isinstance(action, argparse._SubParsersAction):
+                    pending.extend(action.choices.values())
+        assert rendered > 8  # the top level, every command and the store's own
 
 
 class TestCommands:
