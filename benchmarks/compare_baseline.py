@@ -1,19 +1,23 @@
 """Perf-baseline gate: compare a pytest-benchmark run against pinned medians.
 
 ``benchmarks/baseline.json`` pins the median runtime of every throughput
-benchmark.  CI runs the suite with ``--benchmark-json``, then calls this
-script; any benchmark whose median regressed more than ``--threshold``
-(default 30%) fails the gate with a per-benchmark delta table.  Benchmarks
-missing from the current run also fail (a silently-dropped benchmark is a
-coverage regression, and a rename must regenerate the baseline); brand-new
-benchmarks are reported but never fail — they get pinned at the next
-regeneration.
+benchmark.  CI runs the suite three times with ``--benchmark-json``, then
+calls this script on the three result files.  Most benches time one round,
+so one file's median is one sample; the gate reads each benchmark's median
+of its per-file medians, which one noisy run cannot move.  Any benchmark
+whose median regressed more than ``--threshold`` (default 30%) fails the
+gate with a per-benchmark delta table.  Benchmarks missing from any result
+file also fail (a silently-dropped benchmark is a coverage regression, and
+a rename must regenerate the baseline); brand-new benchmarks are reported
+but never fail — they get pinned at the next regeneration.
 
 Regenerate the baseline after an intentional perf change (or on a new
-reference machine) with::
+reference machine) from the same kind of runs::
 
-    python -m pytest benchmarks/... -q --benchmark-json=benchmark-results.json
-    python benchmarks/compare_baseline.py benchmark-results.json --write
+    for run in 1 2 3; do
+        python -m pytest benchmarks/... -q --benchmark-json=benchmark-results-$run.json
+    done
+    python benchmarks/compare_baseline.py benchmark-results-*.json --write
 
 The comparison is pure JSON — no numpy, no repro import — so the gate keeps
 working even when the library itself is the thing that broke.
@@ -24,8 +28,9 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import statistics
 import sys
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 DEFAULT_THRESHOLD = 0.30
 DEFAULT_BASELINE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "baseline.json")
@@ -41,26 +46,38 @@ def load_medians(results_path: str) -> Dict[str, float]:
     return {bench["fullname"]: float(bench["stats"]["median"]) for bench in data["benchmarks"]}
 
 
+def pooled_medians(results_paths: Sequence[str]) -> Dict[str, Optional[float]]:
+    """``{benchmark fullname: median of its per-file medians}``; None for a
+    benchmark that some file lacks."""
+    runs = [load_medians(path) for path in results_paths]
+    pooled: Dict[str, Optional[float]] = {}
+    for name in set().union(*runs):
+        medians = [run[name] for run in runs if name in run]
+        pooled[name] = statistics.median(medians) if len(medians) == len(runs) else None
+    return pooled
+
+
 def compare(
-    current: Dict[str, float],
+    current: Dict[str, Optional[float]],
     baseline: Dict[str, float],
     threshold: float = DEFAULT_THRESHOLD,
 ) -> Tuple[List[Row], bool]:
     """Delta rows over the union of benchmark names, plus the gate verdict.
 
     ``delta`` is the relative median change (+0.50 = 50% slower); a row
-    regresses when ``delta > threshold`` or the benchmark vanished.
+    regresses when ``delta > threshold`` or the benchmark vanished from a
+    run (absent from ``current``, or None there).
     """
     rows: List[Row] = []
     failed = False
     for name in sorted(set(baseline) | set(current)):
         base = baseline.get(name)
         median = current.get(name)
-        if base is None:
-            rows.append((name, None, median, None, "new"))
-        elif median is None:
+        if median is None:
             rows.append((name, base, None, None, "MISSING"))
             failed = True
+        elif base is None:
+            rows.append((name, None, median, None, "new"))
         else:
             delta = (median - base) / base
             if delta > threshold:
@@ -94,7 +111,10 @@ def render_delta_table(rows: List[Row], threshold: float) -> str:
 
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("results", help="pytest-benchmark JSON file (--benchmark-json output)")
+    parser.add_argument(
+        "results", nargs="+",
+        help="pytest-benchmark JSON file(s) (--benchmark-json output), one per run",
+    )
     parser.add_argument(
         "--baseline", default=DEFAULT_BASELINE,
         help="pinned medians JSON (default: benchmarks/baseline.json)",
@@ -113,8 +133,12 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     args = parser.parse_args(argv)
 
-    current = load_medians(args.results)
+    current = pooled_medians(args.results)
     if args.write:
+        partial = sorted(name for name, median in current.items() if median is None)
+        if partial:
+            print(f"cannot pin benchmarks absent from some run: {partial}", file=sys.stderr)
+            return 1
         with open(args.baseline, "w", encoding="utf-8") as handle:
             json.dump(current, handle, indent=2, sort_keys=True)
             handle.write("\n")

@@ -21,6 +21,7 @@ _SPEC = dict(
     trials=TRIALS,
     shard_size=40,
     seed=17,
+    backend="scalar",
     name="throughput-bench",
 )
 

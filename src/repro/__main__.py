@@ -33,12 +33,12 @@ Commands
     and render rates with Wilson intervals as table, CSV or JSON.
 
 Execution-bound commands take ``--backend {scalar,batched,bitpacked}``:
-``scalar`` (default) walks the behavioural array per trial, ``batched``
-interprets a compiled instruction tape for all
-trials (or all fault sites) at once, and ``bitpacked`` interprets the same
+``scalar`` walks the behavioural array per trial (the reference),
+``batched`` interprets a compiled instruction tape for all trials (or all
+fault sites) at once, and ``bitpacked`` (the default) interprets the same
 tape bit-sliced, one Python int per column holding every trial (see
-:mod:`repro.core.backend`).  All three give byte-identical results.
-``campaign`` keeps ``--engine`` as a deprecated alias of ``--backend``.
+:mod:`repro.core.backend`).  All three give byte-identical results, so a
+campaign checkpoint resumes on any of them.
 """
 
 from __future__ import annotations
@@ -46,10 +46,9 @@ from __future__ import annotations
 import argparse
 import inspect
 import sys
-import warnings
 from typing import List, Optional
 
-from repro.core.backend import BACKEND_NAMES
+from repro.core.backend import BACKEND_NAMES, DEFAULT_BACKEND
 from repro.eval.experiments import EXPERIMENTS, available_experiments, run_experiment
 from repro.eval.report import format_table
 
@@ -161,27 +160,14 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
     )
     from repro.errors import ReproError
 
-    backend = args.backend
-    if args.engine is not None:
-        warnings.warn(
-            "--engine is deprecated; use --backend", DeprecationWarning, stacklevel=2
-        )
-        if backend is not None and backend != args.engine:
-            print(
-                f"conflicting flags: --backend {backend} vs --engine {args.engine}",
-                file=sys.stderr,
-            )
-            return 1
-        backend = args.engine
-
     try:
         if args.spec is not None:
             with open(args.spec, "r", encoding="utf-8") as handle:
                 spec = CampaignSpec.from_json(handle.read())
-            if backend is not None and backend != spec.backend:
+            if args.backend is not None and args.backend != spec.backend:
                 # An explicit flag overrides the spec file's backend (the
                 # file may predate the backend field entirely).
-                spec = CampaignSpec.from_dict({**spec.to_dict(), "backend": backend})
+                spec = CampaignSpec.from_dict({**spec.to_dict(), "backend": args.backend})
             if args.fault_model is not None:
                 # Same for the fault model: the flag wins over the file.
                 spec = CampaignSpec.from_dict(
@@ -209,7 +195,7 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
                 seed=args.seed,
                 shard_size=args.shard_size,
                 multi_output=not args.single_output,
-                backend=backend,
+                backend=args.backend,
                 name=args.name,
                 faults_per_trial=args.faults_per_trial,
                 fault_model=args.fault_model,
@@ -350,9 +336,11 @@ def build_parser() -> argparse.ArgumentParser:
     run_parser.add_argument(
         "--backend", choices=BACKEND_CHOICES, default=None,
         help=(
-            "execution backend for experiments that run netlists "
-            "(fig6, ablations, coverage, campaign); analytic experiments "
-            "ignore it"
+            "execution backend for experiments that run netlists (fig6, "
+            "ablation_granularity, coverage, campaign, application, burst, "
+            "rare_event, multifault; default: "
+            f"{DEFAULT_BACKEND}, and coverage prints its empirical table "
+            "only when a backend is named); analytic experiments ignore it"
         ),
     )
     run_parser.set_defaults(func=_cmd_run)
@@ -367,13 +355,13 @@ def build_parser() -> argparse.ArgumentParser:
         "sep", help="run the Fig. 6 SEP analysis (or a k-fault sweep with --max-faults)"
     )
     sep_parser.add_argument(
-        "--backend", choices=BACKEND_CHOICES, default="scalar",
+        "--backend", choices=BACKEND_CHOICES, default=DEFAULT_BACKEND,
         help=(
-            "execution backend for the exhaustive sweep: 'scalar' (default) "
-            "re-runs the object model once per fault site, 'batched' runs "
-            "every site as one row of a single tape interpretation, "
-            "'bitpacked' holds every site as one bit of a per-column int "
-            "in one tape pass"
+            "execution backend for the exhaustive sweep: 'scalar' re-runs "
+            "the object model once per fault site (the reference), "
+            "'batched' runs every site as one row of a single tape "
+            "interpretation, 'bitpacked' holds every site as one bit of a "
+            f"per-column int in one tape pass (default: {DEFAULT_BACKEND})"
         ),
     )
     sep_parser.add_argument(
@@ -529,16 +517,13 @@ def build_parser() -> argparse.ArgumentParser:
         "--backend", choices=BACKEND_CHOICES, default=None,
         help=(
             "execution backend: 'scalar' walks the behavioural array per "
-            "trial (the default), 'batched' compiles the cell to an "
-            "instruction tape and runs each shard as one numpy bit-matrix "
-            "(~2 orders of magnitude faster), 'bitpacked' interprets that "
-            "tape bit-sliced, one int per column holding every trial "
-            "(fastest); all three give byte-identical results"
+            "trial (the reference), 'batched' compiles the cell to an "
+            "instruction tape and runs each shard as one numpy bit-matrix, "
+            "'bitpacked' interprets that tape bit-sliced, one int per "
+            f"column holding every trial (fastest; default: {DEFAULT_BACKEND}). "
+            "All three give byte-identical results, so a checkpoint "
+            "resumes on any of them"
         ),
-    )
-    campaign_parser.add_argument(
-        "--engine", choices=BACKEND_CHOICES, default=None,
-        help="deprecated alias for --backend",
     )
     campaign_parser.add_argument(
         "--name", default="cli-campaign", help="campaign name (cosmetic, shown in the table title)"

@@ -47,8 +47,6 @@ from repro.campaign.application import (
 from repro.campaign.checkpoint import CheckpointStore
 from repro.campaign.runner import CampaignResult, run_campaign
 from repro.campaign.spec import (
-    CAMPAIGN_BACKENDS,
-    CAMPAIGN_ENGINES,
     CAMPAIGN_SCHEMES,
     CampaignCell,
     CampaignSpec,
@@ -72,8 +70,6 @@ __all__ = [
     "APPLICATION_KEYS",
     "APPLICATION_WORKLOADS",
     "ApplicationWorkload",
-    "CAMPAIGN_BACKENDS",
-    "CAMPAIGN_ENGINES",
     "CAMPAIGN_SCHEMES",
     "CAMPAIGN_WORKLOADS",
     "COUNT_KEYS",

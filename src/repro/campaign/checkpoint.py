@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 import os
 import warnings
-from typing import Dict, Tuple, Union
+from typing import Collection, Dict, Tuple, Union
 
 from repro.campaign.aggregate import ShardResult
 from repro.errors import EvaluationError
@@ -49,14 +49,21 @@ class CheckpointStore:
                     handle.write(b"\n")
 
     def load(self, spec_hash: str) -> Dict[Tuple[str, int], ShardResult]:
-        """Completed shards recorded for ``spec_hash``, keyed by (cell, shard).
+        """Completed shards recorded for ``spec_hash``, keyed by (cell, shard)."""
+        return self.load_by_hash((spec_hash,)).get(spec_hash, {})
+
+    def load_by_hash(
+        self, spec_hashes: Collection[str]
+    ) -> Dict[str, Dict[Tuple[str, int], ShardResult]]:
+        """Completed shards per hash, for each of ``spec_hashes`` that has any,
+        keyed by (cell, shard) — one pass over the file.
 
         Tolerates a torn final line (crash mid-append) and skips records
         belonging to other specs.  A shard recorded twice (e.g. two racing
         runs against the same file) keeps the first record; duplicates are
         identical by construction since shard outcomes are deterministic.
         """
-        completed: Dict[Tuple[str, int], ShardResult] = {}
+        completed: Dict[str, Dict[Tuple[str, int], ShardResult]] = {}
         if not os.path.exists(self.path):
             return completed
         with open(self.path, "r", encoding="utf-8") as handle:
@@ -78,7 +85,8 @@ class CheckpointStore:
                         stacklevel=2,
                     )
                     continue
-                if record.get("spec_hash") != spec_hash:
+                spec_hash = record.get("spec_hash")
+                if spec_hash not in spec_hashes:
                     continue
                 try:
                     result = ShardResult.from_dict(record)
@@ -89,7 +97,8 @@ class CheckpointStore:
                         stacklevel=2,
                     )
                     continue  # schema drift / hand-edited record: re-run that shard
-                completed.setdefault((result.cell_key, result.shard_index), result)
+                shards = completed.setdefault(spec_hash, {})
+                shards.setdefault((result.cell_key, result.shard_index), result)
         return completed
 
     def append(self, spec_hash: str, result: ShardResult) -> None:

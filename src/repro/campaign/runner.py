@@ -4,7 +4,8 @@
 a :class:`CampaignResult`:
 
 1. expand the spec into shards (fixed partitioning, independent of workers);
-2. if a checkpoint path is given, load completed shards for this spec's hash
+2. if a checkpoint path is given, load completed shards filed under any of
+   this spec's hashes (:meth:`~repro.campaign.spec.CampaignSpec.resume_hashes`)
    and schedule only the remainder;
 3. execute pending shards — serially in-process (``workers <= 1``) or across
    a :class:`concurrent.futures.ProcessPoolExecutor` — recording each shard
@@ -154,7 +155,11 @@ class ShardRecorder:
         self.spec_hash = spec.spec_hash()
         self.progress = progress
         self.store = CheckpointStore(checkpoint) if checkpoint is not None else None
-        if self.store and self.store.load(spec.spec_hash_v1()):
+        # One read for every hash this campaign was ever filed under: the
+        # old per-backend ones hold the same trials and resume too.
+        resume_hashes, v1_hashes = spec.resume_hashes(), spec.spec_hashes_v1()
+        by_hash = self.store.load_by_hash(resume_hashes + v1_hashes) if self.store else {}
+        if any(spec_hash in by_hash for spec_hash in v1_hashes):
             raise EvaluationError(
                 f"checkpoint {self.store.path} holds results of this campaign "
                 "under RNG contract 1, which this version cannot resume; keep "
@@ -167,9 +172,10 @@ class ShardRecorder:
 
             self.results_db = ResultsStore(db)
             self.results_db.record_campaign(spec)
-        self.completed: Dict[tuple, ShardResult] = (
-            self.store.load(self.spec_hash) if self.store else {}
-        )
+        self.completed: Dict[tuple, ShardResult] = {}
+        for spec_hash in resume_hashes:
+            for key, result in by_hash.get(spec_hash, {}).items():
+                self.completed.setdefault(key, result)
         self.results: List[ShardResult] = []
         self.resumed = 0
         self.total = 0

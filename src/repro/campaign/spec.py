@@ -26,19 +26,16 @@ from __future__ import annotations
 
 import hashlib
 import json
-import warnings
 from dataclasses import asdict, dataclass
 from typing import Dict, Iterable, List, Optional, Tuple, Union
 
-from repro.core.backend import BACKEND_NAMES
+from repro.core.backend import BACKEND_NAMES, DEFAULT_BACKEND
 from repro.core.rng import RNG_CONTRACT, stream_key
 from repro.errors import EvaluationError, PimError
 from repro.pim.faults import parse_fault_model
 
 __all__ = [
     "CAMPAIGN_SCHEMES",
-    "CAMPAIGN_BACKENDS",
-    "CAMPAIGN_ENGINES",
     "CampaignCell",
     "ShardTask",
     "CampaignSpec",
@@ -48,45 +45,12 @@ __all__ = [
 #: Protection schemes a campaign can exercise (executor per scheme).
 CAMPAIGN_SCHEMES = ("unprotected", "ecim", "trim")
 
-#: Trial execution backends: ``scalar`` walks the behavioural array per trial,
-#: ``batched`` and ``bitpacked`` interpret a compiled instruction tape for a
-#: whole batch of trials at once — the campaign view of
-#: :data:`repro.core.backend.BACKEND_NAMES`.
-CAMPAIGN_BACKENDS = BACKEND_NAMES
 
-#: Deprecated alias (pre-backend name of the same choice set); kept so old
-#: imports and spec files keep working.
-CAMPAIGN_ENGINES = CAMPAIGN_BACKENDS
-
-
-def _resolve_backend(backend: Optional[str], engine: Optional[str], owner: str) -> str:
-    """Map the deprecated ``engine`` alias onto ``backend`` and validate.
-
-    ``backend`` defaults to None rather than "scalar" so that an *explicitly*
-    requested backend is distinguishable from the default: a stale ``engine``
-    keyword must never silently override an explicit ``backend`` in either
-    direction.
-    """
-    backend = None if backend is None else str(backend).strip().lower()
-    if engine is not None:
-        warnings.warn(
-            f"{owner}.engine is deprecated; use {owner}.backend",
-            DeprecationWarning,
-            stacklevel=4,
-        )
-        engine = str(engine).strip().lower()
-        if backend is not None and backend != engine:
-            raise EvaluationError(
-                f"conflicting execution backends: engine={engine!r} "
-                f"vs backend={backend!r}"
-            )
-        backend = engine
-    if backend is None:
-        backend = "scalar"
-    if backend not in CAMPAIGN_BACKENDS:
-        raise EvaluationError(
-            f"unknown backend {backend!r}; expected one of {CAMPAIGN_BACKENDS}"
-        )
+def _resolve_backend(backend: Optional[str]) -> str:
+    """``DEFAULT_BACKEND`` when unset, else a validated backend name."""
+    backend = DEFAULT_BACKEND if backend is None else str(backend).strip().lower()
+    if backend not in BACKEND_NAMES:
+        raise EvaluationError(f"unknown backend {backend!r}; expected one of {BACKEND_NAMES}")
     return backend
 
 
@@ -211,8 +175,7 @@ class ShardTask:
     start_trial: int
     n_trials: int
     campaign_seed: int
-    backend: Optional[str] = None  # resolves to "scalar" when unset
-    engine: Optional[str] = None  # deprecated alias for ``backend``
+    backend: Optional[str] = None  # resolves to DEFAULT_BACKEND when unset
     #: Estimator grammar string (canonical form) governing how this shard's
     #: trials are drawn and weighted; unset means the uniform path.
     estimator: Optional[str] = None
@@ -228,9 +191,7 @@ class ShardTask:
             raise EvaluationError("a shard must contain at least one trial")
         if self.start_trial < 0 or self.shard_index < 0:
             raise EvaluationError("shard indices must be non-negative")
-        backend = _resolve_backend(self.backend, self.engine, "ShardTask")
-        object.__setattr__(self, "backend", backend)
-        object.__setattr__(self, "engine", backend)
+        object.__setattr__(self, "backend", _resolve_backend(self.backend))
         object.__setattr__(
             self, "estimator", _canonical_estimator(self.estimator, "ShardTask")
         )
@@ -268,9 +229,11 @@ class CampaignSpec:
     seed: int = 0
     shard_size: int = 250
     multi_output: bool = True
-    backend: Optional[str] = None  # resolves to "scalar" when unset
+    #: How the trials run, not what they are: every backend gives
+    #: byte-identical results, so the backend stays out of
+    #: :meth:`spec_hash`.  Resolves to ``DEFAULT_BACKEND`` when unset.
+    backend: Optional[str] = None
     name: str = "campaign"
-    engine: Optional[str] = None  # deprecated alias for ``backend``
     #: When set, every trial injects exactly this many simultaneous flips at
     #: uniformly drawn fault sites (deterministic k-flip plans drawn from
     #: the trial's plan stream) instead of the stochastic rate model; the
@@ -303,11 +266,7 @@ class CampaignSpec:
         object.__setattr__(self, "workloads", _lowered(self.workloads))
         object.__setattr__(self, "schemes", _lowered(self.schemes))
         object.__setattr__(self, "technologies", _lowered(self.technologies))
-        backend = _resolve_backend(self.backend, self.engine, "CampaignSpec")
-        object.__setattr__(self, "backend", backend)
-        # The alias mirrors the resolved backend so legacy readers of
-        # ``spec.engine`` keep working; ``to_dict`` drops it.
-        object.__setattr__(self, "engine", backend)
+        object.__setattr__(self, "backend", _resolve_backend(self.backend))
         # Coerce numeric fields (a JSON spec file may carry "100" for 100);
         # coercion also keeps spec_hash() canonical, so an int-seed spec and
         # its string-seed twin resume each other's checkpoints.
@@ -452,11 +411,8 @@ class CampaignSpec:
         data = asdict(self)
         for key in ("workloads", "schemes", "technologies", "gate_error_rates"):
             data[key] = list(data[key])
-        # The deprecated alias always mirrors ``backend``; serialising it
-        # would make every round trip re-trigger the deprecation path.
-        data.pop("engine", None)
         # Optional fields serialise only when set, which also keeps the
-        # contract-1 hash (spec_hash_v1) reproducible.
+        # contract-1 hashes (spec_hashes_v1) reproducible.
         if data.get("faults_per_trial") is None:
             data.pop("faults_per_trial", None)
         if data.get("fault_model") is None:
@@ -500,25 +456,39 @@ class CampaignSpec:
         changing any field that affects trial outcomes or shard boundaries
         (including the seed and the RNG contract version) makes old shard
         results unusable, and the hash is how the store knows.  The
-        cosmetic ``name`` is excluded, and so is the backend while it holds
-        its default (``scalar``).  The canonical form keeps the field's
-        historical ``engine`` key so checkpoints written before the rename
-        resume under either spelling.
+        cosmetic ``name`` is excluded, and so is the ``backend``: every
+        backend runs the same trials, so a checkpoint resumes on any of
+        them and the store counts each trial once.
         """
-        return self._hash(self.to_dict())
+        return _hash(self.to_dict())
 
-    def spec_hash_v1(self) -> str:
-        """The hash this spec had under RNG contract 1 (no contract field):
-        what a checkpoint written before the v2 break files its records
-        under, so a resume can recognise and refuse them."""
-        return self._hash(self._fields_dict())
+    def resume_hashes(self) -> Tuple[str, ...]:
+        """Every hash this campaign's records are filed under: ``spec_hash()``
+        first, then the hashes a ``batched`` and a ``bitpacked`` run filed
+        them under before the backend left the hash.  Their results are
+        byte-identical, so resume and ``store ingest --spec`` take all
+        three."""
+        return _backend_hashes(self.to_dict())
 
-    @staticmethod
-    def _hash(data: Dict[str, object]) -> str:
-        data = dict(data)
-        data.pop("name", None)
-        data["engine"] = data.pop("backend")
-        if data["engine"] == "scalar":
-            data.pop("engine")
-        canonical = json.dumps(data, sort_keys=True)
-        return hashlib.sha256(canonical.encode()).hexdigest()[:16]
+    def spec_hashes_v1(self) -> Tuple[str, ...]:
+        """The hashes this spec had under RNG contract 1 (no contract field),
+        one per backend: what a checkpoint written before the v2 break files
+        its records under, so a resume can recognise and refuse them."""
+        return _backend_hashes(self._fields_dict())
+
+
+def _hash(data: Dict[str, object]) -> str:
+    data = {key: value for key, value in data.items() if key not in ("name", "backend")}
+    canonical = json.dumps(data, sort_keys=True)
+    return hashlib.sha256(canonical.encode()).hexdigest()[:16]
+
+
+def _backend_hashes(data: Dict[str, object]) -> Tuple[str, ...]:
+    """The hashes ``data`` had per backend while the backend was part of a
+    spec's identity: a non-scalar spec hashed it under an ``engine`` key, a
+    scalar one left it out.  The names are frozen here rather than read from
+    ``BACKEND_NAMES``, so a checkpoint outlives its backend's registration."""
+    return tuple(
+        _hash(data if backend == "scalar" else {**data, "engine": backend})
+        for backend in ("scalar", "batched", "bitpacked")
+    )

@@ -102,7 +102,7 @@ def _executor_for(cell: CampaignCell) -> ExecutionBackend:
     return _EXECUTOR_CACHE.lookup(key, build)
 
 
-def _plan_for(cell: CampaignCell, backend: str = "batched") -> ExecutionBackend:
+def _plan_for(cell: CampaignCell, backend: str) -> ExecutionBackend:
     # Plans are technology-independent (timing/energy never enter trial
     # outcomes), but an unknown technology must fail here just like the
     # scalar backend's executor construction does — and before the cache,

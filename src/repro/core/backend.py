@@ -67,6 +67,7 @@ from repro.pim.technology import TechnologyParameters, get_technology
 
 __all__ = [
     "BACKEND_NAMES",
+    "DEFAULT_BACKEND",
     "FaultSite",
     "classify_outcome",
     "TrialOutcomes",
@@ -736,15 +737,21 @@ class BitpackedBackend(BatchedBackend):
         )
 
 
-#: Registered execution backends, in default-first order.  ``scalar`` is the
-#: object-model reference and stays the default everywhere; adding a backend
-#: here is the one-line registration that wires it into ``make_backend``,
-#: every ``--backend`` CLI choice and the differential/golden harnesses.
+#: Registered execution backends, reference first.  ``scalar`` is the
+#: object-model reference the differential harness checks the tape
+#: backends against; adding a backend here is the one-line registration
+#: that wires it into ``make_backend``, every ``--backend`` CLI choice and
+#: the differential/golden harnesses.
 _BACKENDS = {
     cls.name: cls for cls in (ScalarBackend, BatchedBackend, BitpackedBackend)
 }
 
 BACKEND_NAMES = tuple(_BACKENDS)
+
+#: The backend every campaign, sweep and experiment runs on unless told
+#: otherwise.  All backends give byte-identical results; this one is the
+#: fastest.
+DEFAULT_BACKEND = "bitpacked"
 
 
 def backend_class(name: str) -> type:

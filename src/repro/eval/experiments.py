@@ -27,7 +27,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Callable, Dict, List, Optional, Sequence
 
-from repro.core.backend import make_backend
+from repro.core.backend import DEFAULT_BACKEND, make_backend
 from repro.core.design_space import design_space_table
 from repro.core.pipeline import ParityUpdatePipeline
 from repro.core.protection import EcimScheme, TrimScheme, UnprotectedScheme
@@ -227,12 +227,12 @@ def experiment_table5(
 # ---------------------------------------------------------------------- #
 # Fig. 6 — SEP guarantee
 # ---------------------------------------------------------------------- #
-def experiment_fig6(backend: str = "scalar") -> Dict[str, object]:
+def experiment_fig6(backend: str = DEFAULT_BACKEND) -> Dict[str, object]:
     """Fig. 6: exhaustive single-fault analysis of the Hamming(7,4) AND example.
 
-    ``backend`` picks the execution substrate for the sweep (``scalar`` — the
-    default, byte-identical to the legacy artefact — or ``batched``); the
-    per-site outcomes are identical on both, which the test suite enforces.
+    ``backend`` picks the execution substrate for the sweep; the per-site
+    outcomes, and so the rendered artefact, are identical on every backend,
+    which the test suite enforces against the ``scalar`` reference.
     """
     netlist = and_gate_example_netlist()
     inputs = {netlist.inputs[0]: 1, netlist.inputs[1]: 1}
@@ -356,7 +356,7 @@ def experiment_fig9(max_outputs: int = 10) -> Dict[str, object]:
 # ---------------------------------------------------------------------- #
 # Ablations
 # ---------------------------------------------------------------------- #
-def experiment_ablation_granularity(backend: str = "scalar") -> Dict[str, object]:
+def experiment_ablation_granularity(backend: str = DEFAULT_BACKEND) -> Dict[str, object]:
     """Check-granularity ablation: gate vs logic level vs circuit.
 
     Quantifies Table II's conclusion operationally: SEP holds at gate and
@@ -553,7 +553,7 @@ def experiment_burst(
     correlation_window: int = 8,
     trials: int = 400,
     seed: int = 0,
-    backend: str = "batched",
+    backend: str = DEFAULT_BACKEND,
 ) -> Dict[str, object]:
     """Burst sweep: silent-corruption rate vs burst length, ECiM vs TRiM.
 
@@ -635,7 +635,7 @@ def experiment_campaign(
     shard_size: int = 100,
     workers: int = 0,
     checkpoint: Optional[str] = None,
-    backend: str = "scalar",
+    backend: str = DEFAULT_BACKEND,
     fault_model: Optional[str] = None,
 ) -> Dict[str, object]:
     """Monte-Carlo coverage campaign: the empirical complement of Fig. 6.
@@ -692,7 +692,7 @@ def experiment_application(
     shard_size: int = 50,
     workers: int = 0,
     checkpoint: Optional[str] = None,
-    backend: str = "batched",
+    backend: str = DEFAULT_BACKEND,
     fault_model: Optional[str] = "stochastic",
 ) -> Dict[str, object]:
     """Application-level campaign: accuracy degradation under faults.
@@ -755,7 +755,7 @@ def experiment_rare_event(
     seed: int = 0,
     shard_size: int = 1000,
     workers: int = 0,
-    backend: str = "bitpacked",
+    backend: str = DEFAULT_BACKEND,
 ) -> Dict[str, object]:
     """Rare-event demo: importance sampling vs. uniform Monte Carlo at 1e-5.
 
@@ -869,7 +869,7 @@ def experiment_rare_event(
 def experiment_multifault(
     workload: str = "and2",
     max_faults: int = 2,
-    backend: str = "batched",
+    backend: str = DEFAULT_BACKEND,
     bch_t: int = 2,
     chunk_size: int = 4096,
     jobs: int = 1,

@@ -5,8 +5,10 @@ trace of a campaign run; :func:`ingest_checkpoint` replays one into a
 :class:`~repro.store.database.ResultsStore` idempotently.  Two modes:
 
 * **With the spec** (``--spec``): the campaign row gets the canonical spec
-  JSON and only records tagged with that spec's hash are taken; cell columns
-  come straight from the spec's expanded grid.
+  JSON and only records tagged with one of that spec's
+  :meth:`~repro.campaign.spec.CampaignSpec.resume_hashes` are taken, all
+  filed under its ``spec_hash()``; cell columns come straight from the
+  spec's expanded grid.
 
 * **Bare checkpoint**: every well-formed record is taken; the owning
   campaign rows are registered as stubs (no spec JSON) named after the file,
@@ -112,6 +114,7 @@ def ingest_checkpoint(
     only_hash: Optional[str] = None
     if spec is not None:
         only_hash = spec.spec_hash()
+        accepted = spec.resume_hashes()
         fields_by_key = {cell.key: cell_fields(cell) for cell in spec.cells()}
 
     with open(path, "r", encoding="utf-8") as handle:
@@ -133,9 +136,11 @@ def ingest_checkpoint(
             except (json.JSONDecodeError, EvaluationError, KeyError, TypeError, ValueError):
                 report.skipped_malformed += 1
                 continue
-            if only_hash is not None and spec_hash != only_hash:
-                report.skipped_other_spec += 1
-                continue
+            if only_hash is not None:
+                if spec_hash not in accepted:
+                    report.skipped_other_spec += 1
+                    continue
+                spec_hash = only_hash
             report.records += 1
             if spec_hash not in registered:
                 # Stub campaign row for a bare checkpoint; never clobbers a

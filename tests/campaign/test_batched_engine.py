@@ -1,23 +1,25 @@
 """Campaign integration of the batched execution backend.
 
-Covers the spec/CLI surface (``backend`` field, deprecated ``engine`` alias,
-hash back-compat), the worker dispatch, exact scalar equality on fault-free
-cells, statistical scalar agreement on stochastic cells, and the SEP
-acceptance sweep.
+Covers the spec/CLI surface (``backend`` field, a spec hash without the
+backend, the removed ``engine`` alias), the worker dispatch, exact scalar
+equality on fault-free and stochastic cells, checkpoints shared across
+backends, and the SEP acceptance sweep.
 """
 
 import numpy as np
 import pytest
 
+from repro.__main__ import main
 from repro.campaign import (
     CampaignSpec,
     run_campaign,
     run_shard,
 )
 from repro.campaign.aggregate import COUNT_KEYS
-from repro.campaign.spec import CAMPAIGN_BACKENDS, CAMPAIGN_ENGINES, ShardTask
+from repro.campaign.spec import ShardTask
 from repro.campaign.worker import clear_executor_cache
 from repro.campaign.workloads import get_campaign_workload
+from repro.core.backend import BACKEND_NAMES, DEFAULT_BACKEND
 from repro.core.batched import compile_plan, run_batch, sample_input_matrix
 from repro.errors import EvaluationError
 
@@ -40,12 +42,13 @@ def spec(backend="batched", **overrides):
 
 class TestSpecSurface:
     def test_backends_constant(self):
-        assert CAMPAIGN_BACKENDS == ("scalar", "batched", "bitpacked")
-        # The deprecated alias names the same choice set.
-        assert CAMPAIGN_ENGINES == CAMPAIGN_BACKENDS
+        # ``scalar`` leads: it is the differential harness's reference.
+        assert BACKEND_NAMES == ("scalar", "batched", "bitpacked")
 
-    def test_default_backend_is_scalar(self):
-        assert CampaignSpec(workloads=("and2",)).backend == "scalar"
+    def test_unset_backend_is_the_default_backend(self):
+        assert DEFAULT_BACKEND == "bitpacked"
+        assert CampaignSpec(workloads=("and2",)).backend == DEFAULT_BACKEND
+        assert spec(backend=None).shards()[0].backend == DEFAULT_BACKEND
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(EvaluationError):
@@ -60,81 +63,30 @@ class TestSpecSurface:
         assert all(task.backend == "batched" for task in spec().shards())
         assert all(task.backend == "scalar" for task in spec(backend="scalar").shards())
 
-    def test_scalar_hash_unchanged_by_backend_field(self):
-        # Pre-backend checkpoints must stay resumable: a default-backend spec
-        # hashes as if the field did not exist.
-        base = spec(backend="scalar")
-        data = base.to_dict()
-        assert data["backend"] == "scalar"
-        del data["backend"]
-        assert CampaignSpec.from_dict(data).spec_hash() == base.spec_hash()
-
-    def test_batched_hash_differs_from_scalar(self):
-        assert spec().spec_hash() != spec(backend="scalar").spec_hash()
+    def test_hash_is_the_same_on_every_backend(self):
+        # The backend says how trials run, not which: every backend hashes
+        # as a scalar spec always has (the literal is this spec's hash from
+        # before the backend left it), so old scalar checkpoints resume.
+        hashes = {spec(backend=name).spec_hash() for name in BACKEND_NAMES}
+        assert hashes == {"3a7b599a93188333"}
+        assert spec().to_dict()["backend"] == "batched"
 
     def test_backend_round_trips_through_json(self):
         assert CampaignSpec.from_json(spec().to_json()).backend == "batched"
 
-
-class TestEngineDeprecationShim:
-    def test_engine_kwarg_maps_to_backend_with_warning(self):
-        with pytest.deprecated_call():
-            legacy = CampaignSpec(workloads=("and2",), engine="batched")
-        assert legacy.backend == "batched"
-        # The alias mirrors the resolved backend for legacy readers.
-        assert legacy.engine == "batched"
-
-    def test_engine_spec_hash_matches_backend_spec_hash(self):
-        # A pre-rename batched checkpoint must resume under the new field.
-        with pytest.deprecated_call():
-            legacy = CampaignSpec(workloads=("and2",), engine="batched")
-        assert legacy.spec_hash() == CampaignSpec(
-            workloads=("and2",), backend="batched"
-        ).spec_hash()
-
-    def test_engine_json_spec_files_still_load(self):
-        with pytest.deprecated_call():
-            loaded = CampaignSpec.from_dict(
-                {"workloads": ["and2"], "engine": "batched"}
-            )
-        assert loaded.backend == "batched"
-
-    def test_engine_key_not_serialised(self):
-        with pytest.deprecated_call():
-            legacy = CampaignSpec(workloads=("and2",), engine="batched")
-        data = legacy.to_dict()
-        assert "engine" not in data
-        assert data["backend"] == "batched"
-
-    def test_unknown_engine_rejected(self):
-        with pytest.deprecated_call(), pytest.raises(EvaluationError):
-            CampaignSpec(workloads=("and2",), engine="vectorised")
-
-    def test_conflicting_engine_and_backend_rejected(self):
-        with pytest.deprecated_call(), pytest.raises(EvaluationError):
-            CampaignSpec(workloads=("and2",), backend="batched", engine="scalar")
-
-    def test_stale_engine_cannot_override_explicit_scalar_backend(self):
-        # An *explicit* backend="scalar" is a pin, not a default: a stale
-        # engine kwarg must conflict loudly instead of silently switching
-        # the campaign onto Philox streams and the batched hash namespace.
-        with pytest.deprecated_call(), pytest.raises(EvaluationError):
-            CampaignSpec(workloads=("and2",), backend="scalar", engine="batched")
-
-    def test_shard_task_engine_alias(self):
-        task = spec().shards()[0]
-        assert task.engine == task.backend == "batched"
-
-    def test_shard_task_engine_kwarg_still_constructs(self):
-        # PR-2 era code built ShardTask(engine=...) directly; the keyword
-        # must keep working through the same deprecation shim.
-        with pytest.deprecated_call():
-            task = ShardTask(
+    def test_engine_alias_is_gone(self, capsys):
+        with pytest.raises(TypeError):
+            CampaignSpec(workloads=("and2",), engine="batched")
+        with pytest.raises(TypeError):
+            ShardTask(
                 cell=spec().cells()[0], shard_index=0, start_trial=0,
                 n_trials=5, campaign_seed=0, engine="batched",
             )
-        assert task.backend == "batched"
-        assert run_shard(task).counts["trials"] == 5
+        with pytest.raises(EvaluationError, match="unknown campaign spec fields"):
+            CampaignSpec.from_dict({"workloads": ["and2"], "engine": "batched"})
+        with pytest.raises(SystemExit):
+            main(["campaign", "--engine", "batched", "--quiet"])
+        assert "unrecognized arguments: --engine" in capsys.readouterr().err
 
 
 class TestWorkerDispatch:
@@ -241,11 +193,13 @@ class TestCheckpointInterop:
         assert again.resumed_shards == len(spec().shards())
         assert again.counts_by_cell == full.counts_by_cell
 
-    def test_batched_checkpoint_not_consumed_by_scalar_run(self, tmp_path):
+    def test_scalar_run_resumes_a_batched_checkpoint(self, tmp_path):
         path = tmp_path / "ckpt.jsonl"
-        run_campaign(spec(), workers=0, checkpoint=path)
+        batched = run_campaign(spec(), workers=0, checkpoint=path)
         scalar = run_campaign(spec(backend="scalar"), workers=0, checkpoint=path)
-        assert scalar.resumed_shards == 0
+        assert scalar.executed_shards == 0
+        assert scalar.resumed_shards == len(spec().shards())
+        assert scalar.counts_by_cell == batched.counts_by_cell
 
 
 class TestBatchedMemoryErrors:

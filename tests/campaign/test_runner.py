@@ -47,7 +47,7 @@ class TestDeterminism:
     def test_fresh_executor_matches_reused_executor(self):
         # The per-process executor cache (reset + rerun) must not change
         # outcomes relative to building a brand-new executor per shard.
-        spec = small_spec(schemes=("ecim",), trials=10, shard_size=10)
+        spec = small_spec(schemes=("ecim",), trials=10, shard_size=10, backend="scalar")
         task = spec.shards()[0]
         clear_executor_cache()
         first = run_shard(task)

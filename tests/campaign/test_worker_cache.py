@@ -70,14 +70,14 @@ class TestPlanCacheBound:
         clear_executor_cache()
         cells = distinct_cells(CACHE_LIMIT + 5)
         for cell in cells:
-            _plan_for(cell)
+            _plan_for(cell, "batched")
             assert len(_PLAN_CACHE) <= CACHE_LIMIT
         # stt and sot variants of the same (workload, scheme, style) share
         # one compiled plan.
         clear_executor_cache()
         stt = CampaignCell("and2", "ecim", "stt", 1e-3)
         sot = CampaignCell("and2", "ecim", "sot", 1e-3)
-        assert _plan_for(stt) is _plan_for(sot)
+        assert _plan_for(stt, "batched") is _plan_for(sot, "batched")
         clear_executor_cache()
 
 
@@ -85,7 +85,7 @@ class TestClear:
     def test_clear_empties_both_caches(self):
         cell = distinct_cells(1)[0]
         _executor_for(cell)
-        _plan_for(cell)
+        _plan_for(cell, "batched")
         assert _EXECUTOR_CACHE and _PLAN_CACHE
         clear_executor_cache()
         assert not _EXECUTOR_CACHE
@@ -98,6 +98,6 @@ class TestClear:
         clear_executor_cache()
         task = CampaignSpec(
             workloads=("and2",), schemes=("ecim",), gate_error_rates=(1e-3,),
-            trials=5, shard_size=5, seed=1,
+            trials=5, shard_size=5, seed=1, backend="scalar",
         ).shards()[0]
         assert run_shard(task).counts["trials"] == 5

@@ -17,6 +17,10 @@ bitpacked tape fuses, so their faults reach the fused record's slow path.
 ``max_examples`` stays small to keep tier-1 fast.  One more case runs a
 pooled multi-fault sweep on a bitpacked backend whose int tape is already
 built, so the pool pickles it.
+
+The same circuits also check the paper's guarantee itself, on the default
+backend: under ECiM and TRiM, in both gate styles, every single fault
+leaves the outputs correct, while the unprotected twin loses it.
 """
 
 import os
@@ -27,10 +31,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.backend import derive_seed, make_backend
+from repro.core.backend import DEFAULT_BACKEND, derive_seed, make_backend
 from repro.core.batched import sample_input_matrix
 from repro.core.rng import TrialStream
-from repro.core.sep import exhaustive_multi_fault_injection
+from repro.core.sep import exhaustive_multi_fault_injection, exhaustive_single_fault_injection
 from repro.pim.faults import FaultModelSpec
 
 from differential_harness import BACKEND_FACTORIES, REFERENCE_BACKEND, assert_outcomes_identical
@@ -134,3 +138,25 @@ def test_pooled_sweep_after_the_tape_is_built():
     serial = exhaustive_multi_fault_injection(backend, inputs, jobs=1, **sweep)
     assert serial.total_combinations > sweep["chunk_size"]  # several shards
     assert exhaustive_multi_fault_injection(backend, inputs, jobs=2, **sweep) == serial
+
+
+@pytest.mark.parametrize("multi_output", [True, False], ids=["mo", "so"])
+@pytest.mark.parametrize("scheme", ["ecim", "trim"])
+@settings(max_examples=4, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=10_000),
+    n_inputs=st.integers(min_value=2, max_value=5),
+    n_gates=st.integers(min_value=3, max_value=14),
+)
+def test_generated_circuit_single_error_protection(scheme, multi_output, seed, n_inputs, n_gates):
+    netlist = random_netlist(seed, n_inputs, n_gates)
+    rng = random.Random(seed)
+    for _ in range(2):
+        inputs = {signal: rng.randint(0, 1) for signal in netlist.inputs}
+        protected = make_backend(DEFAULT_BACKEND, netlist, scheme, multi_output=multi_output)
+        analysis = exhaustive_single_fault_injection(protected, inputs)
+        assert analysis.sep_guaranteed, (netlist.name, scheme, multi_output, inputs)
+        # Without checks a fault on an output gate reaches the outputs, so
+        # the property can fail.
+        bare = make_backend(DEFAULT_BACKEND, netlist, "unprotected", multi_output=multi_output)
+        assert not exhaustive_single_fault_injection(bare, inputs).sep_guaranteed

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.backend import BACKEND_NAMES
+from repro.core.backend import BACKEND_NAMES, DEFAULT_BACKEND
 from repro.errors import EvaluationError, UnknownExperimentError
 from repro.eval.experiments import (
     EXPERIMENTS,
@@ -91,7 +91,7 @@ class TestTableExperiments:
 class TestFigureExperiments:
     def test_fig6_sep_holds(self):
         result = experiment_fig6()
-        assert result["backend"] == "scalar"
+        assert result["backend"] == DEFAULT_BACKEND
         assert result["ecim_sep"] is True
         assert result["trim_sep"] is True
         assert result["ecim_protected"] == result["ecim_sites"]

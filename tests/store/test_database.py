@@ -7,6 +7,7 @@ import pytest
 import repro
 from repro.campaign.aggregate import ShardResult, zeroed_counts
 from repro.campaign.spec import CampaignSpec
+from repro.core.backend import DEFAULT_BACKEND
 from repro.errors import EvaluationError
 from repro.store import SCHEMA_VERSION, FileLock, LockTimeoutError, ResultsStore
 from repro.store.database import cell_fields
@@ -139,7 +140,7 @@ class TestRecording:
             campaign = store.campaigns()[0]
             assert campaign["name"] == "bare-reingest"
             assert campaign["has_spec"] == 1
-            assert campaign["backend"] == "scalar"
+            assert campaign["backend"] == DEFAULT_BACKEND
 
 
 class TestFileLock:

@@ -64,7 +64,7 @@ class TestCommands:
         assert "Single error protection: holds" in capsys.readouterr().out
 
     def test_sep_batched_backend_reproduces_scalar_output(self, capsys):
-        assert main(["sep"]) == 0
+        assert main(["sep", "--backend", "scalar"]) == 0
         scalar = capsys.readouterr().out
         assert main(["sep", "--backend", "batched"]) == 0
         assert capsys.readouterr().out == scalar
@@ -139,18 +139,6 @@ class TestCampaignCommand:
     def test_backend_flag_selects_batched(self, capsys):
         assert main(CAMPAIGN_ARGS + ["--backend", "batched"]) == 0
         assert "36 trials across 3 cells" in capsys.readouterr().out
-
-    def test_engine_flag_is_a_deprecated_alias(self, capsys):
-        with pytest.deprecated_call():
-            assert main(CAMPAIGN_ARGS + ["--engine", "batched"]) == 0
-        assert "36 trials across 3 cells" in capsys.readouterr().out
-
-    def test_conflicting_backend_and_engine_fail(self, capsys):
-        with pytest.deprecated_call():
-            assert main(
-                CAMPAIGN_ARGS + ["--backend", "scalar", "--engine", "batched"]
-            ) == 1
-        assert "conflicting flags" in capsys.readouterr().err
 
     def test_unknown_backend_fails_at_parse_time(self, capsys):
         with pytest.raises(SystemExit):
@@ -326,6 +314,30 @@ class TestStoreAndQueryCommands:
         db = str(tmp_path / "empty.sqlite")
         assert main(["query", "--db", db]) == 0
         assert "no matching cells" in capsys.readouterr().err
+
+    def test_one_campaign_on_two_backends_is_counted_once(self, capsys, tmp_path):
+        # The same 500 trials run on batched, then on bitpacked, into one
+        # checkpoint and one store: the second run resumes them, and the
+        # store holds them once, under the scalar spec's hash.
+        import json
+
+        db, checkpoint = str(tmp_path / "r.sqlite"), str(tmp_path / "c.jsonl")
+        argv = [
+            "campaign", "--workloads", "dot2", "--schemes", "ecim", "--rates", "1e-2",
+            "--trials", "500", "--seed", "3", "--workers", "0", "--quiet",
+            "--checkpoint", checkpoint, "--db", db,
+        ]
+        assert main(argv + ["--backend", "batched"]) == 0
+        assert "2 shards executed, 0 resumed" in capsys.readouterr().out
+        assert main(argv + ["--backend", "bitpacked"]) == 0
+        assert "0 shards executed, 2 resumed" in capsys.readouterr().out
+        assert main(["store", "campaigns", "--db", db, "--format", "json"]) == 0
+        (campaign,) = json.loads(capsys.readouterr().out)
+        assert campaign["spec_hash"] == "4a5c997cc6d26f3f"
+        assert campaign["backend"] == "bitpacked"  # the latest run's
+        assert main(["query", "--db", db, "--format", "json"]) == 0
+        (row,) = json.loads(capsys.readouterr().out)
+        assert row["trials"] == 500
 
 
 class TestMultiFaultSweepCommand:

@@ -118,3 +118,48 @@ class TestCli:
             "benchmarks/test_bench_rng.py",
             "benchmarks/test_bench_fault_path.py",
         }
+
+
+class TestSeveralRuns:
+    """The gate reads each bench's median of its per-file medians."""
+
+    @staticmethod
+    def gate(tmp_path, runs, pinned=1.0):
+        baseline = tmp_path / "baseline.json"
+        baseline.write_text(json.dumps({"bench::x": pinned}))
+        paths = [
+            str(results_file(tmp_path, medians, name=f"run{index}.json"))
+            for index, medians in enumerate(runs)
+        ]
+        return compare_baseline.main(paths + ["--baseline", str(baseline)])
+
+    def test_one_slow_run_of_three_passes(self, tmp_path):
+        runs = [{"bench::x": 1.0}, {"bench::x": 3.0}, {"bench::x": 1.1}]
+        assert self.gate(tmp_path, runs) == 0
+
+    def test_two_slow_runs_of_three_fail(self, tmp_path, capsys):
+        runs = [{"bench::x": 1.0}, {"bench::x": 3.0}, {"bench::x": 1.5}]
+        assert self.gate(tmp_path, runs) == 1
+        assert "REGRESSED" in capsys.readouterr().out
+
+    def test_bench_missing_from_one_run_fails(self, tmp_path, capsys):
+        runs = [{"bench::x": 1.0}, {"bench::x": 1.0, "bench::y": 1.0}, {"bench::x": 1.0}]
+        assert self.gate(tmp_path, runs) == 1
+        out = capsys.readouterr().out
+        assert "MISSING" in out and "bench::y" in out
+
+    def test_a_single_file_gates_as_before(self, tmp_path):
+        assert self.gate(tmp_path, [{"bench::x": 1.29}]) == 0
+        assert self.gate(tmp_path, [{"bench::x": 1.31}]) == 1
+
+    def test_write_pins_the_median_of_the_runs(self, tmp_path):
+        runs = [{"bench::x": 1.0}, {"bench::x": 3.0}, {"bench::x": 1.2}]
+        paths = [
+            str(results_file(tmp_path, medians, name=f"run{index}.json"))
+            for index, medians in enumerate(runs)
+        ]
+        baseline = tmp_path / "baseline.json"
+        assert compare_baseline.main(paths + ["--baseline", str(baseline), "--write"]) == 0
+        assert json.loads(baseline.read_text()) == {"bench::x": 1.2}
+        partial = paths + [str(results_file(tmp_path, {"bench::y": 1.0}, name="other.json"))]
+        assert compare_baseline.main(partial + ["--baseline", str(baseline), "--write"]) == 1
