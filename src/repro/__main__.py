@@ -158,7 +158,7 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         get_campaign_workload,
         run_campaign,
     )
-    from repro.errors import ReproError
+    from repro.errors import ReproError, WorkerDiedError
 
     try:
         if args.spec is not None:
@@ -213,6 +213,14 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         if not args.quiet:
             print(f"\r  shards {done}/{total}", end="", file=sys.stderr, flush=True)
 
+    def resume_hint() -> None:
+        if args.checkpoint:
+            print(
+                f"completed shards are saved in {args.checkpoint}; "
+                "re-run the same command to resume",
+                file=sys.stderr,
+            )
+
     try:
         result = run_campaign(
             spec,
@@ -225,15 +233,12 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         )
     except (ReproError, OSError) as error:
         print(f"\ncampaign failed: {error}", file=sys.stderr)
+        if isinstance(error, WorkerDiedError):
+            resume_hint()
         return 1
     except KeyboardInterrupt:
         print("\ncampaign interrupted", file=sys.stderr)
-        if args.checkpoint:
-            print(
-                f"completed shards are saved in {args.checkpoint}; "
-                "re-run the same command to resume",
-                file=sys.stderr,
-            )
+        resume_hint()
         return 130
     if not args.quiet:
         print(file=sys.stderr)
@@ -491,7 +496,7 @@ def build_parser() -> argparse.ArgumentParser:
     campaign_parser.add_argument("--seed", type=int, default=0, help="campaign seed (default: 0)")
     campaign_parser.add_argument(
         "--shard-size", type=int, default=250, metavar="N",
-        help="trials per shard — the unit of parallelism and resume (default: 250)",
+        help="trials per shard — the unit of resume and of checkpoint lines (default: 250)",
     )
     campaign_parser.add_argument(
         "--workers", type=int, default=-1, metavar="N",
@@ -518,7 +523,7 @@ def build_parser() -> argparse.ArgumentParser:
         help=(
             "execution backend: 'scalar' walks the behavioural array per "
             "trial (the reference), 'batched' compiles the cell to an "
-            "instruction tape and runs each shard as one numpy bit-matrix, "
+            "instruction tape and runs each batch of shards as one numpy bit-matrix, "
             "'bitpacked' interprets that tape bit-sliced, one int per "
             f"column holding every trial (fastest; default: {DEFAULT_BACKEND}). "
             "All three give byte-identical results, so a checkpoint "

@@ -4,15 +4,17 @@ The store is an append-only file with one JSON object per completed shard::
 
     {"spec_hash": "...", "cell": "<cell key>", "shard": 3, "counts": {...}}
 
-Append-only JSONL is deliberately boring: a crash mid-write loses at most the
-final line (dropped on load, with a warning naming the line so the operator
-knows one shard will re-run; reopening the store terminates it, so the next
-append starts a fresh line), completed shards are never
-rewritten, and the file can be inspected / grepped / concatenated with
-standard tools.  Records are tagged with the owning spec's hash so a file can
-be reused across campaign definitions — records from other specs are simply
-ignored — and a changed spec (different seed, grid or shard size) never
-poisons a resume.
+A campaign appends one group of shards at a time, with one write and one
+``fsync``.  Append-only JSONL is deliberately boring: a crash mid-write
+loses at most the group being written, whose lines that reached the file
+whole still resume (a torn final line is dropped on load, with a warning
+naming the line so the operator knows its shard will re-run; reopening the
+store terminates it, so the next append starts a fresh line), completed
+shards are never rewritten, and the file can be inspected / grepped /
+concatenated with standard tools.  Records are tagged with the owning
+spec's hash so a file can be reused across campaign definitions — records
+from other specs are simply ignored — and a changed spec (different seed,
+grid or shard size) never poisons a resume.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from __future__ import annotations
 import json
 import os
 import warnings
-from typing import Collection, Dict, Tuple, Union
+from typing import Collection, Dict, Sequence, Tuple, Union
 
 from repro.campaign.aggregate import ShardResult
 from repro.errors import EvaluationError
@@ -101,11 +103,14 @@ class CheckpointStore:
                 shards.setdefault((result.cell_key, result.shard_index), result)
         return completed
 
-    def append(self, spec_hash: str, result: ShardResult) -> None:
-        """Durably record one completed shard."""
-        record = {"spec_hash": spec_hash}
-        record.update(result.to_dict())
+    def append(self, spec_hash: str, results: Sequence[ShardResult]) -> None:
+        """Durably record a group of completed shards, one line each, with
+        one write and one ``fsync``."""
+        lines = "".join(
+            json.dumps({"spec_hash": spec_hash, **result.to_dict()}, sort_keys=True) + "\n"
+            for result in results
+        )
         with open(self.path, "a", encoding="utf-8") as handle:
-            handle.write(json.dumps(record, sort_keys=True) + "\n")
+            handle.write(lines)
             handle.flush()
             os.fsync(handle.fileno())

@@ -7,24 +7,29 @@ a :class:`CampaignResult`:
 2. if a checkpoint path is given, load completed shards filed under any of
    this spec's hashes (:meth:`~repro.campaign.spec.CampaignSpec.resume_hashes`)
    and schedule only the remainder;
-3. execute pending shards — serially in-process (``workers <= 1``) or across
-   a :class:`concurrent.futures.ProcessPoolExecutor` — recording each shard
-   into the checkpoint (and, with ``db``, the persistent
+3. cut the pending shards into groups
+   (:func:`~repro.campaign.worker.shard_groups`) and run each group as one
+   engine batch (:func:`~repro.campaign.worker.run_shards`) — serially
+   in-process (``workers <= 1``) or one group per task on a
+   :class:`concurrent.futures.ProcessPoolExecutor` — committing each
+   finished group into the checkpoint (and, with ``db``, the persistent
    :class:`~repro.store.database.ResultsStore` corpus) as it completes, so
-   an interrupt at any point loses at most the shards in flight;
+   an interrupt at any point loses at most the groups in flight;
 4. merge every metric family's sums (in canonical shard order) into
    per-cell reports with Wilson confidence intervals.
 
-Shards stay the unit of resume and recording in both modes.  The serial
-mode runs a cell's consecutive pending shards as one engine batch of at
-most 4,096 trials (:func:`repro.campaign.worker.shard_groups`; one shard
-per batch on the scalar backend), then records the batch's shards one by
-one — so a crash loses at most one group, and progress arrives one group at
-a time.  The pool runs one shard per task.  Both go through
-:func:`repro.campaign.worker.run_shards` (:func:`~repro.campaign.worker.run_shard`
-is its one-shard group), and every trial's randomness is derived from the
-spec and its trial index alone, so aggregate results are bit-identical for
-any worker count and any serial/parallel/resumed execution history.
+Both modes cut groups the same way.  A group is a cell's consecutive
+pending shards, at most the backend's ``max_batch_trials`` trials (4,096
+on the tape backends, one shard on the scalar one); a pool of N workers
+also caps it at ``ceil(pending trials / 2N)``, so every worker gets work.
+A group is the unit of commit: one checkpoint write and ``fsync``, one
+database transaction and one progress call.  The shard stays the unit of
+resume and of checkpoint lines, and every trial's randomness is derived
+from the spec and its trial index alone, so aggregate results and
+checkpoint lines are bit-identical for any worker count, any grouping and
+any serial/parallel/resumed execution history.  A worker process that dies
+fails the campaign with a :class:`~repro.errors.WorkerDiedError`; the
+groups already committed resume.
 
 Specs with an ``estimator`` (or a ``target_ci_halfwidth``) dispatch to the
 round-structured adaptive driver in :mod:`repro.campaign.adaptive.runner`,
@@ -37,8 +42,9 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Union
+from typing import Callable, Dict, List, Optional, Sequence, Union
 
 from repro.campaign.aggregate import (
     CellReport,
@@ -51,8 +57,12 @@ from repro.campaign.aggregate import (
 )
 from repro.campaign.checkpoint import CheckpointStore
 from repro.campaign.spec import CampaignSpec, ShardTask
-from repro.campaign.worker import run_shard, run_shards, shard_groups
-from repro.errors import EvaluationError
+from repro.campaign.worker import run_shards, shard_groups
+
+# Nothing here calls run_shard; perfbench's trace mode wraps it under this
+# module's name (perfbench/child.py, LAYERS), so the name stays importable.
+from repro.campaign.worker import run_shard  # noqa: F401
+from repro.errors import EvaluationError, WorkerDiedError
 
 __all__ = ["CampaignResult", "ShardRecorder", "drain_tasks", "run_campaign"]
 
@@ -137,11 +147,11 @@ class ShardRecorder:
     """Checkpoint + results-store recording shared by both campaign drivers.
 
     Owns the resume set (completed shards of this spec hash), the growing
-    result list, and the side effects every finished shard triggers:
-    checkpoint append, live database recording, progress callback.  The
-    adaptive driver admits tasks round by round; the fixed driver admits the
-    whole shard list at once — either way resumed shards short-circuit
-    without re-execution.
+    result list, and the side effects every finished group of shards
+    triggers: one checkpoint append, one database transaction, one progress
+    call.  The adaptive driver admits tasks round by round; the fixed driver
+    admits the whole shard list at once — either way resumed shards
+    short-circuit without re-execution.
     """
 
     def __init__(
@@ -184,30 +194,35 @@ class ShardRecorder:
     def admit(self, tasks: List[ShardTask]) -> List[ShardTask]:
         """Schedule ``tasks``; resumed ones complete instantly, rest pend."""
         pending: List[ShardTask] = []
-        resumed_now = 0
+        resumed: List[ShardResult] = []
         self.total += len(tasks)
         for task in tasks:
             done = self.completed.get((task.cell.key, task.shard_index))
-            if done is not None:
-                self.results.append(done)
-                resumed_now += 1
-                if self.results_db is not None:
-                    self.results_db.record_shard(self.spec_hash, task.cell, done)
-            else:
+            if done is None:
                 pending.append(task)
-        self.resumed += resumed_now
-        if self.progress and resumed_now:
-            self.progress(len(self.results), self.total)
+            else:
+                resumed.append(done)
+        if resumed:
+            self.resumed += len(resumed)
+            self._file(resumed)
         return pending
 
-    def record(self, result: ShardResult) -> None:
-        self.results.append(result)
+    def record(self, results: Sequence[ShardResult]) -> None:
+        """Commit one finished group of shards."""
         if self.store:
-            self.store.append(self.spec_hash, result)
+            self.store.append(self.spec_hash, results)
+        self._file(results)
+
+    def _file(self, results: Sequence[ShardResult]) -> None:
+        """Add ``results`` to the run, to ``--db`` in one transaction, and
+        report progress once."""
+        self.results.extend(results)
         if self.results_db is not None:
-            self.results_db.record_shard(
-                self.spec_hash, self._cells_by_key[result.cell_key], result
-            )
+            with self.results_db.transaction():
+                for result in results:
+                    self.results_db.record_shard(
+                        self.spec_hash, self._cells_by_key[result.cell_key], result
+                    )
         if self.progress:
             self.progress(len(self.results), self.total)
 
@@ -222,27 +237,35 @@ class ShardRecorder:
 
 
 def drain_tasks(
-    workers: int, pending: List[ShardTask], record: Callable[[ShardResult], None]
+    workers: int,
+    pending: List[ShardTask],
+    record: Callable[[List[ShardResult]], None],
 ) -> None:
     """Execute ``pending`` shards serially or over a bounded process pool.
 
-    Serially, each group of :func:`~repro.campaign.worker.shard_groups` runs
-    as one batch and its shards are recorded in order; the pool runs and
-    records one shard per task.
+    Both modes run the groups :func:`~repro.campaign.worker.shard_groups`
+    cuts for ``workers``, one engine batch each, and hand ``record`` each
+    group's results in shard order.  A worker process that dies raises
+    :class:`~repro.errors.WorkerDiedError`, an
+    :class:`~repro.errors.EvaluationError`.
     """
-    if pending and workers > 1:
-        # Bound in-flight futures so enormous campaigns don't materialise
-        # their whole shard list in the pool's queue at once.
+    groups = shard_groups(pending, workers)
+    if workers <= 1 or not pending:
+        for group in groups:
+            record(run_shards(group))
+        return
+    try:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            backlog = iter(pending)
             in_flight = set()
             try:
                 while True:
+                    # Bound in-flight futures so enormous campaigns don't
+                    # materialise their whole group list in the pool's queue.
                     while len(in_flight) < 2 * workers:
-                        task = next(backlog, None)
-                        if task is None:
+                        group = next(groups, None)
+                        if group is None:
                             break
-                        in_flight.add(pool.submit(run_shard, task))
+                        in_flight.add(pool.submit(run_shards, group))
                     if not in_flight:
                         break
                     finished, in_flight = wait(in_flight, return_when=FIRST_COMPLETED)
@@ -250,14 +273,12 @@ def drain_tasks(
                         record(future.result())
             finally:
                 # A poisoned record callback (or KeyboardInterrupt) must not
-                # hang the context-manager exit behind queued shards: cancel
+                # hang the context-manager exit behind queued groups: cancel
                 # everything not yet running, then let __exit__ join the pool.
                 # Python 3.9+: cancel_futures sweeps the pool's own queue too.
                 pool.shutdown(wait=False, cancel_futures=True)
-    else:
-        for group in shard_groups(pending):
-            for result in run_shards(group):
-                record(result)
+    except BrokenProcessPool as error:
+        raise WorkerDiedError(f"a campaign worker process died: {error}") from error
 
 
 def build_result(
@@ -298,12 +319,11 @@ def run_campaign(
 
     ``workers``: 0 or 1 runs shards serially in-process; N > 1 fans them out
     over a process pool of N workers; negative picks ``cpu_count - 1``.
-    ``progress`` (optional) is called as ``progress(done, total)`` after each
-    shard is recorded, counting resumed shards as already done (serial runs
-    record a batch's shards together, so updates arrive one batch at a time).
+    ``progress`` (optional) is called as ``progress(done, total)`` in shards
+    after each group is committed, counting resumed shards as already done.
     ``db`` (optional) names a :class:`~repro.store.database.ResultsStore`
     SQLite file: the campaign row is registered up front and every completed
-    shard (resumed ones included) is recorded live as it lands, so even an
+    group (resumed shards included) is recorded live as it lands, so even an
     interrupted run leaves its finished shards in the corpus.  Recording is
     idempotent — re-running, resuming, or separately ingesting the same
     checkpoint can never duplicate a shard.

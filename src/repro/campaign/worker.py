@@ -1,14 +1,16 @@
 """Shard execution: the code that actually runs trials, in any process.
 
 A shard is a contiguous chunk of one grid cell's trials, and it stays the
-unit of resume and recording.  :func:`run_shards` executes one *group* of a
-cell's consecutive shards as a single engine batch and returns one summed
-:class:`~repro.campaign.aggregate.ShardResult` per shard; :func:`run_shard`
-is the one-shard group.  The serial runner hands it the groups
-:func:`shard_groups` cuts (at most the backend class's
-``max_batch_trials`` — 4,096 trials on the tape backends, one shard on the
-scalar one) and the process pool one shard per task.  Both give the same
-bytes, which is a structural property rather than a testing aspiration:
+unit of resume and of checkpoint lines.  :func:`run_shards` executes one
+*group* of a cell's consecutive shards as a single engine batch and returns
+one summed :class:`~repro.campaign.aggregate.ShardResult` per shard;
+:func:`run_shard` is the one-shard group.  Both campaign modes run the
+groups :func:`shard_groups` cuts, in process or one group per pool task:
+at most the backend class's ``max_batch_trials`` (4,096 trials on the tape
+backends, one shard on the scalar one), and in a pool also at most a share
+of the pending trials, so that every worker gets work.  Every grouping
+gives the same bytes, which is a structural property rather than a testing
+aspiration:
 
 * every trial's randomness comes from one counter-based
   :class:`~repro.core.rng.TrialStream` per batch, keyed once through
@@ -40,7 +42,7 @@ accumulating one per distinct cell configuration for the life of the worker.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, List, Sequence
+from typing import Iterator, List, Sequence
 
 import numpy as np
 
@@ -265,22 +267,27 @@ def _continues(previous: ShardTask, task: ShardTask) -> bool:
     )
 
 
-def shard_groups(tasks: Iterable[ShardTask]) -> Iterator[List[ShardTask]]:
+def shard_groups(tasks: Sequence[ShardTask], workers: int = 0) -> Iterator[List[ShardTask]]:
     """Cut ``tasks``, in order, into the groups :func:`run_shards` runs.
 
     A group is a run of consecutive tasks each of which continues the one
     before it (see :func:`_continues`), holding at most the backend class's
     ``max_batch_trials`` trials — a shard alone always forms a group.  So a
     resume gap, a new cell or a new stratified round starts a new group.
+    For a pool of ``workers > 1`` processes a group also holds at most
+    ``ceil(trials of tasks / (2 * workers))`` trials, so every worker gets
+    work whenever the shards allow it.
     """
+    share = None
+    if workers > 1:
+        share = -(-sum(task.n_trials for task in tasks) // (2 * workers))
     group: List[ShardTask] = []
     trials = 0
     for task in tasks:
-        if (
-            group
-            and _continues(group[-1], task)
-            and trials + task.n_trials <= backend_class(task.backend).max_batch_trials
-        ):
+        cap = backend_class(task.backend).max_batch_trials
+        if share is not None:
+            cap = min(cap, share)
+        if group and _continues(group[-1], task) and trials + task.n_trials <= cap:
             group.append(task)
             trials += task.n_trials
             continue

@@ -223,9 +223,9 @@ class ExecutionBackend(abc.ABC):
 
     name: ClassVar[str]
 
-    #: Most trials a serial campaign hands this backend in one call: it
-    #: batches a cell's consecutive pending shards up to this many trials,
-    #: and a shard alone always runs whole.
+    #: Most trials a campaign hands this backend in one call: it batches a
+    #: cell's consecutive pending shards up to this many trials, and a
+    #: shard alone always runs whole.
     max_batch_trials: ClassVar[int]
 
     netlist: Netlist

@@ -95,3 +95,7 @@ class UnknownExperimentError(EvaluationError):
 
 class UnknownWorkloadError(EvaluationError):
     """A workload name was requested that the registry does not know."""
+
+
+class WorkerDiedError(EvaluationError):
+    """A campaign worker process died; the shards already recorded resume."""

@@ -5,9 +5,11 @@ completed campaign shard ever recorded — the accumulating corpus behind
 ``python -m repro query``.  Writes follow three rules:
 
 * **Locked.**  Every write batch runs under the advisory
-  :class:`~repro.store.locking.FileLock` on ``<db>.lock``, so concurrent
+  :class:`~repro.store.locking.FileLock` on ``<db>.lock`` and commits as
+  one SQLite transaction (:meth:`ResultsStore.transaction`), so concurrent
   recorders/ingesters queue instead of interleaving multi-statement upserts
-  (WAL then makes readers never block on them).
+  (WAL then makes readers never block on them).  A campaign commits one
+  group of shards per transaction, an ingest one file.
 
 * **Idempotent.**  A shard's identity is ``(spec_hash, cell_key,
   shard_index)`` and shard outcomes are deterministic by construction
@@ -25,8 +27,9 @@ from __future__ import annotations
 
 import os
 import sqlite3
+from contextlib import contextmanager
 from datetime import datetime, timezone
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Tuple, Union
 
 import repro
 from repro.campaign.aggregate import ShardResult
@@ -110,6 +113,7 @@ class ResultsStore:
         if parent:
             os.makedirs(parent, exist_ok=True)
         self.lock = FileLock(self.path + ".lock", timeout=lock_timeout)
+        self._in_transaction = False
         try:
             self._conn = sqlite3.connect(self.path, timeout=lock_timeout)
         except sqlite3.Error as error:
@@ -147,6 +151,21 @@ class ResultsStore:
     # ------------------------------------------------------------------ #
     # Writes (all under the advisory lock)
     # ------------------------------------------------------------------ #
+    @contextmanager
+    def transaction(self) -> Iterator[None]:
+        """Hold the advisory lock and one SQLite transaction around a batch
+        of writes: it commits once, at the end, or rolls back whole.  Every
+        write method runs in one; inside an open one it joins it."""
+        if self._in_transaction:
+            yield
+            return
+        with self.lock, self._conn:
+            self._in_transaction = True
+            try:
+                yield
+            finally:
+                self._in_transaction = False
+
     def register_campaign(
         self,
         spec_hash: str,
@@ -162,7 +181,7 @@ class ResultsStore:
         erases known provenance with NULLs and never touches ``created_at``.
         """
         now = _utcnow()
-        with self.lock, self._conn:
+        with self.transaction():
             self._conn.execute(
                 """
                 INSERT INTO campaigns
@@ -181,16 +200,60 @@ class ResultsStore:
             )
 
     def record_campaign(self, spec: CampaignSpec) -> str:
-        """Register a full :class:`CampaignSpec`; returns its spec hash."""
+        """Register a full :class:`CampaignSpec`; returns its spec hash.
+
+        In the same transaction, rows filed under the spec's older hashes
+        (:meth:`~repro.campaign.spec.CampaignSpec.resume_hashes`, past the
+        first) move to ``spec_hash()``, so a campaign recorded under a
+        per-backend hash, or ingested bare from such a checkpoint, counts
+        its trials once.  A shard held under both keeps the row already
+        filed under ``spec_hash()``; the two are identical, since shard
+        outcomes do not depend on the backend.
+        """
         spec_hash = spec.spec_hash()
-        self.register_campaign(
-            spec_hash,
-            name=spec.name,
-            spec_json=spec.to_json(),
-            backend=spec.backend,
-            fault_model=spec.fault_model,
-        )
+        with self.transaction():
+            self.register_campaign(
+                spec_hash,
+                name=spec.name,
+                spec_json=spec.to_json(),
+                backend=spec.backend,
+                fault_model=spec.fault_model,
+            )
+            for old_hash in spec.resume_hashes()[1:]:
+                self._move_campaign(old_hash, spec_hash)
         return spec_hash
+
+    def _move_campaign(self, old_hash: str, spec_hash: str) -> None:
+        """File ``old_hash``'s cells and shards under ``spec_hash``, keeping
+        rows already there, and delete the ``old_hash`` campaign."""
+        cell_columns = ", ".join(("cell_key",) + CELL_FIELD_NAMES)
+        shard_columns = ("shard_index",) + SHARD_COLUMNS + ("repro_version", "recorded_at")
+        self._conn.execute(
+            f"""
+            INSERT INTO cells (spec_hash, {cell_columns})
+            SELECT ?, {cell_columns} FROM cells WHERE spec_hash = ?
+            ON CONFLICT (spec_hash, cell_key) DO NOTHING
+            """,
+            (spec_hash, old_hash),
+        )
+        self._conn.execute(
+            f"""
+            INSERT INTO shards (cell_id, {', '.join(shard_columns)})
+            SELECT dst.id, {', '.join(f's.{column}' for column in shard_columns)}
+            FROM shards s
+            JOIN cells src ON src.id = s.cell_id
+            JOIN cells dst ON dst.spec_hash = ? AND dst.cell_key = src.cell_key
+            WHERE src.spec_hash = ?
+            ON CONFLICT (cell_id, shard_index) DO NOTHING
+            """,
+            (spec_hash, old_hash),
+        )
+        self._conn.execute(
+            "DELETE FROM shards WHERE cell_id IN (SELECT id FROM cells WHERE spec_hash = ?)",
+            (old_hash,),
+        )
+        self._conn.execute("DELETE FROM cells WHERE spec_hash = ?", (old_hash,))
+        self._conn.execute("DELETE FROM campaigns WHERE spec_hash = ?", (old_hash,))
 
     def upsert_shard(self, spec_hash: str, fields: CellFields, result: ShardResult) -> bool:
         """Record one completed shard; returns True if the row was new.
@@ -213,7 +276,7 @@ class ResultsStore:
             if unknown:
                 raise EvaluationError(f"unknown shard {family.noun}s: {sorted(unknown)}")
             values += [family.value(sums.get(key, 0)) for key in family.keys]
-        with self.lock, self._conn:
+        with self.transaction():
             self._conn.execute(
                 """
                 INSERT INTO cells
@@ -237,7 +300,8 @@ class ResultsStore:
             return cursor.rowcount > 0
 
     def record_shard(self, spec_hash: str, cell: CampaignCell, result: ShardResult) -> bool:
-        """Record one shard straight from the campaign runner."""
+        """Record one shard straight from the campaign runner, which calls
+        it for each shard of a group inside one :meth:`transaction`."""
         if cell.key != result.cell_key:
             raise EvaluationError(
                 f"cell/result mismatch: {cell.key!r} vs {result.cell_key!r}"

@@ -18,9 +18,9 @@ trace of a campaign run; :func:`ingest_checkpoint` replays one into a
 
 Malformed lines follow the checkpoint loader's contract: a torn trailing
 line (crash mid-append) or a schema-drifted record is counted and skipped,
-never fatal.  The whole file ingests under one advisory-lock hold, so a
-concurrent ingest of the same file sees either none or all of it mid-flight
-— and the same final row set either way.
+never fatal.  The whole file ingests as one transaction under one
+advisory-lock hold, so a concurrent ingest of the same file sees either
+none or all of it mid-flight — and the same final row set either way.
 """
 
 from __future__ import annotations
@@ -121,7 +121,7 @@ def ingest_checkpoint(
         lines: List[str] = handle.readlines()
 
     registered: Set[str] = set()
-    with store.lock:  # one hold for the whole file: all-or-nothing visibility
+    with store.transaction():  # one commit for the whole file: all-or-nothing visibility
         if spec is not None:
             store.record_campaign(spec)
             registered.add(only_hash)

@@ -31,21 +31,21 @@ class TestCheckpointStore:
     def test_append_then_load_round_trips(self, tmp_path):
         store = CheckpointStore(tmp_path / "c.jsonl")
         result = make_result(shard=3)
-        store.append("abc", result)
+        store.append("abc", [result])
         loaded = store.load("abc")
         assert loaded == {("cell-a", 3): result}
 
     def test_records_for_other_specs_are_ignored(self, tmp_path):
         store = CheckpointStore(tmp_path / "c.jsonl")
-        store.append("spec-1", make_result(shard=0))
-        store.append("spec-2", make_result(shard=1))
+        store.append("spec-1", [make_result(shard=0)])
+        store.append("spec-2", [make_result(shard=1)])
         assert set(store.load("spec-1")) == {("cell-a", 0)}
         assert set(store.load("spec-2")) == {("cell-a", 1)}
 
     def test_torn_final_line_is_skipped(self, tmp_path):
         path = tmp_path / "c.jsonl"
         store = CheckpointStore(path)
-        store.append("abc", make_result(shard=0))
+        store.append("abc", [make_result(shard=0)])
         with open(path, "a", encoding="utf-8") as handle:
             handle.write('{"spec_hash": "abc", "cell": "cell-a", "sha')  # crash mid-write
         assert set(store.load("abc")) == {("cell-a", 0)}
@@ -54,11 +54,11 @@ class TestCheckpointStore:
         # Regression: a resumed run used to glue its first record onto the
         # crash's partial line, so the next load dropped that shard too.
         path = tmp_path / "c.jsonl"
-        CheckpointStore(path).append("abc", make_result(shard=0))
+        CheckpointStore(path).append("abc", [make_result(shard=0)])
         with open(path, "a", encoding="utf-8") as handle:
             handle.write('{"spec_hash": "abc", "cell": "cell-a", "sha')  # crash mid-write
         resumed = CheckpointStore(path)
-        resumed.append("abc", make_result(shard=1))
+        resumed.append("abc", [make_result(shard=1)])
         with pytest.warns(UserWarning, match=r"c\.jsonl:2: dropping truncated record"):
             loaded = CheckpointStore(path).load("abc")
         assert set(loaded) == {("cell-a", 0), ("cell-a", 1)}
@@ -70,8 +70,7 @@ class TestCheckpointStore:
         # and never raise json.JSONDecodeError.
         path = tmp_path / "c.jsonl"
         store = CheckpointStore(path)
-        store.append("abc", make_result(shard=0))
-        store.append("abc", make_result(shard=1))
+        store.append("abc", [make_result(shard=0), make_result(shard=1)])
         full = path.read_text()
         assert full.endswith("\n")
         path.write_text(full[: len(full) - len(full.splitlines()[-1]) // 2 - 1])
@@ -81,14 +80,14 @@ class TestCheckpointStore:
 
     def test_intact_file_loads_without_warnings(self, tmp_path):
         store = CheckpointStore(tmp_path / "c.jsonl")
-        store.append("abc", make_result(shard=0))
+        store.append("abc", [make_result(shard=0)])
         with warnings_as_errors():
             assert set(store.load("abc")) == {("cell-a", 0)}
 
     def test_blank_lines_are_skipped(self, tmp_path):
         path = tmp_path / "c.jsonl"
         store = CheckpointStore(path)
-        store.append("abc", make_result())
+        store.append("abc", [make_result()])
         with open(path, "a", encoding="utf-8") as handle:
             handle.write("\n\n")
         assert len(store.load("abc")) == 1
@@ -97,20 +96,21 @@ class TestCheckpointStore:
         store = CheckpointStore(tmp_path / "c.jsonl")
         first = make_result(shard=0, correct=5)
         second = make_result(shard=0, correct=4)
-        store.append("abc", first)
-        store.append("abc", second)
+        store.append("abc", [first])
+        store.append("abc", [second])
         assert store.load("abc")[("cell-a", 0)] == first
 
     def test_file_is_one_json_object_per_line(self, tmp_path):
         path = tmp_path / "c.jsonl"
         store = CheckpointStore(path)
-        store.append("abc", make_result(shard=0))
-        store.append("abc", make_result(shard=1))
+        store.append("abc", [make_result(shard=0), make_result(shard=1)])
+        store.append("abc", [make_result(shard=2)])
         lines = path.read_text().strip().splitlines()
-        assert len(lines) == 2
-        for line in lines:
+        assert len(lines) == 3
+        for shard, line in enumerate(lines):
             record = json.loads(line)
             assert record["spec_hash"] == "abc"
+            assert record["shard"] == shard
             assert "counts" in record
 
     def test_constructor_touches_file_to_fail_fast(self, tmp_path):
@@ -119,13 +119,13 @@ class TestCheckpointStore:
         path = tmp_path / "deep" / "nested" / "c.jsonl"
         store = CheckpointStore(path)
         assert path.exists()
-        store.append("abc", make_result())
+        store.append("abc", [make_result()])
         assert len(store.load("abc")) == 1
 
     def test_schema_drifted_record_is_skipped_not_fatal(self, tmp_path):
         path = tmp_path / "c.jsonl"
         store = CheckpointStore(path)
-        store.append("abc", make_result(shard=0))
+        store.append("abc", [make_result(shard=0)])
         with open(path, "a", encoding="utf-8") as handle:
             handle.write(
                 '{"spec_hash": "abc", "cell": "cell-a", "shard": 1,'

@@ -113,6 +113,31 @@ def test_bare_ingest_keeps_each_line_hash(tmp_path):
     assert hashes == ["0bcdf9f1a10eae3a", "6462c01a2561c5ad"]
 
 
+@pytest.mark.parametrize("filed_by", ["campaign", "ingest"])
+def test_old_hashes_fold_into_one_campaign(tmp_path, filed_by):
+    # A store filled by a bare ingest holds the campaign under both old
+    # hashes; registering the spec (a resumed --db run or an ingest with
+    # the spec) moves every row under the backend-free hash.
+    db = str(tmp_path / "folded.sqlite")
+    paths = [str(copied(tmp_path, f"{name}.jsonl")) for name in WRITTEN_ON]
+    assert cli(["store", "ingest", *paths, "--db", db])[0] == 0
+    spec = data_path("spec.json")
+    if filed_by == "campaign":
+        argv = ["campaign", "--spec", spec, "--checkpoint", paths[0], "--db", db, "--quiet"]
+    else:
+        argv = ["store", "ingest", paths[0], "--db", db, "--spec", spec]
+    assert cli(argv)[0] == 0
+    with ResultsStore(db) as store:
+        (campaign,) = store.campaigns()
+        assert campaign["spec_hash"] == "f4c968f7b340704d"
+        assert campaign["shards"] == 6
+    status, out = cli(["query", "--db", db, "--format", "json"])
+    assert status == 0
+    assert [(row["scheme"], row["trials"]) for row in json.loads(out)] == [
+        ("ecim", 40), ("trim", 40), ("unprotected", 40),
+    ]
+
+
 @pytest.mark.parametrize("backend", BACKEND_NAMES)
 def test_contract_one_record_is_refused_before_any_shard_runs(tmp_path, backend):
     path = copied(tmp_path, "bitpacked_contract1.jsonl")

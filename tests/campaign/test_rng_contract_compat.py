@@ -32,8 +32,7 @@ def v1_checkpoint(tmp_path):
     spec = _spec()
     path = tmp_path / "v1.jsonl"
     store = CheckpointStore(path)
-    for task in spec.shards():
-        store.append(spec.spec_hashes_v1()[0], run_shard(task))
+    store.append(spec.spec_hashes_v1()[0], [run_shard(task) for task in spec.shards()])
     return spec, path
 
 

@@ -8,7 +8,7 @@ from repro.campaign import (
     run_campaign,
     run_shard,
 )
-from repro.campaign.worker import clear_executor_cache
+from repro.campaign.worker import clear_executor_cache, shard_groups
 
 
 def small_spec(**overrides):
@@ -63,41 +63,58 @@ class TestDeterminism:
 
 
 class TestDrainTasks:
+    def test_record_receives_each_group_in_shard_order(self):
+        from repro.campaign.runner import drain_tasks
+
+        spec = small_spec(schemes=("ecim", "trim"), trials=40, shard_size=5)
+        for workers, group_sizes in ((0, [8, 8]), (2, [4, 4, 4, 4])):
+            recorded = []
+            drain_tasks(workers, spec.shards(), recorded.append)
+            recorded.sort(key=lambda group: (group[0].cell_key, group[0].shard_index))
+            assert [len(group) for group in recorded] == group_sizes
+            for group in recorded:
+                assert len({result.cell_key for result in group}) == 1
+                first = group[0].shard_index
+                assert [result.shard_index for result in group] == list(
+                    range(first, first + len(group))
+                )
+
     def test_poisoned_record_callback_propagates_and_terminates(self):
         # Regression: a record callback that raises (e.g. a full-disk
-        # checkpoint append) used to leave queued shards running behind the
+        # checkpoint append) used to leave queued groups running behind the
         # pool's context-manager exit; drain_tasks must cancel the backlog
         # and surface the original exception promptly.
         from repro.campaign.runner import drain_tasks
 
-        spec = small_spec(schemes=("ecim",), trials=80, shard_size=5)
+        # Scalar shards run one per group: 16 groups, more than the pool
+        # holds in flight.
+        spec = small_spec(schemes=("ecim",), trials=80, shard_size=5, backend="scalar")
         pending = spec.shards()
-        assert len(pending) == 16
+        assert len(list(shard_groups(pending, 2))) == 16
         recorded = []
 
-        def poisoned(result):
-            recorded.append(result)
+        def poisoned(results):
+            recorded.append(results)
             if len(recorded) == 2:
                 raise RuntimeError("record sink failed")
 
         with pytest.raises(RuntimeError, match="record sink failed"):
             drain_tasks(2, pending, poisoned)
-        # The failure cancelled the backlog instead of draining all 16.
-        assert 2 <= len(recorded) < len(pending)
+        assert len(recorded) == 2
 
     def test_serial_path_stops_at_the_poisoned_record(self):
         from repro.campaign.runner import drain_tasks
 
-        spec = small_spec(schemes=("ecim",), trials=20, shard_size=5)
+        spec = small_spec(schemes=("ecim", "trim"), trials=20, shard_size=5)
         recorded = []
 
-        def poisoned(result):
-            recorded.append(result)
+        def poisoned(results):
+            recorded.append(results)
             raise RuntimeError("record sink failed")
 
         with pytest.raises(RuntimeError, match="record sink failed"):
             drain_tasks(0, spec.shards(), poisoned)
-        assert len(recorded) == 1
+        assert [len(group) for group in recorded] == [4]
 
 
 class TestResume:
@@ -118,8 +135,7 @@ class TestResume:
         path = tmp_path / "campaign.jsonl"
         store = CheckpointStore(path)
         shards = spec.shards()
-        for task in shards[:5]:
-            store.append(spec.spec_hash(), run_shard(task))
+        store.append(spec.spec_hash(), [run_shard(task) for task in shards[:5]])
 
         result = run_campaign(spec, workers=0, checkpoint=path)
         assert result.resumed_shards == 5
@@ -137,8 +153,7 @@ class TestResume:
         spec = small_spec()
         path = tmp_path / "campaign.jsonl"
         store = CheckpointStore(path)
-        for task in spec.shards()[:4]:
-            store.append(spec.spec_hash(), run_shard(task))
+        store.append(spec.spec_hash(), [run_shard(task) for task in spec.shards()[:4]])
         resumed = run_campaign(spec, workers=2, checkpoint=path)
         assert resumed.resumed_shards == 4
         assert resumed.counts_by_cell == run_campaign(spec, workers=0).counts_by_cell

@@ -1,14 +1,15 @@
-"""Serial campaigns run a cell's consecutive pending shards as one batch.
+"""Campaigns run a cell's consecutive pending shards as one batch.
 
 Pinned here, on both tape backends:
 
 * every campaign fault source and estimator writes the same checkpoint
-  lines grouped (serial) as one shard per task (a two-worker pool) and as
+  lines in serial groups, in a two-worker pool's smaller groups and as
   :func:`run_shard` on each shard alone — a ragged last shard included;
 * a resume whose checkpoint has a hole splits groups at the hole and
   still matches a fresh run;
 * :func:`shard_groups` never exceeds the backend class's cap, never mixes
-  cells or stratified allocations, and never groups scalar shards.
+  cells or stratified allocations, never groups scalar shards, and cuts a
+  pool's groups small enough that every worker gets one.
 """
 
 import pytest
@@ -56,16 +57,17 @@ def _lines(path):
     return sorted(path.read_text(encoding="utf-8").splitlines())
 
 
-def _grouped_run(spec, path, monkeypatch):
-    """Run ``spec`` serially into ``path``; returns the groups it batched."""
+def _grouped_run(spec, path, monkeypatch, workers=0):
+    """Run ``spec`` into ``path``; returns the groups the runner cut."""
     groups = []
 
-    def spy(tasks):
-        groups.append(list(tasks))
-        return run_shards(tasks)
+    def spy(tasks, workers=0):
+        for group in shard_groups(tasks, workers):
+            groups.append(list(group))
+            yield group
 
-    monkeypatch.setattr(runner, "run_shards", spy)
-    result = run_campaign(spec, workers=0, checkpoint=path)
+    monkeypatch.setattr(runner, "shard_groups", spy)
+    result = run_campaign(spec, workers=workers, checkpoint=path)
     monkeypatch.undo()
     return result, groups
 
@@ -78,13 +80,13 @@ def test_grouped_run_matches_pool_and_single_shards(backend, source, tmp_path, m
     assert max(len(group) for group in groups) == 5  # a whole cell per batch
     assert any(group[-1].n_trials == 3 for group in groups)
 
-    pooled = run_campaign(spec, workers=2, checkpoint=tmp_path / "pooled.jsonl")
+    pooled, pool_groups = _grouped_run(spec, tmp_path / "pooled.jsonl", monkeypatch, workers=2)
+    assert max(len(group) for group in pool_groups) == 2  # multi-shard pool tasks
     assert _lines(tmp_path / "grouped.jsonl") == _lines(tmp_path / "pooled.jsonl")
     assert grouped.counts_by_cell == pooled.counts_by_cell
 
     alone = CheckpointStore(tmp_path / "alone.jsonl")
-    for task in (task for group in groups for task in group):
-        alone.append(spec.spec_hash(), run_shard(task))
+    alone.append(spec.spec_hash(), [run_shard(task) for group in groups for task in group])
     assert _lines(tmp_path / "grouped.jsonl") == _lines(tmp_path / "alone.jsonl")
 
 
@@ -93,9 +95,7 @@ def test_resume_splits_groups_at_the_gap(backend, tmp_path, monkeypatch):
     spec = _spec(backend, schemes=("ecim",), trials=25)
     shards = spec.shards()
     path = tmp_path / "resumed.jsonl"
-    store = CheckpointStore(path)
-    for task in (shards[0], shards[2]):
-        store.append(spec.spec_hash(), run_shard(task))
+    CheckpointStore(path).append(spec.spec_hash(), [run_shard(shards[0]), run_shard(shards[2])])
 
     resumed, groups = _grouped_run(spec, path, monkeypatch)
     assert [[task.shard_index for task in group] for group in groups] == [[1], [3, 4]]
@@ -115,6 +115,24 @@ def test_groups_stay_under_the_cap_and_within_one_cell():
         assert sum(task.n_trials for task in group) <= cap
         assert len({task.cell for task in group}) == 1
     assert [task for group in groups for task in group] == spec.shards()
+
+
+@pytest.mark.parametrize("workers", [2, 3, 4, 8])
+def test_pool_groups_give_every_worker_work(workers):
+    spec = _spec("bitpacked", trials=10_000, shard_size=250)
+    cap = backend_class("bitpacked").max_batch_trials
+    share = -(-spec.total_trials // (2 * workers))
+    groups = list(shard_groups(spec.shards(), workers))
+    assert len(groups) >= workers
+    # Two workers' share (5,000 trials) exceeds the backend's cap.
+    assert (share > cap) == (workers == 2)
+    for group in groups:
+        assert sum(task.n_trials for task in group) <= min(cap, share)
+        assert len({task.cell for task in group}) == 1
+    assert [task for group in groups for task in group] == spec.shards()
+    # Fewer shards than workers: each shard is a group of its own.
+    few = _spec("bitpacked", schemes=("ecim",), trials=750, shard_size=250)
+    assert [len(group) for group in shard_groups(few.shards(), workers)] == [1, 1, 1]
 
 
 def test_a_shard_over_the_cap_runs_alone():
@@ -141,10 +159,11 @@ def test_allocations_and_rounds_never_share_a_group():
     assert [[t.shard_index for t in g] for g in shard_groups(tasks)] == [[0, 1], [2], [3]]
 
 
-def test_scalar_shards_are_never_grouped():
+@pytest.mark.parametrize("workers", [0, 2])
+def test_scalar_shards_are_never_grouped(workers):
     spec = _spec("scalar", trials=40, shard_size=5)
     assert backend_class("scalar").max_batch_trials == 1
-    assert all(len(group) == 1 for group in shard_groups(spec.shards()))
+    assert all(len(group) == 1 for group in shard_groups(spec.shards(), workers))
 
 
 def test_run_shards_rejects_shards_that_do_not_continue():

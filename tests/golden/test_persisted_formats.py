@@ -50,7 +50,7 @@ def test_checkpoint_lines_reserialise_byte_for_byte(tmp_path, name):
     store = CheckpointStore(tmp_path / "ck.jsonl")
     for line in golden.splitlines():
         record = json.loads(line)
-        store.append(record["spec_hash"], ShardResult.from_dict(record))
+        store.append(record["spec_hash"], [ShardResult.from_dict(record)])
     assert (tmp_path / "ck.jsonl").read_text(encoding="utf-8") == golden
 
 

@@ -78,8 +78,10 @@ class TestConcurrentWriters:
             path = tmp_path / f"ck{index}.jsonl"
             ck = CheckpointStore(path)
             for cell in spec.cells():
-                for shard in range(spec.shards_per_cell()):
-                    ck.append(spec.spec_hash(), make_result(cell, shard=shard))
+                ck.append(
+                    spec.spec_hash(),
+                    [make_result(cell, shard=shard) for shard in range(spec.shards_per_cell())],
+                )
             paths.append(path)
         return paths
 

@@ -49,8 +49,10 @@ class TestIngestCheckpoint:
         path = tmp_path / "ck.jsonl"
         ck = CheckpointStore(path)
         for cell in spec.cells():
-            for shard in range(shards_per_cell):
-                ck.append(spec.spec_hash(), make_result(cell, shard=shard))
+            ck.append(
+                spec.spec_hash(),
+                [make_result(cell, shard=shard) for shard in range(shards_per_cell)],
+            )
         return path
 
     def test_ingest_then_reingest_is_idempotent(self, tmp_path):
@@ -91,7 +93,7 @@ class TestIngestCheckpoint:
         path = self.write_checkpoint(tmp_path, spec)
         ck = CheckpointStore(path)
         for cell in other.cells():
-            ck.append(other.spec_hash(), make_result(cell, shard=0))
+            ck.append(other.spec_hash(), [make_result(cell, shard=0)])
         with ResultsStore(tmp_path / "r.sqlite") as store:
             report = ingest_checkpoint(store, path, spec=spec)
             assert report.skipped_other_spec == 1
@@ -138,7 +140,7 @@ class TestIngestCheckpoint:
     def test_valid_record_with_unparseable_cell_key_is_skipped(self, tmp_path):
         path = tmp_path / "ck.jsonl"
         ck = CheckpointStore(path)
-        ck.append("feedbeeffeedbeef", make_result(small_spec().cells()[0], shard=0))
+        ck.append("feedbeeffeedbeef", [make_result(small_spec().cells()[0], shard=0)])
         with open(path, "a", encoding="utf-8") as handle:
             handle.write(
                 json.dumps(
