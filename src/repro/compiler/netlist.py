@@ -98,6 +98,7 @@ class Netlist:
         self._output_names: Dict[int, str] = {}
         self._gates: List[GateNode] = []
         self._producer: Dict[int, int] = {}  # signal -> gate index
+        self._gates_view: Optional[Tuple[GateNode, ...]] = None
         self._levels_cache: Optional[List[List[int]]] = None
 
     # ------------------------------------------------------------------ #
@@ -147,6 +148,7 @@ class Netlist:
         )
         self._gates.append(node)
         self._producer[output] = node.index
+        self._gates_view = None
         self._levels_cache = None
         return output
 
@@ -170,7 +172,11 @@ class Netlist:
 
     @property
     def gates(self) -> Tuple[GateNode, ...]:
-        return tuple(self._gates)
+        """Every gate in index order: one shared tuple, rebuilt only after
+        :meth:`add_gate`, so reading ``gates[i]`` in a loop costs no copy."""
+        if self._gates_view is None:
+            self._gates_view = tuple(self._gates)
+        return self._gates_view
 
     @property
     def n_signals(self) -> int:

@@ -333,8 +333,9 @@ def _multi_error_decode_lut(code, t: int) -> np.ndarray:
     return lut
 
 
-def _ecim_check_step(code, data_cols: Sequence[int], parity_cols: Sequence[int]) -> EcimCheckStep:
-    d = len(data_cols)
+def _ecim_decoder(code, d: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(a_t, weights, lut)`` of an :class:`EcimCheckStep` over a level of
+    ``d`` data bits, read-only: every level of that width shares them."""
     r = code.n_parity
     t = _code_correction_capability(code)
     a_t = code.a_matrix[:, :d].T.astype(np.int64)
@@ -349,13 +350,9 @@ def _ecim_check_step(code, data_cols: Sequence[int], parity_cols: Sequence[int])
             lut[packed, 0] = position
     else:
         lut = _multi_error_decode_lut(code, t)
-    return EcimCheckStep(
-        data_cols=_cols(data_cols),
-        parity_cols=_cols(parity_cols),
-        a_t=a_t,
-        weights=weights,
-        lut=lut,
-    )
+    for array in (a_t, weights, lut):
+        array.setflags(write=False)
+    return a_t, weights, lut
 
 
 def _compile_ecim(executor: EcimExecutor) -> Tuple[PlanStep, ...]:
@@ -364,20 +361,32 @@ def _compile_ecim(executor: EcimExecutor) -> Tuple[PlanStep, ...]:
     steps: List[PlanStep] = []
     op = 0
     scratch1, scratch2 = executor._xor_scratch_cols()
+    # Every level presets, XORs into and reads back the same parity and
+    # scratch cells: those steps, and each level's reads and check, share
+    # one read-only array per column list instead of building their own.
+    shared: Dict[Tuple[int, ...], np.ndarray] = {}
+
+    def cols(columns: Sequence[int]) -> np.ndarray:
+        key = tuple(columns)
+        array = shared.get(key)
+        if array is None:
+            array = shared[key] = _cols(key)
+            array.setflags(write=False)
+        return array
+
+    nor_outputs = cols([scratch1, scratch2] if multi_output else [scratch1])
+    decoders: Dict[int, Tuple[np.ndarray, ...]] = {}  # level width -> _ecim_decoder
     for level, gate_indices in enumerate(executor._levels, start=1):
         nodes = [netlist.gates[i] for i in gate_indices]
-        code = executor._code_factory(max(1, len(nodes)))
+        code, _, covered_bits = executor._level_codes[len(nodes)]
         r = code.n_parity
         parity_bank = [0] * r
         for i in range(r):
             steps.append(
-                PresetStep(
-                    columns=_cols([executor._parity_col(0, i), executor._parity_col(1, i)]),
-                    value=0,
-                )
+                PresetStep(cols([executor._parity_col(0, i), executor._parity_col(1, i)]), 0)
             )
         for data_bit, node in enumerate(nodes):
-            covered = code.parity_bits_affected_by(data_bit)
+            covered = covered_bits[data_bit]
             input_cols = [executor.column_of[s] for s in node.inputs]
             data_col = executor.column_of[node.output]
             if multi_output:
@@ -395,10 +404,8 @@ def _compile_ecim(executor: EcimExecutor) -> Tuple[PlanStep, ...]:
                 op += 1
                 for i in covered:
                     steps.append(
-                        GateStep(
-                            op, node.gate, _cols(input_cols),
-                            _cols([executor._staging_col(i)]), node.threshold, True, level,
-                        )
+                        GateStep(op, node.gate, _cols(input_cols),
+                                 cols([executor._staging_col(i)]), node.threshold, True, level)
                     )
                     op += 1
             for i in covered:
@@ -407,34 +414,30 @@ def _compile_ecim(executor: EcimExecutor) -> Tuple[PlanStep, ...]:
                 r_col = executor._staging_col(i)
                 parity_col = executor._parity_col(source_bank, i)
                 target_col = executor._parity_col(target_bank, i)
-                if multi_output:
+                steps.append(
+                    GateStep(op, GateType.NOR, cols([r_col, parity_col]), nor_outputs,
+                             None, True, level)
+                )
+                op += 1
+                if not multi_output:
                     steps.append(
-                        GateStep(op, GateType.NOR, _cols([r_col, parity_col]),
-                                 _cols([scratch1, scratch2]), None, True, level)
-                    )
-                    op += 1
-                else:
-                    steps.append(
-                        GateStep(op, GateType.NOR, _cols([r_col, parity_col]),
-                                 _cols([scratch1]), None, True, level)
-                    )
-                    op += 1
-                    steps.append(
-                        GateStep(op, GateType.COPY, _cols([scratch1]), _cols([scratch2]),
+                        GateStep(op, GateType.COPY, cols([scratch1]), cols([scratch2]),
                                  None, True, level)
                     )
                     op += 1
                 steps.append(
-                    GateStep(op, GateType.THR, _cols([r_col, parity_col, scratch1, scratch2]),
-                             _cols([target_col]), None, True, level)
+                    GateStep(op, GateType.THR, cols([r_col, parity_col, scratch1, scratch2]),
+                             cols([target_col]), None, True, level)
                 )
                 op += 1
                 parity_bank[i] = target_bank
-        data_cols = [executor.column_of[node.output] for node in nodes]
-        parity_cols = [executor._parity_col(parity_bank[i], i) for i in range(r)]
-        steps.append(ReadStep(_cols(data_cols)))
-        steps.append(ReadStep(_cols(parity_cols)))
-        steps.append(_ecim_check_step(code, data_cols, parity_cols))
+        data_cols = cols([executor.column_of[node.output] for node in nodes])
+        parity_cols = cols([executor._parity_col(parity_bank[i], i) for i in range(r)])
+        steps.append(ReadStep(data_cols))
+        steps.append(ReadStep(parity_cols))
+        if len(nodes) not in decoders:
+            decoders[len(nodes)] = _ecim_decoder(code, len(nodes))
+        steps.append(EcimCheckStep(data_cols, parity_cols, *decoders[len(nodes)]))
     return tuple(steps)
 
 

@@ -264,8 +264,7 @@ class _Interner:
         self._records: Dict[tuple, tuple] = {}
 
     def cols(self, columns) -> Tuple[int, ...]:
-        ints = self.ints
-        return tuple(ints[column] for column in columns)
+        return tuple(map(self.ints.__getitem__, columns))
 
     def record(self, record: tuple) -> tuple:
         return self._records.setdefault(record, record)

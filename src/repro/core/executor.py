@@ -38,7 +38,7 @@ handled analytically by :mod:`repro.eval.models`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.compiler.netlist import GateNode, Netlist
 from repro.core.checker import CheckResult, EcimChecker, TrimChecker
@@ -250,6 +250,16 @@ class UnprotectedExecutor(_BaseExecutor):
         )
 
 
+class LevelCode(NamedTuple):
+    """ECiM's code for logic levels of one width: the code, its checker,
+    and the parity bits covering each data bit (``covered[j]`` is
+    ``code.parity_bits_affected_by(j)``)."""
+
+    code: object
+    checker: EcimChecker
+    covered: Tuple[Tuple[int, ...], ...]
+
+
 class EcimExecutor(_BaseExecutor):
     """ECiM: in-memory Hamming parity per logic level + external syndrome checker."""
 
@@ -265,11 +275,18 @@ class EcimExecutor(_BaseExecutor):
     ) -> None:
         self.multi_output = multi_output
         self._code_factory = code_factory if code_factory is not None else HammingCode
+        # One code per distinct level width, built once: levels of equal
+        # width share it, and every run() and tape compile reads it here.
+        widths = sorted({len(level) for level in netlist.levelize()}) or [1]
+        self._level_codes: Dict[int, LevelCode] = {}
+        for width in widths:
+            code = self._code_factory(width)
+            covered = tuple(code.parity_bits_affected_by(bit) for bit in range(width))
+            self._level_codes[width] = LevelCode(code, EcimChecker(code), covered)
         # Metadata region: per level we need, at worst,
         #   r parity ping-pong cells (2r) + r independent r_ij staging cells +
         #   2 XOR scratch cells, where r = parity bits of the widest level.
-        widest = max((len(level) for level in netlist.levelize()), default=1)
-        r_max = self._code_factory(max(1, widest)).n_parity
+        r_max = self._level_codes[widths[-1]].code.n_parity
         metadata_columns = 2 * r_max + r_max + 2
         super().__init__(
             netlist, array, row, technology, metadata_columns, fault_injector=fault_injector
@@ -343,8 +360,7 @@ class EcimExecutor(_BaseExecutor):
 
         for level_number, gate_indices in enumerate(self._levels, start=1):
             nodes = [self.netlist.gates[i] for i in gate_indices]
-            code = self._code_factory(max(1, len(nodes)))
-            checker = EcimChecker(code)
+            code, checker, covered_bits = self._level_codes[len(nodes)]
             r = code.n_parity
 
             # Reset the parity bank for this level (parity of all-zero data).
@@ -359,7 +375,7 @@ class EcimExecutor(_BaseExecutor):
                 )
 
             for data_bit, node in enumerate(nodes):
-                covered = code.parity_bits_affected_by(data_bit)
+                covered = covered_bits[data_bit]
                 if self.multi_output:
                     extra_cols = [self._staging_col(i) for i in covered]
                     self._fire_gate(node, level_number, extra_output_cols=extra_cols)

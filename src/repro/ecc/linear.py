@@ -89,16 +89,16 @@ class SystematicLinearCode:
     def _build_single_error_syndrome_table(self) -> Dict[Tuple[int, ...], int]:
         """Map each single-bit-error syndrome to the flipped position.
 
+        The syndrome of a flip at ``position`` is ``H @ e_position``, which is
+        column ``position`` of H, so the table reads H's columns directly.
         Positions whose syndromes collide (which happens when the code's
         minimum distance is below 3) are dropped from the table; decoding a
         collision then reports "detected but uncorrectable".
         """
         table: Dict[Tuple[int, ...], int] = {}
         collisions = set()
-        for position in range(self._n):
-            error = np.zeros(self._n, dtype=np.uint8)
-            error[position] = 1
-            syndrome = tuple(int(b) for b in gf2.gf2_matvec(self._parity_check, error))
+        for position, column in enumerate(self._parity_check.T.tolist()):
+            syndrome = tuple(column)
             if syndrome in table or syndrome in collisions:
                 collisions.add(syndrome)
                 table.pop(syndrome, None)

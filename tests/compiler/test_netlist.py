@@ -76,6 +76,22 @@ class TestConstruction:
             netlist.add_gate(GateType.NOR, [a], n_outputs=0)
 
 
+class TestGatesView:
+    def test_same_tuple_until_add_gate(self):
+        netlist, (a, b, o1, o2, o3) = build_and_netlist()
+        gates = netlist.gates
+        assert netlist.gates is gates
+        assert [g.output for g in gates] == [o1, o2, o3]
+        out = netlist.add_gate(GateType.NOT, [o3])
+        after = netlist.gates
+        assert after is not gates
+        assert after[:-1] == gates
+        assert after[-1].output == out and after[-1].index == len(gates)
+        assert netlist.gates is after
+        # The tuple read before the new gate is left as it was.
+        assert len(gates) == 3
+
+
 class TestLevelisation:
     def test_and_circuit_has_two_levels(self):
         netlist, (_, _, o1, o2, o3) = build_and_netlist()

@@ -2,14 +2,17 @@
 
 import pytest
 
+from repro.campaign.workloads import get_campaign_workload
 from repro.compiler.netlist import Netlist
 from repro.compiler.synthesis import CircuitBuilder
+from repro.core.batched import compile_plan
 from repro.core.executor import EcimExecutor, TrimExecutor, UnprotectedExecutor
 from repro.core.sep import and_gate_example_netlist
+from repro.ecc.hamming import HammingCode
 from repro.errors import ProtectionError
 from repro.pim.array import PimArray
 from repro.pim.faults import DeterministicFaultInjector, NoFaultInjector, ScheduledFaultInjector
-from repro.pim.operations import OperationKind
+from repro.pim.operations import NullTrace, OperationKind
 from repro.pim.technology import RERAM
 
 
@@ -135,6 +138,33 @@ class TestEcimExecutor:
         )
         assert injector.log.count() == 1
         assert report.outputs_correct
+
+
+class TestEcimCodesByWidth:
+    """ECiM builds one code per distinct level width, once."""
+
+    def test_one_code_per_width(self):
+        netlist = get_campaign_workload("mlp16").netlist
+        widths = [len(level) for level in netlist.levelize()]
+        assert (len(widths), len(set(widths))) == (80, 29)
+        calls = []
+
+        def counting_factory(width):
+            calls.append(width)
+            return HammingCode(width)
+
+        compile_plan(netlist, "ecim", code_factory=counting_factory)
+        assert sorted(calls) == sorted(set(widths))
+
+        calls.clear()
+        executor = EcimExecutor(netlist, code_factory=counting_factory)
+        assert len(calls) == 29
+        executor.array.trace = NullTrace()
+        for value in (0, 1):
+            report = executor.run({signal: value for signal in netlist.inputs})
+            assert report.outputs_correct and report.corrections == 0
+            executor.reset()
+        assert len(calls) == 29
 
 
 class TestTrimExecutor:

@@ -5,6 +5,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.ecc import gf2
+from repro.ecc.bch import smallest_bch_code
+from repro.ecc.hamming import HammingCode
 from repro.ecc.linear import SystematicLinearCode
 from repro.errors import CodeConstructionError
 
@@ -111,6 +114,56 @@ class TestDecoding:
 
     def test_is_single_error_correcting(self, code):
         assert code.is_single_error_correcting()
+
+
+def matvec_syndrome_table(code):
+    """The table by its definition: one ``H @ e_p`` per position, with
+    colliding syndromes dropped."""
+    h = code.parity_check_matrix
+    table, collisions = {}, set()
+    for position in range(code.n):
+        error = np.zeros(code.n, dtype=np.uint8)
+        error[position] = 1
+        syndrome = tuple(int(b) for b in gf2.gf2_matvec(h, error))
+        if syndrome in table or syndrome in collisions:
+            collisions.add(syndrome)
+            table.pop(syndrome, None)
+        else:
+            table[syndrome] = position
+    return table
+
+
+class TestSyndromeTable:
+    """The table read off H's columns equals the per-position definition."""
+
+    def test_hamming_codes(self):
+        for k in range(1, 301):
+            code = HammingCode(k)
+            table = code.single_error_syndrome_table()
+            assert table == matvec_syndrome_table(code), k
+            assert len(table) == code.n
+
+    @pytest.mark.parametrize("width,t", [(1, 2), (2, 2), (16, 2), (40, 2), (9, 3), (30, 3)])
+    def test_bch_a_matrices(self, width, t):
+        code = SystematicLinearCode(smallest_bch_code(width, t).a_matrix)
+        table = code.single_error_syndrome_table()
+        assert table == matvec_syndrome_table(code)
+        assert code.is_single_error_correcting()
+
+    def test_repeated_and_zero_columns_drop_out(self):
+        # Data bits 0 and 2 share a column, so their syndromes collide and
+        # both leave the table; data bit 3 has none, so its syndrome is zero.
+        a = [[1, 0, 1, 0], [1, 1, 1, 0], [0, 1, 0, 0]]
+        code = SystematicLinearCode(a)
+        table = code.single_error_syndrome_table()
+        assert table == matvec_syndrome_table(code)
+        assert sorted(table.values()) == [1, 3, 4, 5, 6]
+        assert (1, 1, 0) not in table
+        assert table[(0, 0, 0)] == 3
+        assert not code.is_single_error_correcting()
+        word = np.zeros(code.n, dtype=np.uint8)
+        word[0] = 1
+        assert code.decode(word).detected_uncorrectable
 
 
 class TestEcimFacingHelpers:

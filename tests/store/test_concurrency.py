@@ -8,7 +8,6 @@ overlapping records.
 """
 
 import multiprocessing
-import sqlite3
 
 import pytest
 

@@ -25,7 +25,7 @@ from repro.store import (
     run_query,
 )
 
-from test_database import make_result, small_spec
+from test_database import small_spec
 
 
 SPEC = CampaignSpec(

@@ -107,7 +107,7 @@ class TestCli:
         assert code == 2
 
     def test_repo_baseline_tracks_the_real_suite(self):
-        # The pinned baseline must cover the six benchmark files CI runs.
+        # The pinned baseline must cover the seven benchmark files CI runs.
         baseline = json.loads((_SCRIPT.parent / "baseline.json").read_text())
         files = {name.split("::")[0] for name in baseline}
         assert files == {
@@ -117,6 +117,7 @@ class TestCli:
             "benchmarks/test_bench_multifault_sweep.py",
             "benchmarks/test_bench_rng.py",
             "benchmarks/test_bench_fault_path.py",
+            "benchmarks/test_bench_setup.py",
         }
 
 
