@@ -12,7 +12,10 @@ campaign-level change can be traced to the layer it touched.
 * one 4,096-row and2 + BCH-t2 k=4 sweep shard through ``run_trials``:
   lowering the CSR plan to XOR ints, then a syndrome decode at both logic
   levels in every row — the tape is short, so the shard is mostly fault
-  path.
+  path;
+* the same shard as the sweep runs it (``sep._sweep_shard``): unranking
+  the combinations and building the plan, ``run_trials``, then the
+  per-level budget check and the coverage counters.
 
 No ratios are asserted; the medians are pinned in ``baseline.json``.
 """
@@ -26,6 +29,7 @@ from repro.core.batched import sample_input_matrix
 from repro.core.bitpacked import _flip_table, _scheduled_events
 from repro.core.faultplan import FaultPlanArrays, unrank_combinations
 from repro.core.rng import TrialStream, fault_schedule
+from repro.core.sep import _Sweep, _sweep_shard
 from repro.ecc.bch import bch_code_factory
 from repro.pim.faults import FaultModelSpec
 
@@ -92,3 +96,21 @@ def test_and2_bch2_sweep_shard(benchmark):
     assert outcomes.corrections.sum() > 0
     rate = SWEEP_ROWS / benchmark.stats.stats.mean
     emit({"rendered": f"sweep shard: {rate:.0f} combinations/sec (and2, bch-t2, k={SWEEP_K})"})
+
+
+def test_and2_bch2_whole_sweep_shard(benchmark):
+    netlist = get_campaign_workload("and2").netlist
+    backend = make_backend("bitpacked", netlist, "ecim", code_factory=bch_code_factory(2))
+    inputs = {signal: 1 for signal in netlist.inputs}
+    sites = backend.enumerate_sites(inputs)
+    sweep = _Sweep.over(backend, inputs, sites, SWEEP_K, 2, False)
+    assert sweep.levels_sorted
+    _sweep_shard(sweep, 0, 2)  # warm caches
+    start, counters, _ = benchmark.pedantic(
+        _sweep_shard, args=(sweep, 0, SWEEP_ROWS), rounds=10, iterations=1
+    )
+    assert start == 0 and counters[0] == SWEEP_ROWS
+    assert counters[-1] == 0  # no within-budget combination corrupts the outputs
+    rate = SWEEP_ROWS / benchmark.stats.stats.mean
+    label = f"and2, bch-t2, k={SWEEP_K}"
+    emit({"rendered": f"whole sweep shard: {rate:.0f} combinations/sec ({label})"})

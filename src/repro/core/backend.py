@@ -497,7 +497,10 @@ class ScalarBackend(ExecutionBackend):
                 fault_model.validate_columns(executor.array.cols, layout="executor row")
             except PimError as error:
                 raise ProtectionError(str(error)) from None
-        schedule = fault_schedule(fault_model, stream, self.fault_sites, len(rows))
+        # Counting the sites costs one whole dry run: only a model that
+        # draws a schedule reads them.
+        sites = self.fault_sites if fault_model is not None and fault_model.needs_stream else None
+        schedule = fault_schedule(fault_model, stream, sites, len(rows))
         trial_hits = schedule.by_trial() if schedule is not None else None
         outputs_correct = np.zeros(len(rows), dtype=bool)
         detected = np.zeros(len(rows), dtype=bool)

@@ -53,7 +53,7 @@ ints stay within ``full`` and :func:`unpack_trials` round-trips them.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -392,10 +392,10 @@ class _IntTape:
         self.input_cols = cols(plan.input_cols.tolist())
         self.output_cols = cols(plan.output_cols.tolist())
         self.golden = _golden_records(plan.netlist)
-        # What deterministic plans need: the gate slot (firing number) of
-        # each operation index, -1 where no firing carries it, and the first
-        # site-map entry of each slot (entries 0.. are the gate outputs in
-        # firing order), with the total output count last.
+        # The gate slot (firing number) of each operation index, -1 where no
+        # firing carries it, and the first site-map entry of each slot
+        # (entries 0.. are the gate outputs in firing order), with the total
+        # output count last: what op_tables is built from.
         ops = np.asarray(gate_ops, dtype=np.int64)
         self.gate_slot_of_op = np.full(int(ops.max()) + 1 if ops.size else 0, -1, dtype=np.intp)
         self.gate_slot_of_op[ops] = np.arange(ops.shape[0], dtype=np.intp)
@@ -407,6 +407,37 @@ class _IntTape:
             self.gate_slot_of_op, self.gate_entry_ptr,
         ):
             array.setflags(write=False)
+
+    @cached_property
+    def op_tables(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Two tables indexed by operation index, plus one sentinel slot
+        past the last for every unknown operation: the output count of the
+        firing that carries the operation (0 where none does; uint64, so a
+        position compares against it unsigned), and the rank of that
+        firing's first output.  Position ``p`` of the firing ranks
+        ``first + p``.
+
+        Only deterministic plans read them, so they are built on the first
+        such batch, not with the tape."""
+        ptr = self.gate_entry_ptr
+        starts, widths = ptr[:-1], np.diff(ptr)
+        ranks = self.rank_of_entry[:ptr[-1]]
+        # A firing's outputs are consecutive site-map entries of one step,
+        # which the stable sort by step keeps consecutive in rank: rank
+        # minus entry is the same across each firing.
+        offsets = ranks - np.arange(ranks.shape[0], dtype=ranks.dtype)
+        if not np.array_equal(offsets, np.repeat(offsets[starts], widths)):
+            raise ProtectionError("a gate firing's outputs do not rank consecutively")
+        slots = self.gate_slot_of_op
+        carried = np.flatnonzero(slots >= 0)
+        fired = slots[carried]
+        width = np.zeros(slots.shape[0] + 1, dtype=np.uint64)
+        width[carried] = widths[fired]
+        first = np.zeros(slots.shape[0] + 1, dtype=np.int64)
+        first[carried] = ranks[starts[fired]]
+        width.setflags(write=False)
+        first.setflags(write=False)
+        return width, first
 
     @property
     def n_steps(self) -> int:
@@ -688,6 +719,10 @@ def _site_masks(
     # One slot per site: the trial of a single-trial site, then the bit
     # row of each shared one.
     slot = np.empty(counts.shape[0], dtype=np.int32)
+    if shared.all():
+        # Every hit site is a bit row (a sweep chunk's case): no compress.
+        slot[hot] = np.arange(hot.shape[0], dtype=np.int32)
+        return hot, _row_ints(_packed_rows(hot.shape[0], slot[ranks], trials, batch))
     slot[ranks] = trials
     masks = [1 << trial for trial in np.where(shared, 0, slot[hot]).tolist()]
     if shared.any():
@@ -728,27 +763,25 @@ def _deterministic_events(
     tape: _IntTape, plan_arrays: FaultPlanArrays, batch: int
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Flip events of a whole batch of deterministic plans, in a handful of
-    numpy passes: map plan operations to gate slots, drop unknown
-    operations and out-of-range positions (both inject nothing, exactly as
-    on the uint8 engine), count the surviving flips per trial and rank
-    each one's gate output — site-map entry ``gate_entry_ptr[slot] +
-    position``."""
-    trials = plan_arrays.trial_of_entry()
-    ops = plan_arrays.op_index
+    numpy passes over the tape's :attr:`~_IntTape.op_tables`: clamp each
+    operation to the sentinel slot (negative operations, read unsigned,
+    clamp too), keep the flips whose position, read unsigned, lies below
+    the firing's width (unknown operations and out-of-range positions
+    inject nothing, exactly as on the uint8 engine), count the kept flips
+    per trial (the CSR row lengths when every flip is kept) and rank each
+    one as its firing's first rank plus the position."""
+    width, first = tape.op_tables
+    ops = np.minimum(plan_arrays.op_index.view(np.uint64), width.shape[0] - 1).view(np.int64)
     positions = plan_arrays.position
-    slot_table = tape.gate_slot_of_op
-    known = (ops >= 0) & (ops < slot_table.shape[0])
-    slots = np.where(known, slot_table[np.where(known, ops, 0)], -1)
-    widths = np.diff(tape.gate_entry_ptr)
-    valid = (slots >= 0) & (positions >= 0)
-    valid &= positions < widths[np.where(valid, slots, 0)]
-    if not valid.all():
-        # _flip_table's guard sees only the flips that survive the filter.
-        plan_arrays.check_unique_pairs()
-    trials, slots, positions = trials[valid], slots[valid], positions[valid]
-    faults = np.bincount(trials, minlength=batch).astype(np.int64, copy=False)
-    ranks = tape.rank_of_entry[tape.gate_entry_ptr[slots] + positions]
-    return ranks, trials, faults
+    ranks = first[ops] + positions
+    trials = plan_arrays.trial_of_entry()
+    valid = positions.view(np.uint64) < width[ops]
+    if valid.all():
+        return ranks, trials, np.diff(plan_arrays.trial_ptr).astype(np.int64, copy=False)
+    # _flip_table's guard sees only the flips that survive the filter.
+    plan_arrays.check_unique_pairs()
+    trials, ranks = trials[valid], ranks[valid]
+    return ranks, trials, np.bincount(trials, minlength=batch).astype(np.int64, copy=False)
 
 
 def _scheduled_events(tape: _IntTape, schedule: FaultSchedule) -> Tuple[np.ndarray, np.ndarray]:

@@ -47,7 +47,7 @@ from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from itertools import islice
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -388,16 +388,19 @@ def _site_index_arrays(
     return ops, positions, levels
 
 
-def _max_faults_per_level(level_matrix: np.ndarray) -> np.ndarray:
-    """Per-trial worst per-level fault load of a ``(B, k)`` level matrix —
-    the vectorized :attr:`MultiFaultOutcome.max_faults_per_level`: sort each
-    row, then the longest equal run is the answer (k - 1 numpy passes)."""
-    levels = np.sort(level_matrix, axis=1)
-    runs = np.ones(levels.shape, dtype=np.int64)
-    for column in range(1, levels.shape[1]):
-        same = levels[:, column] == levels[:, column - 1]
-        runs[:, column] = np.where(same, runs[:, column - 1] + 1, 1)
-    return runs.max(axis=1)
+def _within_budget(levels: np.ndarray, budget: int, rows_sorted: bool = False) -> np.ndarray:
+    """Per-trial ``max_faults_per_level <= budget`` of a ``(B, k)`` level
+    matrix — the vectorized :meth:`MultiFaultOutcome.within_budget`.  A
+    sorted row puts more than ``budget`` faults on one level exactly when
+    some column ``j`` equals column ``j + budget`` (k - budget numpy
+    passes); rows are sorted first unless ``rows_sorted`` says they are."""
+    if not rows_sorted:
+        levels = np.sort(levels, axis=1)
+    budget = max(budget, 0)
+    within = np.ones(levels.shape[0], dtype=bool)
+    for column in range(levels.shape[1] - budget):
+        within &= levels[:, column] != levels[:, column + budget]
+    return within
 
 
 #: Counter attributes of :class:`MultiFaultAnalysis` a sweep shard folds in,
@@ -414,19 +417,45 @@ _SHARD_COUNTERS = (
 )
 
 
-def _sweep_shard(
-    backend: ExecutionBackend,
-    input_values: Dict[int, int],
-    n_sites: int,
-    k: int,
-    site_ops: np.ndarray,
-    site_positions: np.ndarray,
-    site_levels: np.ndarray,
-    start: int,
-    count: int,
-    correction_budget: int,
-    keep_outcomes: bool,
-):
+class _Sweep(NamedTuple):
+    """What every shard of one exhaustive sweep shares; a pool task
+    pickles it once for its whole run of shards."""
+
+    backend: ExecutionBackend
+    input_values: Dict[int, int]
+    k: int
+    site_ops: np.ndarray
+    site_positions: np.ndarray
+    site_levels: np.ndarray
+    #: True when ``site_levels`` is nondecreasing (``enumerate_sites``
+    #: lists sites in level order): every combination row lists its sites
+    #: in increasing order, so its levels come sorted and the budget check
+    #: need not sort them.
+    levels_sorted: bool
+    correction_budget: int
+    keep_outcomes: bool
+
+    @classmethod
+    def over(
+        cls,
+        backend: ExecutionBackend,
+        input_values: Dict[int, int],
+        sites: Sequence[FaultSite],
+        k: int,
+        correction_budget: int,
+        keep_outcomes: bool,
+    ) -> "_Sweep":
+        """The k-fault sweep of ``sites``, with the site list's level order
+        checked once."""
+        site_ops, site_positions, site_levels = _site_index_arrays(sites)
+        return cls(
+            backend, input_values, k, site_ops, site_positions, site_levels,
+            bool(np.all(site_levels[1:] >= site_levels[:-1])),
+            correction_budget, keep_outcomes,
+        )
+
+
+def _sweep_shard(sweep: _Sweep, start: int, count: int):
     """Run combination ranks ``[start, start + count)`` of one exhaustive
     sweep and reduce them to counter sums (plus raw per-trial vectors under
     ``keep_outcomes``).
@@ -435,10 +464,11 @@ def _sweep_shard(
     combinations — so this function is the unit of ``jobs`` parallelism, and
     the counters it returns are independent of how ranks were partitioned.
     """
+    k = sweep.k
     ranks = np.arange(start, start + count, dtype=np.int64)
-    matrix = unrank_combinations(n_sites, k, ranks)
-    plan = FaultPlanArrays.from_site_matrix(matrix, site_ops, site_positions)
-    outcomes = backend.run_trials(input_values, n_trials=count, fault_plan=plan)
+    matrix = unrank_combinations(sweep.site_levels.shape[0], k, ranks)
+    plan = FaultPlanArrays.from_site_matrix(matrix, sweep.site_ops, sweep.site_positions)
+    outcomes = sweep.backend.run_trials(sweep.input_values, n_trials=count, fault_plan=plan)
     injected = np.asarray(outcomes.faults_injected)
     if np.any(injected != k):
         # Every site of a deterministic schedule is reached exactly once;
@@ -451,7 +481,9 @@ def _sweep_shard(
         )
     correct = outcomes.outputs_correct.astype(bool, copy=False)
     detected = outcomes.detected.astype(bool, copy=False)
-    within = _max_faults_per_level(site_levels[matrix]) <= correction_budget
+    within = _within_budget(
+        sweep.site_levels[matrix], sweep.correction_budget, sweep.levels_sorted
+    )
     counters = (
         count,
         int(correct.sum()),
@@ -462,7 +494,7 @@ def _sweep_shard(
         int((~correct & within).sum()),
     )
     vectors = None
-    if keep_outcomes:
+    if sweep.keep_outcomes:
         vectors = (
             matrix,
             correct,
@@ -471,6 +503,13 @@ def _sweep_shard(
             np.asarray(outcomes.uncorrectable_levels),
         )
     return start, counters, vectors
+
+
+def _sweep_shards(sweep: _Sweep, shards: Sequence[Tuple[int, int]]) -> list:
+    """:func:`_sweep_shard` over a run of ``(start, count)`` shards — one
+    pool task, so a worker unpickles the backend (and lowers its tape) once
+    per run, not once per shard."""
+    return [_sweep_shard(sweep, start, count) for start, count in shards]
 
 
 def _default_jobs() -> int:
@@ -500,11 +539,12 @@ def exhaustive_multi_fault_injection(
     retains them.
 
     ``correction_budget`` is the scheme's per-level correction capability
-    ``t``.  ``jobs`` distributes shards over a process pool (the backend is
-    pickled to each worker); shard boundaries depend only on ``chunk_size``
-    and counters are integer sums, so results are identical for any job
-    count — the campaign runner's worker-count-invariance discipline.  A
-    negative ``jobs`` uses all cores but one.
+    ``t``.  ``jobs`` distributes shards over a process pool, as about two
+    contiguous runs of shards per worker (each run's task pickles the
+    backend once); shard boundaries depend only on ``chunk_size`` and
+    counters are integer sums, so results are identical for any job count
+    — the campaign runner's worker-count-invariance discipline.  A negative
+    ``jobs`` uses all cores but one.
     """
     if k < 1:
         raise ProtectionError(f"k must be >= 1, got {k}")
@@ -519,7 +559,7 @@ def exhaustive_multi_fault_injection(
         raise ProtectionError(
             f"cannot choose {k} simultaneous faults from {len(sites)} sites"
         )
-    site_ops, site_positions, site_levels = _site_index_arrays(sites)
+    sweep = _Sweep.over(backend, input_values, sites, k, correction_budget, keep_outcomes)
     total = combination_count(len(sites), k)
     shards = [
         (start, min(chunk_size, total - start))
@@ -528,25 +568,22 @@ def exhaustive_multi_fault_injection(
     if jobs < 0:
         jobs = _default_jobs()
     if jobs <= 1 or len(shards) <= 1:
-        results = [
-            _sweep_shard(
-                backend, input_values, len(sites), k, site_ops, site_positions,
-                site_levels, start, count, correction_budget, keep_outcomes,
-            )
-            for start, count in shards
-        ]
+        results = _sweep_shards(sweep, shards)
     else:
-        with ProcessPoolExecutor(max_workers=min(jobs, len(shards))) as pool:
+        workers = min(jobs, len(shards))
+        # About two contiguous runs of shards per worker: each task pickles
+        # the backend, whose tape the worker must lower again.
+        runs = min(len(shards), 2 * workers)
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [
                 pool.submit(
-                    _sweep_shard,
-                    backend, input_values, len(sites), k, site_ops,
-                    site_positions, site_levels, start, count,
-                    correction_budget, keep_outcomes,
+                    _sweep_shards,
+                    sweep,
+                    shards[run * len(shards) // runs:(run + 1) * len(shards) // runs],
                 )
-                for start, count in shards
+                for run in range(runs)
             ]
-            results = [future.result() for future in futures]
+            results = [result for future in futures for result in future.result()]
     analysis = MultiFaultAnalysis(k=k, correction_budget=correction_budget)
     for start, counters, vectors in sorted(results, key=lambda item: item[0]):
         for name, value in zip(_SHARD_COUNTERS, counters):

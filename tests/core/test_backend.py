@@ -278,6 +278,37 @@ class TestFaultModelSurface:
             )
 
 
+class TestScalarSiteCount:
+    """The scalar backend counts its stochastic sites with one whole dry
+    run, so it does so only for a fault model that draws a schedule."""
+
+    @pytest.mark.parametrize(
+        "source",
+        [
+            {},
+            {"fault_plan": [{0: 0}]},
+            {"fault_model": FaultModelSpec.stuck_at((0,), 1)},
+            {"fault_model": FaultModelSpec.stochastic(0.0)},
+        ],
+        ids=["fault-free", "fault-plan", "stuck-at", "error-free"],
+    )
+    def test_a_first_call_that_draws_nothing_counts_no_sites(self, source):
+        backend = make_backend("scalar", AND2, "ecim")
+        backend.run_trials([AND2_INPUTS], **source)
+        assert backend._fault_sites is None
+
+    @pytest.mark.parametrize(
+        "spec",
+        [FaultModelSpec.stochastic(0.1), FaultModelSpec.burst(2, 4, gate_error_rate=0.1)],
+        ids=["stochastic", "burst"],
+    )
+    def test_a_drawing_call_counts_the_sites(self, spec):
+        backend = make_backend("scalar", AND2, "ecim")
+        backend.run_trials([AND2_INPUTS], fault_model=spec, stream=_stream(1))
+        assert backend._fault_sites is not None
+        assert backend._fault_sites.gate > 0
+
+
 # NOTE: the scalar-vs-batched equivalence tests that used to live here
 # (site enumeration, exhaustive per-site SEP classification) moved into the
 # systematic cross-backend harness in tests/differential/, which also covers

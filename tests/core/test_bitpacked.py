@@ -38,6 +38,7 @@ from repro.core.bitpacked import (
     _THR43,
     _XOR2,
     _Counter,
+    _deterministic_events,
     _flip_table,
     _gate_record,
     _Machine,
@@ -51,6 +52,7 @@ from repro.core.bitpacked import (
     run_packed,
     unpack_trials,
 )
+from repro.core.faultplan import FaultPlanArrays
 from repro.core.rng import TrialStream, fault_schedule
 from repro.ecc.bch import bch_code_factory
 from repro.errors import ProtectionError
@@ -727,13 +729,15 @@ class TestFlipLowering:
         return lower_plan(compile_plan(netlist, "ecim"))
 
     @staticmethod
-    def _events(tape, batch, rng):
+    def _events(tape, batch, rng, all_shared=False):
         """Random (site-map entry, trial) events without repeats at 40
-        sites: half of them hit in one trial, the rest in several."""
+        sites: half of them hit in one trial, the rest in several — or,
+        with ``all_shared``, every one in several (a sweep chunk's case)."""
         sites = rng.choice(tape.rank_step.shape[0], size=40, replace=False)
         entries, trials = [], []
         for index, entry in enumerate(sites.tolist()):
-            width = 1 if index % 2 or batch == 1 else int(rng.integers(2, min(batch, 9) + 1))
+            single = (index % 2 and not all_shared) or batch == 1
+            width = 1 if single else int(rng.integers(2, min(batch, 9) + 1))
             for trial in rng.choice(batch, size=width, replace=False).tolist():
                 entries.append(entry)
                 trials.append(trial)
@@ -748,11 +752,12 @@ class TestFlipLowering:
         return {key: mask for key, mask in folded.items() if mask}
 
     @pytest.mark.parametrize("batch", FAULT_PATH_BATCHES)
-    def test_equals_a_naive_fold(self, tape, batch):
+    @pytest.mark.parametrize("all_shared", [False, True], ids=["mixed", "all-shared"])
+    def test_equals_a_naive_fold(self, tape, batch, all_shared):
         rng = np.random.default_rng(batch + 7)
         site_map = tape.plan.site_map
         for _ in range(3):
-            entries, trials = self._events(tape, batch, rng)
+            entries, trials = self._events(tape, batch, rng, all_shared)
             naive = {}
             for entry, trial in zip(entries.tolist(), trials.tolist()):
                 key = (int(site_map.steps[entry]), int(site_map.columns[entry]))
@@ -768,10 +773,11 @@ class TestFlipLowering:
         assert list(none) == []
 
     @pytest.mark.parametrize("batch", [2, 33, 65, 4096])
-    @pytest.mark.parametrize("shared", [True, False])
+    @pytest.mark.parametrize("shared", [True, False, "all"])
     def test_a_repeated_site_trial_pair_raises(self, tape, batch, shared):
         rng = np.random.default_rng(batch)
-        entries, trials = self._events(tape, batch, rng)
+        entries, trials = self._events(tape, batch, rng, all_shared=shared == "all")
+        shared = bool(shared)
         ranks = tape.rank_of_entry[entries]
         # Repeat one event: at a site hit in several trials, or at one hit
         # in a single trial (whose repeat alone makes it look shared).
@@ -802,3 +808,161 @@ class TestFlipLowering:
         rows = np.zeros(len(trials), dtype=np.int32)
         with pytest.raises(ProtectionError, match="more than once"):
             _packed_rows(1, rows, np.asarray(trials, dtype=np.intp), 64)
+
+
+def _slot_entry_events(tape, plan_arrays, batch):
+    """The deterministic lowering through gate slots and site-map entries
+    that the per-operation tables replaced: the reference for
+    :func:`_deterministic_events`."""
+    trials = plan_arrays.trial_of_entry()
+    ops = plan_arrays.op_index
+    positions = plan_arrays.position
+    slot_table = tape.gate_slot_of_op
+    known = (ops >= 0) & (ops < slot_table.shape[0])
+    slots = np.where(known, slot_table[np.where(known, ops, 0)], -1)
+    widths = np.diff(tape.gate_entry_ptr)
+    valid = (slots >= 0) & (positions >= 0)
+    valid &= positions < widths[np.where(valid, slots, 0)]
+    if not valid.all():
+        plan_arrays.check_unique_pairs()
+    trials, slots, positions = trials[valid], slots[valid], positions[valid]
+    faults = np.bincount(trials, minlength=batch).astype(np.int64, copy=False)
+    ranks = tape.rank_of_entry[tape.gate_entry_ptr[slots] + positions]
+    return ranks, trials, faults
+
+
+def _lowered(lowering, tape, plan_arrays):
+    """One lowering's events as plain lists, or the message it raised."""
+    try:
+        ranks, trials, faults = lowering(tape, plan_arrays, plan_arrays.n_trials)
+    except ProtectionError as error:
+        return str(error)
+    return ranks.tolist(), trials.tolist(), faults.tolist()
+
+
+INT64 = np.iinfo(np.int64)
+
+
+class TestDeterministicLowering:
+    """:func:`_deterministic_events` reads the tape's per-operation tables
+    and must lower every plan as the slot/entry lowering did, adversarial
+    ones included."""
+
+    @pytest.fixture(
+        scope="class",
+        params=[
+            ("and2", "ecim", True, 2),
+            ("dot2", "ecim", False, None),
+            ("dot2", "trim", True, None),
+            ("fft4", "unprotected", True, None),
+        ],
+        ids=["and2-bch2", "dot2-ecim-so", "dot2-trim", "fft4-unprotected"],
+    )
+    def tape(self, request):
+        workload, scheme, multi_output, bch_t = request.param
+        kwargs = {} if bch_t is None else {"code_factory": bch_code_factory(bch_t)}
+        netlist = get_campaign_workload(workload).netlist
+        return lower_plan(compile_plan(netlist, scheme, multi_output=multi_output, **kwargs))
+
+    @staticmethod
+    def _adversarial_plan(tape, rng, n_trials):
+        """Up to six distinct (op, position) flips per trial, empty trials
+        included; about a third name an unknown operation (negative, past
+        the table, at the int64 extremes) or an out-of-range position."""
+        n_ops = tape.gate_slot_of_op.shape[0]
+        widths = np.diff(tape.gate_entry_ptr)
+        bad_ops = [-1, -2, n_ops, n_ops + 3, 2**62, INT64.min, INT64.max]
+        bad_positions = [-1, -5, 2**62, INT64.min, INT64.max]
+        bad_ops += [op for op in range(n_ops) if tape.gate_slot_of_op[op] < 0][:3]
+        ptr, ops, positions = [0], [], []
+        for _ in range(n_trials):
+            pairs = set()
+            for _ in range(int(rng.integers(0, 7))):
+                if rng.random() < 0.15:
+                    op = int(rng.choice(bad_ops))
+                else:
+                    op = int(rng.integers(0, n_ops))
+                slot = int(tape.gate_slot_of_op[op]) if 0 <= op < n_ops else -1
+                width = int(widths[slot]) if slot >= 0 else 1
+                if rng.random() < 0.2:
+                    position = int(rng.choice(bad_positions + [width, width + 2]))
+                else:
+                    position = int(rng.integers(0, max(width, 1)))
+                pairs.add((op, position))
+            for op, position in sorted(pairs):
+                ops.append(op)
+                positions.append(position)
+            ptr.append(len(ops))
+        return FaultPlanArrays(
+            trial_ptr=np.asarray(ptr),
+            op_index=np.asarray(ops, dtype=np.int64),
+            position=np.asarray(positions, dtype=np.int64),
+        )
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_adversarial_plans_lower_as_the_slot_lowering_did(self, tape, seed):
+        rng = np.random.default_rng(seed)
+        plan_arrays = self._adversarial_plan(tape, rng, 40)
+        expected = _lowered(_slot_entry_events, tape, plan_arrays)
+        assert not isinstance(expected, str)
+        assert 0 < len(expected[0]) < plan_arrays.op_index.shape[0]
+        assert _lowered(_deterministic_events, tape, plan_arrays) == expected
+
+    def test_every_valid_flip_lowers_as_the_slot_lowering_did(self, tape):
+        # One trial per gate output, then one with them all: every flip is
+        # valid, so the lowering takes its no-filter path.
+        widths = np.diff(tape.gate_entry_ptr).tolist()
+        slots = np.flatnonzero(tape.gate_slot_of_op >= 0)
+        outputs = [
+            (int(op), position)
+            for op in slots
+            for position in range(widths[tape.gate_slot_of_op[op]])
+        ]
+        plans = [{op: position} for op, position in outputs]
+        plans.append({})
+        plan_arrays = FaultPlanArrays.from_dicts(plans)
+        lowered = _lowered(_deterministic_events, tape, plan_arrays)
+        assert lowered == _lowered(_slot_entry_events, tape, plan_arrays)
+        ranks, trials, faults = lowered
+        # Every gate output (site-map entries 0..) exactly once.
+        assert sorted(ranks) == sorted(tape.rank_of_entry[:len(outputs)].tolist())
+        assert faults == [1] * len(outputs) + [0]
+
+    def test_empty_trials_lower_to_no_events(self, tape):
+        plan_arrays = FaultPlanArrays(
+            trial_ptr=np.zeros(4, dtype=np.intp),
+            op_index=np.zeros(0, dtype=np.int64),
+            position=np.zeros(0, dtype=np.int64),
+        )
+        assert _lowered(_deterministic_events, tape, plan_arrays) == ([], [], [0, 0, 0])
+        assert _lowered(_slot_entry_events, tape, plan_arrays) == ([], [], [0, 0, 0])
+
+    @pytest.mark.parametrize("dropped", ["unknown-op", "bad-position"])
+    def test_a_repeat_among_dropped_flips_names_the_pair(self, tape, dropped):
+        n_ops = tape.gate_slot_of_op.shape[0]
+        op0 = int(np.flatnonzero(tape.gate_slot_of_op >= 0)[0])
+        op, position = (n_ops + 7, 0) if dropped == "unknown-op" else (op0, 2**40)
+        plan_arrays = FaultPlanArrays(
+            trial_ptr=np.array([0, 1, 4]),
+            op_index=np.array([op0, op0, op, op], dtype=np.int64),
+            position=np.array([0, 0, position, position], dtype=np.int64),
+        )
+        message = f"trial 1 names operation {op}, output position {position} more than once"
+        for lowering in (_deterministic_events, _slot_entry_events):
+            with pytest.raises(ProtectionError, match=message):
+                lowering(tape, plan_arrays, 2)
+
+    def test_op_tables_are_built_on_the_first_deterministic_batch(self):
+        netlist = get_campaign_workload("and2").netlist
+        backend = make_backend("bitpacked", netlist, "ecim")
+        inputs = {signal: 1 for signal in netlist.inputs}
+        backend.run_trials(inputs, n_trials=2)
+        backend.run_trials(
+            inputs, n_trials=2, fault_model=FaultModelSpec.stochastic(0.1),
+            stream=TrialStream.keyed(("op-tables",), range(2)),
+        )
+        assert "op_tables" not in vars(backend.tape)
+        backend.run_trials(inputs, n_trials=2, fault_plan=[{0: 0}, {}])
+        width, first = vars(backend.tape)["op_tables"]
+        assert width.shape == first.shape == (backend.tape.gate_slot_of_op.shape[0] + 1,)
+        assert width[-1] == 0 and not width.flags.writeable and not first.flags.writeable

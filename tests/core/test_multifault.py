@@ -12,12 +12,24 @@ Pins down the three contracts the multi-fault subsystem rests on:
   including the ones Hamming-protected ECiM provably misses, and no
   combination within the per-level correction budget ever corrupts the
   outputs.
+
+It also pins the sweep's array shortcuts to their object-level meaning:
+the per-level budget check on sorted rows, the unsorted-site-list path,
+and the pool's contiguous runs of shards.
 """
 
+import pickle
+from concurrent.futures import Future
+
+import numpy as np
 import pytest
 
-from repro.core.backend import BACKEND_NAMES, make_backend
+import repro.core.sep as sep_module
+from repro.core.backend import BACKEND_NAMES, FaultSite, make_backend
 from repro.core.sep import (
+    _SHARD_COUNTERS,
+    MultiFaultOutcome,
+    _within_budget,
     and_gate_example_netlist,
     exhaustive_multi_fault_injection,
     exhaustive_single_fault_injection,
@@ -229,3 +241,102 @@ class TestApiContracts:
         wider = smallest_bch_code(8, 2)
         assert wider.k >= 8
         assert wider.n > code.n
+
+
+def _level_outcome(levels):
+    """A combination outcome whose sites sit on ``levels``."""
+    return MultiFaultOutcome(
+        sites=tuple(
+            FaultSite(
+                operation_index=index,
+                output_position=0,
+                gate="nor",
+                is_metadata=False,
+                logic_level=level,
+                column=index,
+            )
+            for index, level in enumerate(levels)
+        ),
+        final_outputs_correct=True,
+        error_detected=False,
+        corrections=0,
+        uncorrectable_levels=0,
+    )
+
+
+class TestSweepShortcuts:
+    """The sweep's array shortcuts against what they stand for."""
+
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_within_budget_equals_max_faults_per_level(self, k):
+        rng = np.random.default_rng(k)
+        unsorted = rng.integers(0, 4, size=(300, k))
+        rows = np.sort(unsorted, axis=1)
+        assert not np.array_equal(unsorted, rows) or k == 1
+        for budget in range(k + 2):
+            expected = [
+                _level_outcome(levels).within_budget(budget) for levels in unsorted.tolist()
+            ]
+            assert _within_budget(unsorted, budget).tolist() == expected
+            assert _within_budget(rows, budget).tolist() == expected
+            assert _within_budget(rows, budget, rows_sorted=True).tolist() == expected
+
+    @pytest.mark.parametrize("k, budget", [(2, 1), (3, 2)], ids=["hamming-k2", "bch2-k3"])
+    def test_a_shuffled_site_list_gives_the_same_counters(self, k, budget):
+        # Combination rows of a shuffled list read their levels unsorted,
+        # so the sweep takes the path that sorts them.
+        factory = {"code_factory": bch_code_factory(budget)} if budget > 1 else {}
+        backend = make_backend("bitpacked", AND2, "ecim", **factory)
+        sites = backend.enumerate_sites(AND2_INPUTS)
+        shuffled = [sites[index] for index in np.random.default_rng(5).permutation(len(sites))]
+        levels = [site.logic_level for site in shuffled]
+        assert levels != sorted(levels)
+        runs = [
+            exhaustive_multi_fault_injection(
+                backend, AND2_INPUTS, k=k, sites=site_list, chunk_size=512,
+                correction_budget=budget, keep_outcomes=False,
+            )
+            for site_list in (sites, shuffled)
+        ]
+        counters = [[getattr(run, name) for name in _SHARD_COUNTERS] for run in runs]
+        assert counters[0] == counters[1]
+        # Both sides of the budget occur, so the check decides something.
+        assert runs[0].sep_guaranteed_combinations > 0
+        assert runs[0].total_combinations > runs[0].sep_guaranteed_combinations
+
+    def test_a_pool_runs_about_two_contiguous_shard_runs_per_worker(self, monkeypatch):
+        backend = make_backend("bitpacked", AND2, "ecim", code_factory=bch_code_factory(2))
+        kwargs = {"k": 2, "chunk_size": 64, "correction_budget": 2}
+        serial = exhaustive_multi_fault_injection(backend, AND2_INPUTS, **kwargs)
+        runs = []
+
+        class InlinePool:
+            """Runs each task when it is submitted, on a pickled copy of
+            its arguments, as a worker process would receive them."""
+
+            def __init__(self, max_workers):
+                assert max_workers == 3
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                return False
+
+            def submit(self, fn, *args):
+                runs.append(list(args[1]))
+                future = Future()
+                future.set_result(fn(*pickle.loads(pickle.dumps(args))))
+                return future
+
+        monkeypatch.setattr(sep_module, "ProcessPoolExecutor", InlinePool)
+        pooled = exhaustive_multi_fault_injection(backend, AND2_INPUTS, jobs=3, **kwargs)
+        total = serial.total_combinations
+        assert len(runs) == 6 and all(runs)
+        assert [shard for run in runs for shard in run] == [
+            (start, min(64, total - start)) for start in range(0, total, 64)
+        ]
+        assert [getattr(pooled, name) for name in _SHARD_COUNTERS] == [
+            getattr(serial, name) for name in _SHARD_COUNTERS
+        ]
+        assert _outcome_tuples(pooled) == _outcome_tuples(serial)

@@ -120,9 +120,10 @@ def build_tape(name: str):
     return plan, lower_plan(plan)
 
 
-def tape_digests(name: str) -> dict:
-    """Each section's digest of one tape, plus its step and record counts."""
-    plan, tape = build_tape(name)
+def tape_digests(name: str, built=None) -> dict:
+    """Each section's digest of one tape, plus its step and record counts;
+    ``built`` is the tape's ``(plan, tape)`` when the caller has built it."""
+    plan, tape = build_tape(name) if built is None else built
     plan_fields = [
         [field.name, _canon(getattr(plan, field.name))]
         for field in dataclasses.fields(plan)

@@ -8,6 +8,7 @@ the tape is intentional, regenerate with::
 and say why in the commit message.
 """
 
+import numpy as np
 import pytest
 
 import tape_golden
@@ -17,15 +18,40 @@ def test_every_tape_is_pinned():
     assert sorted(tape_golden.load_digests()) == sorted(tape_golden.TAPES)
 
 
-@pytest.mark.parametrize("name", sorted(tape_golden.TAPES))
-def test_tape_matches_golden(name):
+@pytest.fixture(scope="module", params=sorted(tape_golden.TAPES))
+def built(request):
+    """``(name, (plan, tape))``, built once for every test of the tape."""
+    return request.param, tape_golden.build_tape(request.param)
+
+
+def test_tape_matches_golden(built):
+    name, plan_and_tape = built
     stored = tape_golden.load_digests()[name]
-    computed = tape_golden.tape_digests(name)
+    computed = tape_golden.tape_digests(name, plan_and_tape)
     drifted = sorted(key for key in stored if computed.get(key) != stored[key])
     assert not drifted, (
         f"tape {name} drifted in {drifted}: if this change is intentional, regenerate "
         "with PYTHONPATH=src python tests/golden/tape_golden.py --write"
     )
+
+
+def test_firing_outputs_rank_consecutively(built):
+    # The per-operation tables that deterministic plans are lowered through
+    # rank position p of a firing as its first output's rank plus p.
+    _, (_, tape) = built
+    ptr = tape.gate_entry_ptr
+    widths = np.diff(ptr)
+    assert widths.min() > 0
+    ranks = tape.rank_of_entry[:ptr[-1]]
+    offsets = np.arange(ptr[-1]) - np.repeat(ptr[:-1], widths)
+    assert np.array_equal(ranks, np.repeat(ranks[ptr[:-1]], widths) + offsets)
+    width, first = tape.op_tables
+    slots = tape.gate_slot_of_op
+    carried = slots >= 0
+    assert width.shape == first.shape == (slots.shape[0] + 1,)
+    assert np.array_equal(width[:-1][carried], widths[slots[carried]])
+    assert np.array_equal(first[:-1][carried], ranks[ptr[slots[carried]]])
+    assert not width[:-1][~carried].any() and width[-1] == 0
 
 
 def test_table_records_digest_their_truth_table():
