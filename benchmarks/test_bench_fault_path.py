@@ -5,10 +5,13 @@ campaign-level change can be traced to the layer it touched.
 * one 250-trial fault-free mlp16 + ECiM ``run_trials``: the int-tape walk
   alone (16,834 of its 22,700 records are fused NOR2 -> THR43 parity
   pairs), plus packing the inputs and the golden netlist run;
+* the same call under the default stochastic model at 1e-3: the schedule,
+  its lowering to event lists, the walk with ~18k flip events on ~14k of
+  the tape's 39,534 plan steps, and the ECiM decodes they trigger;
 * lowering one 250-trial mlp16 + ECiM stochastic schedule at 1e-3 (~72
-  faults per trial over 79,102 fault sites) to the engine's per-site XOR
-  ints: map the hits to tape-order ranks, one ``np.bincount``, pack the
-  sites hit in several trials;
+  faults per trial over 79,102 fault sites) to the walk's event lists, one
+  XOR int per hit site: map the hits to tape-order ranks, one
+  ``np.bincount``, pack the sites hit in several trials;
 * one 4,096-row and2 + BCH-t2 k=4 sweep shard through ``run_trials``:
   lowering the CSR plan to XOR ints, then a syndrome decode at both logic
   levels in every row — the tape is short, so the shard is mostly fault
@@ -59,6 +62,24 @@ def test_mlp16_faultfree_walk(benchmark):
     emit({"rendered": f"fault-free walk: {rate:.0f} trials/sec (mlp16, ecim, one shard)"})
 
 
+def test_mlp16_faulty_walk(benchmark):
+    netlist = get_campaign_workload("mlp16").netlist
+    backend = make_backend("bitpacked", netlist, "ecim")
+    stream = TrialStream.keyed((17, "mlp16"), range(MLP16_TRIALS))
+    matrix = sample_input_matrix(netlist, stream)
+    backend.run_trials(matrix[:2])  # lower the tape outside the timed rounds
+    outcomes = benchmark.pedantic(
+        backend.run_trials,
+        args=(matrix,),
+        kwargs={"fault_model": _MODEL, "stream": stream, "capture_outputs": True},
+        rounds=10,
+        iterations=1,
+    )
+    assert outcomes.faults_injected.sum() > 0 and outcomes.detected.any()
+    rate = MLP16_TRIALS / benchmark.stats.stats.mean
+    emit({"rendered": f"faulty walk: {rate:.0f} trials/sec (mlp16, ecim, one shard at 1e-3)"})
+
+
 def test_mlp16_schedule_lowering(benchmark):
     netlist = get_campaign_workload("mlp16").netlist
     tape = make_backend("bitpacked", netlist, "ecim").tape
@@ -67,10 +88,11 @@ def test_mlp16_schedule_lowering(benchmark):
 
     def lower():
         ranks, trials = _scheduled_events(tape, schedule)
-        return list(_flip_table(tape, ranks, trials, MLP16_TRIALS))
+        return _flip_table(tape, ranks, trials, MLP16_TRIALS)
 
-    flips = benchmark.pedantic(lower, rounds=10, iterations=1)
-    assert 0 < len(flips) <= int(schedule.faults.sum())
+    steps, columns, masks = benchmark.pedantic(lower, rounds=10, iterations=1)
+    assert steps[-1] == tape.n_steps and len(steps) == len(columns) + 1 == len(masks) + 1
+    assert 0 < len(masks) <= int(schedule.faults.sum())
     rate = MLP16_TRIALS / benchmark.stats.stats.mean
     emit({"rendered": f"schedule lowering: {rate:.0f} trials/sec (mlp16, ecim, one shard)"})
 

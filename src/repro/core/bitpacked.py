@@ -20,11 +20,16 @@ distinct.  Fault events stay keyed by plan step: a fused record advances
 the step count by two, and applies a fault on its NOR step between its
 two halves.  The fault path stays in int ops too:
 
-* every fault source is lowered once per call to one XOR int per fault
-  site, through the tape's index of the plan's sites in tape order — one
-  ``np.bincount`` finds the hit sites, already in step order; a site hit
-  in one trial is ``1 << trial``, the rest are packed bit rows — and the
-  interpreter XORs them in right after their step executes;
+* every fault source is lowered once per call to three flat event lists
+  — the plan step each event follows, ended by a sentinel step past the
+  tape, then its column and its XOR int — which the interpreter walks with
+  one index cursor, XORing each int in right after its step executes.
+  Flips get one int per hit fault site, through the tape's index of the
+  plan's sites in tape order: one ``np.bincount`` finds the hit sites,
+  already in step order; a site hit in one trial is ``1 << trial``, the
+  rest are packed bit rows.  A stuck-at model's writes take the same
+  lists, each int read off the state as the cursor reaches it: the bits
+  that differ from the stuck value;
 * an ECiM level whose syndrome ints fire splits the fired trials by
   syndrome value, one syndrome bit at a time, and XORs each group's trial
   mask into the data columns its decode-table entry flips (a dict built
@@ -54,7 +59,7 @@ ints stay within ``full`` and :func:`unpack_trials` round-trips them.
 from __future__ import annotations
 
 from functools import cached_property, lru_cache
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -63,7 +68,6 @@ from repro.core.batched import (
     BatchResult,
     EcimCheckStep,
     ExecutionPlan,
-    FaultSiteMap,
     GateStep,
     PresetStep,
     ReadStep,
@@ -455,8 +459,39 @@ def lower_plan(plan: ExecutionPlan) -> _IntTape:
 # ---------------------------------------------------------------------- #
 # Interpretation
 # ---------------------------------------------------------------------- #
-#: The end of an event stream: a step past the end of any tape.
-_NO_EVENT = (1 << 62, 0, 0)
+#: A batch's events as three flat lists, in step order: the plan step each
+#: event follows, ended by a sentinel step past the tape, then each event's
+#: column and the int the walk XORs into it.  A batch has one event source
+#: (flips, or the writes of a stuck-at model), so one triple holds them all.
+_Events = Tuple[List[int], List[int], Sequence[int]]
+
+
+def _no_events(n_steps: int) -> _Events:
+    """The event lists of a batch without events on an ``n_steps``-step
+    tape: the sentinel alone."""
+    return [n_steps], [], []
+
+
+class _StuckWrites:
+    """The ints of a stuck-at model's events, read as the cursor reaches
+    them: event ``i`` forces its column to the stuck value, so its int is
+    the column's bits that differ from that value.  Those are the trials
+    whose stored bit the write changes, which the scalar injector logs as
+    faults, so each read adds them to :attr:`faults`."""
+
+    __slots__ = ("state", "cols", "value", "faults")
+
+    def __init__(self, state: List[int], cols: List[int], value: int) -> None:
+        self.state = state
+        self.cols = cols
+        self.value = value
+        self.faults = _Counter()
+
+    def __getitem__(self, index: int) -> int:
+        changed = self.state[self.cols[index]] ^ self.value
+        if changed:
+            self.faults.add(changed)
+        return changed
 
 
 class _Machine:
@@ -467,23 +502,17 @@ class _Machine:
         self.batch = batch
         self.full = (1 << batch) - 1
         self.detected = 0
-        #: Corrected data bits, uncorrectable ECiM levels, and stuck-at
-        #: writes that changed a bit (which count as injected faults).
+        #: Corrected data bits and uncorrectable ECiM levels.
         self.corrections = _Counter()
         self.uncorrectable = _Counter()
-        self.stuck_faults = _Counter()
 
-    def execute(
-        self,
-        records: Sequence[tuple],
-        flips: Iterable[Tuple[int, int, int]] = (),
-        stuck: Sequence[Tuple[int, int]] = (),
-        stuck_value: int = 0,
-    ) -> None:
-        """Run ``records`` in order.  Right after plan step ``i`` executes,
-        XOR ``mask`` into ``column`` for every ``(i, column, mask)`` of
-        ``flips``, and force every ``column`` of a ``(i, column)`` of
-        ``stuck`` to ``stuck_value``.  Both are sorted by step.
+    def execute(self, records: Sequence[tuple], events: _Events) -> None:
+        """Run ``records`` in order, with one index cursor ``i`` over the
+        event lists ``(steps, cols, ints)`` (see :data:`_Events`): right
+        after plan step ``steps[i]`` executes, XOR ``ints[i]`` into column
+        ``cols[i]``.  Flips and stuck-at writes (:class:`_StuckWrites`)
+        take this one path; the sentinel that ends ``steps`` is never
+        reached, so the cursor needs no end test.
 
         ``step`` counts plan steps: an ``_XOR2`` record runs two, its NOR
         step and its THR step, and advances it by two.  When an event falls
@@ -492,11 +521,9 @@ class _Machine:
         half is ``x ^ y``.  Events on the THR step take the common path."""
         s = self.state
         full = self.full
-        flips = iter(flips)
-        flip_step, flip_col, flip_mask = next(flips, _NO_EVENT)
-        stuck = iter(stuck)
-        stuck_step, stuck_col = next(stuck, _NO_EVENT[:2])
-        next_hot = min(flip_step, stuck_step)
+        steps, cols, ints = events
+        i = 0
+        next_hot = steps[0]
         step = -1
         for rec in records:
             step += 1
@@ -510,20 +537,14 @@ class _Machine:
                 if step != next_hot:
                     s[rec[5]] = x ^ y
                 else:
-                    # The NOR step's events, applied as the end-of-record
-                    # hook applies them (inlined: this branch runs on ~40%
-                    # of mlp16's pairs at 1e-3), then THR43 over the
-                    # current scratch columns.
-                    while flip_step == step:
-                        s[flip_col] ^= flip_mask
-                        flip_step, flip_col, flip_mask = next(flips, _NO_EVENT)
-                    while stuck_step == step:
-                        changed = s[stuck_col] ^ stuck_value
-                        if changed:
-                            self.stuck_faults.add(changed)
-                            s[stuck_col] = stuck_value
-                        stuck_step, stuck_col = next(stuck, _NO_EVENT[:2])
-                    next_hot = min(flip_step, stuck_step)
+                    # The NOR step's events, as the end-of-record hook
+                    # applies them (inlined: this branch runs on ~40% of
+                    # mlp16's pairs at 1e-3), then THR43 over the current
+                    # scratch columns.
+                    while steps[i] == step:
+                        s[cols[i]] ^= ints[i]
+                        i += 1
+                    next_hot = steps[i]
                     a = s[rec[1]]
                     b = s[rec[2]]
                     c = s[rec[3]]
@@ -576,16 +597,10 @@ class _Machine:
             else:  # pragma: no cover - defensive
                 raise ProtectionError(f"unknown int-tape opcode {op}")
             if step == next_hot:
-                while flip_step == step:
-                    s[flip_col] ^= flip_mask
-                    flip_step, flip_col, flip_mask = next(flips, _NO_EVENT)
-                while stuck_step == step:
-                    changed = s[stuck_col] ^ stuck_value
-                    if changed:
-                        self.stuck_faults.add(changed)
-                        s[stuck_col] = stuck_value
-                    stuck_step, stuck_col = next(stuck, _NO_EVENT[:2])
-                next_hot = min(flip_step, stuck_step)
+                while steps[i] == step:
+                    s[cols[i]] ^= ints[i]
+                    i += 1
+                next_hot = steps[i]
 
     def _ecim(self, rec: tuple) -> None:
         """Fold each parity bit's syndrome int; when some trial's syndrome
@@ -671,7 +686,7 @@ def _golden(
     values[_signal_slot(netlist, Netlist.CONST_ONE)] = (1 << batch) - 1
     for signal, value in zip(netlist.inputs, inputs):
         values[signal] = value
-    _Machine(values, batch).execute(records)
+    _Machine(values, batch).execute(records, _no_events(len(records)))
     return unpack_trials(
         [values[_signal_slot(netlist, signal)] for signal in netlist.outputs], batch
     )
@@ -691,15 +706,16 @@ def bitpacked_golden_outputs(
 # Fault-source lowering: (rank, trial) flip events, rank = a fault site's
 # place in tape order (see _IntTape)
 # ---------------------------------------------------------------------- #
-def _flip_table(
-    tape: _IntTape, ranks: np.ndarray, trials: np.ndarray, batch: int
-) -> Iterable[Tuple[int, int, int]]:
-    """``(step, column, XOR int)`` of every fault site a batch's events hit,
-    by step — lazily, so the interpreter builds one tuple at a time."""
+def _flip_table(tape: _IntTape, ranks: np.ndarray, trials: np.ndarray, batch: int) -> _Events:
+    """The event lists (see :data:`_Events`) of a batch's flip events: the
+    step, column and XOR int of every fault site they hit, in tape order,
+    ended by the sentinel ``tape.n_steps``."""
     if not ranks.size:
-        return ()
+        return _no_events(tape.n_steps)
     hot, masks = _site_masks(tape, ranks, trials, batch)
-    return zip(tape.rank_step[hot].tolist(), tape.rank_col[hot].tolist(), masks)
+    steps = tape.rank_step[hot].tolist()
+    steps.append(tape.n_steps)
+    return steps, tape.rank_col[hot].tolist(), masks
 
 
 def _site_masks(
@@ -708,24 +724,33 @@ def _site_masks(
     """The ranks of the hit sites, in tape order, and each one's trial mask.
 
     One ``np.bincount`` over the ranks finds the hit sites.  A site hit in
-    one trial is ``1 << trial``; the sites hit in several trials become one
-    packed bit row each (:func:`_packed_rows`).  A (site, trial) pair may
-    occur once: the engines apply one flip per site, so a repeat would
-    cancel here and count twice elsewhere.
+    one trial is ``1 << trial`` — read from a per-batch table of those ints
+    when such sites outnumber the trials, so sites of one trial share one
+    int; the sites hit in several trials become one packed bit row each
+    (:func:`_packed_rows`).  A (site, trial) pair may occur once: the
+    engines apply one flip per site, so a repeat would cancel here and
+    count twice elsewhere.
     """
     counts = np.bincount(ranks, minlength=tape.rank_step.shape[0])
-    hot = np.flatnonzero(counts)
+    hot = np.flatnonzero(counts != 0)  # scanning bools: ~4x faster than int64
     shared = counts[hot] > 1
     # One slot per site: the trial of a single-trial site, then the bit
     # row of each shared one.
     slot = np.empty(counts.shape[0], dtype=np.int32)
-    if shared.all():
+    n_shared = int(np.count_nonzero(shared))
+    if n_shared == hot.shape[0]:
         # Every hit site is a bit row (a sweep chunk's case): no compress.
         slot[hot] = np.arange(hot.shape[0], dtype=np.int32)
         return hot, _row_ints(_packed_rows(hot.shape[0], slot[ranks], trials, batch))
     slot[ranks] = trials
-    masks = [1 << trial for trial in np.where(shared, 0, slot[hot]).tolist()]
-    if shared.any():
+    singles = np.where(shared, 0, slot[hot]).tolist()
+    if hot.shape[0] - n_shared > batch:
+        # Only then: a 4,096-trial table is ~1 MB of ints.
+        bits = [1 << trial for trial in range(batch)]
+        masks = list(map(bits.__getitem__, singles))
+    else:
+        masks = [1 << trial for trial in singles]
+    if n_shared:
         rows = hot[shared]
         slot[rows] = np.arange(rows.shape[0], dtype=np.int32)
         events = counts[ranks] > 1
@@ -791,18 +816,21 @@ def _scheduled_events(tape: _IntTape, schedule: FaultSchedule) -> Tuple[np.ndarr
     return tape.rank_of_entry[entries], rows
 
 
-def _stuck_steps(site_map: FaultSiteMap, stuck: _StuckCells) -> List[Tuple[int, int]]:
-    """``(step, column)`` of every gate commit and checker read that touches
-    an afflicted cell, by step — the scalar injector's touch points
+def _stuck_steps(tape: _IntTape, stuck: _StuckCells) -> Tuple[List[int], List[int]]:
+    """The steps, ended by the sentinel ``tape.n_steps``, and the columns of
+    a stuck-at model's writes: every gate commit and checker read that
+    touches an afflicted cell, by step — the scalar injector's touch points
     (presets and checker write-backs bypass it): the site map's gate-output
     entries ``0 ..`` and its ``memory`` class of read cells."""
+    site_map = tape.plan.site_map
     classes = site_map.classes
     n_outputs = classes["gate"].shape[0] + classes["metadata"].shape[0]
     entries = np.concatenate([np.arange(n_outputs), classes["memory"]])
     entries = entries[stuck.is_stuck[site_map.columns[entries]]]
-    steps, columns = site_map.steps[entries], site_map.columns[entries]
-    order = np.argsort(steps, kind="stable")
-    return list(zip(steps[order].tolist(), columns[order].tolist()))
+    entries = entries[np.argsort(site_map.steps[entries], kind="stable")]
+    steps = site_map.steps[entries].tolist()
+    steps.append(tape.n_steps)
+    return steps, site_map.columns[entries].tolist()
 
 
 # ---------------------------------------------------------------------- #
@@ -855,7 +883,7 @@ def run_packed(
         faults += plan_faults
 
     try:
-        flips = _flip_table(tape, ranks, trials, batch)
+        events = _flip_table(tape, ranks, trials, batch)
     except ProtectionError:
         if plan_arrays is not None:
             plan_arrays.check_unique_pairs()  # names the repeated pair
@@ -866,13 +894,15 @@ def run_packed(
     state[plan.const1_col] = machine.full
     for col, value in zip(tape.input_cols, inputs):
         state[col] = value
-    stuck_value = 0
-    stuck_at: List[Tuple[int, int]] = []
+    writes: Optional[_StuckWrites] = None
     if stuck is not None:
-        stuck_value = machine.full if stuck.value else 0
-        stuck_at = _stuck_steps(plan.site_map, stuck)
-    machine.execute(tape.records, flips, stuck_at, stuck_value)
-    faults += machine.stuck_faults.counts(batch)
+        # A stuck-at model draws no flips: its writes take the event lists.
+        steps, cols = _stuck_steps(tape, stuck)
+        writes = _StuckWrites(state, cols, machine.full if stuck.value else 0)
+        events = (steps, cols, writes)
+    machine.execute(tape.records, events)
+    if writes is not None:
+        faults += writes.faults.counts(batch)
 
     return BatchResult(
         outputs=unpack_trials([state[col] for col in tape.output_cols], batch),

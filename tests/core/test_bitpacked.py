@@ -7,11 +7,13 @@ module owns the engine-local properties that grid cannot see — the
 pack/unpack transposition contract (ragged batches, tail bits never set,
 int XOR vs uint8 XOR), the gate records against the truth tables, the
 lowering and int-tape invariants, the fused NOR2 -> THR43 parity-pair
-record under faults on either of its steps, the engine's consumption of
-the shared stochastic stream (reproducible, batch-composition-invariant,
-statistically faithful), and the fault path's two int-op pieces against
-the per-trial algorithms they replaced: the ECiM decode by syndrome value
-and the flip lowering.
+record under faults on either of its steps, the walk's one event cursor at
+its edges (both steps of a pair, the last plan step, consecutive steps,
+stuck-at writes), the engine's consumption of the shared stochastic stream
+(reproducible, batch-composition-invariant, statistically faithful), and
+the fault path's two int-op pieces against the per-trial algorithms they
+replaced: the ECiM decode by syndrome value and the flip lowering to event
+lists, whose single-trial masks come from a table or a shift.
 """
 
 import numpy as np
@@ -27,6 +29,7 @@ from repro.core.batched import (
     GateStep,
     PresetStep,
     ReadStep,
+    _StuckCells,
     batched_golden_outputs,
     compile_plan,
     sample_input_matrix,
@@ -42,8 +45,11 @@ from repro.core.bitpacked import (
     _flip_table,
     _gate_record,
     _Machine,
+    _no_events,
     _packed_rows,
     _scheduled_events,
+    _site_masks,
+    _stuck_steps,
     _table_key,
     _table_program,
     bitpacked_golden_outputs,
@@ -164,7 +170,8 @@ def _fire(key, combos):
     """One gate record over every input combination (one trial each)."""
     batch, n_inputs = combos.shape
     machine = _Machine(pack_trials(combos) + [0, 0], batch)
-    machine.execute([_gate_record(key, tuple(range(n_inputs)), (n_inputs, n_inputs + 1))])
+    record = _gate_record(key, tuple(range(n_inputs)), (n_inputs, n_inputs + 1))
+    machine.execute([record], _no_events(1))
     out = unpack_trials(machine.state[n_inputs:], batch)
     assert np.array_equal(out[:, 0], out[:, 1])  # every output cell commits
     return out[:, 0]
@@ -193,7 +200,7 @@ class TestGateRecords:
         # twice, and generated circuits repeat operands too.
         combos = _all_combinations(2)
         machine = _Machine(pack_trials(combos) + [0], 4)
-        machine.execute([_gate_record(("thr", 4, 3), (0, 0, 1, 1), (2,))])
+        machine.execute([_gate_record(("thr", 4, 3), (0, 0, 1, 1), (2,))], _no_events(1))
         got = unpack_trials([machine.state[2]], 4)[:, 0]
         expected = truth_table("thr", 4, 3)[[0b0000, 0b0011, 0b1100, 0b1111]]
         assert np.array_equal(got, expected)
@@ -334,29 +341,34 @@ def test_only_multi_output_ecim_parity_pairs_fuse(scheme, multi_output, pairs):
     assert sum(record[0] == _XOR2 for record in tape.records) == pairs
 
 
+@pytest.fixture(scope="module")
+def cell():
+    """dot2 + ECiM on the scalar reference and on bitpacked, plus the plan
+    steps of every fused pair."""
+    netlist = get_campaign_workload("dot2").netlist
+    bitpacked = make_backend("bitpacked", netlist, "ecim")
+    steps = bitpacked.plan.steps
+    pairs = [
+        (steps[index], steps[index + 1])
+        for index, (record, half) in enumerate(_step_records(bitpacked.tape))
+        if record[0] == _XOR2 and half == 0
+    ]
+    return netlist, make_backend("scalar", netlist, "ecim"), bitpacked, pairs
+
+
 class TestFusedPairFaults:
     """Faults on either step of a fused NOR2 -> THR43 pair, bitpacked
     against the scalar reference: a fault on the NOR step's scratch
     columns must reach the THR step's parity output."""
-
-    @pytest.fixture(scope="class")
-    def cell(self):
-        netlist = get_campaign_workload("dot2").netlist
-        bitpacked = make_backend("bitpacked", netlist, "ecim")
-        steps = bitpacked.plan.steps
-        pairs = [
-            (steps[index], steps[index + 1])
-            for index, (record, half) in enumerate(_step_records(bitpacked.tape))
-            if record[0] == _XOR2 and half == 0
-        ]
-        return netlist, make_backend("scalar", netlist, "ecim"), bitpacked, pairs
 
     def test_flips_on_either_step(self, cell):
         netlist, scalar, bitpacked, pairs = cell
         plans = [{}]
         for nor, thr in (pairs[0], pairs[len(pairs) // 2], pairs[-1]):
             n, t = nor.op_index, thr.op_index
-            # s1, s2, both, t, s1 + t, all three.
+            # s1, s2, both, t, s1 + t, all three.  A trial that hits both
+            # steps runs the record's NOR-step branch and the end-of-record
+            # hook, and the batch's event there carries several trials.
             plans += [
                 {n: (0,)}, {n: (1,)}, {n: (0, 1)}, {t: (0,)}, {n: (0,), t: (0,)},
                 {n: (0, 1), t: (0,)},
@@ -379,6 +391,86 @@ class TestFusedPairFaults:
         expected = scalar.run_trials(matrix, fault_model=spec, capture_outputs=True)
         got = bitpacked.run_trials(matrix, fault_model=spec, capture_outputs=True)
         _assert_outcomes_equal(expected, got, (column, polarity))
+        assert got.faults_injected.any()
+
+
+class TestEventCursor:
+    """The walk's one event cursor at its edges, bitpacked against the
+    scalar reference, outcomes and captured outputs byte-identical: the
+    tape's last plan step, flips on consecutive steps, and stuck-at cells
+    touched at consecutive steps (both steps of a fused pair in one trial,
+    and stuck-at on its NOR output, are in :class:`TestFusedPairFaults`)."""
+
+    @staticmethod
+    def _run(netlist, scalar, bitpacked, tag, n_trials, **faults):
+        matrix = sample_input_matrix(netlist, _stream(tag, n_trials))
+        expected = scalar.run_trials(matrix, capture_outputs=True, **faults)
+        got = bitpacked.run_trials(matrix, capture_outputs=True, **faults)
+        _assert_outcomes_equal(expected, got, tag)
+        return got
+
+    @staticmethod
+    def _event_steps(bitpacked, plans):
+        ranks, trials, _ = _deterministic_events(
+            bitpacked.tape, FaultPlanArrays.coerce(plans), len(plans)
+        )
+        return _flip_table(bitpacked.tape, ranks, trials, len(plans))[0]
+
+    @staticmethod
+    def _gate_run(plan, length):
+        """The first ``length`` consecutive plan steps that are all gates."""
+        gates = [isinstance(step, GateStep) for step in plan.steps]
+        start = next(
+            index for index in range(len(gates)) if all(gates[index:index + length])
+        )
+        return list(range(start, start + length))
+
+    def test_the_last_plan_step(self):
+        # The unprotected tape ends with a gate step: its event is the last
+        # before the sentinel.
+        netlist = get_campaign_workload("dot2").netlist
+        scalar = make_backend("scalar", netlist, "unprotected")
+        bitpacked = make_backend("bitpacked", netlist, "unprotected")
+        last, before = bitpacked.plan.steps[-1], bitpacked.plan.steps[-2]
+        assert isinstance(last, GateStep) and isinstance(before, GateStep)
+        plans = [{last.op_index: (position,)} for position in range(len(last.output_cols))]
+        plans += [{before.op_index: (0,), last.op_index: (0,)}, {}]
+        steps = self._event_steps(bitpacked, plans)
+        assert steps[-2:] == [bitpacked.tape.n_steps - 1, bitpacked.tape.n_steps]
+        got = self._run(netlist, scalar, bitpacked, "cursor-last", len(plans), fault_plan=plans)
+        assert not got.outputs_correct[:-1].all() and got.outputs_correct[-1]
+
+    def test_flips_on_consecutive_steps(self, cell):
+        # A run of gate steps (a data gate, then fused pairs): one trial
+        # flips every step of it, two others every other step.
+        netlist, scalar, bitpacked, _ = cell
+        ops = [bitpacked.plan.steps[index].op_index for index in self._gate_run(bitpacked.plan, 6)]
+        plans = [
+            {op: (0,) for op in ops},
+            {op: (0,) for op in ops[::2]},
+            {op: (0,) for op in ops[1::2]},
+            {},
+        ]
+        steps = self._event_steps(bitpacked, plans)
+        assert steps[:-1] == list(range(steps[0], steps[0] + 6))
+        got = self._run(netlist, scalar, bitpacked, "cursor-run", len(plans), fault_plan=plans)
+        assert got.faults_injected.tolist() == [6, 3, 3, 0]
+
+    @pytest.mark.parametrize("polarity", [0, 1])
+    def test_stuck_at_cells_touched_at_consecutive_steps(self, cell, polarity):
+        netlist, scalar, bitpacked, _ = cell
+        plan = bitpacked.plan
+        # Two cells that steps k and k + 1 write, neither at both.
+        first, second = (plan.steps[index] for index in self._gate_run(plan, 2))
+        columns = tuple(
+            int(np.setdiff1d(step.output_cols, other.output_cols)[0])
+            for step, other in ((first, second), (second, first))
+        )
+        spec = FaultModelSpec.stuck_at(columns, stuck_polarity=polarity)
+        steps, _ = _stuck_steps(bitpacked.tape, _StuckCells(spec, plan.n_cols))
+        assert steps[-1] == bitpacked.tape.n_steps
+        assert any(later - earlier == 1 for earlier, later in zip(steps, steps[1:-1]))
+        got = self._run(netlist, scalar, bitpacked, "cursor-stuck", 9, fault_model=spec)
         assert got.faults_injected.any()
 
 
@@ -575,6 +667,18 @@ class TestBitpackedBackendSurface:
 # ---------------------------------------------------------------------- #
 # The int tape
 # ---------------------------------------------------------------------- #
+def _assert_event_lists(tape, events, batch):
+    """The walk's event lists: one column and one mask per hit step, the
+    steps nondecreasing and ended by the sentinel ``tape.n_steps``, and
+    every mask a non-zero int within ``full``."""
+    steps, cols, masks = events
+    assert len(steps) == len(cols) + 1 == len(masks) + 1
+    assert steps[-1] == tape.n_steps
+    assert all(0 <= step < tape.n_steps for step in steps[:-1])
+    assert steps[:-1] == sorted(steps[:-1])
+    assert all(0 < mask <= (1 << batch) - 1 for mask in masks)
+
+
 class TestIntTape:
     @pytest.fixture(scope="class")
     def tape(self):
@@ -603,7 +707,9 @@ class TestIntTape:
         machine.state[plan.const1_col] = machine.full
         for col, value in zip(tape.input_cols, pack_trials(matrix)):
             machine.state[col] = value
-        machine.execute(tape.records, _flip_table(tape, ranks, trials, batch))
+        events = _flip_table(tape, ranks, trials, batch)
+        _assert_event_lists(tape, events, batch)
+        machine.execute(tape.records, events)
         assert machine.detected  # the faults reached the checks
         assert all(0 <= value <= machine.full for value in machine.state)
 
@@ -762,15 +868,15 @@ class TestFlipLowering:
             for entry, trial in zip(entries.tolist(), trials.tolist()):
                 key = (int(site_map.steps[entry]), int(site_map.columns[entry]))
                 naive[key] = naive.get(key, 0) ^ (1 << trial)
-            table = list(_flip_table(tape, tape.rank_of_entry[entries], trials, batch))
-            steps = [step for step, _, _ in table]
-            assert steps == sorted(steps)
-            assert all(0 < mask <= (1 << batch) - 1 for _, _, mask in table)
+            events = _flip_table(tape, tape.rank_of_entry[entries], trials, batch)
+            _assert_event_lists(tape, events, batch)
+            steps, cols, masks = events
+            table = zip(steps[:-1], cols, masks)
             assert self._fold(table) == {key: mask for key, mask in naive.items() if mask}
 
     def test_no_events_no_flips(self, tape):
         none = _flip_table(tape, np.zeros(0, dtype=np.int32), np.zeros(0, dtype=np.intp), 5)
-        assert list(none) == []
+        assert none == ([tape.n_steps], [], []) == _no_events(tape.n_steps)
 
     @pytest.mark.parametrize("batch", [2, 33, 65, 4096])
     @pytest.mark.parametrize("shared", [True, False, "all"])
@@ -808,6 +914,97 @@ class TestFlipLowering:
         rows = np.zeros(len(trials), dtype=np.int32)
         with pytest.raises(ProtectionError, match="more than once"):
             _packed_rows(1, rows, np.asarray(trials, dtype=np.intp), 64)
+
+
+class TestSingleTrialMasks:
+    """``_site_masks`` reads a single-trial site's ``1 << t`` from a
+    per-batch table when such sites outnumber the batch's trials, and
+    shifts each one otherwise: both sides must give one ``(hot, masks)``,
+    a naive fold's.  A site's mask depends on its trials, not on the batch
+    size, so the same events run on both sides: at ``lo``, one past the
+    highest trial, the table side whenever the single-trial sites
+    outnumber it, and at ``hi``, at least their count, the shift side.
+    The mlp16 tape's 79,102 sites leave room for more single-trial sites
+    than the largest batch has trials."""
+
+    CASES = [
+        (batch, singles)
+        for batch in FAULT_PATH_BATCHES
+        for singles in ("above", "below", "all-shared")
+        if batch > 1 or singles != "all-shared"  # one trial shares no site
+    ]
+
+    @pytest.fixture(scope="class")
+    def tape(self):
+        netlist = get_campaign_workload("mlp16").netlist
+        return lower_plan(compile_plan(netlist, "ecim"))
+
+    @staticmethod
+    def _events(tape, rng, n_single, n_shared, n_trials):
+        """(rank, trial) events without repeats: ``n_single`` sites hit in
+        one trial each and ``n_shared`` in several, all below ``n_trials``."""
+        sites = rng.choice(tape.rank_step.shape[0], size=n_single + n_shared, replace=False)
+        ranks = sites[:n_single].tolist()
+        trials = rng.integers(0, n_trials, size=n_single).tolist()
+        for rank in sites[n_single:].tolist():
+            width = int(rng.integers(2, min(n_trials, 9) + 1))
+            ranks += [rank] * width
+            trials += rng.choice(n_trials, size=width, replace=False).tolist()
+        order = rng.permutation(len(ranks))
+        return np.asarray(ranks)[order], np.asarray(trials, dtype=np.intp)[order]
+
+    @classmethod
+    def _case(cls, tape, batch, singles):
+        """Events with more single-trial sites than ``batch`` has trials
+        (``above``), at most as many (``below``, on the lower half of the
+        trials, so that they still outnumber ``lo``), or none."""
+        rng = np.random.default_rng(batch + len(singles))
+        n_shared = 20 if batch > 1 else 0
+        if singles == "above":
+            n_single, n_trials = batch + 8, batch
+        elif singles == "below":
+            n_single = max(1, batch // 2)
+            n_trials = min(batch, max(2, n_single // 2))
+        else:
+            n_single, n_shared, n_trials = 0, 40, batch
+        return n_single, cls._events(tape, rng, n_single, n_shared, n_trials)
+
+    @pytest.mark.parametrize("batch,singles", CASES)
+    def test_table_and_shift_give_a_naive_fold(self, tape, batch, singles):
+        n_single, (ranks, trials) = self._case(tape, batch, singles)
+        naive = {}
+        for rank, trial in zip(ranks.tolist(), trials.tolist()):
+            naive[rank] = naive.get(rank, 0) | (1 << trial)
+        hot = sorted(naive)
+        lo = int(trials.max()) + 1
+        hi = max(batch, n_single)
+        assert (n_single > batch) == (singles == "above")
+        if n_single > 1:
+            assert n_single > lo  # the table side runs at lo
+        for size in (batch, lo, hi):
+            got_hot, masks = _site_masks(tape, ranks, trials, size)
+            assert got_hot.tolist() == hot
+            assert masks == [naive[rank] for rank in hot]
+
+    #: A repeat at a shared site, or at a single-trial one (whose repeat
+    #: alone makes it look shared), wherever the case has such a site.
+    REPEATS = [
+        (batch, singles, shared)
+        for batch, singles in CASES
+        for shared in (True, False)
+        if (batch > 1 if shared else singles != "all-shared")
+    ]
+
+    @pytest.mark.parametrize("batch,singles,shared", REPEATS)
+    def test_a_repeat_raises_on_both_sides(self, tape, batch, singles, shared):
+        n_single, (ranks, trials) = self._case(tape, batch, singles)
+        counts = np.bincount(ranks)
+        index = int(np.flatnonzero((counts[ranks] > 1) == shared)[0])
+        ranks = np.append(ranks, ranks[index])
+        trials = np.append(trials, trials[index])
+        for size in (batch, int(trials.max()) + 1, max(batch, n_single)):
+            with pytest.raises(ProtectionError, match="more than once"):
+                _site_masks(tape, ranks, trials, size)
 
 
 def _slot_entry_events(tape, plan_arrays, batch):
