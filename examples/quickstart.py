@@ -19,7 +19,13 @@ Run with::
 """
 
 from repro.compiler import CircuitBuilder
-from repro.core import EcimExecutor, TrimExecutor, UnprotectedExecutor, enumerate_fault_sites
+from repro.core import (
+    EcimExecutor,
+    TrimExecutor,
+    UnprotectedExecutor,
+    enumerate_fault_sites,
+    make_backend,
+)
 from repro.eval import format_table
 from repro.pim import DeterministicFaultInjector, STT_MRAM, table1_rows
 
@@ -81,24 +87,21 @@ def main():
     # operations with the main computation.
     faulty_gate_ordinal = 7
     results = []
-    for name, executor_cls in (
-        ("unprotected", UnprotectedExecutor),
-        ("ECiM", EcimExecutor),
-        ("TRiM", TrimExecutor),
+    for name, scheme, executor_cls in (
+        ("unprotected", "unprotected", UnprotectedExecutor),
+        ("ECiM", "ecim", EcimExecutor),
+        ("TRiM", "trim", TrimExecutor),
     ):
-        def make_executor(injector, cls=executor_cls):
-            return cls(build_adder()[0], fault_injector=injector)
-
         data_sites = [
             site
-            for site in enumerate_fault_sites(make_executor, inputs)
+            for site in enumerate_fault_sites(make_backend("scalar", netlist, scheme), inputs)
             if not site.is_metadata and site.output_position == 0
         ]
         target = data_sites[faulty_gate_ordinal]
         injector = DeterministicFaultInjector(
             target_output_positions={target.operation_index: target.output_position}
         )
-        executor = make_executor(injector)
+        executor = executor_cls(netlist, fault_injector=injector)
         report = executor.run(dict(inputs))
         results.append(
             [

@@ -8,9 +8,8 @@ The package is organised by subsystem:
   electrical characterisation, fault models, timing and energy accounting.
 * :mod:`repro.ecc` — the coding substrate: Hamming, BCH, parity, Berger
   codes and modular redundancy.
-* :mod:`repro.compiler` — NOR-based synthesis, netlists with logic levels,
-  greedy scratch allocation (area reclaims), scheduling and the instruction
-  encoding.
+* :mod:`repro.compiler` — NOR-based synthesis, netlists with logic levels
+  and greedy scratch allocation (area reclaims).
 * :mod:`repro.core` — the paper's contribution: the ECiM and TRiM protection
   schemes, external checkers, bit-exact protected executors, the SEP
   guarantee analysis and the iso-area design-space models.

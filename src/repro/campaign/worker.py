@@ -139,7 +139,6 @@ def site_count(cell: CampaignCell, backend_name: str) -> int:
     count is exactly the number of Bernoulli draws one stochastic trial
     performs when ``memory_error_rate == 0`` — the ``n`` of the
     importance-sampling likelihood ratio and of the stratified binomial.
-    Cached on the backend instance: site enumeration dry-runs the circuit.
     """
     backend = _backend_for(cell, backend_name)
     return _site_arrays(backend)[2]
@@ -147,19 +146,14 @@ def site_count(cell: CampaignCell, backend_name: str) -> int:
 
 def _site_arrays(backend: ExecutionBackend):
     """``(operation_index, output_position, count)`` of the backend's sites,
-    computed once per cached backend instance (mlp16 + ECiM enumerates
-    72,448 sites, more work than a whole shard's interpretation)."""
-    cached = getattr(backend, "_campaign_site_arrays", None)
-    if cached is None:
-        sites = backend.enumerate_sites()
-        count = len(sites)
-        cached = (
-            np.fromiter((site.operation_index for site in sites), np.int64, count),
-            np.fromiter((site.output_position for site in sites), np.int64, count),
-            count,
-        )
-        backend._campaign_site_arrays = cached
-    return cached
+    in :meth:`~repro.core.backend.ExecutionBackend.enumerate_sites` order,
+    read off its cached :class:`~repro.core.rng.FaultSites` (mlp16 + ECiM
+    has 72,448 sites, too many to build one object each).  Operation
+    indices count firings, so the sites' operations come sorted, and a
+    site's output position is its offset from its operation's first site."""
+    ops = backend.fault_sites.output_ops.astype(np.int64)
+    positions = np.arange(ops.shape[0], dtype=np.int64) - np.searchsorted(ops, ops)
+    return ops, positions, ops.shape[0]
 
 
 def _estimator_outcomes(task: ShardTask, est: EstimatorSpec, backend, inputs, stream):

@@ -1,5 +1,6 @@
-"""PiM compiler: netlists, NOR-based synthesis, scratch allocation, scheduling
-and binary instruction translation (the three-step flow of Section II-B)."""
+"""PiM compiler: netlists with logic levels, NOR-based synthesis and greedy
+scratch allocation (the mapping steps of Section II-B that the evaluation
+needs)."""
 
 from repro.compiler.allocator import AllocationResult, GreedyAllocator, reclaim_count_for_demand
 from repro.compiler.cache import (
@@ -8,15 +9,10 @@ from repro.compiler.cache import (
     compiled_netlist,
     register_netlist_factory,
 )
-from repro.compiler.frontend import Expression, PimProgram
-from repro.compiler.isa import InstructionEncoder, PimInstruction
 from repro.compiler.netlist import GateNode, LevelStats, Netlist, NetlistStats
-from repro.compiler.scheduler import RowSchedule, RowScheduler, ScheduledStep
 from repro.compiler.synthesis import CircuitBuilder, Word
 
 __all__ = [
-    "PimProgram",
-    "Expression",
     "Netlist",
     "GateNode",
     "NetlistStats",
@@ -26,11 +22,6 @@ __all__ = [
     "GreedyAllocator",
     "AllocationResult",
     "reclaim_count_for_demand",
-    "RowScheduler",
-    "RowSchedule",
-    "ScheduledStep",
-    "InstructionEncoder",
-    "PimInstruction",
     "register_netlist_factory",
     "compiled_netlist",
     "available_netlists",

@@ -17,7 +17,6 @@ from repro.core.backend import (
     FaultSite,
     ScalarBackend,
     TrialOutcomes,
-    as_backend,
     derive_seed,
     make_backend,
 )
@@ -30,7 +29,6 @@ from repro.core.batched import (
     sample_input_matrix,
 )
 from repro.core.bitpacked import (
-    bitpacked_golden_outputs,
     lower_plan,
     pack_trials,
     run_packed,
@@ -118,7 +116,6 @@ __all__ = [
     "BitpackedBackend",
     "TrialOutcomes",
     "make_backend",
-    "as_backend",
     "derive_seed",
     # batched trial engine
     "ExecutionPlan",
@@ -132,7 +129,6 @@ __all__ = [
     "pack_trials",
     "unpack_trials",
     "run_packed",
-    "bitpacked_golden_outputs",
     # SEP analysis
     "SepAnalysis",
     "MultiFaultAnalysis",

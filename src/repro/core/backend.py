@@ -77,7 +77,6 @@ __all__ = [
     "BitpackedBackend",
     "backend_class",
     "make_backend",
-    "as_backend",
     "derive_seed",
 ]
 
@@ -260,6 +259,12 @@ class ExecutionBackend(abc.ABC):
         """Every injectable gate-output site of one execution, in firing
         order (the exhaustive SEP sweep's site list)."""
 
+    @property
+    @abc.abstractmethod
+    def fault_sites(self) -> FaultSites:
+        """The stochastic fault sites of one execution, computed once per
+        backend: one ``output_ops`` entry per :meth:`enumerate_sites` site."""
+
     # ------------------------------------------------------------------ #
     # Shared input plumbing
     # ------------------------------------------------------------------ #
@@ -412,20 +417,16 @@ class ScalarBackend(ExecutionBackend):
         scheme: str,
         multi_output: bool = True,
         technology: Union[TechnologyParameters, str, None] = None,
-        make_executor: Optional[Callable[[Optional[object]], object]] = None,
         null_trace: bool = False,
         code_factory: Optional[Callable[[int], object]] = None,
     ) -> None:
-        """``make_executor(fault_injector)`` overrides default executor
-        construction — the escape hatch for configurations the protocol
-        vocabulary does not name (custom ``n_copies``, pre-built arrays).
-        ``code_factory`` (ECiM only) overrides the per-level code — e.g.
+        """``code_factory`` (ECiM only) overrides the per-level code — e.g.
         :func:`repro.ecc.bch.bch_code_factory` for BCH-t protection.
         ``null_trace`` swaps in a
         :class:`~repro.pim.operations.NullTrace` for trial throughput
         (campaigns consume counters, not traces)."""
         scheme = scheme.strip().lower()
-        if make_executor is None and scheme not in EXECUTORS_BY_SCHEME:
+        if scheme not in EXECUTORS_BY_SCHEME:
             raise ProtectionError(f"unknown protection scheme {scheme!r}")
         if code_factory is not None and scheme != "ecim":
             raise ProtectionError("code_factory only applies to the ecim scheme")
@@ -435,7 +436,6 @@ class ScalarBackend(ExecutionBackend):
         self._technology = (
             get_technology(technology) if isinstance(technology, str) else technology
         )
-        self._make_executor = make_executor
         self._null_trace = null_trace
         self._code_factory = code_factory
         self._executor: Optional[object] = None
@@ -444,26 +444,18 @@ class ScalarBackend(ExecutionBackend):
     # -------------------------------------------------------------- #
     # Executor lifecycle
     # -------------------------------------------------------------- #
-    def _build_executor(self, injector) -> object:
-        if self._make_executor is not None:
-            return self._make_executor(injector)
-        cls = EXECUTORS_BY_SCHEME[self.scheme]
-        kwargs = {"fault_injector": injector}
-        if self._technology is not None:
-            kwargs["technology"] = self._technology
-        if self.scheme != "unprotected":
-            kwargs["multi_output"] = self.multi_output
-        if self._code_factory is not None:
-            kwargs["code_factory"] = self._code_factory
-        return cls(self.netlist, **kwargs)
-
     @property
     def executor(self) -> object:
         """The backend's (lazily built, reused) executor."""
         if self._executor is None:
-            self._executor = self._build_executor(NoFaultInjector())
-            if self._make_executor is not None:
-                self.netlist = self._executor.netlist
+            kwargs = {"fault_injector": NoFaultInjector()}
+            if self._technology is not None:
+                kwargs["technology"] = self._technology
+            if self.scheme != "unprotected":
+                kwargs["multi_output"] = self.multi_output
+            if self._code_factory is not None:
+                kwargs["code_factory"] = self._code_factory
+            self._executor = EXECUTORS_BY_SCHEME[self.scheme](self.netlist, **kwargs)
             if self._null_trace:
                 self._executor.array.trace = NullTrace()
         return self._executor
@@ -481,8 +473,7 @@ class ScalarBackend(ExecutionBackend):
         stream: Optional[TrialStream] = None,
         capture_outputs: bool = False,
     ) -> TrialOutcomes:
-        executor = self.executor  # before input handling: resolves the
-        # netlist when this backend wraps a legacy factory
+        executor = self.executor
         rows = self._input_rows(inputs, n_trials)
         if not rows:
             raise ProtectionError("a batch needs at least one trial")
@@ -637,6 +628,11 @@ class BatchedBackend(ExecutionBackend):
             )
         return self._plan
 
+    @property
+    def fault_sites(self) -> FaultSites:
+        """The compiled tape's stochastic fault sites."""
+        return self.plan.fault_sites
+
     def run_trials(
         self,
         inputs: TrialInputs,
@@ -782,26 +778,6 @@ def make_backend(
 ) -> ExecutionBackend:
     """Construct a backend by name (see :func:`backend_class`)."""
     return backend_class(name)(netlist, scheme, multi_output=multi_output, **kwargs)
-
-
-def as_backend(target: object) -> ExecutionBackend:
-    """Adapt ``target`` to the backend protocol.
-
-    Accepts an :class:`ExecutionBackend` (returned as-is) or a legacy
-    ``make_executor(fault_injector)`` scalar factory, which is wrapped in a
-    :class:`ScalarBackend` — the bridge that lets pre-protocol call sites
-    (and executor configurations the protocol vocabulary does not name) keep
-    working unchanged.
-    """
-    if isinstance(target, ExecutionBackend):
-        return target
-    if callable(target):
-        # The netlist is resolved from the factory's executor on first use.
-        return ScalarBackend(None, "custom", make_executor=target)
-    raise ProtectionError(
-        f"cannot interpret {target!r} as an execution backend: expected an "
-        "ExecutionBackend or a make_executor(fault_injector) callable"
-    )
 
 
 class BoundedCache(OrderedDict):

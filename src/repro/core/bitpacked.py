@@ -85,7 +85,6 @@ __all__ = [
     "lower_plan",
     "pack_trials",
     "unpack_trials",
-    "bitpacked_golden_outputs",
     "run_packed",
 ]
 
@@ -682,6 +681,9 @@ class _Machine:
 def _golden(
     records: Sequence[tuple], netlist: Netlist, inputs: Sequence[int], batch: int
 ) -> np.ndarray:
+    """Fault-free netlist outputs of all ``batch`` trials from the inputs'
+    column ints, evaluated bit-sliced over ``records``
+    (:func:`_golden_records`)."""
     values = [0] * (netlist.n_signals + 2)
     values[_signal_slot(netlist, Netlist.CONST_ONE)] = (1 << batch) - 1
     for signal, value in zip(netlist.inputs, inputs):
@@ -690,16 +692,6 @@ def _golden(
     return unpack_trials(
         [values[_signal_slot(netlist, signal)] for signal in netlist.outputs], batch
     )
-
-
-def bitpacked_golden_outputs(
-    netlist: Netlist, input_columns: Sequence[int], batch: int
-) -> np.ndarray:
-    """Fault-free netlist outputs for all B trials from the inputs' column
-    ints, evaluated bit-sliced — byte-identical to
-    :func:`~repro.core.batched.batched_golden_outputs` because both reduce
-    to the same truth tables."""
-    return _golden(_golden_records(netlist), netlist, input_columns, batch)
 
 
 # ---------------------------------------------------------------------- #

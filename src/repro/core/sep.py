@@ -30,14 +30,13 @@ This module provides:
   to circuit granularity a single fault does escape correction, i.e. the
   logic-level granularity is necessary, not just convenient.
 
-All three analyses speak the :class:`~repro.core.backend.ExecutionBackend`
-protocol: pass an :class:`~repro.core.backend.ExecutionBackend` (scalar or
-batched) or, for backward compatibility, a legacy
-``make_executor(fault_injector)`` factory, which is adapted through
-:func:`~repro.core.backend.as_backend`.  The exhaustive sweep is vectorised
-with *fault site as the batch dimension*: one batch row per enumerated site,
-each carrying a single-bit deterministic flip plan — on the batched backend
-the whole Fig. 6 sweep is a single tape interpretation.
+Every analysis takes an :class:`~repro.core.backend.ExecutionBackend` bound
+to the circuit under test (``make_backend(name, netlist, scheme,
+multi_output=...)``; ``scalar`` is the executor object model).  The
+exhaustive sweep is vectorised with *fault site as the batch dimension*:
+one batch row per enumerated site, each carrying a single-bit deterministic
+flip plan — on a tape backend the whole Fig. 6 sweep is a single tape
+interpretation.
 """
 
 from __future__ import annotations
@@ -53,7 +52,7 @@ import numpy as np
 
 from repro.compiler.netlist import Netlist
 from repro.compiler.synthesis import CircuitBuilder
-from repro.core.backend import ExecutionBackend, FaultSite, as_backend, classify_outcome
+from repro.core.backend import ExecutionBackend, FaultSite, classify_outcome
 from repro.core.faultplan import FaultPlanArrays, combination_count, unrank_combinations
 from repro.errors import ProtectionError
 
@@ -147,22 +146,20 @@ def and_gate_example_netlist() -> Netlist:
 
 
 def enumerate_fault_sites(
-    target: object,
+    backend: ExecutionBackend,
     input_values: Dict[int, int],
 ) -> List[FaultSite]:
     """Enumerate every injectable gate-output site of one execution.
 
-    ``target`` is an :class:`~repro.core.backend.ExecutionBackend` or a
-    legacy ``make_executor(fault_injector)`` factory.  The scalar backend
-    dry-runs the execution and walks its trace; the batched backend walks
-    the compiled tape.  Either way, one :class:`FaultSite` per output cell
-    of every gate firing, in execution order.
+    The scalar backend dry-runs the execution and walks its trace; the tape
+    backends walk the compiled tape.  Either way, one :class:`FaultSite`
+    per output cell of every gate firing, in execution order.
     """
-    return as_backend(target).enumerate_sites(input_values)
+    return backend.enumerate_sites(input_values)
 
 
 def exhaustive_single_fault_injection(
-    target: object,
+    backend: ExecutionBackend,
     input_values: Dict[int, int],
     sites: Optional[Sequence[FaultSite]] = None,
 ) -> SepAnalysis:
@@ -173,7 +170,6 @@ def exhaustive_single_fault_injection(
     dimension: row *i* executes ``input_values`` under a deterministic
     single-bit flip at ``sites[i]``.
     """
-    backend = as_backend(target)
     if sites is None:
         sites = backend.enumerate_sites(input_values)
     analysis = SepAnalysis()
@@ -322,34 +318,6 @@ class MultiFaultAnalysis:
             "coverage": self.coverage,
             "budget_violations": self.budget_violations,
         }
-
-    def as_single_fault_analysis(self) -> SepAnalysis:
-        """Project a k=1 sweep onto the legacy :class:`SepAnalysis` form.
-
-        The result is byte-for-byte comparable with
-        :func:`exhaustive_single_fault_injection` on the same backend — the
-        equivalence the multi-fault tests pin down.
-        """
-        if self.k != 1:
-            raise ProtectionError(
-                f"only a k=1 sweep projects onto SepAnalysis (k={self.k})"
-            )
-        if len(self.outcomes) != self.total_combinations:
-            raise ProtectionError(
-                "outcome list incomplete; run the sweep with keep_outcomes=True"
-            )
-        return SepAnalysis(
-            outcomes=[
-                FaultOutcome(
-                    site=outcome.sites[0],
-                    final_outputs_correct=outcome.final_outputs_correct,
-                    error_detected=outcome.error_detected,
-                    corrections=outcome.corrections,
-                    uncorrectable_levels=outcome.uncorrectable_levels,
-                )
-                for outcome in self.outcomes
-            ]
-        )
 
 
 def _combination_fault_plan(sites: Sequence[FaultSite]) -> Dict[int, Tuple[int, ...]]:
@@ -518,7 +486,7 @@ def _default_jobs() -> int:
 
 
 def exhaustive_multi_fault_injection(
-    target: object,
+    backend: ExecutionBackend,
     input_values: Dict[int, int],
     k: int = 2,
     sites: Optional[Sequence[FaultSite]] = None,
@@ -550,7 +518,6 @@ def exhaustive_multi_fault_injection(
         raise ProtectionError(f"k must be >= 1, got {k}")
     if chunk_size < 1:
         raise ProtectionError(f"chunk_size must be >= 1, got {chunk_size}")
-    backend = as_backend(target)
     if sites is None:
         sites = backend.enumerate_sites(input_values)
     if k > len(sites):
@@ -604,7 +571,7 @@ def exhaustive_multi_fault_injection(
 
 
 def multi_fault_coverage_table(
-    target: object,
+    backend: ExecutionBackend,
     input_values: Dict[int, int],
     max_faults: int = 2,
     correction_budget: int = 1,
@@ -623,7 +590,6 @@ def multi_fault_coverage_table(
     """
     if max_faults < 1:
         raise ProtectionError(f"max_faults must be >= 1, got {max_faults}")
-    backend = as_backend(target)
     if sites is None:
         sites = backend.enumerate_sites(input_values)
     return [
@@ -642,7 +608,7 @@ def multi_fault_coverage_table(
 
 
 def fig6_case_table(
-    target: object,
+    backend: ExecutionBackend,
     input_values: Optional[Dict[int, int]] = None,
 ) -> List[Dict[str, object]]:
     """Reproduce the case analysis of Fig. 6 on the AND example.
@@ -655,7 +621,6 @@ def fig6_case_table(
     netlist = and_gate_example_netlist()
     if input_values is None:
         input_values = {netlist.inputs[0]: 1, netlist.inputs[1]: 1}
-    backend = as_backend(target)
     sites = backend.enumerate_sites(input_values)
     analysis = exhaustive_single_fault_injection(backend, input_values, sites)
 
@@ -692,13 +657,14 @@ def fig6_case_table(
 
 
 def circuit_granularity_counterexample(
-    unprotected_target: object,
+    backend: ExecutionBackend,
     input_values: Optional[Dict[int, int]] = None,
 ) -> bool:
     """Show that deferring checks to circuit granularity loses SEP.
 
-    Runs the Fig. 6 AND example *without* per-level correction and injects a
-    single fault in a level-1 output; returns True when the final output is
+    Runs the Fig. 6 AND example *without* per-level correction (``backend``
+    runs the unprotected scheme) and injects a single fault in a level-1
+    output; returns True when the final output is
     wrong — i.e. the single early error propagated, so a single check at the
     end (even with a distance-3 code over the final outputs) could not have
     pinpointed it.  Used by tests and the granularity ablation bench.
@@ -706,6 +672,5 @@ def circuit_granularity_counterexample(
     netlist = and_gate_example_netlist()
     if input_values is None:
         input_values = {netlist.inputs[0]: 1, netlist.inputs[1]: 1}
-    backend = as_backend(unprotected_target)
     outcomes = backend.run_trials([input_values], fault_plan=[{0: 0}])
     return not bool(outcomes.outputs_correct[0])

@@ -79,7 +79,6 @@ class SystematicLinearCode:
         self._k = int(k)
         self._n = int(k + n_minus_k)
         self._name = name or f"LinearCode({self._n},{self._k})"
-        self._generator = gf2.hstack([gf2.identity(self._k), a.T])
         self._parity_check = gf2.hstack([a, gf2.identity(n_minus_k)])
         self._syndrome_table = self._build_single_error_syndrome_table()
 
@@ -132,11 +131,6 @@ class SystematicLinearCode:
     def rate(self) -> float:
         """Code rate k / n."""
         return self._k / self._n
-
-    @property
-    def generator_matrix(self) -> np.ndarray:
-        """G = [I_k | A^T] (copy)."""
-        return self._generator.copy()
 
     @property
     def parity_check_matrix(self) -> np.ndarray:

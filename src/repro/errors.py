@@ -3,7 +3,7 @@
 All library-specific failures derive from :class:`ReproError` so that callers
 can catch a single base class.  Sub-classes are grouped by subsystem:
 
-* :class:`PimError` — PiM substrate (arrays, gates, controller).
+* :class:`PimError` — PiM substrate (arrays, gates, fault models).
 * :class:`EccError` — coding substrate (Hamming, BCH, parity, redundancy).
 * :class:`CompilerError` — application-mapping / synthesis / allocation.
 * :class:`ProtectionError` — ECiM / TRiM / checker layer.
@@ -67,10 +67,6 @@ class SynthesisError(CompilerError):
 
 class AllocationError(CompilerError):
     """The scratch allocator ran out of cells even after reclaiming."""
-
-
-class SchedulingError(CompilerError):
-    """The scheduler could not place an operation on the array fleet."""
 
 
 class ProtectionError(ReproError):

@@ -1,4 +1,5 @@
-"""Nonvolatile PiM substrate: arrays, in-array gates, faults, timing, energy.
+"""Nonvolatile PiM substrate: arrays, in-array gates, technology and
+electrical parameters, fault models, timing, energy and peripheral costs.
 
 This subpackage is the behavioural + analytical re-implementation of the
 resistive processing-in-memory substrates the paper evaluates (ReRAM,
@@ -6,7 +7,6 @@ STT-MRAM and SOT/SHE-MRAM arrays with in-array NOR/THR gates).
 """
 
 from repro.pim.array import DEFAULT_ARRAY_COLS, DEFAULT_ARRAY_ROWS, PartitionLayout, PimArray
-from repro.pim.controller import MAX_ARRAYS, ArrayFleet
 from repro.pim.electrical import (
     MINIMUM_NOISE_MARGIN_PERCENT,
     BiasWindow,
@@ -62,15 +62,6 @@ from repro.pim.operations import (
     WriteOperation,
 )
 from repro.pim.peripheral import DEFAULT_PERIPHERAL, PeripheralModel
-from repro.pim.reliability import (
-    ReliabilityProfile,
-    fault_model_for,
-    gate_error_rate_for,
-    gate_error_rate_from_noise_margin,
-    mtj_retention_failure_rate,
-    reram_state_confusion_rate,
-    write_error_rate,
-)
 from repro.pim.vector import TABLE_MAX_INPUTS, truth_table, vector_gate_output
 from repro.pim.technology import (
     RERAM,
@@ -85,13 +76,11 @@ from repro.pim.technology import (
 from repro.pim.timing import LevelTimingStats, TimingBreakdown, TimingModel
 
 __all__ = [
-    # array / fleet
+    # array
     "PimArray",
     "PartitionLayout",
-    "ArrayFleet",
     "DEFAULT_ARRAY_ROWS",
     "DEFAULT_ARRAY_COLS",
-    "MAX_ARRAYS",
     # gates
     "GateType",
     "GateSpec",
@@ -154,14 +143,6 @@ __all__ = [
     "PresetOperation",
     "ReadOperation",
     "WriteOperation",
-    # reliability
-    "ReliabilityProfile",
-    "fault_model_for",
-    "gate_error_rate_for",
-    "gate_error_rate_from_noise_margin",
-    "mtj_retention_failure_rate",
-    "write_error_rate",
-    "reram_state_confusion_rate",
     # timing / energy / peripheral
     "TimingModel",
     "TimingBreakdown",

@@ -13,10 +13,8 @@ from repro.workloads.base import (
 )
 from repro.workloads.datasets import (
     SyntheticMnist,
-    dequantize_unsigned,
     make_synthetic_mnist,
     quantize_unsigned,
-    quantize_weights,
 )
 from repro.workloads.fft import (
     PAPER_FFT_SIZES,
@@ -107,6 +105,4 @@ __all__ = [
     "SyntheticMnist",
     "make_synthetic_mnist",
     "quantize_unsigned",
-    "dequantize_unsigned",
-    "quantize_weights",
 ]

@@ -25,8 +25,6 @@ __all__ = [
     "SyntheticMnist",
     "make_synthetic_mnist",
     "quantize_unsigned",
-    "dequantize_unsigned",
-    "quantize_weights",
 ]
 
 
@@ -113,26 +111,3 @@ def quantize_unsigned(values: np.ndarray, bits: int, max_value: Optional[float] 
         return np.zeros_like(array, dtype=np.int64)
     levels = (1 << bits) - 1
     return np.clip(np.round(array / top * levels), 0, levels).astype(np.int64)
-
-
-def dequantize_unsigned(codes: np.ndarray, bits: int, max_value: float) -> np.ndarray:
-    """Inverse of :func:`quantize_unsigned`."""
-    levels = (1 << bits) - 1
-    return np.asarray(codes, dtype=np.float64) / levels * max_value
-
-
-def quantize_weights(weights: np.ndarray, bits: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Quantise a (possibly signed) weight matrix into magnitude codes + signs.
-
-    The PiM arithmetic in this library is unsigned; signed weights are
-    handled as (sign, magnitude) with the signs applied at accumulation time
-    (add or subtract the partial product), matching a common PiM MLP mapping.
-    Returns ``(magnitude_codes, signs)`` with signs in {+1, −1}.
-    """
-    if bits < 1:
-        raise UnknownWorkloadError("bits must be >= 1")
-    array = np.asarray(weights, dtype=np.float64)
-    signs = np.where(array < 0, -1, 1).astype(np.int64)
-    magnitudes = np.abs(array)
-    codes = quantize_unsigned(magnitudes, bits, max_value=float(magnitudes.max()) or 1.0)
-    return codes, signs

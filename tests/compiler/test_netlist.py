@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.campaign.workloads import available_campaign_workloads, get_campaign_workload
 from repro.compiler.netlist import Netlist
 from repro.errors import SynthesisError
 from repro.pim.gates import GateType
@@ -174,3 +175,35 @@ class TestStatsAndLiveness:
         assert last[o1] == 2  # consumed by gate index 2
         assert last[o3] == 3  # circuit output lives to the end (horizon)
         assert last[a] == 0
+
+
+@pytest.mark.parametrize("name", available_campaign_workloads())
+class TestCampaignWorkloadLevels:
+    """The logic levels ECiM checks and TRiM votes over, on every netlist a
+    campaign can run."""
+
+    def test_levels_partition_the_gates(self, name):
+        netlist = get_campaign_workload(name).netlist
+        indices = [index for level in netlist.levelize() for index in level]
+        assert sorted(indices) == list(range(len(netlist.gates)))
+
+    def test_each_gate_sits_one_level_above_its_latest_operand(self, name):
+        # So no gate reads the output of another gate in its own level.
+        netlist = get_campaign_workload(name).netlist
+        level_of = {signal: 0 for signal in netlist.inputs}
+        level_of[Netlist.CONST_ZERO] = level_of[Netlist.CONST_ONE] = 0
+        for level, indices in enumerate(netlist.levelize(), start=1):
+            for index in indices:
+                level_of[netlist.gates[index].output] = level
+        for node in netlist.gates:
+            assert level_of[node.output] == 1 + max(level_of[s] for s in node.inputs)
+
+    def test_level_stats_agree_with_levelize(self, name):
+        netlist = get_campaign_workload(name).netlist
+        levels = netlist.levelize()
+        stats = netlist.stats()
+        assert stats.n_levels == netlist.depth == len(levels)
+        assert [level.n_gates for level in stats.levels] == [len(level) for level in levels]
+        assert stats.max_level_width == max(len(level) for level in levels)
+        assert sum(level.n_gate_outputs for level in stats.levels) == stats.total_gate_outputs
+        assert stats.total_gate_outputs == sum(node.n_outputs for node in netlist.gates)

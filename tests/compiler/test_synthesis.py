@@ -112,6 +112,20 @@ class TestWordHelpers:
             CircuitBuilder().input_word(0)
 
 
+class TestAdderCells:
+    """The ripple adder's cell, exhaustively, under both XOR lowerings (two
+    gates with a multi-output NOR, three without)."""
+
+    @pytest.mark.parametrize("multi_output", [True, False])
+    @pytest.mark.parametrize("a,b,c", [(a, b, c) for a in (0, 1) for b in (0, 1) for c in (0, 1)])
+    def test_full_adder(self, a, b, c, multi_output):
+        builder = CircuitBuilder(use_multi_output=multi_output)
+        x, y, z = builder.input_bit(), builder.input_bit(), builder.input_bit()
+        total, carry = builder.full_adder(x, y, z)
+        values = builder.netlist.evaluate({x: a, y: b, z: c})
+        assert values[total] + 2 * values[carry] == a + b + c
+
+
 class TestAdders:
     @given(st.integers(0, 15), st.integers(0, 15))
     @settings(max_examples=30, deadline=None)
@@ -175,6 +189,19 @@ class TestAdders:
 
 
 class TestMultipliers:
+    @pytest.mark.parametrize("a,b", [(0, 5), (7, 7), (5, 3), (6, 1), (3, 6), (7, 0)])
+    def test_partial_products(self, a, b):
+        builder = CircuitBuilder()
+        x = builder.input_word(3, "a")
+        y = builder.input_word(3, "b")
+        products = builder.partial_products(x, y)
+        inputs = {**assign(x, a), **assign(y, b)}
+        words = [evaluate_word(builder.netlist, inputs, word) for word in products]
+        assert words == [(a if (b >> shift) & 1 else 0) << shift for shift in range(3)]
+        assert sum(words) == a * b
+        # Shared operand complements, then one NOR per bit pair.
+        assert builder.netlist.depth == 2
+
     @given(st.integers(0, 15), st.integers(0, 15))
     @settings(max_examples=20, deadline=None)
     def test_shift_add_multiplier(self, a, b):

@@ -1,5 +1,5 @@
-"""The ExecutionBackend protocol: dispatch, adaptation, outcome schema and
-fault-source validation.
+"""The ExecutionBackend protocol: dispatch, outcome schema and fault-source
+validation.
 
 Cross-backend equivalence (site enumeration, exhaustive per-site SEP
 classification, byte-identical fault-model outcomes) lives in the
@@ -15,14 +15,14 @@ from repro.core.backend import (
     BACKEND_NAMES,
     BatchedBackend,
     BitpackedBackend,
+    BoundedCache,
     ExecutionBackend,
     ScalarBackend,
-    as_backend,
+    classify_outcome,
     derive_seed,
     make_backend,
 )
 from repro.core.batched import sample_input_matrix
-from repro.core.executor import EcimExecutor
 from repro.core.sep import and_gate_example_netlist
 from repro.core.rng import TrialStream
 from repro.errors import ProtectionError
@@ -73,22 +73,42 @@ class TestDispatch:
         with pytest.raises(ProtectionError):
             make_backend(name, AND2, "parity")
 
-    def test_as_backend_passes_backends_through(self):
-        backend = make_backend("batched", AND2, "trim")
-        assert as_backend(backend) is backend
 
-    def test_as_backend_adapts_legacy_factories(self):
-        backend = as_backend(lambda injector: EcimExecutor(AND2, fault_injector=injector))
-        assert isinstance(backend, ScalarBackend)
-        outcomes = backend.run_trials([AND2_INPUTS])
-        assert outcomes.n_trials == 1
-        assert bool(outcomes.outputs_correct[0])
-        # The netlist is resolved from the factory's executor.
-        assert backend.netlist is AND2
+class TestSharedHelpers:
+    @pytest.mark.parametrize(
+        "outputs_correct,detected,verdict",
+        [
+            (True, False, "corrected"),
+            (True, True, "corrected"),
+            (False, True, "detected"),
+            (False, False, "silent"),
+        ],
+    )
+    def test_classify_outcome(self, outputs_correct, detected, verdict):
+        assert classify_outcome(outputs_correct, detected) == verdict
 
-    def test_as_backend_rejects_non_callables(self):
-        with pytest.raises(ProtectionError):
-            as_backend(42)
+    def test_bounded_cache_evicts_the_least_recently_used(self):
+        cache = BoundedCache(limit=2)
+        built = []
+
+        def build(key):
+            return lambda: built.append(key) or key.upper()
+
+        assert cache.lookup("a", build("a")) == "A"
+        assert cache.lookup("b", build("b")) == "B"
+        assert cache.lookup("a", build("a")) == "A"  # a hit: no rebuild
+        assert cache.lookup("c", build("c")) == "C"  # evicts b, not a
+        assert list(cache) == ["a", "c"]
+        assert built == ["a", "b", "c"]
+
+    def test_bounded_cache_rebuilds_an_evicted_key(self):
+        cache = BoundedCache(limit=1)
+        cache.lookup("a", lambda: object())
+        first = cache["a"]
+        cache.lookup("b", lambda: object())
+        assert "a" not in cache
+        assert cache.lookup("a", lambda: object()) is not first
+        assert len(cache) == 1
 
 
 class TestDerivedSeeds:
@@ -343,6 +363,11 @@ class TestStochasticEquivalence:
         for name in ("gate", "metadata", "preset", "memory"):
             assert scalar.size(name) == tape.size(name), name
         assert np.array_equal(scalar.output_ops, tape.output_ops)
+
+    @pytest.mark.parametrize("name", ["batched", "bitpacked"])
+    def test_tape_backends_read_their_sites_off_the_plan(self, name):
+        backend = make_backend(name, get_campaign_workload("dot2").netlist, "ecim")
+        assert backend.fault_sites is backend.plan.fault_sites
 
     def test_protocol_is_abstract(self):
         with pytest.raises(TypeError):

@@ -44,6 +44,8 @@ from repro.core.bitpacked import (
     _deterministic_events,
     _flip_table,
     _gate_record,
+    _golden,
+    _golden_records,
     _Machine,
     _no_events,
     _packed_rows,
@@ -52,7 +54,6 @@ from repro.core.bitpacked import (
     _stuck_steps,
     _table_key,
     _table_program,
-    bitpacked_golden_outputs,
     lower_plan,
     pack_trials,
     run_packed,
@@ -644,7 +645,7 @@ class TestBitpackedBackendSurface:
         netlist = get_campaign_workload("fft4").netlist
         matrix = sample_input_matrix(netlist, _stream("golden-int", 77))
         assert np.array_equal(
-            bitpacked_golden_outputs(netlist, pack_trials(matrix), 77),
+            _golden(_golden_records(netlist), netlist, pack_trials(matrix), 77),
             batched_golden_outputs(netlist, matrix),
         )
 
@@ -659,7 +660,7 @@ class TestBitpackedBackendSurface:
         netlist.mark_output(Netlist.CONST_ZERO)
         matrix = _all_combinations(2)
         assert np.array_equal(
-            bitpacked_golden_outputs(netlist, pack_trials(matrix), 4),
+            _golden(_golden_records(netlist), netlist, pack_trials(matrix), 4),
             batched_golden_outputs(netlist, matrix),
         )
 

@@ -76,7 +76,16 @@ class TestSingleFaultDegeneracy:
         backend = make_backend(backend_name, AND2, scheme)
         single = exhaustive_single_fault_injection(backend, inputs)
         multi = exhaustive_multi_fault_injection(backend, inputs, k=1)
-        assert multi.as_single_fault_analysis().outcomes == single.outcomes
+        assert _outcome_tuples(multi) == [
+            (
+                (outcome.site,),
+                outcome.final_outputs_correct,
+                outcome.error_detected,
+                outcome.corrections,
+                outcome.uncorrectable_levels,
+            )
+            for outcome in single.outcomes
+        ]
 
     @pytest.mark.parametrize("backend_name", BACKEND_NAMES)
     def test_k1_coverage_row_matches_single_sweep_counts(self, backend_name):
@@ -214,12 +223,6 @@ class TestApiContracts:
         backend = make_backend("batched", AND2, "ecim")
         with pytest.raises(ProtectionError):
             exhaustive_multi_fault_injection(backend, AND2_INPUTS, k=1, chunk_size=0)
-
-    def test_as_single_fault_analysis_rejects_k2(self):
-        backend = make_backend("batched", AND2, "ecim")
-        analysis = exhaustive_multi_fault_injection(backend, AND2_INPUTS, k=2)
-        with pytest.raises(ProtectionError):
-            analysis.as_single_fault_analysis()
 
     def test_keep_outcomes_false_keeps_counters_only(self):
         backend = make_backend("batched", AND2, "ecim")

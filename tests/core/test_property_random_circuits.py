@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.compiler.netlist import Netlist
+from repro.core.backend import make_backend
 from repro.core.executor import EcimExecutor, TrimExecutor, UnprotectedExecutor
 from repro.core.sep import enumerate_fault_sites, exhaustive_single_fault_injection
 from repro.pim.gates import GateType
@@ -86,11 +87,8 @@ class TestSepOnRandomCircuits:
     def test_ecim_sep_holds_exhaustively(self, seed):
         netlist = random_netlist(seed, n_inputs=3, n_gates=8)
         inputs = random_inputs(netlist, seed)
-
-        def make(injector):
-            return EcimExecutor(random_netlist(seed, 3, 8), fault_injector=injector)
-
-        analysis = exhaustive_single_fault_injection(make, inputs)
+        backend = make_backend("scalar", netlist, "ecim")
+        analysis = exhaustive_single_fault_injection(backend, inputs)
         assert analysis.total_sites > 8
         assert analysis.sep_guaranteed, analysis.unprotected_sites
 
@@ -98,20 +96,14 @@ class TestSepOnRandomCircuits:
     def test_trim_sep_holds_exhaustively(self, seed):
         netlist = random_netlist(seed, n_inputs=3, n_gates=8)
         inputs = random_inputs(netlist, seed)
-
-        def make(injector):
-            return TrimExecutor(random_netlist(seed, 3, 8), fault_injector=injector)
-
-        analysis = exhaustive_single_fault_injection(make, inputs)
+        backend = make_backend("scalar", netlist, "trim")
+        analysis = exhaustive_single_fault_injection(backend, inputs)
         assert analysis.sep_guaranteed, analysis.unprotected_sites
 
     def test_fault_site_enumeration_is_deterministic(self):
         netlist = random_netlist(5, 3, 10)
         inputs = random_inputs(netlist, 5)
-
-        def make(injector):
-            return EcimExecutor(random_netlist(5, 3, 10), fault_injector=injector)
-
-        first = enumerate_fault_sites(make, inputs)
-        second = enumerate_fault_sites(make, inputs)
+        rebuilt = random_netlist(5, 3, 10)
+        first = enumerate_fault_sites(make_backend("scalar", netlist, "ecim"), inputs)
+        second = enumerate_fault_sites(make_backend("scalar", rebuilt, "ecim"), inputs)
         assert first == second

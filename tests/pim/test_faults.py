@@ -490,6 +490,27 @@ class TestFaultModelSpec:
         stuck = FaultModelSpec.stuck_at((3,))
         assert stuck.resolved(0.5, 0.5) is stuck  # deterministic: no rates
 
+    @pytest.mark.parametrize(
+        "text,expected",
+        [
+            ("stochastic", FaultModel()),
+            # An unset metadata rate stays unset, so it follows the gate rate.
+            ("stochastic:gate=1e-3", FaultModel(gate_error_rate=1e-3)),
+            (
+                "stochastic:gate=1e-3,metadata=0",
+                FaultModel(gate_error_rate=1e-3, metadata_error_rate=0.0),
+            ),
+            (
+                "burst:rate=2e-3,memory=1e-4,length=3",
+                FaultModel(gate_error_rate=2e-3, memory_error_rate=1e-4),
+            ),
+        ],
+    )
+    def test_rate_model_reads_unset_rates_as_zero(self, text, expected):
+        model = parse_fault_model(text).rate_model()
+        assert model == expected
+        assert model.effective_metadata_error_rate == expected.effective_metadata_error_rate
+
     def test_needs_stream_and_error_free(self):
         assert FaultModelSpec.stochastic(0.1).needs_stream
         assert FaultModelSpec.burst(2, 4, gate_error_rate=0.1).needs_stream

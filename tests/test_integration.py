@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.compiler import CircuitBuilder, GreedyAllocator, InstructionEncoder, Netlist, RowScheduler
+from repro.compiler import CircuitBuilder, GreedyAllocator
 from repro.core import (
     EcimExecutor,
     EcimScheme,
@@ -20,10 +20,11 @@ from repro.core import (
     UnprotectedExecutor,
     UnprotectedScheme,
     exhaustive_single_fault_injection,
+    make_backend,
 )
 from repro.core.rng import TrialStream
 from repro.eval import EvaluationModel, run_experiment
-from repro.pim import STT_MRAM, FaultModelSpec
+from repro.pim import FaultModelSpec
 from repro.workloads import (
     accumulator_bits,
     fft_input_assignment,
@@ -49,14 +50,12 @@ def small_multiplier():
 class TestCompileAndExecuteFlow:
     def test_full_compiler_pipeline(self):
         netlist, _, _ = small_multiplier()
-        schedule = RowScheduler(n_partitions=4).schedule(netlist)
         allocation = GreedyAllocator(capacity=netlist.n_signals + 8).allocate(netlist)
-        columns = dict(allocation.cell_of_signal)
-        columns[Netlist.CONST_ZERO] = 250
-        columns[Netlist.CONST_ONE] = 251
-        instructions = InstructionEncoder(STT_MRAM).encode_schedule(netlist, schedule, columns)
-        assert len(instructions) == netlist.stats().n_gates
-        assert schedule.n_gates == netlist.stats().n_gates
+        # Every input and every gate output gets a cell inside the capacity.
+        produced = set(netlist.inputs) | {gate.output for gate in netlist.gates}
+        assert produced <= set(allocation.cell_of_signal)
+        assert all(0 <= cell < allocation.capacity for cell in allocation.cell_of_signal.values())
+        assert allocation.peak_live_cells <= allocation.capacity
 
     @given(st.integers(0, 7), st.integers(0, 7))
     @settings(max_examples=8, deadline=None)
@@ -128,21 +127,17 @@ class TestProtectedWorkloads:
 
 class TestSepOnArithmeticCircuit:
     def test_exhaustive_sep_on_small_adder(self):
-        def build():
-            builder = CircuitBuilder()
-            x = builder.input_word(2, "x")
-            y = builder.input_word(2, "y")
-            total, carry = builder.ripple_adder(x, y)
-            builder.mark_output_word(total)
-            builder.mark_output_bit(carry)
-            return builder.netlist
-
-        netlist = build()
+        builder = CircuitBuilder()
+        x = builder.input_word(2, "x")
+        y = builder.input_word(2, "y")
+        total, carry = builder.ripple_adder(x, y)
+        builder.mark_output_word(total)
+        builder.mark_output_bit(carry)
+        netlist = builder.netlist
         inputs = {netlist.inputs[0]: 1, netlist.inputs[1]: 1, netlist.inputs[2]: 0, netlist.inputs[3]: 1}
 
-        analysis = exhaustive_single_fault_injection(
-            lambda injector: EcimExecutor(build(), fault_injector=injector), inputs
-        )
+        backend = make_backend("scalar", netlist, "ecim")
+        analysis = exhaustive_single_fault_injection(backend, inputs)
         assert analysis.total_sites > 50
         assert analysis.sep_guaranteed
 

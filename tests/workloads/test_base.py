@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.campaign.workloads import available_campaign_workloads, get_campaign_workload
 from repro.core.protection import LevelProfile
 from repro.errors import UnknownWorkloadError
 from repro.workloads import PAPER_BENCHMARKS
@@ -69,6 +70,16 @@ class TestBlockMeasurement:
         stats = netlist.stats()
         assert sum(g.count for g in groups) == stats.n_levels
         assert sum(g.profile.n_gates * g.count for g in groups) == stats.n_gates
+
+    @pytest.mark.parametrize("name", available_campaign_workloads())
+    def test_groups_run_length_encode_the_levels(self, name):
+        netlist = get_campaign_workload(name).netlist
+        groups = block_level_profiles(f"campaign-{name}", lambda: netlist)
+        expanded = [group.profile for group in groups for _ in range(group.count)]
+        levels = netlist.stats().levels
+        assert [profile.n_gates for profile in expanded] == [level.n_gates for level in levels]
+        assert [profile.n_thr_gates for profile in expanded] == [level.n_thr for level in levels]
+        assert all(a.profile != b.profile for a, b in zip(groups, groups[1:]))
 
     def test_block_profiles_cached(self):
         calls = []

@@ -4,12 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import UnknownWorkloadError
-from repro.workloads.datasets import (
-    dequantize_unsigned,
-    make_synthetic_mnist,
-    quantize_unsigned,
-    quantize_weights,
-)
+from repro.workloads.datasets import make_synthetic_mnist, quantize_unsigned
 
 
 class TestSyntheticMnist:
@@ -74,11 +69,15 @@ class TestQuantisation:
         codes = quantize_unsigned(values, bits=4, max_value=255.0)
         assert codes.tolist() == [0, 8, 15]
 
-    def test_roundtrip_error_bounded(self):
-        values = np.linspace(0, 100, 50)
-        codes = quantize_unsigned(values, bits=6, max_value=100.0)
-        restored = dequantize_unsigned(codes, bits=6, max_value=100.0)
-        assert np.abs(restored - values).max() <= 100.0 / 63 / 2 + 1e-9
+    @pytest.mark.parametrize("bits", range(1, 9))
+    def test_error_within_half_a_step(self, bits):
+        values = np.linspace(0.0, 255.0, 1021)
+        codes = quantize_unsigned(values, bits=bits, max_value=255.0)
+        top = (1 << bits) - 1
+        step = 255.0 / top
+        assert codes.min() == 0 and codes.max() == top
+        assert (np.diff(codes) >= 0).all()
+        assert np.abs(codes * step - values).max() <= step / 2 + 1e-9
 
     def test_all_zero_input(self):
         assert quantize_unsigned(np.zeros(4), bits=3).tolist() == [0, 0, 0, 0]
@@ -86,10 +85,3 @@ class TestQuantisation:
     def test_invalid_bits(self):
         with pytest.raises(UnknownWorkloadError):
             quantize_unsigned(np.ones(3), bits=0)
-
-    def test_weight_quantisation_sign_magnitude(self):
-        weights = np.array([[-1.0, 0.5], [0.25, -0.75]])
-        codes, signs = quantize_weights(weights, bits=2)
-        assert signs.tolist() == [[-1, 1], [1, -1]]
-        assert codes.max() <= 3
-        assert codes[0, 0] == 3  # largest magnitude maps to the top code
